@@ -41,6 +41,16 @@ class BlockStructure:
         """Barrier dimension: sum of block sizes plus the nonnegative count."""
         return sum(self.sdp_blocks) + self.nonneg_dim
 
+    @property
+    def flat_dim(self) -> int:
+        """Length of the flat coordinates: every SDP block stored in full (n*n)."""
+        return sum(s * s for s in self.sdp_blocks) + self.nonneg_dim + self.free_dim
+
+    def flat_offsets(self) -> np.ndarray:
+        """Flat start of each SDP block, the nonnegative and the free part, then flat_dim."""
+        sizes = [s * s for s in self.sdp_blocks] + [self.nonneg_dim, self.free_dim]
+        return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
@@ -79,6 +89,13 @@ class SymBlockMat:
     @classmethod
     def zeros(cls, structure: BlockStructure) -> "SymBlockMat":
         return cls(structure)
+
+    @classmethod
+    def from_flat(cls, structure: BlockStructure, v: np.ndarray) -> "SymBlockMat":
+        """Inverse of :meth:`flat`."""
+        offsets = structure.flat_offsets()
+        blocks = [v[offsets[k] : offsets[k + 1]].reshape(s, s) for k, s in enumerate(structure.sdp_blocks)]
+        return cls(structure, blocks, v[offsets[-3] : offsets[-2]], v[offsets[-2] :])
 
     @classmethod
     def identity(cls, structure: BlockStructure) -> "SymBlockMat":
@@ -121,6 +138,10 @@ class SymBlockMat:
 
     def __neg__(self) -> "SymBlockMat":
         return self * -1.0
+
+    def flat(self) -> np.ndarray:
+        """Blocks row-major in full, then the nonnegative and the free entries."""
+        return np.concatenate([b.reshape(-1) for b in self.blocks] + [self.nonneg, self.free])
 
     def copy(self) -> "SymBlockMat":
         return SymBlockMat(self.structure, [b.copy() for b in self.blocks], self.nonneg, self.free)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat, frobenius_inner
 from .problem import (
@@ -38,7 +39,6 @@ class SolverConfig:
     expon: float = 3.0  # cap for the corrector exponent
     direction: str = "hkm"  # "hkm" or "nt"
     perturbation_enabled: bool = False
-    seed: int = 0
     validate: bool = True
 
     def __post_init__(self):
@@ -57,7 +57,6 @@ class Iterate:
     x: SymBlockMat
     y: np.ndarray
     z: SymBlockMat
-    nu: float
     iteration: int = 0
 
     def gap(self) -> float:
@@ -118,6 +117,9 @@ def cold_start(p: ConeProblem) -> Iterate:
     if st.free_dim:
         raise ValueError("cold_start expects a problem without free variables (split them first)")
     b_abs = np.abs(p.rhs)
+    # |A_i|_F restricted to each part: SDP blocks, then the nonnegative entries
+    offsets, sq = st.flat_offsets(), p.a * p.a
+    a_norms = [np.sqrt(sq[:, lo:hi].sum(axis=1)) for lo, hi in zip(offsets[:-2], offsets[1:-1])]
     x = SymBlockMat.zeros(st)
     z = SymBlockMat.zeros(st)
 
@@ -130,17 +132,14 @@ def cold_start(p: ConeProblem) -> Iterate:
         return xi, eta
 
     for k, n in enumerate(st.sdp_blocks):
-        a_norms = np.array([np.linalg.norm(a.blocks[k]) for a in p.constraints])
-        xi, eta = scales(n, np.linalg.norm(p.c_obj.blocks[k]), a_norms)
+        xi, eta = scales(n, np.linalg.norm(p.c_obj.blocks[k]), a_norms[k])
         x.blocks[k][:] = xi * np.eye(n)
         z.blocks[k][:] = eta * np.eye(n)
     if st.nonneg_dim:
-        a_norms = np.array([np.linalg.norm(a.nonneg) for a in p.constraints])
-        xi, eta = scales(st.nonneg_dim, np.linalg.norm(p.c_obj.nonneg), a_norms)
+        xi, eta = scales(st.nonneg_dim, np.linalg.norm(p.c_obj.nonneg), a_norms[-1])
         x.nonneg[:] = xi
         z.nonneg[:] = eta
-    nu = frobenius_inner(x, z) / max(st.cone_dim, 1)
-    return Iterate(x=x, y=np.zeros(p.num_constraints), z=z, nu=nu, iteration=0)
+    return Iterate(x=x, y=np.zeros(p.num_constraints), z=z, iteration=0)
 
 
 def residuals(p: ConeProblem, it: Iterate):
@@ -218,7 +217,7 @@ def perturb(it: Iterate, gap: float, eps_p: float, eps_d: float, trace_scale: fl
     eye = SymBlockMat.identity(it.x.structure)
     x = it.x + 0.01 * trace_scale * eye if shift_x else it.x
     z = it.z + 0.1 * trace_scale * eye if shift_z else it.z
-    return Iterate(x=x, y=it.y.copy(), z=z, nu=it.nu, iteration=it.iteration)
+    return Iterate(x=x, y=it.y.copy(), z=z, iteration=it.iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +225,11 @@ def perturb(it: Iterate, gap: float, eps_p: float, eps_d: float, trace_scale: fl
 
 
 class _DirectionContext:
-    """Caches the flattened constraint tensors and per-iterate factorizations."""
+    """Scalings and the factored Schur matrix at one iterate, shared by the
+    predictor and the corrector solve of an iteration."""
 
-    def __init__(self, p: ConeProblem):
+    def __init__(self, p: ConeProblem, it: Iterate, direction: str):
         self.p = p
-        st = p.structure
-        m = p.num_constraints
-        self.a_flat = []  # per block: (m, n*n)
-        for k, n in enumerate(st.sdp_blocks):
-            self.a_flat.append(np.stack([a.blocks[k].reshape(-1) for a in p.constraints]) if m else np.zeros((0, n * n)))
-        self.a_nn = (
-            np.stack([a.nonneg for a in p.constraints]) if (m and st.nonneg_dim) else np.zeros((m, st.nonneg_dim))
-        )
-
-    def factorize(self, it: Iterate, direction: str):
         self.zinv = []
         self.w_nt = []
         for zb, xb in zip(it.z.blocks, it.x.blocks):
@@ -249,53 +239,66 @@ class _DirectionContext:
             if direction == "nt":
                 self.w_nt.append(_nt_scaling(xb, zb))
         self.direction = direction
+        self.b = self.schur(it)
+        try:
+            self.cho = scipy.linalg.cho_factor(self.b, lower=True)
+        except scipy.linalg.LinAlgError:
+            self.cho = None
 
     def kappa(self, it: Iterate, dz: SymBlockMat) -> SymBlockMat:
-        """The scaling operator K with dX + K(dZ) = G."""
-        out = SymBlockMat.zeros(it.x.structure)
-        for k in range(len(out.blocks)):
-            if self.direction == "hkm":
-                m = it.x.blocks[k] @ dz.blocks[k] @ self.zinv[k]
-                out.blocks[k][:] = (m + m.T) / 2.0
-            else:
-                w = self.w_nt[k]
-                out.blocks[k][:] = w @ dz.blocks[k] @ w
-        if out.nonneg.size:
-            if self.direction == "hkm":
-                out.nonneg[:] = it.x.nonneg * dz.nonneg / it.z.nonneg
-            else:
-                out.nonneg[:] = (it.x.nonneg / it.z.nonneg) * dz.nonneg
-        return out
+        """The scaling operator K with dX + K(dZ) = G (blocks symmetrized on construction)."""
+        x, z = it.x, it.z
+        if self.direction == "hkm":
+            blocks = [xb @ db @ zi for xb, db, zi in zip(x.blocks, dz.blocks, self.zinv)]
+            return SymBlockMat(x.structure, blocks, x.nonneg * dz.nonneg / z.nonneg)
+        blocks = [w @ db @ w for w, db in zip(self.w_nt, dz.blocks)]
+        return SymBlockMat(x.structure, blocks, (x.nonneg / z.nonneg) * dz.nonneg)
 
     def schur(self, it: Iterate) -> np.ndarray:
-        m = self.p.num_constraints
+        """B_ij = <A_i, K(A_j)>, assembled column by column.
+
+        Column j is A applied to K(A_j), and K(A_j) is built from A_j's
+        support only: L[:, s] A_j[s, s] R[s, :] in SDP block k, with s the
+        nonzero rows of A_j there and (L, R) = (X_k, Z_k^-1) for HKM or
+        (W_k, W_k) for NT; a * x / z on the nonnegative entries (both
+        scalings coincide there).
+        """
+        p, st = self.p, it.x.structure
+        a, m, nsdp = p.a, p.num_constraints, len(st.sdp_blocks)
+        offsets = st.flat_offsets()
+        d = it.x.nonneg / it.z.nonneg
         b = np.zeros((m, m))
-        for k, n in enumerate(it.x.structure.sdp_blocks):
-            if m == 0:
-                continue
-            af = self.a_flat[k]
-            a3 = af.reshape(m, n, n)
-            if self.direction == "hkm":
-                prods = np.einsum("ab,jbc,cd->jad", it.x.blocks[k], a3, self.zinv[k], optimize=True)
-            else:
-                w = self.w_nt[k]
-                prods = np.einsum("ab,jbc,cd->jad", w, a3, w, optimize=True)
-            b += af @ prods.reshape(m, n * n).T
-        if it.x.nonneg.size and m:
-            # for 1x1 blocks both scalings coincide: w^2 = x / z
-            d = it.x.nonneg / it.z.nonneg
-            b += (self.a_nn * d) @ self.a_nn.T
+        u = np.zeros(st.flat_dim)
+        for j in range(m):
+            u[:] = 0.0
+            # row j's entries of each part form one run of the CSR arrays
+            cuts = a.indptr[j] + np.searchsorted(a.indices[a.indptr[j] : a.indptr[j + 1]], offsets)
+            for k, n in enumerate(st.sdp_blocks):
+                cols, vals = a.indices[cuts[k] : cuts[k + 1]], a.data[cuts[k] : cuts[k + 1]]
+                if not cols.size:
+                    continue
+                # A_j's support is sup x sup, with sup its nonzero rows (A_j is symmetric)
+                rows, cols = np.divmod(cols - offsets[k], n)
+                sup, at = np.unique(rows, return_inverse=True)
+                a_sub = np.zeros((sup.size, sup.size))
+                a_sub[at, np.searchsorted(sup, cols)] = vals
+                lft, rgt = (it.x.blocks[k], self.zinv[k]) if self.direction == "hkm" else (self.w_nt[k],) * 2
+                u[offsets[k] : offsets[k + 1]] = (lft[:, sup] @ a_sub @ rgt[sup]).reshape(-1)
+            cols = a.indices[cuts[nsdp] : cuts[nsdp + 1]]
+            u[cols] = a.data[cuts[nsdp] : cuts[nsdp + 1]] * d[cols - offsets[nsdp]]
+            b[:, j] = a @ u
         return (b + b.T) / 2.0
 
-    def inner_all(self, mat: SymBlockMat) -> np.ndarray:
-        """<A_i, mat> for all i, vectorized."""
-        m = self.p.num_constraints
-        out = np.zeros(m)
-        for k in range(len(mat.blocks)):
-            out += self.a_flat[k] @ mat.blocks[k].reshape(-1)
-        if mat.nonneg.size:
-            out += self.a_nn @ mat.nonneg
-        return out
+    def solve(self, h: np.ndarray) -> np.ndarray:
+        """Cholesky solve with one refinement step; symmetric-indefinite
+        fallback when B is not numerically positive definite."""
+        if self.cho is not None:
+            dy = scipy.linalg.cho_solve(self.cho, h)
+            return dy + scipy.linalg.cho_solve(self.cho, h - self.b @ dy)
+        try:
+            return scipy.linalg.solve(self.b, h, assume_a="sym")
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise NewtonSystemError(str(exc)) from exc
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -309,23 +312,6 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     inner_inv_half = (vi / np.sqrt(wi)) @ vi.T
     w = x_half @ inner_inv_half @ x_half
     return (w + w.T) / 2.0
-
-
-def _solve_schur(b: np.ndarray, h: np.ndarray):
-    """Dense Cholesky with one refinement step; symmetric-indefinite fallback."""
-    if b.size == 0:
-        return np.zeros(0)
-    try:
-        cho = scipy.linalg.cho_factor(b, lower=True)
-        dy = scipy.linalg.cho_solve(cho, h)
-        dy = dy + scipy.linalg.cho_solve(cho, h - b @ dy)
-        return dy
-    except scipy.linalg.LinAlgError:
-        pass
-    try:
-        return scipy.linalg.solve(b, h, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NewtonSystemError(str(exc)) from exc
 
 
 class NewtonSystemError(RuntimeError):
@@ -350,29 +336,18 @@ def newton_direction(
     is subtracted from the centering right-hand side.  dX and dZ are exactly
     symmetric on return.
     """
-    ctx = _ctx
-    if ctx is None:
-        ctx = _DirectionContext(p)
-        ctx.factorize(it, direction)
-    r_p, r_d, _ = _res if _res is not None else residuals(p, it)
+    ctx = _ctx or _DirectionContext(p, it, direction)
+    r_p, r_d, _ = _res or residuals(p, it)
 
     # centering RHS matrix G with dX + K(dZ) = G
-    g = SymBlockMat.zeros(it.x.structure)
-    for k in range(len(g.blocks)):
-        g.blocks[k][:] = target_nu * ctx.zinv[k] - it.x.blocks[k]
-    if g.nonneg.size:
-        g.nonneg[:] = target_nu / it.z.nonneg - it.x.nonneg
+    st = it.x.structure
+    g = SymBlockMat(st, [target_nu * zi for zi in ctx.zinv], target_nu / it.z.nonneg) - it.x
     if corrector is not None:
         dxp, dzp = corrector
-        for k in range(len(g.blocks)):
-            m = dxp.blocks[k] @ dzp.blocks[k] @ ctx.zinv[k]
-            g.blocks[k] -= (m + m.T) / 2.0
-        if g.nonneg.size:
-            g.nonneg -= dxp.nonneg * dzp.nonneg / it.z.nonneg
+        prods = [dxb @ dzb @ zi for dxb, dzb, zi in zip(dxp.blocks, dzp.blocks, ctx.zinv)]
+        g = g - SymBlockMat(st, prods, dxp.nonneg * dzp.nonneg / it.z.nonneg)
 
-    b = ctx.schur(it)
-    h = r_p - ctx.inner_all(g) + ctx.inner_all(ctx.kappa(it, r_d))
-    dy = _solve_schur(b, h)
+    dy = ctx.solve(r_p - p.apply(g) + p.apply(ctx.kappa(it, r_d)))
     dz = r_d - p.adjoint(dy)
     dx = g - ctx.kappa(it, dz)
     return dx, dy, dz
@@ -389,15 +364,11 @@ def split_free(p: ConeProblem) -> ConeProblem:
         return p
     st2 = BlockStructure(st.sdp_blocks, st.nonneg_dim + 2 * st.free_dim, 0)
 
-    def conv(a: SymBlockMat) -> SymBlockMat:
-        return SymBlockMat(
-            st2,
-            [blk.copy() for blk in a.blocks],
-            np.concatenate([a.nonneg, a.free, -a.free]),
-            np.zeros(0),
-        )
-
-    return ConeProblem(conv(p.c_obj), [conv(a) for a in p.constraints], p.rhs.copy(), dict(p.meta))
+    c = p.c_obj
+    c_obj = SymBlockMat(st2, [blk.copy() for blk in c.blocks], np.concatenate([c.nonneg, c.free, -c.free]), np.zeros(0))
+    # the free columns come last, so their negated copies extend the nonnegative part
+    a = sp.hstack([p.a, -p.a[:, st.flat_dim - st.free_dim :]], format="csr")
+    return ConeProblem(c_obj, a, p.rhs.copy(), dict(p.meta))
 
 
 def _merge_free(st: BlockStructure, internal: SymBlockMat, zero_free=False) -> SymBlockMat:
@@ -424,32 +395,30 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
         require_independent(p)
     orig = p
     q = split_free(p)
-    it = cold_start(q)
-    ctx = _DirectionContext(q)
     log = IterationLog()
     t0 = time.perf_counter()
     status = STATUS_ITERATION_LIMIT
     merit_hist: list[float] = []
-    x_scale0 = it.x.trace()
-    pinf = dinf = np.inf
-    gap = it.gap()
 
-    def orig_measures(iterate):
-        """Residual norms and gap in the original problem's variables."""
+    def measure(iterate):
+        """Residuals of an iterate, once, and the iterate with its residual
+        norms in the original problem's variables."""
+        res = residuals(q, iterate)
+        if q is orig:
+            return res, (iterate, *res[2])
         x0 = _merge_free(orig.structure, iterate.x)
         z0 = _merge_free(orig.structure, iterate.z, zero_free=True)
-        it0 = Iterate(x=x0, y=iterate.y, z=z0, nu=iterate.nu, iteration=iterate.iteration)
+        it0 = Iterate(x=x0, y=iterate.y, z=z0, iteration=iterate.iteration)
         _, _, (pi, di) = residuals(orig, it0)
-        return it0, pi, di
+        return res, (it0, pi, di)
 
+    it = cold_start(q)
+    x_scale0 = it.x.trace()
+    res, (it0, pinf, dinf) = measure(it)
     failure = None
     for k in range(1, cfg.max_iterations + 1):
-        r_p, r_d, (pinf_i, dinf_i) = residuals(q, it)
+        _, _, (pinf_i, dinf_i) = res
         gap = it.gap()
-        it0, pinf, dinf = orig_measures(it)
-        pobj = frobenius_inner(orig.c_obj, it0.x)
-        dobj = float(orig.rhs @ it.y)
-
         if pinf <= cfg.tol_primal and dinf <= cfg.tol_dual and abs(gap) <= cfg.tol_gap:
             status = STATUS_SUCCESS
             break
@@ -471,14 +440,12 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
             break
 
         try:
-            ctx.factorize(it, cfg.direction)
-            pred = newton_direction(q, it, 0.0, cfg.direction, _ctx=ctx, _res=(r_p, r_d, None))
+            ctx = _DirectionContext(q, it, cfg.direction)
+            pred = newton_direction(q, it, 0.0, cfg.direction, _ctx=ctx, _res=res)
             alpha_p = min(1.0, cfg.gamma_step * _cone_step(it.x, pred[0]))
             beta_p = min(1.0, cfg.gamma_step * _cone_step(it.z, pred[2]))
             nu_c = corrector_nu(it, pred, alpha_p, beta_p, cfg)
-            dx, dy, dz = newton_direction(
-                q, it, nu_c, cfg.direction, corrector=(pred[0], pred[2]), _ctx=ctx, _res=(r_p, r_d, None)
-            )
+            dx, dy, dz = newton_direction(q, it, nu_c, cfg.direction, corrector=(pred[0], pred[2]), _ctx=ctx, _res=res)
             alpha = min(1.0, cfg.gamma_step * _cone_step(it.x, dx))
             beta = min(1.0, cfg.gamma_step * _cone_step(it.z, dz))
         except (NewtonSystemError, scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
@@ -486,25 +453,18 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
             failure = str(exc)
             break
 
-        it = Iterate(
-            x=it.x + alpha * dx,
-            y=it.y + beta * dy,
-            z=it.z + beta * dz,
-            nu=nu_c,
-            iteration=k,
-        )
-        if not np.isfinite(it.gap()):
+        it = Iterate(x=it.x + alpha * dx, y=it.y + beta * dy, z=it.z + beta * dz, iteration=k)
+        finite = np.isfinite(it.gap())
+        if finite and cfg.perturbation_enabled and max(alpha, beta) < 0.1:
+            mu = it.gap() / max(q.structure.cone_dim, 1)
+            it = perturb(it, it.gap(), pinf_i, dinf_i, mu)
+        res, (it0, pinf, dinf) = measure(it)
+        if not finite:
             status = STATUS_NUMERICAL_FAILURE
             failure = "non-finite iterate"
             break
 
-        if cfg.perturbation_enabled and max(alpha, beta) < 0.1:
-            mu = it.gap() / max(q.structure.cone_dim, 1)
-            it = perturb(it, it.gap(), pinf_i, dinf_i, mu)
-
         # record describes the iterate the step produced
-        _, _, (pinf_new, dinf_new) = residuals(q, it)
-        it0, _, _ = orig_measures(it)
         pobj = frobenius_inner(orig.c_obj, it0.x)
         dobj = float(orig.rhs @ it.y)
         log.append(
@@ -512,8 +472,8 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
                 it=k,
                 pstep=alpha,
                 dstep=beta,
-                p_inf=pinf_new,
-                d_inf=dinf_new,
+                p_inf=res[2][0],
+                d_inf=res[2][1],
                 gap=it.gap(),
                 mean_obj=(pobj + dobj) / 2.0,
                 seconds=time.perf_counter() - t0,
@@ -522,7 +482,6 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
         if iterate_hook is not None:
             iterate_hook(it)
 
-    it0, pinf, dinf = orig_measures(it)
     pobj = frobenius_inner(orig.c_obj, it0.x)
     dobj = float(orig.rhs @ it.y)
     gap = it.gap()

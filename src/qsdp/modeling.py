@@ -666,7 +666,8 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
 
     n_eq = len(model.equalities)
     if equality_mode == "eliminate" and n_eq:
-        _, s, vt = np.linalg.svd(e_mat)
+        # all of V, but no square U: the reduced SVD already has V square when n_eq >= nparams
+        _, s, vt = np.linalg.svd(e_mat, full_matrices=n_eq < nparams)
         smax = s[0] if s.size else 0.0
         rank = int(np.sum(s > max(1e-12 * smax, 1e-300)))
         y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec

@@ -14,24 +14,46 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
-from .blockmat import BlockStructure, SymBlockMat, frobenius_inner
+# frobenius_inner stays importable from here: bench/tracer.py counts calls through this name
+from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, frobenius_inner  # noqa: F401
 
 
-@dataclass
+def _stack_rows(structure: BlockStructure, constraints) -> sp.csr_array:
+    """Row i holds constraint i's nonzeros in flat coordinates."""
+    for k, a in enumerate(constraints):
+        if a.structure != structure:
+            raise ValueError(f"constraint {k} does not share the objective's structure")
+    rows = [sp.csr_array(a.flat()[None, :]) for a in constraints]
+    return sp.vstack(rows, format="csr") if rows else sp.csr_array((0, structure.flat_dim))
+
+
 class ConeProblem:
-    c_obj: SymBlockMat
-    constraints: list[SymBlockMat]
-    rhs: np.ndarray
-    meta: dict = field(default_factory=dict)
+    """Problem data (C, {A_i}, b).
 
-    def __post_init__(self):
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.rhs.shape != (len(self.constraints),):
+    A is held once, as the m x ``structure.flat_dim`` CSR matrix ``a`` whose
+    row i is A_i in flat coordinates (see :meth:`SymBlockMat.flat`): SDP
+    blocks row-major with both triangles stored, then the nonnegative and the
+    free entries.  ``constraints`` lists the A_i as block matrices, or is
+    already such a sparse matrix.
+    """
+
+    def __init__(self, c_obj: SymBlockMat, constraints, rhs, meta: dict | None = None):
+        self.c_obj = c_obj
+        if sp.issparse(constraints):
+            self.a = sp.csr_array(constraints, dtype=float)
+            self.a.sum_duplicates()
+            self.a.eliminate_zeros()
+        else:
+            self.a = _stack_rows(c_obj.structure, constraints)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.meta = {} if meta is None else meta
+        if self.a.shape[1] != self.structure.flat_dim:
+            raise ValueError("constraint rows do not match the objective's structure")
+        if self.rhs.shape != (self.a.shape[0],):
             raise ValueError("rhs length must match the number of constraints")
-        for k, a in enumerate(self.constraints):
-            if a.structure != self.structure:
-                raise ValueError(f"constraint {k} does not share the objective's structure")
 
     @property
     def structure(self) -> BlockStructure:
@@ -39,27 +61,22 @@ class ConeProblem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self.a.shape[0]
+
+    @property
+    def constraints(self) -> list[SymBlockMat]:
+        """The A_i as block matrices, rebuilt from ``a`` on every access."""
+        return [SymBlockMat.from_flat(self.structure, self.a[[i]].toarray()[0]) for i in range(self.num_constraints)]
 
     def apply(self, x: SymBlockMat) -> np.ndarray:
         """Constraint map A(X) = (<A_i, X>)_i."""
-        return np.array([frobenius_inner(a, x) for a in self.constraints])
+        if x.structure != self.structure:
+            raise StructureMismatchError("operand does not share the problem's structure")
+        return self.a @ x.flat()
 
     def adjoint(self, y: np.ndarray) -> SymBlockMat:
         """Adjoint map A*(y) = sum_i y_i A_i."""
-        out = SymBlockMat.zeros(self.structure)
-        for yi, a in zip(y, self.constraints):
-            if yi != 0.0:
-                out = out + float(yi) * a
-        return out
-
-    def stacked_rows(self) -> np.ndarray:
-        """Dense m x dim matrix whose rows are the vectorized A_i."""
-        rows = []
-        for a in self.constraints:
-            parts = [b.reshape(-1) for b in a.blocks] + [a.nonneg, a.free]
-            rows.append(np.concatenate(parts) if parts else np.zeros(0))
-        return np.vstack(rows) if rows else np.zeros((0, 0))
+        return SymBlockMat.from_flat(self.structure, self.a.T @ np.asarray(y, dtype=float))
 
 
 @dataclass
@@ -77,55 +94,68 @@ class ValidationReport:
         return not self.dependent_indices
 
 
+def _components(g: sp.csr_array) -> np.ndarray:
+    """Connected-component label of each node of the symmetric graph g, by
+    min-label propagation; a label is the index of a node of the component."""
+    rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    label = np.arange(g.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[g.indices])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _ordered_dependents(rows: np.ndarray, tol: np.ndarray) -> list[int]:
+    """Positions of the rows whose residual against the span of the earlier
+    kept rows is at most ``tol``; a flagged row leaves the span.  Up to the
+    first flagged row that residual is |R_ii| in rows.T = QR, so each flag
+    restarts the factorization without the flagged row."""
+    keep = list(range(len(rows)))
+    while keep:
+        r = np.abs(np.diag(scipy.linalg.qr(rows[keep].T, mode="r")[0]))
+        bad = np.flatnonzero(np.pad(r, (0, len(keep) - r.size)) <= tol[keep])
+        if not bad.size:
+            break
+        del keep[bad[0]]
+    return sorted(set(range(len(rows))) - set(keep))
+
+
 def validate_problem(p: ConeProblem, spread_limit: float = 1e8) -> ValidationReport:
     """Report-only diagnostics: constraint rank, dependencies, coefficient spread.
 
-    Dependent constraints are named by index via a pivoted QR of the Gram
-    matrix of the stacked vec(A_i).
+    Row i is dependent when its residual against the span of the earlier
+    independent rows is at most 1e-12 * max(|A_i|_F, 1).  Rows with a zero
+    Gram entry (such as rows that share no coordinate) are orthogonal, so the
+    test runs on each connected component of the sparse Gram matrix A A'; a
+    row alone there is dependent only when it is zero.
     """
+    a = p.a
     m = p.num_constraints
-    dependent: list[int] = []
-    duplicates: list[tuple[int, int]] = []
-    rank = 0
-    if m:
-        rows = p.stacked_rows()
-        norms = np.linalg.norm(rows, axis=1)
-        gram = rows @ rows.T
-        # order-respecting Gram-Schmidt: a constraint dependent on earlier ones
-        # is the one that gets flagged
-        basis: list[np.ndarray] = []
-        for i in range(m):
-            v = rows[i].copy()
-            for q in basis:
-                v -= (q @ v) * q
-            if np.linalg.norm(v) <= 1e-12 * max(norms[i], 1.0):
-                dependent.append(i)
-            else:
-                basis.append(v / np.linalg.norm(v))
-        rank = len(basis)
-        # exact duplicates up to scaling, reported pairwise
-        for i in range(m):
-            for j in range(i + 1, m):
-                if norms[i] == 0 or norms[j] == 0:
-                    continue
-                c = gram[i, j] / (norms[i] * norms[j])
-                if abs(abs(c) - 1.0) < 1e-12:
-                    duplicates.append((i, j))
+    gram = a @ a.T
+    norms = np.sqrt(gram.diagonal())
+    tol = 1e-12 * np.maximum(norms, 1.0)
+    labels = _components(gram)
+    size = np.bincount(labels, minlength=m)[labels]
+    dependent = np.flatnonzero((size == 1) & (norms <= tol)).tolist()
+    for label in np.unique(labels[size > 1]):
+        comp = np.flatnonzero(labels == label)
+        dependent += comp[_ordered_dependents(a[comp].toarray(), tol[comp])].tolist()
+    dependent.sort()
 
-    entries = []
-    for a in [p.c_obj] + p.constraints:
-        for b in a.blocks:
-            entries.append(b[np.abs(b) > 0])
-        entries.append(a.nonneg[np.abs(a.nonneg) > 0])
-        entries.append(a.free[np.abs(a.free) > 0])
-    entries.append(p.rhs[np.abs(p.rhs) > 0])
-    flat = np.concatenate([e.reshape(-1) for e in entries]) if entries else np.zeros(0)
-    if flat.size:
-        cmin, cmax = float(np.min(np.abs(flat))), float(np.max(np.abs(flat)))
-    else:
-        cmin = cmax = 0.0
+    # duplicates up to scaling, read from the off-diagonal Gram entries
+    upper = sp.triu(gram, k=1).tocoo()
+    i, j = upper.row, upper.col
+    dup = np.abs(np.abs(upper.data / (norms[i] * norms[j])) - 1.0) < 1e-12
+    pairs = sorted(zip(i[dup].tolist(), j[dup].tolist()))
+
+    coeffs = np.abs(np.concatenate([p.c_obj.flat(), a.data, p.rhs]))
+    coeffs = coeffs[coeffs > 0]
+    cmin, cmax = (float(coeffs.min()), float(coeffs.max())) if coeffs.size else (0.0, 0.0)
     warning = cmin > 0 and cmax / cmin > spread_limit
-    return ValidationReport(m, rank, dependent, duplicates, cmin, cmax, warning)
+    return ValidationReport(m, m - len(dependent), dependent, pairs, cmin, cmax, warning)
 
 
 def require_independent(p: ConeProblem):

@@ -10,8 +10,10 @@ split into nonnegative pairs because the format has no free cone.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat
+from .ipm import split_free
 from .problem import ConeProblem
 
 
@@ -56,25 +58,18 @@ def parse_sdpa(text: str) -> ConeProblem:
     if b.size != m:
         raise SdpaFormatError(no_b, f"objective vector has {b.size} entries, expected {m}")
 
-    sdp_sizes = [s for s in sizes if s > 0]
-    nonneg = sum(-s for s in sizes if s < 0)
     if any(s == 0 for s in sizes):
         raise SdpaFormatError(lines[2][0], "zero block size")
-    structure = BlockStructure(tuple(sdp_sizes), nonneg, 0)
+    structure = BlockStructure(tuple(s for s in sizes if s > 0), sum(-s for s in sizes if s < 0), 0)
 
-    # block index -> (kind, position)
-    layout = []
-    sdp_pos = 0
-    nn_pos = 0
+    # F_0 .. F_m become the rows of one matrix over the flat coordinates;
+    # block number -> (flat start, size, SDP block?)
+    offsets = structure.flat_offsets()
+    layout, sdp_starts, nn_start = [], iter(offsets), offsets[-3]
     for s in sizes:
-        if s > 0:
-            layout.append(("sdp", sdp_pos, s))
-            sdp_pos += 1
-        else:
-            layout.append(("nn", nn_pos, -s))
-            nn_pos += -s
-
-    mats = [SymBlockMat.zeros(structure) for _ in range(m + 1)]
+        layout.append((next(sdp_starts), s, True) if s > 0 else (nn_start, -s, False))
+        nn_start += max(-s, 0)
+    rows, cols, vals = [], [], []
     seen: dict[tuple, tuple] = {}
     for no, ln in lines[4:]:
         toks = _clean_tokens(ln)
@@ -89,26 +84,27 @@ def parse_sdpa(text: str) -> ConeProblem:
             raise SdpaFormatError(no, f"matrix index {mat_no} out of range 0..{m}")
         if not 1 <= blk_no <= len(sizes):
             raise SdpaFormatError(no, f"block index {blk_no} out of range")
-        kind, pos, size = layout[blk_no - 1]
+        start, size, sdp = layout[blk_no - 1]
         if not (1 <= i <= size and 1 <= j <= size):
             raise SdpaFormatError(no, f"entry ({i}, {j}) outside block of size {size}")
         if i > j:
             raise SdpaFormatError(no, "entries must be upper triangular (i <= j)")
+        if not sdp and i != j:
+            raise SdpaFormatError(no, "diagonal block entries need i == j")
         key = (mat_no, blk_no, i, j)
-        if key in seen and seen[key] != value:
-            raise SdpaFormatError(no, f"conflicting duplicate entry for {key}")
+        if key in seen:
+            if seen[key] != value:
+                raise SdpaFormatError(no, f"conflicting duplicate entry for {key}")
+            continue
         seen[key] = value
-        target = mats[mat_no]
-        if kind == "sdp":
-            target.blocks[pos][i - 1, j - 1] = value
-            target.blocks[pos][j - 1, i - 1] = value
-        else:
-            if i != j:
-                raise SdpaFormatError(no, "diagonal block entries need i == j")
-            target.nonneg[pos + i - 1] = value
+        at = {start + (i - 1) * size + j - 1, start + (j - 1) * size + i - 1} if sdp else {start + i - 1}
+        rows.extend([mat_no] * len(at))
+        cols.extend(at)
+        vals.extend([value] * len(at))
 
-    c_obj = -1.0 * mats[0]
-    return ConeProblem(c_obj, mats[1:], b, meta={"source": "sdpa"})
+    f = sp.csr_array((vals, (rows, cols)), shape=(m + 1, structure.flat_dim))
+    c_obj = SymBlockMat.from_flat(structure, -f[[0]].toarray()[0])
+    return ConeProblem(c_obj, f[1:], b, meta={"source": "sdpa"})
 
 
 def _fmt(x: float) -> str:
@@ -118,39 +114,27 @@ def _fmt(x: float) -> str:
 def write_sdpa(p: ConeProblem, comment: str | None = None) -> str:
     """Serialize to SDPA sparse text; the inverse of :func:`parse_sdpa` up to
     the free-variable split."""
-    st = p.structure
-    lines = []
-    if comment:
-        for ln in comment.splitlines():
-            lines.append(f"* {ln}")
-    lines.append(str(p.num_constraints))
-
-    diag_dim = st.nonneg_dim + 2 * st.free_dim
-    sizes = [str(s) for s in st.sdp_blocks]
-    if diag_dim:
-        sizes.append(str(-diag_dim))
+    q = split_free(p)  # the format has no free cone
+    st = q.structure
+    lines = [f"* {ln}" for ln in (comment or "").splitlines()]
+    lines.append(str(q.num_constraints))
+    sizes = [str(s) for s in st.sdp_blocks] + ([str(-st.nonneg_dim)] if st.nonneg_dim else [])
     lines.append(str(len(sizes)))
     lines.append(" ".join(sizes) if sizes else "0")
-    lines.append(" ".join(_fmt(v) for v in p.rhs))
+    lines.append(" ".join(_fmt(v) for v in q.rhs))
 
-    def emit(mat_no: int, a: SymBlockMat, sign: float):
-        out = []
-        for blk_idx, blk in enumerate(a.blocks):
-            n = blk.shape[0]
-            for i in range(n):
-                for j in range(i, n):
-                    v = sign * blk[i, j]
-                    if v != 0.0:
-                        out.append(f"{mat_no} {blk_idx + 1} {i + 1} {j + 1} {_fmt(v)}")
-        diag = np.concatenate([a.nonneg, a.free, -a.free]) if st.free_dim else a.nonneg
-        blk_no = len(a.blocks) + 1
-        for k, v in enumerate(diag):
-            v = sign * v
-            if v != 0.0:
-                out.append(f"{mat_no} {blk_no} {k + 1} {k + 1} {_fmt(v)}")
-        return out
-
-    lines.extend(emit(0, p.c_obj, -1.0))
-    for idx, a in enumerate(p.constraints):
-        lines.extend(emit(idx + 1, a, 1.0))
+    # F_0 = -C heads the rows, so that a row's index is its matrix number; CSR
+    # order is already the file's order (matrix, block, i, j)
+    f = sp.vstack([sp.csr_array(-q.c_obj.flat()[None, :]), q.a], format="csr")
+    f.eliminate_zeros()
+    offsets = st.flat_offsets()
+    part = np.searchsorted(offsets, f.indices, side="right") - 1
+    local = f.indices - offsets[part]
+    nsdp = len(st.sdp_blocks)
+    i, j = np.divmod(local, np.array(st.sdp_blocks + (1, 1))[part])
+    j[part == nsdp] = i[part == nsdp]  # the diagonal block holds entry (k, k)
+    upper = i <= j
+    mat_no = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
+    entries = zip(mat_no[upper].tolist(), (part[upper] + 1).tolist(), (i[upper] + 1).tolist(), (j[upper] + 1).tolist())
+    lines.extend(f"{a} {b} {r} {c} {_fmt(v)}" for (a, b, r, c), v in zip(entries, f.data[upper].tolist()))
     return "\n".join(lines) + "\n"

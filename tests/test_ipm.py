@@ -56,7 +56,7 @@ class TestResiduals:
         x = SymBlockMat(p.structure, [np.eye(2) / 2])
         y = np.array([1.5])
         z = SymBlockMat(p.structure, [c - 1.5 * np.eye(2)])
-        _, _, (pinf, dinf) = residuals(p, Iterate(x=x, y=y, z=z, nu=0.0))
+        _, _, (pinf, dinf) = residuals(p, Iterate(x=x, y=y, z=z))
         assert pinf == pytest.approx(0.0, abs=1e-15)
         assert dinf == pytest.approx(0.0, abs=1e-15)
 
@@ -84,7 +84,7 @@ class TestNewtonDirection:
         lift = lambda m: SymBlockMat(structure, [np.asarray(m, dtype=float)])
         # y = (1,) with C = A1 + sqrt(nu) I keeps the iterate exactly feasible
         p = ConeProblem(lift(np.eye(2) + s * np.eye(2)), [lift(np.eye(2))], [2.0 * s])
-        it = Iterate(x=lift(s * np.eye(2)), y=np.array([1.0]), z=lift(s * np.eye(2)), nu=nu)
+        it = Iterate(x=lift(s * np.eye(2)), y=np.array([1.0]), z=lift(s * np.eye(2)))
         dx, dy, dz = newton_direction(p, it, target_nu=nu)
         assert dx.norm() == pytest.approx(0.0, abs=1e-10)
         assert np.linalg.norm(dy) == pytest.approx(0.0, abs=1e-10)
@@ -98,7 +98,6 @@ class TestNewtonDirection:
             x=SymBlockMat(p.structure, [[[10.0]]]),
             y=np.zeros(1),
             z=SymBlockMat(p.structure, [[[10.0]]]),
-            nu=100.0,
         )
         for nu in (0.0, 25.0, 100.0):
             a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [10.0, 0.0, 10.0]])
@@ -152,7 +151,6 @@ class TestCorrectorNu:
             x=SymBlockMat(structure, [x]),
             y=np.zeros(0),
             z=SymBlockMat(structure, [z]),
-            nu=1.0,
         )
 
     def test_zero_predictor(self):
@@ -182,7 +180,6 @@ class TestPerturb:
             x=SymBlockMat(structure, [np.eye(2)], [1.0]),
             y=np.zeros(0),
             z=SymBlockMat(structure, [np.eye(2)], [1.0]),
-            nu=1.0,
         )
 
     def test_gap_branch(self):

@@ -69,3 +69,57 @@ def test_apply_and_adjoint_are_adjoint():
     x = rand_elem()
     y = rng.normal(size=4)
     assert p.apply(x) @ y == pytest.approx(frobenius_inner(p.adjoint(y), x), rel=1e-12)
+
+
+def unit(i, j, n=3):
+    m = np.zeros((n, n))
+    m[i, j] = m[j, i] = 1.0
+    return m
+
+
+def validate_rows(*mats):
+    rows = [blk(m) for m in mats]
+    return validate_problem(ConeProblem(blk(np.eye(mats[0].shape[0])), rows, np.ones(len(rows))))
+
+
+def test_sum_of_two_earlier_rows_flagged():
+    rep = validate_rows(unit(0, 0), unit(1, 1), unit(0, 0) + unit(1, 1))
+    assert rep.dependent_indices == [2]
+    assert rep.rank == 2
+
+
+def test_order_decides_which_row_is_flagged():
+    rep = validate_rows(unit(0, 0) + unit(1, 1), unit(0, 0), unit(1, 1))
+    assert rep.dependent_indices == [2]
+
+
+def test_independent_row_after_a_dependent_one_sharing_its_support():
+    rep = validate_rows(unit(0, 0), 2 * unit(0, 0), unit(0, 0) + unit(0, 1))
+    assert rep.dependent_indices == [1]
+    assert rep.rank == 2
+    # row 1 is dependent only within the threshold; its leftover 1e-17 E22 must
+    # not count against row 2
+    rep = validate_rows(unit(0, 0), unit(0, 0) + 1e-17 * unit(1, 1), unit(1, 1))
+    assert rep.dependent_indices == [1]
+
+
+def test_separate_components():
+    # {0, 3} share E11, {1, 2} share E22, and row 4 touches only E33
+    rep = validate_rows(unit(0, 0), unit(1, 1), -3 * unit(1, 1), unit(0, 0) + unit(0, 2), unit(2, 2))
+    assert rep.dependent_indices == [2]
+    assert rep.rank == 4
+    assert rep.duplicate_pairs == [(1, 2)]
+
+
+def test_negatively_scaled_duplicate_reported():
+    a = unit(0, 1) + 0.5 * unit(2, 2)
+    rep = validate_rows(a, -2.5 * a)
+    assert rep.duplicate_pairs == [(0, 1)]
+    assert rep.dependent_indices == [1]
+
+
+def test_zero_row_flagged():
+    rep = validate_rows(unit(0, 0), np.zeros((3, 3)), unit(1, 1))
+    assert rep.dependent_indices == [1]
+    assert rep.rank == 2
+    assert rep.duplicate_pairs == []

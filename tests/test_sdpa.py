@@ -89,6 +89,22 @@ class TestRoundTrip:
         assert np.array_equal(q.c_obj.nonneg, p.c_obj.nonneg)
         assert np.array_equal(q.constraints[0].blocks[0], p.constraints[0].blocks[0])
 
+    def test_roundtrip_reproduces_rows_exactly(self):
+        structure = BlockStructure((3, 2), nonneg_dim=2)
+        rng = np.random.default_rng(4)
+
+        def elem():
+            blocks = [rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5) for n in (3, 2)]
+            return SymBlockMat(structure, [b + b.T for b in blocks], rng.normal(size=2) * (rng.random(2) < 0.7))
+
+        p = ConeProblem(elem(), [elem() for _ in range(5)], rng.normal(size=5))
+        q = parse_sdpa(write_sdpa(p))
+        assert q.structure == p.structure
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(q.a, part), getattr(p.a, part))
+        assert np.array_equal(q.c_obj.flat(), p.c_obj.flat())
+        assert np.array_equal(q.rhs, p.rhs)
+
     def test_eigenvalue_model_roundtrip_value(self):
         from qsdp.modeling import Model
 
