@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .ipm import SolverConfig, solve
 from .modeling import model_from_json
@@ -222,13 +223,14 @@ def _cmd_qsd(args) -> RunReport:
 
 
 def _cmd_seesaw(args) -> RunReport:
-    cfg = _solver_config(args)
+    start = time.perf_counter()
     if args.task == "chsh":
-        out = chsh_seesaw(restarts=args.restarts, seed=args.seed, cfg=cfg)
+        out = chsh_seesaw(restarts=args.restarts, seed=args.seed)
     elif args.task == "qrac":
-        out = qrac_seesaw(n_bits=args.bits, d=args.dim, restarts=args.restarts, seed=args.seed, cfg=cfg)
+        out = qrac_seesaw(n_bits=args.bits, d=args.dim, restarts=args.restarts, seed=args.seed)
     else:
         raise UsageError("seesaw task must be 'chsh' or 'qrac'")
+    wall_time = time.perf_counter() - start
     return RunReport(
         command="seesaw",
         status=STATUS_SUCCESS,
@@ -243,7 +245,7 @@ def _cmd_seesaw(args) -> RunReport:
         primal_residual=0.0,
         dual_residual=0.0,
         iterations=len(out.trajectory) - 1,
-        wall_time=0.0,
+        wall_time=wall_time,
         dimacs=[0.0] * 6,
         seed=args.seed,
         result={
@@ -290,41 +292,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsdp", description="SDP toolkit for quantum information")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output_flags(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--json-out", default=None, help="write the report as JSON ('-' for stdout)")
+
+    def solver_flags(p):
         p.add_argument("--tol", type=float, default=1e-7, help="gap and residual tolerance")
         p.add_argument("--maxit", type=int, default=100, help="iteration limit")
         p.add_argument("--direction", choices=("hkm", "nt"), default="hkm")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json-out", default=None, help="write the report as JSON ('-' for stdout)")
         p.add_argument("--verbose", action="store_true", help="print the per-iteration table")
 
     p = sub.add_parser("solve", help="solve an SDPA sparse file or a model JSON file")
     p.add_argument("input")
     p.add_argument("--framing", choices=("dual", "primal"), default="dual")
     p.add_argument("--equalities", choices=("split", "eliminate", "ineq"), default="split")
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("npa", help="Bell-functional bound from the moment-matrix hierarchy")
     p.add_argument("--scenario", required=True)
     p.add_argument("--level", default="1")
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_npa)
 
     p = sub.add_parser("mlp", help="dimension-constrained prepare-and-measure bound")
     p.add_argument("--scenario", required=True)
     p.add_argument("--level", default="2")
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_mlp)
 
     p = sub.add_parser("nv", help="randomized fixed-dimension moment-matrix bound")
     p.add_argument("--scenario", required=True)
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_nv)
 
     p = sub.add_parser("theta", help="Lovasz theta of a graph (weighted when weights present)")
     p.add_argument("--graph", required=True)
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_theta)
 
     p = sub.add_parser("dps", help="PPT symmetric-extension separability test")
@@ -332,12 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=2, required=True)
     p.add_argument("--copies", type=int, default=2)
     p.add_argument("--no-ppt", action="store_true")
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_dps)
 
     p = sub.add_parser("qsd", help="optimal quantum state discrimination")
     p.add_argument("--states", required=True)
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_qsd)
 
     p = sub.add_parser("seesaw", help="alternating lower bounds (chsh or qrac)")
@@ -345,13 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--dim", type=int, default=2)
-    common(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_seesaw)
 
     p = sub.add_parser("sos", help="sum-of-squares certificates")
     p.add_argument("--poly", default=None)
     p.add_argument("--chsh", action="store_true")
-    common(p)
+    solver_flags(p)
+    output_flags(p)
     p.set_defaults(handler=_cmd_sos)
 
     return parser

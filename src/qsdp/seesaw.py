@@ -1,9 +1,12 @@
 """Alternating (see-saw) lower bounds over states and measurements.
 
-Every alternation step is a small SDP solved with the interior-point engine:
-states are optimized with measurements fixed and vice versa.  The method
-yields lower bounds only; restarting from fresh random points improves the
-chance of hitting the global optimum.
+States are optimized with measurements fixed and vice versa.  Each
+alternation step is an SDP with a closed form, solved by one Hermitian
+eigendecomposition: over density matrices, max Tr(op rho) = lambda_max(op)
+at the top eigenprojector; over effects 0 <= M <= I, max Tr(op M) is the
+sum of op's positive eigenvalues, at the projector onto that eigenspace.
+The method yields lower bounds only; restarting from fresh random points
+improves the chance of hitting the global optimum.
 """
 
 from __future__ import annotations
@@ -12,40 +15,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modeling import MatExpr, Model, partial_trace
+from .modeling import partial_trace
 from .npa import haar_projector, haar_state
 
 
-def _max_density(op: np.ndarray, cfg=None):
-    """maximize Tr(op rho) over density matrices."""
-    d = op.shape[0]
-    model = Model()
-    rho = model.declare(d, structure="hermitian", field="complex", name="rho")
-    model.add_lmi(rho.expr())
-    model.add_equality(rho.trace(), 1.0)
-    model.maximize(rho.expr().frobenius_with(op.conj().T))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
-    if not res.success:
-        raise RuntimeError(f"state step failed: {res.solution.status_label}")
-    return res.value, res.values["rho"]
+def _max_density(op: np.ndarray) -> np.ndarray:
+    """A density matrix maximizing Tr(op rho): the top eigenprojector of op."""
+    _, vecs = np.linalg.eigh(op)
+    v = vecs[:, -1:]
+    return v @ v.conj().T
 
 
-def _max_effect(op: np.ndarray, cfg=None):
-    """maximize Tr(op M) over effects 0 <= M <= I."""
-    d = op.shape[0]
-    model = Model()
-    m = model.declare(d, structure="hermitian", field="complex", name="M")
-    model.add_lmi(m.expr())
-    model.add_lmi(MatExpr((d, d), np.eye(d)) - m.expr())
-    model.maximize(m.expr().frobenius_with(op.conj().T))
-    res = model.compile(framing="dual", equality_mode="free_split").solve(cfg)
-    if not res.success:
-        raise RuntimeError(f"measurement step failed: {res.solution.status_label}")
-    return res.value, res.values["M"]
+def _max_effect(op: np.ndarray) -> np.ndarray:
+    """An effect 0 <= M <= I maximizing Tr(op M): the projector onto op's
+    positive eigenspace."""
+    w, vecs = np.linalg.eigh(op)
+    v = vecs[:, w > 0]
+    return v @ v.conj().T
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
+
+
+def _effect(p: np.ndarray, outcome: int) -> np.ndarray:
+    """Effect of ``outcome`` in a binary measurement whose outcome-0 effect is ``p``."""
+    return p if outcome == 0 else np.eye(p.shape[0]) - p
 
 
 @dataclass
@@ -64,25 +59,16 @@ class BellSeesawTask:
         return {"state": state, "A": meas_a, "B": meas_b}
 
     def objective(self, point) -> float:
-        d_a, d_b = self.dims
-        rho = point["state"]
-        total = 0.0
-        for (a, b, x, y), alpha in self.bell.items():
-            ea = point["A"][x] if a == 0 else np.eye(d_a) - point["A"][x]
-            fb = point["B"][y] if b == 0 else np.eye(d_b) - point["B"][y]
-            total += alpha * np.real(np.trace(rho @ np.kron(ea, fb)))
-        return float(total)
+        return float(np.real(np.trace(point["state"] @ self.bell_operator(point))))
 
     def bell_operator(self, point) -> np.ndarray:
         d_a, d_b = self.dims
         g = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
         for (a, b, x, y), alpha in self.bell.items():
-            ea = point["A"][x] if a == 0 else np.eye(d_a) - point["A"][x]
-            fb = point["B"][y] if b == 0 else np.eye(d_b) - point["B"][y]
-            g += alpha * np.kron(ea, fb)
+            g += alpha * np.kron(_effect(point["A"][x], a), _effect(point["B"][y], b))
         return _hermitize(g)
 
-    def sweep(self, point, cfg=None):
+    def sweep(self, point):
         d_a, d_b = self.dims
         rho = point["state"]
         # Alice settings
@@ -92,9 +78,9 @@ class BellSeesawTask:
                 if xx != x:
                     continue
                 sign = 1.0 if a == 0 else -1.0
-                fb = point["B"][y] if b == 0 else np.eye(d_b) - point["B"][y]
+                fb = _effect(point["B"][y], b)
                 k += sign * alpha * partial_trace(np.kron(np.eye(d_a), fb) @ rho, (d_a, d_b), keep=[0])
-            _, point["A"][x] = _max_effect(_hermitize(k), cfg)
+            point["A"][x] = _max_effect(_hermitize(k))
         # Bob settings
         for y in range(self.n_settings[1]):
             k = np.zeros((d_b, d_b), dtype=complex)
@@ -102,11 +88,11 @@ class BellSeesawTask:
                 if yy != y:
                     continue
                 sign = 1.0 if b == 0 else -1.0
-                ea = point["A"][x] if a == 0 else np.eye(d_a) - point["A"][x]
+                ea = _effect(point["A"][x], a)
                 k += sign * alpha * partial_trace(np.kron(ea, np.eye(d_b)) @ rho, (d_a, d_b), keep=[1])
-            _, point["B"][y] = _max_effect(_hermitize(k), cfg)
+            point["B"][y] = _max_effect(_hermitize(k))
         # shared state
-        _, point["state"] = _max_density(self.bell_operator(point), cfg)
+        point["state"] = _max_density(self.bell_operator(point))
         return point
 
 
@@ -133,27 +119,25 @@ class PamSeesawTask:
     def objective(self, point) -> float:
         total = 0.0
         for (b, x, y), beta in self.witness.items():
-            m = point["M"][y] if b == 0 else np.eye(self.dim) - point["M"][y]
-            total += beta * np.real(np.trace(point["states"][x] @ m))
+            total += beta * np.real(np.trace(point["states"][x] @ _effect(point["M"][y], b)))
         return float(total)
 
-    def sweep(self, point, cfg=None):
+    def sweep(self, point):
         for y in range(self.n_meas):
             k = np.zeros((self.dim, self.dim), dtype=complex)
             for (b, x, yy), beta in self.witness.items():
                 if yy != y:
                     continue
                 k += (1.0 if b == 0 else -1.0) * beta * point["states"][x]
-            _, point["M"][y] = _max_effect(_hermitize(k), cfg)
+            point["M"][y] = _max_effect(_hermitize(k))
         if self.fixed_states is None:
             for x in range(self.n_preparations):
                 k = np.zeros((self.dim, self.dim), dtype=complex)
                 for (b, xx, y), beta in self.witness.items():
                     if xx != x:
                         continue
-                    m = point["M"][y] if b == 0 else np.eye(self.dim) - point["M"][y]
-                    k += beta * m
-                _, point["states"][x] = _max_density(_hermitize(k), cfg)
+                    k += beta * _effect(point["M"][y], b)
+                point["states"][x] = _max_density(_hermitize(k))
         return point
 
 
@@ -164,21 +148,13 @@ class SeesawOutcome:
     trajectory: list[float]
     restart_values: list[float] = field(default_factory=list)
 
-    @property
-    def states(self):
-        return self.point.get("states", self.point.get("state"))
 
-    @property
-    def measurements(self):
-        return {k: v for k, v in self.point.items() if k in ("A", "B", "M")}
-
-
-def seesaw(task, restarts: int = 20, seed: int = 0, cfg=None, max_alternations: int = 200, rel_tol: float = 1e-8):
+def seesaw(task, restarts: int = 20, seed: int = 0, max_alternations: int = 200, rel_tol: float = 1e-8):
     """Best lower bound over random restarts of alternating maximization.
 
-    Within one restart the trajectory of exact objective values is monotone
-    non-decreasing up to inner-solver accuracy; alternation stops when the
-    relative improvement drops below ``rel_tol`` or the cap is reached.
+    Every step is an exact maximizer, so within one restart the trajectory of
+    objective values is non-decreasing up to rounding; alternation stops when
+    the relative improvement drops below ``rel_tol`` or the cap is reached.
     """
     rng = np.random.default_rng(seed)
     best: SeesawOutcome | None = None
@@ -187,7 +163,7 @@ def seesaw(task, restarts: int = 20, seed: int = 0, cfg=None, max_alternations: 
         point = task.random_point(rng)
         traj = [task.objective(point)]
         for _ in range(max_alternations):
-            point = task.sweep(point, cfg)
+            point = task.sweep(point)
             traj.append(task.objective(point))
             if traj[-1] - traj[-2] <= rel_tol * max(1.0, abs(traj[-2])):
                 break
@@ -198,14 +174,14 @@ def seesaw(task, restarts: int = 20, seed: int = 0, cfg=None, max_alternations: 
     return best
 
 
-def chsh_seesaw(restarts: int = 20, seed: int = 0, cfg=None):
+def chsh_seesaw(restarts: int = 20, seed: int = 0):
     from .npa import chsh_functional
 
-    return seesaw(BellSeesawTask(bell=chsh_functional()), restarts=restarts, seed=seed, cfg=cfg)
+    return seesaw(BellSeesawTask(bell=chsh_functional()), restarts=restarts, seed=seed)
 
 
-def qrac_seesaw(n_bits: int = 2, d: int = 2, restarts: int = 20, seed: int = 0, cfg=None):
+def qrac_seesaw(n_bits: int = 2, d: int = 2, restarts: int = 20, seed: int = 0):
     from .npa import qrac_witness
 
     task = PamSeesawTask(witness=qrac_witness(n_bits), dim=d, n_preparations=2**n_bits, n_meas=n_bits)
-    return seesaw(task, restarts=restarts, seed=seed, cfg=cfg)
+    return seesaw(task, restarts=restarts, seed=seed)

@@ -160,6 +160,7 @@ class TestQuantumCommands:
         code, report = run(tmp_path, ["seesaw", "--task", "qrac", "--restarts", "2", "--seed", "1"])
         assert code == 0
         assert report["result"]["lower_bound"] >= (1 + 1 / ROOT2) / 2 - 1e-3
+        assert report["wall_time"] > 0
 
     def test_nv_seed_determinism(self, tmp_path):
         scen = tmp_path / "nv.json"
@@ -187,6 +188,9 @@ class TestErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_seesaw_rejects_solver_flags(self, capsys):
+        assert main(["seesaw", "--tol", "1e-6"]) == EXIT_USAGE
 
     def test_usage_distinct_from_solver_codes(self):
         assert EXIT_USAGE not in (0, 11, 12, 21, 23, 26)
