@@ -231,6 +231,7 @@ def _cmd_seesaw(args) -> RunReport:
     else:
         raise UsageError("seesaw task must be 'chsh' or 'qrac'")
     wall_time = time.perf_counter() - start
+    # no solver runs, so the report carries the lower bound only
     return RunReport(
         command="seesaw",
         status=STATUS_SUCCESS,
@@ -239,20 +240,14 @@ def _cmd_seesaw(args) -> RunReport:
         m=0,
         nonneg_dim=0,
         free_dim=0,
-        primal_value=out.value,
-        dual_value=out.value,
-        gap=0.0,
-        primal_residual=0.0,
-        dual_residual=0.0,
-        iterations=len(out.trajectory) - 1,
         wall_time=wall_time,
-        dimacs=[0.0] * 6,
         seed=args.seed,
         result={
             "lower_bound": out.value,
             "task": args.task,
             "restarts": args.restarts,
             "restart_values": list(out.restart_values),
+            "sweeps": len(out.trajectory) - 1,
         },
     )
 

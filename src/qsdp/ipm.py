@@ -28,6 +28,11 @@ from .problem import (
     require_independent,
 )
 
+GAMMA_STEP = 0.98  # step-length safety factor, keeps iterates interior
+EXPON = 3.0  # cap for the corrector exponent
+# Floats in one chunk's g x n^2 work array of the Schur assembly (2 MB)
+_SCHUR_CHUNK_FLOATS = 1 << 18
+
 
 @dataclass
 class SolverConfig:
@@ -35,15 +40,11 @@ class SolverConfig:
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
     max_iterations: int = 100
-    gamma_step: float = 0.98  # step-length safety factor, keeps iterates interior
-    expon: float = 3.0  # cap for the corrector exponent
     direction: str = "hkm"  # "hkm" or "nt"
     perturbation_enabled: bool = False
     validate: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.gamma_step < 1.0:
-            raise ValueError("gamma_step must lie in (0, 1)")
         if min(self.tol_gap, self.tol_primal, self.tol_dual) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
@@ -165,7 +166,9 @@ def step_length(m: np.ndarray, dm: np.ndarray) -> float:
     low = scipy.linalg.cholesky(m, lower=True)
     w = scipy.linalg.solve_triangular(low, -dm, lower=True)
     w = scipy.linalg.solve_triangular(low, w.T, lower=True)
-    lam = float(np.linalg.eigvalsh((w + w.T) / 2.0)[-1])
+    # syev (QR algorithm): on blocks of ~100 it is many times faster than the
+    # threaded divide-and-conquer syevd that np.linalg.eigvalsh calls
+    lam = float(scipy.linalg.eigvalsh((w + w.T) / 2.0, driver="ev", overwrite_a=True)[-1])
     if lam <= 1e-300:
         return 1.0
     return min(1.0, 1.0 / lam)
@@ -182,11 +185,11 @@ def _cone_step(m: SymBlockMat, dm: SymBlockMat) -> float:
     return t
 
 
-def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float, cfg: SolverConfig) -> float:
+def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float) -> float:
     """Mehrotra target (Tr(XZ)/n) * (Tr((X+a dX)(Z+b dZ))/Tr(XZ))^e.
 
     The exponent e is 1 while the gap exceeds 1e-3, then grows with the decimal
-    digits gained, capped by cfg.expon.
+    digits gained, capped by EXPON.
     """
     dx, _, dz = predictor
     gap = it.gap()
@@ -199,7 +202,7 @@ def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float, cfg: Sol
     if gap > 1e-3:
         e = 1.0
     else:
-        e = min(cfg.expon, 1.0 + np.log10(1e-3 / gap))
+        e = min(EXPON, 1.0 + np.log10(1e-3 / gap))
     return float((gap / n) * ratio**e)
 
 
@@ -224,12 +227,60 @@ def perturb(it: Iterate, gap: float, eps_p: float, eps_d: float, trace_scale: fl
 # Newton system
 
 
+def _support_chunks(a_k: sp.csr_array, n: int) -> list:
+    """Chunks (js, sup, a_sub) of the constraints that touch an n x n block
+    whose flat columns of A are a_k; see _SchurPlan."""
+    m = a_k.shape[0]
+    j = np.repeat(np.arange(m, dtype=np.int64), np.diff(a_k.indptr))
+    rows, cols = np.divmod(a_k.indices, n)
+    # A_j's support is sup x sup, with sup its nonzero rows (A_j is symmetric);
+    # keys lists the pairs (j, row) sorted, so each A_j's support is one run
+    keys = np.unique(j * n + rows)
+    size = np.bincount(keys // n, minlength=m)
+    start = np.cumsum(size) - size
+    at_row = np.searchsorted(keys, j * n + rows) - start[j]
+    at_col = np.searchsorted(keys, j * n + cols) - start[j]
+    g_max = max(1, _SCHUR_CHUNK_FLOATS // (n * n))
+    chunks = []
+    for s in np.unique(size[size > 0]):
+        js = np.flatnonzero(size == s)
+        sup = keys[start[js, None] + np.arange(s)] % n
+        a_sub = np.zeros((js.size, s, s))
+        hit = size[j] == s
+        a_sub[np.searchsorted(js, j[hit]), at_row[hit], at_col[hit]] = a_k.data[hit]
+        for lo in range(0, js.size, g_max):
+            chunks.append((js[lo : lo + g_max], sup[lo : lo + g_max], a_sub[lo : lo + g_max]))
+    return chunks
+
+
+class _SchurPlan:
+    """The sparsity of A that the Schur assembly reads, derived once per solve.
+
+    ``blocks[k]`` is (A_k, chunks) for SDP block k: A_k is A's CSR column
+    slice over the block, and each chunk (js, sup, a_sub) holds constraints
+    js that touch the same number s of the block's rows, their support rows
+    sup (g x s) and their dense A_j[sup, sup] (g x s x s).  A chunk holds at
+    most _SCHUR_CHUNK_FLOATS / n^2 constraints.  ``a_nn`` is A's column
+    slice over the nonnegative entries.
+    """
+
+    def __init__(self, p: ConeProblem):
+        st = p.structure
+        offsets = st.flat_offsets()
+        self.blocks = []
+        for k, n in enumerate(st.sdp_blocks):
+            a_k = p.a[:, offsets[k] : offsets[k + 1]]
+            self.blocks.append((a_k, _support_chunks(a_k, n)))
+        self.a_nn = p.a[:, offsets[-3] : offsets[-2]]
+
+
 class _DirectionContext:
     """Scalings and the factored Schur matrix at one iterate, shared by the
     predictor and the corrector solve of an iteration."""
 
-    def __init__(self, p: ConeProblem, it: Iterate, direction: str):
+    def __init__(self, p: ConeProblem, it: Iterate, direction: str, plan: _SchurPlan | None = None):
         self.p = p
+        self.plan = plan or _SchurPlan(p)
         self.zinv = []
         self.w_nt = []
         for zb, xb in zip(it.z.blocks, it.x.blocks):
@@ -255,38 +306,26 @@ class _DirectionContext:
         return SymBlockMat(x.structure, blocks, (x.nonneg / z.nonneg) * dz.nonneg)
 
     def schur(self, it: Iterate) -> np.ndarray:
-        """B_ij = <A_i, K(A_j)>, assembled column by column.
+        """B_ij = <A_i, K(A_j)>, assembled one chunk of the plan at a time.
 
-        Column j is A applied to K(A_j), and K(A_j) is built from A_j's
-        support only: L[:, s] A_j[s, s] R[s, :] in SDP block k, with s the
-        nonzero rows of A_j there and (L, R) = (X_k, Z_k^-1) for HKM or
-        (W_k, W_k) for NT; a * x / z on the nonnegative entries (both
-        scalings coincide there).
+        For a chunk's constraints js in SDP block k, one batched product
+        builds every K(A_j) = L[:, sup] A_j[sup, sup] R[sup, :], with
+        (L, R) = (X_k, Z_k^-1) for HKM or (W_k, W_k) for NT, and A_k applied
+        to them adds rows js of B.  The nonnegative entries add
+        A_nn diag(x / z) A_nn^T (both scalings coincide there).
         """
-        p, st = self.p, it.x.structure
-        a, m, nsdp = p.a, p.num_constraints, len(st.sdp_blocks)
-        offsets = st.flat_offsets()
-        d = it.x.nonneg / it.z.nonneg
+        m = self.p.num_constraints
         b = np.zeros((m, m))
-        u = np.zeros(st.flat_dim)
-        for j in range(m):
-            u[:] = 0.0
-            # row j's entries of each part form one run of the CSR arrays
-            cuts = a.indptr[j] + np.searchsorted(a.indices[a.indptr[j] : a.indptr[j + 1]], offsets)
-            for k, n in enumerate(st.sdp_blocks):
-                cols, vals = a.indices[cuts[k] : cuts[k + 1]], a.data[cuts[k] : cuts[k + 1]]
-                if not cols.size:
-                    continue
-                # A_j's support is sup x sup, with sup its nonzero rows (A_j is symmetric)
-                rows, cols = np.divmod(cols - offsets[k], n)
-                sup, at = np.unique(rows, return_inverse=True)
-                a_sub = np.zeros((sup.size, sup.size))
-                a_sub[at, np.searchsorted(sup, cols)] = vals
-                lft, rgt = (it.x.blocks[k], self.zinv[k]) if self.direction == "hkm" else (self.w_nt[k],) * 2
-                u[offsets[k] : offsets[k + 1]] = (lft[:, sup] @ a_sub @ rgt[sup]).reshape(-1)
-            cols = a.indices[cuts[nsdp] : cuts[nsdp + 1]]
-            u[cols] = a.data[cuts[nsdp] : cuts[nsdp + 1]] * d[cols - offsets[nsdp]]
-            b[:, j] = a @ u
+        for k, (a_k, chunks) in enumerate(self.plan.blocks):
+            lft, rgt = (it.x.blocks[k], self.zinv[k]) if self.direction == "hkm" else (self.w_nt[k],) * 2
+            for js, sup, a_sub in chunks:
+                u = (lft[:, sup].transpose(1, 0, 2) @ a_sub @ rgt[sup]).reshape(js.size, -1)
+                b[js] += (a_k @ u.T).T
+        a_nn = self.plan.a_nn
+        if a_nn.shape[1]:
+            scaled = a_nn.copy()
+            scaled.data *= (it.x.nonneg / it.z.nonneg)[a_nn.indices]
+            b += (scaled @ a_nn.T).toarray()
         return (b + b.T) / 2.0
 
     def solve(self, h: np.ndarray) -> np.ndarray:
@@ -395,6 +434,7 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
         require_independent(p)
     orig = p
     q = split_free(p)
+    plan = _SchurPlan(q)
     log = IterationLog()
     t0 = time.perf_counter()
     status = STATUS_ITERATION_LIMIT
@@ -440,14 +480,14 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
             break
 
         try:
-            ctx = _DirectionContext(q, it, cfg.direction)
+            ctx = _DirectionContext(q, it, cfg.direction, plan)
             pred = newton_direction(q, it, 0.0, cfg.direction, _ctx=ctx, _res=res)
-            alpha_p = min(1.0, cfg.gamma_step * _cone_step(it.x, pred[0]))
-            beta_p = min(1.0, cfg.gamma_step * _cone_step(it.z, pred[2]))
-            nu_c = corrector_nu(it, pred, alpha_p, beta_p, cfg)
+            alpha_p = min(1.0, GAMMA_STEP * _cone_step(it.x, pred[0]))
+            beta_p = min(1.0, GAMMA_STEP * _cone_step(it.z, pred[2]))
+            nu_c = corrector_nu(it, pred, alpha_p, beta_p)
             dx, dy, dz = newton_direction(q, it, nu_c, cfg.direction, corrector=(pred[0], pred[2]), _ctx=ctx, _res=res)
-            alpha = min(1.0, cfg.gamma_step * _cone_step(it.x, dx))
-            beta = min(1.0, cfg.gamma_step * _cone_step(it.z, dz))
+            alpha = min(1.0, GAMMA_STEP * _cone_step(it.x, dx))
+            beta = min(1.0, GAMMA_STEP * _cone_step(it.z, dz))
         except (NewtonSystemError, scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             status = STATUS_NUMERICAL_FAILURE
             failure = str(exc)

@@ -42,6 +42,10 @@ def dimacs_errors(p: ConeProblem, sol: Solution) -> list[float]:
 
 @dataclass
 class RunReport:
+    """One subcommand's result.  The solver fields (values, gap, residuals,
+    iterations, DIMACS errors, direction) are None, JSON null, when no
+    solver certifies the result, as for the see-saw lower bound."""
+
     command: str
     status: int
     status_label: str
@@ -49,18 +53,18 @@ class RunReport:
     m: int
     nonneg_dim: int
     free_dim: int
-    primal_value: float
-    dual_value: float
-    gap: float
-    primal_residual: float
-    dual_residual: float
-    iterations: int
     wall_time: float
-    dimacs: list[float]
-    direction: str = "hkm"
+    primal_value: float | None = None
+    dual_value: float | None = None
+    gap: float | None = None
+    primal_residual: float | None = None
+    dual_residual: float | None = None
+    iterations: int | None = None
+    dimacs: list[float] | None = None
+    direction: str | None = None
     seed: int | None = None
     result: dict = field(default_factory=dict)  # subcommand-specific payload
-    version: int = 1
+    version: int = 2
 
     @classmethod
     def from_solution(cls, command: str, p: ConeProblem, sol: Solution, seed=None, result=None) -> "RunReport":
@@ -109,13 +113,17 @@ class RunReport:
             f"status         : {self.status} ({self.status_label})",
             f"blocks         : {self.block_sizes}  nonneg={self.nonneg_dim}  free={self.free_dim}",
             f"constraints m  : {self.m}",
-            f"primal value   : {self.primal_value:.9f}",
-            f"dual value     : {self.dual_value:.9f}",
-            f"gap            : {self.gap:.3e}",
-            f"residuals      : primal {self.primal_residual:.3e}  dual {self.dual_residual:.3e}",
-            f"iterations     : {self.iterations}   wall time: {self.wall_time:.3f}s   direction: {self.direction}",
-            "DIMACS errors  : " + "  ".join(f"{e:.2e}" for e in self.dimacs),
         ]
+        if self.dimacs is not None:
+            lines += [
+                f"primal value   : {self.primal_value:.9f}",
+                f"dual value     : {self.dual_value:.9f}",
+                f"gap            : {self.gap:.3e}",
+                f"residuals      : primal {self.primal_residual:.3e}  dual {self.dual_residual:.3e}",
+                f"iterations     : {self.iterations}   direction: {self.direction}",
+                "DIMACS errors  : " + "  ".join(f"{e:.2e}" for e in self.dimacs),
+            ]
+        lines.append(f"wall time      : {self.wall_time:.3f}s")
         for k, v in self.result.items():
             if isinstance(v, float):
                 lines.append(f"{k:<15}: {v:.9f}")

@@ -161,6 +161,10 @@ class TestQuantumCommands:
         assert code == 0
         assert report["result"]["lower_bound"] >= (1 + 1 / ROOT2) / 2 - 1e-3
         assert report["wall_time"] > 0
+        # a see-saw value is a lower bound only: no solver certificate is claimed
+        for key in ("primal_value", "dual_value", "gap", "primal_residual", "dual_residual", "dimacs", "iterations", "direction"):
+            assert report[key] is None
+        assert report["result"]["sweeps"] >= 1
 
     def test_nv_seed_determinism(self, tmp_path):
         scen = tmp_path / "nv.json"

@@ -143,6 +143,36 @@ class TestStepLength:
         with pytest.raises(Exception):
             step_length(np.diag([1.0, -1.0]), np.eye(2))
 
+    @staticmethod
+    def _eigvalsh_formula(m, dm):
+        low_inv = np.linalg.inv(np.linalg.cholesky(m))
+        lam = np.linalg.eigvalsh(low_inv @ -dm @ low_inv.T)[-1]
+        return 1.0 if lam <= 1e-300 else min(1.0, 1.0 / lam)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_eigvalsh_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4 + 9 * seed
+        g = rng.normal(size=(n, n))
+        m = g @ g.T + 0.1 * np.eye(n)
+        dm = rng.normal(size=(n, n))
+        dm = 3.0 * (dm + dm.T)
+        assert step_length(m, dm) == pytest.approx(self._eigvalsh_formula(m, dm), rel=1e-10)
+
+    def test_repeated_top_eigenvalue(self):
+        # -C^-1 dm C^-T = Q diag(4, 4, 4, 1, ...) Q^T, so the step is 1/4
+        rng = np.random.default_rng(9)
+        n = 30
+        g = rng.normal(size=(n, n))
+        m = g @ g.T + np.eye(n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.concatenate([[4.0] * 3, rng.uniform(-2.0, 1.0, size=n - 3)])
+        low = np.linalg.cholesky(m)
+        dm = -(low @ q) @ np.diag(lam) @ (low @ q).T
+        dm = (dm + dm.T) / 2.0
+        assert step_length(m, dm) == pytest.approx(0.25, rel=1e-10)
+        assert step_length(m, dm) == pytest.approx(self._eigvalsh_formula(m, dm), rel=1e-10)
+
 
 class TestCorrectorNu:
     def _iterate(self, x, z):
@@ -156,20 +186,20 @@ class TestCorrectorNu:
     def test_zero_predictor(self):
         it = self._iterate(np.eye(2), np.eye(2))
         zero = SymBlockMat(it.x.structure, [np.zeros((2, 2))])
-        got = corrector_nu(it, (zero, np.zeros(0), zero), 0.7, 0.3, SolverConfig())
+        got = corrector_nu(it, (zero, np.zeros(0), zero), 0.7, 0.3)
         assert got == pytest.approx(it.gap() / 2)
 
     def test_full_annihilation(self):
         it = self._iterate(np.eye(2), np.eye(2))
         d = SymBlockMat(it.x.structure, [-np.eye(2)])
-        got = corrector_nu(it, (d, np.zeros(0), d), 1.0, 1.0, SolverConfig())
+        got = corrector_nu(it, (d, np.zeros(0), d), 1.0, 1.0)
         assert got == pytest.approx(0.0, abs=1e-30)
 
     def test_quarter(self):
         it = self._iterate(np.eye(2), np.eye(2))
         d = SymBlockMat(it.x.structure, [-0.5 * np.eye(2)])
         # gap 2 > 1e-3 so e = 1: (2/2) * (2*(1/4)/2)^1 = 0.25
-        got = corrector_nu(it, (d, np.zeros(0), d), 1.0, 1.0, SolverConfig())
+        got = corrector_nu(it, (d, np.zeros(0), d), 1.0, 1.0)
         assert got == pytest.approx(0.25)
 
 

@@ -55,19 +55,14 @@ def interior_iterate(rng, p):
 def dense_schur(p, it, direction):
     """B_ij = <A_i, K(A_j)> from the materialized rows, block by block."""
     rows = p.constraints
-    m = len(rows)
     ctx = _DirectionContext(p, it, direction)  # only for Z^-1 and W
-    b = np.zeros((m, m))
-    for j, aj in enumerate(rows):
-        for k in range(len(aj.blocks)):
-            if direction == "hkm":
-                kj = it.x.blocks[k] @ aj.blocks[k] @ ctx.zinv[k]
-            else:
-                kj = ctx.w_nt[k] @ aj.blocks[k] @ ctx.w_nt[k]
-            for i, ai in enumerate(rows):
-                b[i, j] += np.sum(ai.blocks[k] * kj)
-        for i, ai in enumerate(rows):
-            b[i, j] += np.sum(ai.nonneg * it.x.nonneg / it.z.nonneg * aj.nonneg)
+    b = np.zeros((len(rows), len(rows)))
+    for k in range(len(p.structure.sdp_blocks)):
+        a = np.array([r.blocks[k] for r in rows])  # A_1 .. A_m restricted to block k
+        lft, rgt = (it.x.blocks[k], ctx.zinv[k]) if direction == "hkm" else (ctx.w_nt[k],) * 2
+        b += a.reshape(len(rows), -1) @ (lft @ a @ rgt).reshape(len(rows), -1).T
+    a_nn = np.array([r.nonneg for r in rows]).reshape(len(rows), -1)
+    b += (a_nn * (it.x.nonneg / it.z.nonneg)) @ a_nn.T
     return (b + b.T) / 2.0, ctx.b
 
 
@@ -96,6 +91,27 @@ def test_schur_matches_dense_reference(st, direction):
     rng = np.random.default_rng(11)
     q = split_free(random_problem(rng, st))
     want, got = dense_schur(q, interior_iterate(rng, q), direction)
+    assert rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", ["hkm", "nt"])
+def test_schur_matches_dense_reference_over_several_chunks(direction):
+    # one 64 x 64 block and 400 constraints touching 1, 2, 3 or 5 of its rows,
+    # so every support size fills more than one chunk of the Schur plan
+    rng = np.random.default_rng(5)
+    n, st = 64, BlockStructure((64,), nonneg_dim=2)
+    rows = []
+    for s in np.repeat([1, 2, 3, 5], 100):
+        sup = rng.choice(n, size=s, replace=False)
+        blk = np.zeros((n, n))
+        blk[np.ix_(sup, sup)] = rng.normal(size=(s, s))
+        blk[sup, sup] += 1.0  # every support row holds a nonzero
+        rows.append(SymBlockMat(st, [blk + blk.T], rng.normal(size=2) * (rng.random(2) < 0.3)))
+    p = ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows)))
+    chunks = ipm._SchurPlan(p).blocks[0][1]
+    assert sorted({sup.shape[1] for _, sup, _ in chunks}) == [1, 2, 3, 5]
+    assert len(chunks) > 4
+    want, got = dense_schur(p, interior_iterate(rng, p), direction)
     assert rel_err(got, want) <= 1e-12
 
 
@@ -130,12 +146,14 @@ def test_one_schur_per_iteration_and_one_residual_per_iterate(monkeypatch, free_
         [lift(e(0, 0)), lift(e(1, 1), 1.0), lift(e(0, 1) + e(2, 2), 0.0, 1.0)],
         [1.0, 2.0, 0.5],
     )
+    plans = _counting(monkeypatch, ipm, "_SchurPlan")
     schur = _counting(monkeypatch, _DirectionContext, "schur")
     res = _counting(monkeypatch, ipm, "residuals")
     sol, log = solve(p)
     assert sol.success
     its = sol.stats["iterations"]
     assert its == len(log) > 0
+    assert len(plans) == 1
     assert len(schur) == its
     # the cold start and every step's iterate; free variables add one pass in
     # the original problem's variables per iterate
