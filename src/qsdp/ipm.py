@@ -42,7 +42,6 @@ class SolverConfig:
     max_iterations: int = 100
     direction: str = "hkm"  # "hkm" or "nt"
     perturbation_enabled: bool = False
-    validate: bool = True
 
     def __post_init__(self):
         if min(self.tol_gap, self.tol_primal, self.tol_dual) <= 0:
@@ -430,8 +429,7 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
     shrinking residuals; these two are advisory only).
     """
     cfg = cfg or SolverConfig()
-    if cfg.validate:
-        require_independent(p)
+    require_independent(p)
     orig = p
     q = split_free(p)
     plan = _SchurPlan(q)

@@ -16,10 +16,12 @@ complex data to the doubled real representation and emits a
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat, embed_hermitian
 from .problem import ConeProblem, Solution
@@ -28,7 +30,7 @@ _STRUCTURES = ("full", "symmetric", "hermitian", "diagonal", "skew")
 _EQ_TOL = 1e-9
 
 
-def param_count(rows: int, cols: int, structure: str, field_: str) -> int:
+def param_count(rows: int, cols: int, structure: str) -> int:
     if structure == "full":
         return rows * cols
     n = rows
@@ -51,7 +53,7 @@ class VarDecl:
 
     @property
     def nparams(self) -> int:
-        return param_count(self.rows, self.cols, self.structure, self.field)
+        return param_count(self.rows, self.cols, self.structure)
 
     def basis(self) -> list[np.ndarray]:
         """Coefficient matrix of each scalar parameter."""
@@ -552,28 +554,62 @@ def real_restriction(model: Model) -> Model:
     return new
 
 
-def _hermitian_coeffs(expr: MatExpr, what: str):
-    """Validate Hermitian-valuedness and return (is_complex, const, terms)."""
+def _hermitian_coeffs(expr: MatExpr, what: str) -> bool:
+    """Raise unless the constant and every term of expr are Hermitian within
+    1e-10 (relative); return whether any of them has imaginary content."""
     tol = 1e-10
     mats = [expr.const] + list(expr.terms.values())
     for m in mats:
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
         if np.max(np.abs(m - m.conj().T)) > tol * scale:
             raise ModelError(f"{what} is not Hermitian-valued")
-    is_complex = any(np.max(np.abs(np.imag(m))) > 0 for m in mats)
-    return is_complex
+    return any(np.max(np.abs(np.imag(m))) > 0 for m in mats)
 
 
-def _lower_lmi(expr: MatExpr):
-    """Return (block_size, const, {param: mat}) with complex data embedded."""
-    is_complex = _hermitian_coeffs(expr, "LMI expression")
-    if is_complex:
-        const = embed_hermitian(expr.const, tol=1e-9)
-        terms = {k: embed_hermitian(v, tol=1e-9) for k, v in expr.terms.items()}
-    else:
-        const = np.real(expr.const).copy()
-        terms = {k: np.real(v).copy() for k, v in expr.terms.items()}
-    return const.shape[0], const, terms
+def _lmi_sizes(exprs) -> list[int]:
+    """Block size of each LMI as real data: n, or 2n when it has complex data."""
+    return [expr.shape[0] * (2 if _hermitian_coeffs(expr, "LMI expression") else 1) for expr in exprs]
+
+
+def _lmi_starts(sizes, offsets, first_block: int) -> list[int]:
+    """Flat start of each LMI: the blocks from number ``first_block`` on, in
+    order, for sizes above 1 and the nonnegative entries, in order, for 1x1
+    LMIs."""
+    blocks = iter(offsets[first_block:])
+    nonneg = iter(range(offsets[-3], offsets[-2]))
+    return [next(blocks) if size > 1 else next(nonneg) for size in sizes]
+
+
+def _lowered(exprs, sizes, starts):
+    """(start, const, terms) of each LMI as real data, lowered one LMI at a
+    time; an LMI of size 2n holds its complex data in the doubled real
+    embedding."""
+    for expr, size, start in zip(exprs, sizes, starts):
+        lower = (lambda m: embed_hermitian(m, tol=1e-9)) if size > expr.shape[0] else np.real
+        yield start, lower(expr.const), {k: lower(v) for k, v in expr.terms.items()}
+
+
+def _affine_map(pieces, flat_dim: int, nparams: int):
+    """The affine map p -> F0 + sum_k p_k F_k in flat coordinates.
+
+    Each piece (start, const, terms) puts const + sum_k p_k terms[k],
+    flattened row-major, at flat positions start, start + 1, ...  Returns F0
+    as a dense vector and F as the nparams x flat_dim CSR matrix whose row k
+    holds the nonzeros of F_k.
+    """
+    f0 = np.zeros(flat_dim)
+    rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    for start, const, terms in pieces:
+        const = np.ravel(const)
+        f0[start : start + const.size] = const
+        for k, mat in terms.items():
+            v = np.ravel(mat)
+            nz = np.flatnonzero(v)
+            rows.append(np.full(nz.size, k, dtype=np.int32))
+            cols.append((start + nz).astype(np.int32))
+            vals.append(v[nz])
+    f = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nparams, flat_dim))
+    return f0, f
 
 
 @dataclass
@@ -657,10 +693,12 @@ def _equality_system(model: Model, nparams: int):
 
 
 def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel:
+    """Z(p) = F0 + sum_k p_k F_k is the dual slack; with the parameters
+    p = y0 + N y, A = -N'F, C = F0 + F'y0 and b = -N'c."""
     nparams = model.nparams
-    lowered = [_lower_lmi(expr) for expr in model.lmis]
-    block_sizes = [size for size, _, _ in lowered if size > 1]
-    nonneg_slots = sum(1 for size, _, _ in lowered if size == 1)
+    sizes = _lmi_sizes(model.lmis)
+    block_sizes = [size for size in sizes if size > 1]
+    nonneg_slots = len(sizes) - len(block_sizes)
     e_mat, f_vec = _equality_system(model, nparams)
     c_vec, c0 = _objective_vector(model, nparams)
 
@@ -674,59 +712,28 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
         if np.linalg.norm(e_mat @ y0 - f_vec) > 1e-8 * (1.0 + np.linalg.norm(f_vec)):
             raise ModelError("equality constraints are inconsistent")
         nmat = vt[rank:].T  # nparams x (nparams - rank)
-        m = nmat.shape[1]
     else:
-        y0 = np.zeros(nparams)
-        nmat = np.eye(nparams)
-        m = nparams
+        y0, nmat = np.zeros(nparams), np.eye(nparams)
 
-    n_free = n_eq if (equality_mode == "free_split" and n_eq) else 0
-    n_ineq = 2 * n_eq if (equality_mode == "two_inequalities" and n_eq) else 0
+    n_free = n_eq if equality_mode == "free_split" else 0
+    n_ineq = 2 * n_eq if equality_mode == "two_inequalities" else 0
     structure = BlockStructure(tuple(block_sizes), nonneg_slots + n_ineq, n_free)
-
-    def assemble(vec_params, const_scale=1.0):
-        """Map a parameter-space vector to a SymBlockMat via the LMI coefficients."""
-        blocks = [np.zeros((s, s)) for s in block_sizes]
-        nonneg = np.zeros(nonneg_slots + n_ineq)
-        bi = 0
-        ni = 0
-        for size, const, terms in lowered:
-            acc = const_scale * const.copy() if const_scale else np.zeros_like(const)
-            for k, mat_k in terms.items():
-                if vec_params[k]:
-                    acc = acc + vec_params[k] * mat_k
-            if size == 1:
-                nonneg[ni] = acc[0, 0]
-                ni += 1
-            else:
-                blocks[bi][:] = acc
-                bi += 1
-        return blocks, nonneg
-
-    # C from F0 with y0 folded in; A_t from columns of N
-    cblocks, cnn = assemble(y0, const_scale=1.0)
-    c_free = f_vec.copy() if n_free else np.zeros(0)
+    offsets = structure.flat_offsets()
+    # equality slots: f - E p = 0 in the free part, or the pair
+    # f + eps - E p >= 0 and -f + eps + E p >= 0 after the 1x1 LMIs
+    slots = []
+    if n_free:
+        slots.append((offsets[-2], f_vec, {k: -e_mat[:, k] for k in range(nparams)}))
     if n_ineq:
-        for j in range(n_eq):
-            cnn[nonneg_slots + 2 * j] = f_vec[j] + eps - e_mat[j] @ y0
-            cnn[nonneg_slots + 2 * j + 1] = -(f_vec[j] - eps) + e_mat[j] @ y0
-    c_obj = SymBlockMat(structure, cblocks, cnn, c_free)
+        pair = {k: np.column_stack([-e_mat[:, k], e_mat[:, k]]) for k in range(nparams)}
+        slots.append((offsets[-3] + nonneg_slots, np.column_stack([f_vec + eps, -f_vec + eps]), pair))
+    lmis = _lowered(model.lmis, sizes, _lmi_starts(sizes, offsets, 0))
+    f0, f = _affine_map(itertools.chain(lmis, slots), structure.flat_dim, nparams)
 
-    constraints = []
-    for t in range(m):
-        col = nmat[:, t]
-        ablocks, ann = assemble(col, const_scale=0.0)
-        ablocks = [-b for b in ablocks]
-        ann = -ann
-        a_free = (e_mat @ col) if n_free else np.zeros(0)
-        if n_ineq:
-            for j in range(n_eq):
-                ann[nonneg_slots + 2 * j] = float(e_mat[j] @ col)
-                ann[nonneg_slots + 2 * j + 1] = -float(e_mat[j] @ col)
-        constraints.append(SymBlockMat(structure, ablocks, ann, a_free))
-
+    c_obj = SymBlockMat.from_flat(structure, f0 + f.T @ y0)
     b = -(nmat.T @ c_vec)
-    problem = ConeProblem(c_obj, constraints, b, meta={"framing": "dual", "equality_mode": equality_mode})
+    a = sp.csr_array(-nmat.T) @ f
+    problem = ConeProblem(c_obj, a, b, meta={"framing": "dual", "equality_mode": equality_mode})
 
     def recover_params(sol: Solution):
         return y0 + nmat @ sol.y_dual
@@ -742,7 +749,7 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
     )
 
 
-def _selection_matrices(decl: VarDecl, embedded: bool):
+def _selection_matrices(decl: VarDecl):
     """Dual-basis matrices S_k with <S_k, X_block> = parameter k."""
     n = decl.rows
     sels = []
@@ -792,8 +799,11 @@ def _is_bare_var_lmi(expr: MatExpr, decl: VarDecl) -> bool:
 
 
 def _compile_primal(model: Model) -> CompiledModel:
+    """A variable whose LMI is the bare variable becomes a primal block X_b,
+    the other parameters free entries; P (nparams x flat_dim) selects them,
+    <P_k, X> = p_k.  Rows: E P for the equalities, then F[:, c]' P - S_c for
+    each independent cell c of the slack LMIs' map F0 + sum_k p_k F_k."""
     nparams = model.nparams
-    # classify variables
     block_vars: list[VarDecl] = []
     bare_lmi_idx: set[int] = set()
     for decl in model.vars:
@@ -804,137 +814,56 @@ def _compile_primal(model: Model) -> CompiledModel:
                 block_vars.append(decl)
                 bare_lmi_idx.add(li)
                 break
-    slack_lmis = [(li, expr) for li, expr in enumerate(model.lmis) if li not in bare_lmi_idx]
+    slack_lmis = [expr for li, expr in enumerate(model.lmis) if li not in bare_lmi_idx]
+    sizes = _lmi_sizes(slack_lmis)
+    free_params = [
+        k for decl in model.vars if decl not in block_vars for k in range(decl.offset, decl.offset + decl.nparams)
+    ]
 
-    block_sizes: list[int] = []
-    var_block: dict[str, int] = {}
-    param_loc: dict[int, tuple] = {}  # param -> ("block", block_idx, sel) | ("free", slot)
-    for decl in block_vars:
-        embedded = decl.structure == "hermitian"
-        size = 2 * decl.rows if embedded else decl.rows
-        bidx = len(block_sizes)
-        block_sizes.append(size)
-        var_block[decl.name] = bidx
-        for k, sel in enumerate(_selection_matrices(decl, embedded)):
-            param_loc[decl.offset + k] = ("block", bidx, sel)
+    block_sizes = [2 * decl.rows if decl.structure == "hermitian" else decl.rows for decl in block_vars]
+    block_sizes += [size for size in sizes if size > 1]
+    nonneg_count = sizes.count(1)
+    structure = BlockStructure(tuple(block_sizes), nonneg_count, len(free_params))
+    offsets = structure.flat_offsets()
+    dim = structure.flat_dim
 
-    free_slots: list[int] = []
-    for decl in model.vars:
-        if decl.name in var_block:
-            continue
-        for k in range(decl.offset, decl.offset + decl.nparams):
-            param_loc[k] = ("free", len(free_slots))
-            free_slots.append(k)
+    sel_pieces = [
+        (offsets[b], np.zeros(0), dict(enumerate(_selection_matrices(decl), start=decl.offset)))
+        for b, decl in enumerate(block_vars)
+    ]
+    sel_pieces += [(offsets[-2] + slot, np.zeros(0), {k: np.ones(1)}) for slot, k in enumerate(free_params)]
+    _, p_sel = _affine_map(sel_pieces, dim, nparams)
 
-    # slack blocks for non-bare LMIs (1x1 -> nonneg slots)
-    slack_info = []
-    nonneg_count = 0
-    for li, expr in slack_lmis:
-        size, const, terms = _lower_lmi(expr)
+    starts = _lmi_starts(sizes, offsets, len(block_vars))
+    f0, f = _affine_map(_lowered(slack_lmis, sizes, starts), dim, nparams)
+    e_mat, f_vec = _equality_system(model, nparams)
+    # independent cells (i <= j) of each slack LMI, in LMI order
+    cells = []
+    names = [f"eq{j}" for j in range(len(model.equalities))]
+    block_no = iter(range(len(block_vars), len(block_sizes)))
+    for size, start in zip(sizes, starts):
+        i, j = np.triu_indices(size)
+        cells.append(start + i * size + j)
         if size == 1:
-            slack_info.append(("nonneg", nonneg_count, const, terms))
-            nonneg_count += 1
+            names.append(f"slack_nn{start - offsets[-3]}")
         else:
-            bidx = len(block_sizes)
-            block_sizes.append(size)
-            slack_info.append(("block", bidx, const, terms))
-
-    structure = BlockStructure(tuple(block_sizes), nonneg_count, len(free_slots))
-
-    def new_elem():
-        return SymBlockMat(structure, [np.zeros((s, s)) for s in block_sizes], np.zeros(nonneg_count), np.zeros(len(free_slots)))
-
-    def add_param(elem: SymBlockMat, k: int, w: float):
-        kind = param_loc[k]
-        if kind[0] == "block":
-            elem.blocks[kind[1]] += w * kind[2]
-        else:
-            elem.free[kind[1]] += w
-
-    constraints = []
-    rhs = []
-    names = []
-    # model equalities -> rows
-    for j, eq in enumerate(model.equalities):
-        a = new_elem()
-        for k, v in eq.coeffs.items():
-            add_param(a, k, float(v.real))
-        constraints.append(a)
-        rhs.append(-float(eq.const.real))
-        names.append(f"eq{j}")
-    # slack-LMI matching rows, one per independent cell of the real representation
-    for kind, idx, const, terms in slack_info:
-        if kind == "nonneg":
-            a = new_elem()
-            a.nonneg[idx] = -1.0
-            for k, mat_k in terms.items():
-                add_param(a, k, float(mat_k[0, 0]))
-            constraints.append(a)
-            rhs.append(-float(const[0, 0]))
-            names.append(f"slack_nn{idx}")
-        else:
-            size = block_sizes[idx]
-            for i in range(size):
-                for j in range(i, size):
-                    a = new_elem()
-                    sel = np.zeros((size, size))
-                    if i == j:
-                        sel[i, i] = 1.0
-                    else:
-                        sel[i, j] = sel[j, i] = 0.5
-                    a.blocks[idx] -= sel
-                    row_has_param = False
-                    for k, mat_k in terms.items():
-                        w = float(mat_k[i, j])
-                        if w:
-                            add_param(a, k, w)
-                            row_has_param = True
-                    constraints.append(a)
-                    rhs.append(-float(const[i, j]))
-                    names.append(f"slack_b{idx}_{i}_{j}")
+            b = next(block_no)
+            names += [f"slack_b{b}_{r}_{c}" for r, c in zip(i, j)]
+    cells = np.concatenate([np.zeros(0, np.int64)] + cells)
+    # S_c is the unit at the cell; ConeProblem averages it with its transpose
+    unit = sp.csr_array((np.ones(cells.size), (np.arange(cells.size), cells)), shape=(cells.size, dim))
+    a = sp.vstack([sp.csr_array(e_mat) @ p_sel, f[:, cells].T @ p_sel - unit], format="csr")
 
     c_vec, c0 = _objective_vector(model, nparams)
-    c_obj = new_elem()
-    for k, v in enumerate(c_vec):
-        if v:
-            add_param(c_obj, k, float(v))
-
     problem = ConeProblem(
-        c_obj,
-        constraints,
-        np.array(rhs),
+        SymBlockMat.from_flat(structure, p_sel.T @ c_vec),
+        a,
+        np.concatenate([f_vec, -f0[cells]]),
         meta={"framing": "primal", "constraint_names": names},
     )
 
     def recover_params(sol: Solution):
-        params = np.zeros(nparams)
-        for decl in model.vars:
-            if decl.name in var_block:
-                bidx = var_block[decl.name]
-                xblk = sol.x_primal.blocks[bidx]
-                if decl.structure == "hermitian":
-                    n = decl.rows
-                    re_part = xblk[:n, :n] + xblk[n:, n:]
-                    im_part = xblk[n:, :n] - xblk[n:, :n].T
-                    k = decl.offset
-                    for i in range(n):
-                        for j in range(i, n):
-                            params[k] = re_part[i, j]
-                            k += 1
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            params[k] = im_part[i, j]
-                            k += 1
-                else:
-                    n = decl.rows
-                    k = decl.offset
-                    for i in range(n):
-                        for j in range(i, n):
-                            params[k] = xblk[i, j]
-                            k += 1
-        for slot, k in enumerate(free_slots):
-            params[k] = sol.x_primal.free[slot]
-        return params
+        return p_sel @ sol.x_primal.flat()
 
     return CompiledModel(
         problem=problem,

@@ -30,6 +30,22 @@ def _stack_rows(structure: BlockStructure, constraints) -> sp.csr_array:
     return sp.vstack(rows, format="csr") if rows else sp.csr_array((0, structure.flat_dim))
 
 
+def _symmetric_rows(structure: BlockStructure, a) -> sp.csr_array:
+    """A new CSR matrix whose row i is (A_i + A_i') / 2 in every SDP block of
+    row i of ``a`` (and A_i elsewhere), with sorted 32-bit indices."""
+    a = sp.csr_array(a, dtype=float)
+    # flip[c] is the flat coordinate of the entry transposed to c
+    flip = np.arange(structure.flat_dim, dtype=np.int32)
+    for start, n in zip(structure.flat_offsets(), structure.sdp_blocks):
+        flip[start : start + n * n] = start + np.arange(n * n, dtype=np.int32).reshape(n, n).T.ravel()
+    indptr = a.indptr.astype(np.int32)
+    own = sp.csr_array((a.data, a.indices.astype(np.int32, copy=False), indptr), shape=a.shape)
+    out = own + sp.csr_array((a.data, flip[a.indices], indptr), shape=a.shape)
+    out.sort_indices()
+    # the sum's arrays have room for nnz(own) + nnz(mirrored) entries: keep compact ones
+    return sp.csr_array((out.data * 0.5, out.indices.copy(), out.indptr), shape=a.shape)
+
+
 class ConeProblem:
     """Problem data (C, {A_i}, b).
 
@@ -37,21 +53,21 @@ class ConeProblem:
     row i is A_i in flat coordinates (see :meth:`SymBlockMat.flat`): SDP
     blocks row-major with both triangles stored, then the nonnegative and the
     free entries.  ``constraints`` lists the A_i as block matrices, or is
-    already such a sparse matrix.
+    already such a sparse matrix; its rows are then averaged with their
+    transpose in every SDP block, as :class:`SymBlockMat` does with blocks,
+    into a new matrix (the caller's is left as it is).
     """
 
     def __init__(self, c_obj: SymBlockMat, constraints, rhs, meta: dict | None = None):
         self.c_obj = c_obj
         if sp.issparse(constraints):
-            self.a = sp.csr_array(constraints, dtype=float)
-            self.a.sum_duplicates()
-            self.a.eliminate_zeros()
+            if constraints.shape[1] != self.structure.flat_dim:
+                raise ValueError("constraint rows do not match the objective's structure")
+            self.a = _symmetric_rows(c_obj.structure, constraints)
         else:
             self.a = _stack_rows(c_obj.structure, constraints)
         self.rhs = np.asarray(rhs, dtype=float)
         self.meta = {} if meta is None else meta
-        if self.a.shape[1] != self.structure.flat_dim:
-            raise ValueError("constraint rows do not match the objective's structure")
         if self.rhs.shape != (self.a.shape[0],):
             raise ValueError("rhs length must match the number of constraints")
 

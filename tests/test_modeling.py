@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
+from qsdp import BlockStructure, ConeProblem, SymBlockMat
+from qsdp.blockmat import embed_hermitian
 from qsdp.modeling import (
     MatExpr,
     Model,
     ModelError,
     ScalarExpr,
+    _equality_system,
+    _hermitian_coeffs,
+    _is_bare_var_lmi,
+    _objective_vector,
+    _selection_matrices,
     clean,
     model_from_json,
     model_to_json,
     partial_trace,
     partial_transpose,
+    scalar_nonneg,
 )
 
 
@@ -265,3 +273,251 @@ class TestRealShortcut:
         m, _ = eigenvalue_model(x)
         with pytest.raises(Exception, match="real shortcut"):
             m.compile(real_shortcut=True)
+
+
+# ---------------------------------------------------------------------------
+# the compiler against a per-constraint reference
+
+
+def lower(expr):
+    """Block size, constant and terms of an LMI as real data, complex data embedded."""
+    f = (lambda m: embed_hermitian(m, tol=1e-9)) if _hermitian_coeffs(expr, "LMI expression") else np.real
+    const = f(expr.const)
+    return const.shape[0], const, {k: f(v) for k, v in expr.terms.items()}
+
+
+def reference_dual(model, mode, eps=1e-8):
+    """One dense block matrix per column of the null-space basis N, stacked by
+    ConeProblem: A_t = -sym(sum_k N[k, t] F_k), C = sym(F0 + sum_k y0[k] F_k)."""
+    nparams = model.nparams
+    lowered = [lower(expr) for expr in model.lmis]
+    sizes = [size for size, _, _ in lowered if size > 1]
+    n_nn = len(lowered) - len(sizes)
+    e_mat, f_vec = _equality_system(model, nparams)
+    c_vec, _ = _objective_vector(model, nparams)
+    n_eq = len(model.equalities)
+    y0, nmat = np.zeros(nparams), np.eye(nparams)
+    if mode == "eliminate" and n_eq:
+        _, s, vt = np.linalg.svd(e_mat, full_matrices=n_eq < nparams)
+        rank = int(np.sum(s > max(1e-12 * (s[0] if s.size else 0.0), 1e-300)))
+        y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec
+        nmat = vt[rank:].T
+    n_free = n_eq if mode == "free_split" else 0
+    n_ineq = 2 * n_eq if mode == "two_inequalities" else 0
+    st = BlockStructure(tuple(sizes), n_nn + n_ineq, n_free)
+
+    def assemble(vec, const_scale):
+        blocks, nonneg = [], np.zeros(n_nn + n_ineq)
+        ni = 0
+        for size, const, terms in lowered:
+            acc = const_scale * const.copy() if const_scale else np.zeros_like(const)
+            for k, mat in terms.items():
+                if vec[k]:
+                    acc = acc + vec[k] * mat
+            if size == 1:
+                nonneg[ni] = acc[0, 0]
+                ni += 1
+            else:
+                blocks.append(acc)
+        return blocks, nonneg
+
+    blocks, nonneg = assemble(y0, 1.0)
+    nonneg[n_nn::2] = f_vec[: n_ineq // 2] + eps - e_mat[: n_ineq // 2] @ y0
+    nonneg[n_nn + 1 :: 2] = -(f_vec[: n_ineq // 2] - eps) + e_mat[: n_ineq // 2] @ y0
+    c_obj = SymBlockMat(st, blocks, nonneg, f_vec if n_free else None)
+    rows = []
+    for col in nmat.T:
+        blocks, nonneg = assemble(col, 0.0)
+        nonneg = -nonneg
+        ex = e_mat @ col
+        if n_ineq:
+            nonneg[n_nn::2], nonneg[n_nn + 1 :: 2] = ex, -ex
+        rows.append(SymBlockMat(st, [-b for b in blocks], nonneg, ex if n_free else None))
+    return ConeProblem(c_obj, rows, -(nmat.T @ c_vec), meta={"framing": "dual", "equality_mode": mode})
+
+
+def reference_primal(model):
+    """One block matrix per equality and per independent slack cell, each a
+    sum of the selection matrices of the parameters it reads."""
+    nparams = model.nparams
+    block_vars, bare = [], set()
+    for decl in model.vars:
+        for li, expr in enumerate(model.lmis):
+            if li not in bare and decl.structure in ("symmetric", "hermitian") and _is_bare_var_lmi(expr, decl):
+                block_vars.append(decl)
+                bare.add(li)
+                break
+    sizes, loc = [], {}
+    for decl in block_vars:
+        for k, sel in enumerate(_selection_matrices(decl)):
+            loc[decl.offset + k] = ("block", len(sizes), sel)
+        sizes.append(2 * decl.rows if decl.structure == "hermitian" else decl.rows)
+    free = [k for decl in model.vars if decl not in block_vars for k in range(decl.offset, decl.offset + decl.nparams)]
+    for slot, k in enumerate(free):
+        loc[k] = ("free", slot)
+    slack, n_nn = [], 0
+    for li, expr in enumerate(model.lmis):
+        if li not in bare:
+            size, const, terms = lower(expr)
+            slack.append((size, n_nn if size == 1 else len(sizes), const, terms))
+            if size == 1:
+                n_nn += 1
+            else:
+                sizes.append(size)
+    st = BlockStructure(tuple(sizes), n_nn, len(free))
+
+    def add(a, k, w):
+        if loc[k][0] == "block":
+            a.blocks[loc[k][1]] += w * loc[k][2]
+        else:
+            a.free[loc[k][1]] += w
+
+    rows, rhs, names = [], [], []
+    for j, eq in enumerate(model.equalities):
+        a = SymBlockMat(st)
+        for k, v in eq.coeffs.items():
+            add(a, k, float(v.real))
+        rows.append(a)
+        rhs.append(-float(eq.const.real))
+        names.append(f"eq{j}")
+    for size, idx, const, terms in slack:
+        for i in range(size):
+            for j in range(i, size):
+                a = SymBlockMat(st)
+                if size == 1:
+                    a.nonneg[idx] = -1.0
+                else:
+                    a.blocks[idx][i, j] -= 0.5
+                    a.blocks[idx][j, i] -= 0.5
+                for k, mat in terms.items():
+                    if mat[i, j]:
+                        add(a, k, float(mat[i, j]))
+                rows.append(a)
+                rhs.append(-float(const[i, j]))
+                names.append(f"slack_nn{idx}" if size == 1 else f"slack_b{idx}_{i}_{j}")
+    c_vec, _ = _objective_vector(model, nparams)
+    c_obj = SymBlockMat(st)
+    for k, v in enumerate(c_vec):
+        if v:
+            add(c_obj, k, float(v))
+    return ConeProblem(c_obj, rows, np.array(rhs), meta={"framing": "primal", "constraint_names": names})
+
+
+def assert_same_problem(got, want):
+    assert got.structure == want.structure
+    assert got.meta == want.meta
+    pairs = [
+        (got.a.indptr, want.a.indptr),
+        (got.a.indices, want.a.indices),
+        (got.a.data, want.a.data),
+        (got.c_obj.flat(), want.c_obj.flat()),
+        (got.rhs, want.rhs),
+    ]
+    for g, w in pairs:
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def mixed_model():
+    """Blocks and 1x1 LMIs interleaved, with two equalities."""
+    m = Model()
+    v = m.declare(2, structure="symmetric", name="V")
+    w = m.declare(3, structure="diagonal", name="W")
+    m.add_lmi(v.expr() + 0.5 * np.eye(2))
+    m.add_lmi(scalar_nonneg(v.entry(0, 0) - 0.1))
+    m.add_lmi(w.expr() - 0.2 * np.eye(3))
+    m.add_lmi(scalar_nonneg(1.0 - w.entry(2, 2)))
+    m.add_equality(v.trace() + w.trace(), 2.0)
+    m.add_equality(v.entry(0, 1), 0.3)
+    m.minimize(v.entry(1, 1) + 2.0 * w.entry(0, 0) - w.entry(1, 1))
+    return m
+
+
+def primal_slack_model():
+    """A Hermitian block variable, two free scalars and complex slack data."""
+    m = Model()
+    s = m.declare(2, structure="hermitian", field="complex", name="S")
+    t = m.declare(2, structure="diagonal", name="t")
+    t0, t1 = t.param_ids
+    m.add_lmi(s.expr())
+    m.add_lmi(MatExpr((2, 2), random_hermitian(2, seed=3), {t0: np.eye(2)}) - s.expr())
+    m.add_lmi(scalar_nonneg(t.entry(0, 0) + t.entry(1, 1) + 1.0))
+    m.add_lmi(MatExpr((3, 3), np.eye(3), {t1: np.diag([1.0, -1.0, 0.5])}))
+    m.add_equality(s.trace(), 1.0)
+    m.minimize(t.entry(0, 0) - 0.1 * t.entry(1, 1))
+    return m
+
+
+def pinned_model():
+    """Every parameter fixed by an equality: elimination leaves m = 0."""
+    m = Model()
+    v = m.declare(2, structure="symmetric", name="V")
+    m.add_lmi(v.expr())
+    for (i, j), val in {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 2.0}.items():
+        m.add_equality(v.entry(i, j), val)
+    m.minimize(v.entry(0, 0) + v.entry(1, 1))
+    return m
+
+
+def near_hermitian_model():
+    """I + y T >= 0 with T Hermitian only to within the 1e-10 check."""
+    m = Model()
+    y = m.declare(1, structure="diagonal", name="y")
+    term = np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]])
+    m.add_lmi(MatExpr((2, 2), np.eye(2), {y.param_ids[0]: term}))
+    m.maximize(y.entry(0, 0))
+    return m
+
+
+MODELS = {
+    "mixed": mixed_model,
+    "hermitian": lambda: eigenvalue_model(random_hermitian(3, seed=11))[0],
+    "primal_slack": primal_slack_model,
+    "pinned": pinned_model,
+    "near_hermitian": near_hermitian_model,
+}
+
+
+class TestCompileMatchesReference:
+    """compile emits the same bits as the per-constraint construction."""
+
+    @pytest.mark.parametrize("mode", ["free_split", "eliminate", "two_inequalities"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_dual(self, name, mode):
+        model = MODELS[name]()
+        assert_same_problem(model.compile("dual", mode).problem, reference_dual(model, mode))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_primal(self, name):
+        model = MODELS[name]()
+        assert_same_problem(model.compile("primal").problem, reference_primal(model))
+
+    def test_pinned_model_has_no_constraints(self):
+        assert pinned_model().compile("dual", "eliminate").problem.num_constraints == 0
+
+    def test_mixed_slot_order(self):
+        st = mixed_model().compile("dual", "two_inequalities").problem.structure
+        assert st.sdp_blocks == (2, 3) and st.nonneg_dim == 2 + 4 and st.free_dim == 0
+
+    @pytest.mark.parametrize("framing", ["dual", "primal"])
+    def test_near_hermitian_term_solves(self, framing):
+        res = near_hermitian_model().solve(framing=framing)
+        assert res.success
+        assert res.value == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "framing, mode",
+        [("dual", "free_split"), ("dual", "eliminate"), ("dual", "two_inequalities"), ("primal", "free_split")],
+    )
+    def test_one_block_matrix_per_compile(self, monkeypatch, framing, mode):
+        model = MODELS["primal_slack"]()
+        built = []
+        init = SymBlockMat.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SymBlockMat, "__init__", counting)
+        model.compile(framing, mode)
+        assert len(built) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, validate_problem
 from qsdp.problem import require_independent
@@ -53,6 +54,8 @@ def test_structure_consistency_enforced():
         ConeProblem(blk(np.eye(2)), [blk(np.eye(3))], [1.0])
     with pytest.raises(ValueError):
         ConeProblem(blk(np.eye(2)), [blk(np.eye(2))], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        ConeProblem(blk(np.eye(2)), sp.csr_array(np.eye(1, 5, 4)), [1.0])
 
 
 def test_apply_and_adjoint_are_adjoint():
@@ -123,3 +126,44 @@ def test_zero_row_flagged():
     assert rep.dependent_indices == [1]
     assert rep.rank == 2
     assert rep.duplicate_pairs == []
+
+
+class TestSparseInput:
+    """A CSR ``constraints`` argument is read, never rewritten, and its rows
+    are averaged with their transpose in every SDP block, as block input is."""
+
+    structure = BlockStructure((2,), nonneg_dim=1)
+
+    def test_caller_matrix_unchanged(self):
+        # a duplicate entry and an explicit zero: the kind of input that gets normalized
+        a = sp.csr_array((np.array([1.0, 2.0, 0.0]), np.array([0, 0, 3]), np.array([0, 3])), shape=(1, 5))
+        before = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
+        p = ConeProblem(SymBlockMat.identity(self.structure), a, [1.0])
+        for arr, old in zip((a.data, a.indices, a.indptr), before):
+            assert np.array_equal(arr, old)
+        assert a.nnz == 3
+        assert np.array_equal(p.a.toarray(), [[3.0, 0.0, 0.0, 0.0, 0.0]])
+
+    def test_asymmetric_rows_match_block_input_and_solve(self):
+        from qsdp import solve
+
+        dense = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0, 0.0],
+                [0.0, 2.0, 0.0, 0.0, 0.0],  # only (0, 1) set
+                [0.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        c = SymBlockMat.identity(self.structure)
+        b = np.array([1.0, 1.0, 1.0, 0.5])
+        p = ConeProblem(c, sp.csr_array(dense[:, ::-1])[:, ::-1], b)  # unsorted indices in
+        ref = ConeProblem(c, [SymBlockMat.from_flat(self.structure, row) for row in dense], b)
+        assert p.a.has_sorted_indices
+        for got, want in zip((p.a.indptr, p.a.indices, p.a.data), (ref.a.indptr, ref.a.indices, ref.a.data)):
+            assert got.dtype == want.dtype == (np.float64 if got is p.a.data else np.int32)
+            assert np.array_equal(got, want)
+        sol, _ = solve(p)
+        assert sol.success
+        # X = [[1, 1/2], [1/2, 1]] and the nonnegative entry 1/2
+        assert sol.primal_value == pytest.approx(2.5, abs=1e-6)
