@@ -8,6 +8,11 @@ them into differences of nonnegative pairs.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -417,6 +422,86 @@ def _merge_free(st: BlockStructure, internal: SymBlockMat, zero_free=False) -> S
 
 
 # ---------------------------------------------------------------------------
+# BLAS thread pools
+
+
+@functools.cache
+def _openblas_pools() -> dict:
+    """Thread-count functions (get, set) of the OpenBLAS pools that numpy and
+    scipy have loaded, by package name.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, in ``numpy.libs``
+    and ``scipy.libs``, with a thread pool each.  A package is left out when
+    no such library is loaded in this process (MKL, a system OpenBLAS) or the
+    platform cannot look one up without loading it (no ``RTLD_NOLOAD``).
+    """
+    import glob
+
+    pools = {}
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return pools
+    for pkg, mod in (("numpy", np), ("scipy", scipy)):
+        libs = os.path.join(os.path.dirname(mod.__file__), os.pardir, f"{pkg}.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=noload)
+            except OSError:  # present but not loaded
+                continue
+            for suffix in ("", "64_"):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools[pkg] = (get, put)
+                    break
+            if pkg in pools:
+                break
+    return pools
+
+
+class _ScipyPoolCap:
+    """Holds scipy's OpenBLAS pool at one thread while any solve runs.
+
+    The kernels of an iteration alternate between numpy's pool (matmuls,
+    ``eigh``) and scipy's (Cholesky, ``cho_solve``, ``solve_triangular``,
+    ``syev``); when both are threaded, the spinning workers of one slow the
+    other down.  Solves may nest and overlap across Python threads: under a
+    lock, the first to enter saves the pool size and sets 1, and the last to
+    leave restores it.  Without scipy's bundled OpenBLAS, or with a pool of
+    one thread, nothing is changed.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = 1
+
+    @contextlib.contextmanager
+    def __call__(self):
+        """Caps the pool for the ``with`` body; yields each package's pool size inside it."""
+        pools = _openblas_pools()
+        get, put = pools.get("scipy", (None, None))
+        with self._lock:
+            if self._active == 0 and get is not None:
+                self._saved = get()
+                if self._saved > 1:
+                    put(1)
+            self._active += 1
+        try:
+            yield {pkg: fns[0]() for pkg, fns in pools.items()}
+        finally:
+            with self._lock:
+                self._active -= 1
+                if self._active == 0 and get is not None and self._saved > 1:
+                    put(self._saved)
+
+
+_scipy_pool_cap = _ScipyPoolCap()
+
+
+# ---------------------------------------------------------------------------
 # main loop
 
 
@@ -426,9 +511,18 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
     Termination statuses follow the usual convention: 0 success, -6 iteration
     limit, -1 lack of progress, -3 numerical failure, and the heuristic codes
     1 / 2 for suspected primal / dual infeasibility (diverging iterates with
-    shrinking residuals; these two are advisory only).
+    shrinking residuals; these two are advisory only).  The solve runs with
+    scipy's OpenBLAS pool at one thread (see _ScipyPoolCap), and
+    ``stats["blas_threads"]`` gives the size of each bundled OpenBLAS pool
+    during it.
     """
-    cfg = cfg or SolverConfig()
+    with _scipy_pool_cap() as blas_threads:
+        sol, log = _solve(p, cfg or SolverConfig(), iterate_hook)
+    sol.stats["blas_threads"] = blas_threads
+    return sol, log
+
+
+def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
     require_independent(p)
     orig = p
     q = split_free(p)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .blockmat import BlockStructure, SymBlockMat, embed_hermitian
+from .blockmat import BlockStructure, SymBlockMat, _real_embedding
 from .problem import ConeProblem, Solution
 
 _STRUCTURES = ("full", "symmetric", "hermitian", "diagonal", "skew")
@@ -585,7 +585,8 @@ def _lowered(exprs, sizes, starts):
     time; an LMI of size 2n holds its complex data in the doubled real
     embedding."""
     for expr, size, start in zip(exprs, sizes, starts):
-        lower = (lambda m: embed_hermitian(m, tol=1e-9)) if size > expr.shape[0] else np.real
+        # _hermitian_coeffs has checked every term already
+        lower = _real_embedding if size > expr.shape[0] else np.real
         yield start, lower(expr.const), {k: lower(v) for k, v in expr.terms.items()}
 
 
@@ -705,10 +706,10 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
     n_eq = len(model.equalities)
     if equality_mode == "eliminate" and n_eq:
         # all of V, but no square U: the reduced SVD already has V square when n_eq >= nparams
-        _, s, vt = np.linalg.svd(e_mat, full_matrices=n_eq < nparams)
+        u, s, vt = np.linalg.svd(e_mat, full_matrices=n_eq < nparams)
         smax = s[0] if s.size else 0.0
         rank = int(np.sum(s > max(1e-12 * smax, 1e-300)))
-        y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec
+        y0 = vt[:rank].T @ ((u[:, :rank].T @ f_vec) / s[:rank])  # pinv(E) f from the same factors
         if np.linalg.norm(e_mat @ y0 - f_vec) > 1e-8 * (1.0 + np.linalg.norm(f_vec)):
             raise ModelError("equality constraints are inconsistent")
         nmat = vt[rank:].T  # nparams x (nparams - rank)

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from qsdp import ipm
 from qsdp import (
     BlockStructure,
     ConeProblem,
@@ -358,3 +362,102 @@ class TestPerturbationPath:
         sol, _ = solve(p, SolverConfig(perturbation_enabled=True))
         assert sol.success
         assert -sol.primal_value == pytest.approx(0.99573, abs=1e-3)
+
+
+@pytest.fixture
+def scipy_pool():
+    """get() of scipy's OpenBLAS pool, set to 2 threads for the test and reset after."""
+    pool = ipm._openblas_pools().get("scipy")
+    if pool is None:
+        pytest.skip("scipy's bundled OpenBLAS is not loaded")
+    get, put = pool
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestScipyPoolCap:
+    def test_one_thread_during_solve_restored_after(self, scipy_pool):
+        seen = []
+        sol, _ = solve(_correlation_problem(1.0), iterate_hook=lambda it: seen.append(scipy_pool()))
+        assert sol.success
+        assert seen and set(seen) == {1}
+        assert scipy_pool() == 2
+        threads = sol.stats["blas_threads"]
+        assert threads["scipy"] == 1
+        numpy_pool = ipm._openblas_pools().get("numpy")
+        assert threads.get("numpy") == (numpy_pool[0]() if numpy_pool else None)
+
+    def test_restored_when_solve_raises(self, scipy_pool):
+        p = simple_problem(np.eye(2), [np.eye(2), 2 * np.eye(2)], [1.0, 2.0])
+        with pytest.raises(ValueError, match="constraint 1"):
+            solve(p)
+        assert scipy_pool() == 2
+
+        def hook(it):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            solve(_correlation_problem(1.0), iterate_hook=hook)
+        assert scipy_pool() == 2
+
+    def test_nested_solve(self, scipy_pool):
+        inner = []
+
+        def hook(it):
+            if not inner:
+                inner.append(solve(_correlation_problem(-1.0))[0])
+            assert scipy_pool() == 1  # the inner solve left, the outer one runs on
+
+        sol, _ = solve(_correlation_problem(1.0), iterate_hook=hook)
+        assert sol.success and inner[0].success
+        assert scipy_pool() == 2
+
+    def test_overlapping_solves_in_two_threads(self, scipy_pool):
+        # thread 0 finishes while thread 1 is still inside its solve
+        both_inside = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+        seen, results, errors = ([], []), [None, None], []
+
+        def run(k):
+            def hook(it):
+                if it.iteration == 1:
+                    both_inside.wait()
+                if k == 1 and it.iteration == 2:
+                    assert first_done.wait(timeout=30)
+                seen[k].append(scipy_pool())
+
+            try:
+                results[k] = solve(_correlation_problem(1.0), iterate_hook=hook)[0]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                both_inside.abort()
+            finally:
+                if k == 0:
+                    first_done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not errors, errors
+        assert all(r.success for r in results)
+        assert set(seen[0]) == set(seen[1]) == {1}
+        assert scipy_pool() == 2
+
+    def test_nothing_touched_without_the_library(self, scipy_pool, monkeypatch):
+        monkeypatch.setattr(ipm, "_openblas_pools", lambda: {})
+        seen = []
+        sol, _ = solve(_correlation_problem(1.0), iterate_hook=lambda it: seen.append(scipy_pool()))
+        assert sol.success
+        assert set(seen) == {2}
+        assert sol.stats["blas_threads"] == {}
+        assert scipy_pool() == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsdp import BlockStructure, ConeProblem, SymBlockMat
+from qsdp import BlockStructure, ConeProblem, Solution, SymBlockMat
 from qsdp.blockmat import embed_hermitian
 from qsdp.modeling import (
     MatExpr,
@@ -469,6 +469,18 @@ def near_hermitian_model():
     return m
 
 
+def redundant_model():
+    """Three equalities of rank two: the second and third are proportional."""
+    m = Model()
+    v = m.declare(2, structure="symmetric", name="V")
+    m.add_lmi(v.expr() + 0.5 * np.eye(2))
+    m.add_equality(v.trace(), 2.0)
+    m.add_equality(v.entry(0, 1), 0.3)
+    m.add_equality(2.0 * v.entry(0, 1), 0.6)
+    m.minimize(v.entry(1, 1))
+    return m
+
+
 MODELS = {
     "mixed": mixed_model,
     "hermitian": lambda: eigenvalue_model(random_hermitian(3, seed=11))[0],
@@ -491,6 +503,15 @@ class TestCompileMatchesReference:
     def test_primal(self, name):
         model = MODELS[name]()
         assert_same_problem(model.compile("primal").problem, reference_primal(model))
+
+    @pytest.mark.parametrize("name", sorted(MODELS) + ["redundant"])
+    def test_eliminate_offset_is_pinv_solution(self, name):
+        # y0, read from the elimination's own SVD, is pinv(E) f
+        model = {**MODELS, "redundant": redundant_model}[name]()
+        cm = model.compile("dual", "eliminate")
+        e_mat, f_vec = _equality_system(model, model.nparams)
+        y0 = cm.params_from(Solution(None, np.zeros(cm.problem.num_constraints), None, 0.0, 0.0, 0))
+        assert np.max(np.abs(y0 - np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec), initial=0.0) <= 1e-12
 
     def test_pinned_model_has_no_constraints(self):
         assert pinned_model().compile("dual", "eliminate").problem.num_constraints == 0
