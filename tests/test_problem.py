@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import qsdp.problem as problem_mod
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, validate_problem
 from qsdp.problem import require_independent
 
@@ -126,6 +127,32 @@ def test_zero_row_flagged():
     assert rep.dependent_indices == [1]
     assert rep.rank == 2
     assert rep.duplicate_pairs == []
+
+
+def planted_dense_problem():
+    """Full rows, with row 5 = row 1 + row 3 and row 7 = -2 * row 2."""
+    rng = np.random.default_rng(4)
+    st = BlockStructure((4,), nonneg_dim=2)
+    rows = [SymBlockMat(st, [rng.normal(size=(4, 4))], rng.normal(size=2)) for _ in range(8)]
+    rows[5] = rows[1] + rows[3]
+    rows[7] = -2.0 * rows[2]
+    return ConeProblem(SymBlockMat.identity(st), rows, np.ones(8))
+
+
+@pytest.mark.parametrize("build", ["planted", "dps"])
+def test_dense_gram_report_matches_sparse(monkeypatch, request, build):
+    p = planted_dense_problem() if build == "planted" else request.getfixturevalue("dps_k3").compiled.problem
+    assert problem_mod._is_dense(p.a)
+    dense = validate_problem(p)
+    monkeypatch.setattr(problem_mod, "_DENSE_FILL", 1.5)
+    assert not problem_mod._is_dense(p.a)
+    assert validate_problem(p) == dense
+    if build == "planted":
+        assert dense.dependent_indices == [5, 7]
+        assert dense.duplicate_pairs == [(2, 7)]
+        assert dense.rank == 6
+    else:
+        assert dense.independent
 
 
 class TestSparseInput:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import qsdp.ipm as ipm
+import qsdp.problem as problem_mod
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, frobenius_inner, solve
 from qsdp.ipm import Iterate, _DirectionContext, split_free
+from qsdp.npa import Scenario, chsh_functional, solve_bell
 
 STRUCTURES = [
     BlockStructure((3,)),
@@ -33,8 +35,8 @@ def sparse_elem(rng, st, density=0.4):
     return SymBlockMat(st, blocks, keep(st.nonneg_dim), keep(st.free_dim))
 
 
-def random_problem(rng, st, m=6):
-    rows = [sparse_elem(rng, st) for _ in range(m)]
+def random_problem(rng, st, m=6, density=0.4):
+    rows = [sparse_elem(rng, st, density) for _ in range(m)]
     rows[1] = SymBlockMat.zeros(st)  # an empty row stays a row
     return ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=m))
 
@@ -85,11 +87,16 @@ def test_apply_and_adjoint_match_dense_rows(st):
         assert rel_err(p.adjoint(y).flat(), want_adjoint.flat()) <= 1e-12
 
 
+@pytest.mark.parametrize("density", [0.1, 0.9])
 @pytest.mark.parametrize("direction", ["hkm", "nt"])
 @pytest.mark.parametrize("st", STRUCTURES, ids=str)
-def test_schur_matches_dense_reference(st, direction):
+def test_schur_matches_dense_reference(st, direction, density):
+    # after symmetrizing, the rows fill about 0.2 (sparse kernel) or all
+    # (dense kernel) of each SDP block
     rng = np.random.default_rng(11)
-    q = split_free(random_problem(rng, st))
+    q = split_free(random_problem(rng, st, density=density))
+    blocks = list(range(len(st.sdp_blocks)))
+    assert ipm._SchurPlan(q).dense == (blocks if density > 0.5 else [])
     want, got = dense_schur(q, interior_iterate(rng, q), direction)
     assert rel_err(got, want) <= 1e-12
 
@@ -113,6 +120,47 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
     assert len(chunks) > 4
     want, got = dense_schur(p, interior_iterate(rng, p), direction)
     assert rel_err(got, want) <= 1e-12
+
+
+def sparse_kernel(monkeypatch):
+    monkeypatch.setattr(problem_mod, "_DENSE_FILL", 1.5)
+
+
+def test_dps_blocks_take_the_dense_kernel(dps_k3):
+    p = dps_k3.compiled.problem
+    offsets = p.structure.flat_offsets()
+    for k in range(len(p.structure.sdp_blocks)):
+        a_k = p.a[:, offsets[k] : offsets[k + 1]]
+        assert a_k.nnz / (a_k.shape[0] * a_k.shape[1]) > problem_mod._DENSE_FILL
+    assert ipm._SchurPlan(p).dense == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("direction", ["hkm", "nt"])
+def test_dense_schur_kernel_on_dps(monkeypatch, dps_k3, direction):
+    p = dps_k3.compiled.problem
+    it = interior_iterate(np.random.default_rng(2), p)
+    want, dense_b = dense_schur(p, it, direction)
+    sparse_kernel(monkeypatch)
+    assert ipm._SchurPlan(p).dense == []
+    _, sparse_b = dense_schur(p, it, direction)
+    assert rel_err(dense_b, want) <= 1e-12
+    assert rel_err(dense_b, sparse_b) <= 1e-12
+
+
+def test_dps_solve_agrees_on_both_kernels(monkeypatch, dps_k3):
+    sparse_kernel(monkeypatch)
+    sparse_sol, _ = solve(dps_k3.compiled.problem)
+    assert dps_k3.solution.success and sparse_sol.success
+    assert sparse_sol.stats["schur"]["dense_blocks"] == []
+    assert dps_k3.solution.stats["iterations"] == sparse_sol.stats["iterations"]
+    assert dps_k3.solution.dual_value == pytest.approx(sparse_sol.dual_value, abs=1e-9)
+    assert dps_k3.solution.primal_value == pytest.approx(sparse_sol.primal_value, abs=1e-9)
+
+
+def test_schur_stats_name_the_dense_blocks(dps_k3):
+    assert dps_k3.solution.stats["schur"] == {"m": 65, "dense_blocks": [0, 1, 2, 3]}
+    chsh = solve_bell(Scenario.chsh(), 1, chsh_functional()).model_result
+    assert chsh.solution.stats["schur"] == {"m": chsh.compiled.problem.num_constraints, "dense_blocks": []}
 
 
 def test_split_free_rows_extend_the_nonnegative_part():
