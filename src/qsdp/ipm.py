@@ -353,8 +353,9 @@ class _DirectionContext:
         """Cholesky solve with one refinement step; symmetric-indefinite
         fallback when B is not numerically positive definite."""
         if self.cho is not None:
-            dy = scipy.linalg.cho_solve(self.cho, h)
-            return dy + scipy.linalg.cho_solve(self.cho, h - self.b @ dy)
+            # cho_factor checked B, so only each right-hand side needs the finiteness check
+            dy = scipy.linalg.cho_solve(self.cho, np.asarray_chkfinite(h), check_finite=False)
+            return dy + scipy.linalg.cho_solve(self.cho, np.asarray_chkfinite(h - self.b @ dy), check_finite=False)
         try:
             return scipy.linalg.solve(self.b, h, assume_a="sym")
         except (scipy.linalg.LinAlgError, ValueError) as exc:

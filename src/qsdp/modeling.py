@@ -55,57 +55,34 @@ class VarDecl:
     def nparams(self) -> int:
         return param_count(self.rows, self.cols, self.structure)
 
-    def basis(self) -> list[np.ndarray]:
-        """Coefficient matrix of each scalar parameter."""
+    def pattern(self):
+        """(parameter, cell, coefficient) arrays of the basis: the coefficient
+        matrix of local parameter par[t] has vals[t] at row-major cell cells[t]."""
         n, c = self.rows, self.cols
-        out = []
-        if self.structure == "full":
-            for j in range(c):
-                for i in range(n):
-                    e = np.zeros((n, c))
-                    e[i, j] = 1.0
-                    out.append(e)
-        elif self.structure == "symmetric":
-            for i in range(n):
-                for j in range(i, n):
-                    e = np.zeros((n, n))
-                    if i == j:
-                        e[i, i] = 1.0
-                    else:
-                        e[i, j] = e[j, i] = 1.0
-                    out.append(e)
-        elif self.structure == "hermitian":
-            for i in range(n):
-                for j in range(i, n):
-                    e = np.zeros((n, n), dtype=complex)
-                    if i == j:
-                        e[i, i] = 1.0
-                    else:
-                        e[i, j] = e[j, i] = 1.0
-                    out.append(e)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e = np.zeros((n, n), dtype=complex)
-                    e[i, j] = 1.0j
-                    e[j, i] = -1.0j
-                    out.append(e)
-        elif self.structure == "diagonal":
-            for i in range(n):
-                e = np.zeros((n, n))
-                e[i, i] = 1.0
-                out.append(e)
-        elif self.structure == "skew":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e = np.zeros((n, n))
-                    e[i, j] = 1.0
-                    e[j, i] = -1.0
-                    out.append(e)
-        return out
+        if self.structure == "full":  # parameters run down the columns
+            j, i = np.divmod(np.arange(n * c), n)
+            return np.arange(n * c), i * c + j, np.ones(n * c)
+        if self.structure == "diagonal":
+            return np.arange(n), np.arange(n) * (n + 1), np.ones(n)
+        skew = self.structure == "skew"
+        i, j = np.triu_indices(n, 1 if skew else 0)
+        off = i != j
+        par = np.arange(i.size)
+        par, cells = np.concatenate([par, par[off]]), np.concatenate([i * n + j, (j * n + i)[off]])
+        vals = np.concatenate([np.ones(i.size), np.full(np.count_nonzero(off), -1.0 if skew else 1.0)])
+        if self.structure == "hermitian":  # then the imaginary parts, 1j above and -1j below
+            n_re = i.size
+            i, j = np.triu_indices(n, 1)
+            im = n_re + np.arange(i.size)
+            par, cells = np.concatenate([par, im, im]), np.concatenate([cells, i * n + j, j * n + i])
+            vals = np.concatenate([vals, np.full(i.size, 1j), np.full(i.size, -1j)])
+        return par, cells, vals
 
     def assemble(self, params: np.ndarray) -> np.ndarray:
-        m = sum(p * b for p, b in zip(params, self.basis()))
-        return m if self.nparams else np.zeros((self.rows, self.cols))
+        par, cells, vals = self.pattern()
+        m = np.zeros(self.rows * self.cols, dtype=complex)
+        np.add.at(m, cells, np.asarray(params)[par] * vals)
+        return m.reshape(self.rows, self.cols)
 
 
 class ScalarExpr:
@@ -161,31 +138,58 @@ def _as_scalar(v) -> ScalarExpr:
 
 
 class MatExpr:
-    """Affine matrix expression F0 + sum_i x_i F_i with shared shape."""
+    """Affine matrix expression F0 + sum_k x_k F_k with shared shape.
 
-    __slots__ = ("shape", "const", "terms")
+    Stored as one sparse complex (1 + nparams) x (rows * cols) coefficient
+    matrix ``coef`` in CSC form: row 0 is vec(F0) and row 1 + k is vec(F_k),
+    vec flattening row-major.  A linear map of the matrix is a sparse
+    operator on the columns, and one entry is one column.  The constructor
+    takes the constant and a {k: F_k} dict of dense matrices; ``const`` and
+    ``terms`` give them back, built on each read.
+    """
+
+    __slots__ = ("shape", "coef")
 
     def __init__(self, shape, const=None, terms=None):
-        self.shape = tuple(shape)
-        self.const = np.zeros(self.shape, dtype=complex) if const is None else np.asarray(const, dtype=complex)
-        if self.const.shape != self.shape:
+        shape, terms = tuple(shape), dict(terms or {})
+        mats = [np.zeros(shape) if const is None else const, *terms.values()]
+        if np.shape(mats[0]) != shape:
             raise ValueError("constant term has the wrong shape")
-        self.terms: dict[int, np.ndarray] = {}
-        for k, v in (terms or {}).items():
-            v = np.asarray(v, dtype=complex)
-            if v.shape != self.shape:
-                raise ValueError("coefficient matrix has the wrong shape")
-            self.terms[k] = v
+        if any(np.shape(m) != shape for m in mats[1:]):
+            raise ValueError("coefficient matrix has the wrong shape")
+        flat = sp.coo_array(np.array(mats, dtype=complex).reshape(len(mats), -1))
+        rows = 1 + np.array([-1, *terms], dtype=np.int64)
+        self.shape = shape
+        self.coef = sp.csc_array((flat.data, (rows[flat.row], flat.col)), shape=(1 + rows.max(), flat.shape[1]))
+
+    @classmethod
+    def from_coef(cls, shape, coef) -> "MatExpr":
+        """Wrap a (1 + nparams) x (rows * cols) coefficient matrix (copied)."""
+        out = cls.__new__(cls)
+        out.shape = tuple(shape)
+        out.coef = sp.csc_array(coef, dtype=complex, copy=True)
+        out.coef.eliminate_zeros()
+        out.coef.sum_duplicates()
+        return out
+
+    @property
+    def const(self) -> np.ndarray:
+        return self.coef[[0]].toarray().reshape(self.shape)
+
+    @property
+    def terms(self) -> dict:
+        """{k: F_k} as dense matrices, for every parameter k that appears."""
+        rows = np.unique(self.coef.indices)
+        rows = rows[rows > 0]
+        return dict(zip((rows - 1).tolist(), self.coef[rows].toarray().reshape(-1, *self.shape)))
 
     # -- algebra ------------------------------------------------------------
     def __add__(self, other):
         other = as_matexpr(other, self.shape)
         if other.shape != self.shape:
             raise ValueError("shape mismatch")
-        out = MatExpr(self.shape, self.const + other.const, dict(self.terms))
-        for k, v in other.terms.items():
-            out.terms[k] = out.terms.get(k, 0.0) + v
-        return out
+        nrows = max(self.coef.shape[0], other.coef.shape[0])
+        return MatExpr.from_coef(self.shape, _padded(self.coef, nrows) + _padded(other.coef, nrows))
 
     __radd__ = __add__
 
@@ -196,8 +200,7 @@ class MatExpr:
         return as_matexpr(other, self.shape) + self * (-1.0)
 
     def __mul__(self, t):
-        t = complex(t)
-        return MatExpr(self.shape, t * self.const, {k: t * v for k, v in self.terms.items()})
+        return MatExpr.from_coef(self.shape, self.coef * complex(t))
 
     __rmul__ = __mul__
 
@@ -205,59 +208,84 @@ class MatExpr:
         return self * -1.0
 
     def map_linear(self, f, out_shape) -> "MatExpr":
-        """Apply a linear matrix map entrywise to the constant and every term."""
-        return MatExpr(out_shape, f(self.const), {k: f(v) for k, v in self.terms.items()})
+        """Apply a linear matrix map to the constant and every term.
+
+        ``f`` is the map's matrix on row-major vec(M), of size
+        (out rows * out cols) x (rows * cols), or a callable on matrices,
+        which is applied to the unit matrix of each cell in use.
+        """
+        size = out_shape[0] * out_shape[1]
+        if callable(f):
+            cells = np.flatnonzero(np.diff(self.coef.indptr))
+            images = np.zeros((cells.size, size), dtype=complex)
+            for t, c in enumerate(cells):
+                unit = np.zeros(self.shape, dtype=complex)
+                unit.flat[c] = 1.0
+                images[t] = np.ravel(f(unit))
+            t, o = np.nonzero(images)
+            f = sp.csr_array((images[t, o], (o, cells[t])), shape=(size, self.coef.shape[1]))
+        return MatExpr.from_coef(out_shape, self.coef @ sp.csr_array(f).T)
+
+    def _gather(self, source, out_shape) -> "MatExpr":
+        """Entry c of the result is entry source[c] of this expression."""
+        return MatExpr.from_coef(out_shape, self.coef[:, np.ravel(source)])
 
     def left_mul(self, a) -> "MatExpr":
         a = np.asarray(a, dtype=complex)
-        return self.map_linear(lambda m: a @ m, (a.shape[0], self.shape[1]))
+        return self.map_linear(sp.kron(a, sp.identity(self.shape[1])), (a.shape[0], self.shape[1]))
 
     def right_mul(self, a) -> "MatExpr":
         a = np.asarray(a, dtype=complex)
-        return self.map_linear(lambda m: m @ a, (self.shape[0], a.shape[1]))
+        return self.map_linear(sp.kron(sp.identity(self.shape[0]), a.T), (self.shape[0], a.shape[1]))
 
     def transpose(self) -> "MatExpr":
-        return self.map_linear(lambda m: m.T, (self.shape[1], self.shape[0]))
+        return self._gather(_cell_grid(self.shape).T, (self.shape[1], self.shape[0]))
 
     @property
     def T(self):
         return self.transpose()
 
     def conj(self) -> "MatExpr":
-        return self.map_linear(np.conj, self.shape)
+        return MatExpr.from_coef(self.shape, self.coef.conj())
 
     def adjoint(self) -> "MatExpr":
-        return self.map_linear(lambda m: m.conj().T, (self.shape[1], self.shape[0]))
+        return self.transpose().conj()
 
     @property
     def H(self):
         return self.adjoint()
 
     def entry(self, i: int, j: int) -> ScalarExpr:
-        return ScalarExpr({k: v[i, j] for k, v in self.terms.items() if v[i, j] != 0}, self.const[i, j])
+        c = self.coef
+        cell = np.ravel_multi_index((i, j), self.shape)
+        lo, hi = c.indptr[cell], c.indptr[cell + 1]
+        coeffs = dict(zip((c.indices[lo:hi] - 1).tolist(), c.data[lo:hi].tolist()))
+        return ScalarExpr(coeffs, coeffs.pop(-1, 0.0))
+
+    def _scalar(self, weights) -> ScalarExpr:
+        """sum over cells of weights * entry, as a scalar expression with a
+        coefficient for every parameter that appears."""
+        v = self.coef @ np.ravel(weights).astype(complex)
+        rows = np.unique(self.coef.indices)
+        rows = rows[rows > 0]
+        return ScalarExpr(dict(zip((rows - 1).tolist(), v[rows].tolist())), v[0])
 
     def trace(self) -> ScalarExpr:
-        return ScalarExpr({k: np.trace(v) for k, v in self.terms.items()}, np.trace(self.const))
+        return self._scalar(np.eye(*self.shape))
 
     def frobenius_with(self, a) -> ScalarExpr:
         """<A, expr> = Tr(A^dagger expr) for a constant matrix A."""
-        a = np.asarray(a, dtype=complex)
-        return ScalarExpr(
-            {k: np.sum(a.conj() * v) for k, v in self.terms.items()},
-            np.sum(a.conj() * self.const),
-        )
+        return self._scalar(np.conj(np.asarray(a, dtype=complex)))
 
     def partial_trace(self, dims, keep) -> "MatExpr":
-        return self.map_linear(lambda m: partial_trace(m, dims, keep), _pt_shape(dims, keep))
+        return self.map_linear(*_partial_trace_map(dims, keep))
 
     def partial_transpose(self, dims, subsystems) -> "MatExpr":
-        return self.map_linear(lambda m: partial_transpose(m, dims, subsystems), self.shape)
+        return self._gather(partial_transpose(_cell_grid(self.shape), dims, subsystems), self.shape)
 
     def value(self, params: np.ndarray) -> np.ndarray:
-        out = self.const.copy()
-        for k, v in self.terms.items():
-            out += params[k] * v
-        return out
+        p = np.concatenate([[1.0], np.asarray(params)[: self.coef.shape[0] - 1]])
+        return (self.coef.T @ p).reshape(self.shape)
 
     def clean(self, threshold: float) -> "MatExpr":
         """Drop variable terms whose coefficient matrix has max-norm below threshold.
@@ -266,10 +294,39 @@ class MatExpr:
         """
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
-        kept = {k: v for k, v in self.terms.items() if v.size and np.max(np.abs(v)) >= threshold}
-        if threshold == 0:
-            kept = dict(self.terms)
-        return MatExpr(self.shape, self.const.copy(), kept)
+        keep = (_row_max(self.coef) >= threshold) | (threshold == 0)
+        keep[0] = True
+        c = self.coef.tocoo()
+        at = keep[c.row]
+        return MatExpr.from_coef(self.shape, sp.coo_array((c.data[at], (c.row[at], c.col[at])), shape=c.shape))
+
+
+def _padded(coef, nrows: int):
+    """coef with zero rows appended up to nrows."""
+    return sp.csc_array((coef.data, coef.indices, coef.indptr), shape=(nrows, coef.shape[1]))
+
+
+def _cell_grid(shape) -> np.ndarray:
+    """Row-major cell number of each entry of a matrix of the given shape."""
+    return np.arange(shape[0] * shape[1]).reshape(shape)
+
+
+def _partial_trace_map(dims, keep):
+    """Matrix of the partial trace on row-major vec(M), and the result's
+    shape: cell (i, j) of M adds to cell (i_keep, j_keep) of the result when
+    i and j agree on every traced subsystem."""
+    dims, keep = list(dims), sorted(keep)
+    k, n = len(dims), int(np.prod(dims))
+    ij = np.unravel_index(np.arange(n * n), dims + dims)
+    on = np.ones(n * n, dtype=bool)
+    for t in set(range(k)) - set(keep):
+        on &= ij[t] == ij[t + k]
+    src = np.flatnonzero(on)
+    out = np.zeros(src.size, dtype=np.int64)
+    for t in keep + [t + k for t in keep]:  # row-major over (i_keep, j_keep)
+        out = out * (dims + dims)[t] + ij[t][src]
+    d = int(np.prod([dims[t] for t in keep]))
+    return sp.csr_array((np.ones(src.size), (out, src)), shape=(d * d, n * n)), (d, d)
 
 
 def as_matexpr(v, shape=None) -> MatExpr:
@@ -298,32 +355,11 @@ def scalar_nonneg(expr: ScalarExpr) -> MatExpr:
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all subsystems not listed in ``keep`` (indices into dims)."""
-    dims = list(dims)
-    keep = sorted(keep)
-    k = len(dims)
-    t = np.asarray(m).reshape(dims + dims)
-    row_idx, col_idx, out_row, out_col = [], [], [], []
-    nxt = 0
-    for i in range(k):
-        if i in keep:
-            r, c = nxt, nxt + 1
-            nxt += 2
-            row_idx.append(r)
-            col_idx.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            row_idx.append(nxt)
-            col_idx.append(nxt)
-            nxt += 1
-    out = np.einsum(t, row_idx + col_idx, out_row + out_col)
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
+    dims, keep, k = list(dims), sorted(keep), len(dims)
+    cols = [k + i if i in keep else i for i in range(k)]  # a traced subsystem repeats its row index
+    out = np.einsum(np.asarray(m).reshape(dims + dims), list(range(k)) + cols, keep + [k + i for i in keep])
+    d = int(np.prod([dims[i] for i in keep]))
     return out.reshape(d, d)
-
-
-def _pt_shape(dims, keep):
-    d = int(np.prod([list(dims)[i] for i in sorted(keep)])) if keep else 1
-    return (d, d)
 
 
 def partial_transpose(m: np.ndarray, dims, subsystems) -> np.ndarray:
@@ -342,11 +378,17 @@ def partial_transpose(m: np.ndarray, dims, subsystems) -> np.ndarray:
 # model
 
 
-class MatVar:
-    """Handle to a declared matrix variable; behaves like its MatExpr."""
+class MatVar(MatExpr):
+    """A declared matrix variable: the expression sum_k x_k F_k over its own
+    parameters, together with its declaration."""
+
+    __slots__ = ("decl",)
 
     def __init__(self, decl: VarDecl):
-        self.decl = decl
+        par, cells, vals = decl.pattern()
+        shape = (1 + decl.offset + decl.nparams, decl.rows * decl.cols)
+        self.shape, self.decl = (decl.rows, decl.cols), decl
+        self.coef = sp.csc_array((vals, (1 + decl.offset + par, cells)), shape=shape, dtype=complex)
 
     @property
     def name(self):
@@ -361,34 +403,7 @@ class MatVar:
         return list(range(self.decl.offset, self.decl.offset + self.decl.nparams))
 
     def expr(self) -> MatExpr:
-        terms = {self.decl.offset + k: b for k, b in enumerate(self.decl.basis())}
-        return MatExpr((self.decl.rows, self.decl.cols), terms=terms)
-
-    # convenience passthroughs
-    def __add__(self, other):
-        return self.expr() + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.expr() - other
-
-    def __rsub__(self, other):
-        return as_matexpr(other, (self.decl.rows, self.decl.cols)) - self.expr()
-
-    def __mul__(self, t):
-        return self.expr() * t
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return -self.expr()
-
-    def trace(self):
-        return self.expr().trace()
-
-    def entry(self, i, j):
-        return self.expr().entry(i, j)
+        return self
 
 
 class ModelError(ValueError):
@@ -479,7 +494,7 @@ class Model:
     def _check_all_params_used(self):
         used = set()
         for lmi in self.lmis:
-            used.update(lmi.terms)
+            used.update((np.unique(lmi.coef.indices) - 1).tolist())
         for eq in self.equalities:
             used.update(eq.coeffs)
         missing = set(range(self._nparams)) - used
@@ -507,42 +522,36 @@ def real_restriction(model: Model) -> Model:
     objective or an equality involves an imaginary parameter.
     """
     new = Model()
-    param_map: dict[int, int] = {}
-    dropped: set[int] = set()
+    # new coefficient row of each old one; -1 drops the row of an imaginary
+    # parameter, whose purely imaginary basis direction is discarded
+    new_row = np.full(1 + model.nparams, -1)
+    new_row[0] = 0
     for decl in model.vars:
         if decl.structure == "hermitian":
             nv = new.declare(decl.rows, structure="symmetric", name=decl.name)
-            n = decl.rows
-            n_re = n * (n + 1) // 2
-            for k in range(n_re):
-                param_map[decl.offset + k] = nv.decl.offset + k
-            for k in range(n_re, decl.nparams):
-                dropped.add(decl.offset + k)
         else:
             nv = new.declare(decl.rows, decl.cols, structure=decl.structure, field=decl.field, name=decl.name)
-            for k in range(decl.nparams):
-                param_map[decl.offset + k] = nv.decl.offset + k
+        kept = 1 + decl.offset + np.arange(nv.nparams)  # the real parameters lead
+        new_row[kept] = 1 + nv.decl.offset + np.arange(nv.nparams)
 
     def conv_mat(expr: MatExpr) -> MatExpr:
-        if np.max(np.abs(np.imag(expr.const))) > 1e-12:
+        c = expr.coef.tocoo()
+        row = new_row[c.row]
+        kept = row >= 0
+        if np.max(np.abs(c.data.imag[row == 0]), initial=0.0) > 1e-12:
             raise ModelError("real shortcut requires real constant data")
-        terms = {}
-        for k, v in expr.terms.items():
-            if k in dropped:
-                continue  # purely imaginary basis directions are discarded
-            if np.max(np.abs(np.imag(v))) > 1e-12:
-                raise ModelError("real shortcut requires real coefficient data")
-            terms[param_map[k]] = np.real(v).copy()
-        return MatExpr(expr.shape, np.real(expr.const).copy(), terms)
+        if np.max(np.abs(c.data.imag[kept]), initial=0.0) > 1e-12:
+            raise ModelError("real shortcut requires real coefficient data")
+        coef = sp.coo_array((c.data.real[kept], (row[kept], c.col[kept])), shape=(1 + new.nparams, c.shape[1]))
+        return MatExpr.from_coef(expr.shape, coef)
 
     def conv_scalar(e: ScalarExpr, where: str) -> ScalarExpr:
         coeffs = {}
         for k, v in e.coeffs.items():
-            if k in dropped:
-                if abs(v) > 1e-12:
-                    raise ModelError(f"real shortcut invalid: {where} involves an imaginary parameter")
-                continue
-            coeffs[param_map[k]] = v
+            if new_row[1 + k] >= 0:
+                coeffs[int(new_row[1 + k]) - 1] = v
+            elif abs(v) > 1e-12:
+                raise ModelError(f"real shortcut invalid: {where} involves an imaginary parameter")
         return ScalarExpr(coeffs, e.const)
 
     for lmi in model.lmis:
@@ -558,12 +567,19 @@ def _hermitian_coeffs(expr: MatExpr, what: str) -> bool:
     """Raise unless the constant and every term of expr are Hermitian within
     1e-10 (relative); return whether any of them has imaginary content."""
     tol = 1e-10
-    mats = [expr.const] + list(expr.terms.values())
-    for m in mats:
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-        if np.max(np.abs(m - m.conj().T)) > tol * scale:
-            raise ModelError(f"{what} is not Hermitian-valued")
-    return any(np.max(np.abs(np.imag(m))) > 0 for m in mats)
+    c = expr.coef
+    skew = c - c[:, _cell_grid(expr.shape).T.ravel()].conj()
+    if np.any(_row_max(skew) > tol * np.maximum(1.0, _row_max(c))):
+        raise ModelError(f"{what} is not Hermitian-valued")
+    return bool(np.any(c.data.imag))
+
+
+def _row_max(coef) -> np.ndarray:
+    """Largest absolute entry of each row of a sparse matrix (0 for empty rows)."""
+    c = coef.tocoo()
+    out = np.zeros(c.shape[0])
+    np.maximum.at(out, c.row, np.abs(c.data))
+    return out
 
 
 def _lmi_sizes(exprs) -> list[int]:
@@ -581,34 +597,47 @@ def _lmi_starts(sizes, offsets, first_block: int) -> list[int]:
 
 
 def _lowered(exprs, sizes, starts):
-    """(start, const, terms) of each LMI as real data, lowered one LMI at a
-    time; an LMI of size 2n holds its complex data in the doubled real
-    embedding."""
+    """(start, const, terms) of each LMI as real data: the constant dense, the
+    terms as the rows of a sparse matrix.  An LMI of size 2n holds its complex
+    data in the doubled real embedding."""
     for expr, size, start in zip(exprs, sizes, starts):
         # _hermitian_coeffs has checked every term already
-        lower = _real_embedding if size > expr.shape[0] else np.real
-        yield start, lower(expr.const), {k: lower(v) for k, v in expr.terms.items()}
+        if size > expr.shape[0]:
+            yield start, _real_embedding(expr.const), _embedded(expr.coef, expr.shape[0]).tocsr()[1:]
+        else:
+            yield start, np.real(expr.const), expr.coef.real[1:]
+
+
+def _embedded(coef, n: int):
+    """[[Re, -Im], [Im, Re]] of every row of an n x n coefficient matrix, as
+    the rows of a real (2n)^2-column one."""
+    c = coef.tocoo()
+    i, j = np.divmod(c.col, n)
+    cells = [i * 2 * n + j, (i + n) * 2 * n + j + n, (i + n) * 2 * n + j, i * 2 * n + j + n]
+    vals = [c.data.real, c.data.real, c.data.imag, -c.data.imag]
+    shape = (c.shape[0], 4 * n * n)
+    return sp.coo_array((np.concatenate(vals), (np.tile(c.row, 4), np.concatenate(cells))), shape=shape)
 
 
 def _affine_map(pieces, flat_dim: int, nparams: int):
     """The affine map p -> F0 + sum_k p_k F_k in flat coordinates.
 
-    Each piece (start, const, terms) puts const + sum_k p_k terms[k],
-    flattened row-major, at flat positions start, start + 1, ...  Returns F0
-    as a dense vector and F as the nparams x flat_dim CSR matrix whose row k
-    holds the nonzeros of F_k.
+    Each piece (start, const, terms) puts const + sum_k p_k F_k, flattened
+    row-major, at flat positions start, start + 1, ..., where row k of the
+    matrix terms (sparse or dense) holds the flattened F_k.  Returns F0 as a
+    dense vector and F as the nparams x flat_dim CSR matrix whose row k holds
+    the nonzeros of F_k.
     """
     f0 = np.zeros(flat_dim)
     rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for start, const, terms in pieces:
         const = np.ravel(const)
         f0[start : start + const.size] = const
-        for k, mat in terms.items():
-            v = np.ravel(mat)
-            nz = np.flatnonzero(v)
-            rows.append(np.full(nz.size, k, dtype=np.int32))
-            cols.append((start + nz).astype(np.int32))
-            vals.append(v[nz])
+        t = sp.coo_array(terms)
+        nz = t.data != 0
+        rows.append(t.row[nz].astype(np.int32))
+        cols.append((start + t.col[nz]).astype(np.int32))
+        vals.append(t.data[nz])
     f = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nparams, flat_dim))
     return f0, f
 
@@ -631,17 +660,12 @@ class CompiledModel:
         params = self.params_from(sol)
         out = {}
         for decl in self.model.vars:
-            vals = params[decl.offset : decl.offset + decl.nparams]
-            m = decl.assemble(vals)
-            if decl.field == "real":
-                m = np.real(m)
-            out[decl.name] = m
+            m = decl.assemble(params[decl.offset : decl.offset + decl.nparams])
+            out[decl.name] = np.real(m) if decl.field == "real" else m
         return out
 
     def objective_value(self, sol: Solution) -> float:
-        params = self.params_from(sol)
-        v = float(self.model.objective.value(params).real)
-        return v
+        return float(self.model.objective.value(self.params_from(sol)).real)
 
     def solve(self, cfg=None):
         from .ipm import solve as ipm_solve
@@ -714,7 +738,7 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
             raise ModelError("equality constraints are inconsistent")
         nmat = vt[rank:].T  # nparams x (nparams - rank)
     else:
-        y0, nmat = np.zeros(nparams), np.eye(nparams)
+        y0, nmat = np.zeros(nparams), sp.identity(nparams, format="csr")
 
     n_free = n_eq if equality_mode == "free_split" else 0
     n_ineq = 2 * n_eq if equality_mode == "two_inequalities" else 0
@@ -724,20 +748,21 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
     # f + eps - E p >= 0 and -f + eps + E p >= 0 after the 1x1 LMIs
     slots = []
     if n_free:
-        slots.append((offsets[-2], f_vec, {k: -e_mat[:, k] for k in range(nparams)}))
+        slots.append((offsets[-2], f_vec, -e_mat.T))
     if n_ineq:
-        pair = {k: np.column_stack([-e_mat[:, k], e_mat[:, k]]) for k in range(nparams)}
-        slots.append((offsets[-3] + nonneg_slots, np.column_stack([f_vec + eps, -f_vec + eps]), pair))
+        pairs = np.stack([-e_mat.T, e_mat.T], axis=2).reshape(nparams, 2 * n_eq)
+        slots.append((offsets[-3] + nonneg_slots, np.column_stack([f_vec + eps, -f_vec + eps]), pairs))
     lmis = _lowered(model.lmis, sizes, _lmi_starts(sizes, offsets, 0))
     f0, f = _affine_map(itertools.chain(lmis, slots), structure.flat_dim, nparams)
 
     c_obj = SymBlockMat.from_flat(structure, f0 + f.T @ y0)
     b = -(nmat.T @ c_vec)
-    a = sp.csr_array(-nmat.T) @ f
+    neg_nt = -sp.csr_array(nmat.T)  # the only copy of N the compiled model keeps
+    a = neg_nt @ f
     problem = ConeProblem(c_obj, a, b, meta={"framing": "dual", "equality_mode": equality_mode})
 
     def recover_params(sol: Solution):
-        return y0 + nmat @ sol.y_dual
+        return y0 - neg_nt.T @ sol.y_dual
 
     return CompiledModel(
         problem=problem,
@@ -751,52 +776,24 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
 
 
 def _selection_matrices(decl: VarDecl):
-    """Dual-basis matrices S_k with <S_k, X_block> = parameter k."""
-    n = decl.rows
-    sels = []
-    if decl.structure == "symmetric":
-        for i in range(n):
-            for j in range(i, n):
-                s = np.zeros((n, n))
-                if i == j:
-                    s[i, i] = 1.0
-                else:
-                    s[i, j] = s[j, i] = 0.5
-                sels.append(s)
-    elif decl.structure == "hermitian":
-        # parameters: Re(i<=j) then Im(i<j); block is the doubled embedding and
-        # the recovered matrix reads Re S = X11 + X22, Im S = X21 - X21^T
-        for i in range(n):
-            for j in range(i, n):
-                s = np.zeros((2 * n, 2 * n))
-                if i == j:
-                    s[i, i] = 1.0
-                    s[n + i, n + i] = 1.0
-                else:
-                    s[i, j] = s[j, i] = 0.5
-                    s[n + i, n + j] = s[n + j, n + i] = 0.5
-                sels.append(s)
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = np.zeros((2 * n, 2 * n))
-                s[n + i, j] = s[j, n + i] = 0.5
-                s[n + j, i] = s[i, n + j] = -0.5
-                sels.append(s)
-    else:
+    """Dual basis S_k of the variable's primal block, <S_k, X_block> = parameter
+    k, as row k of a sparse matrix: S_k is the lowered F_k divided by its
+    number of nonzeros (the block is the doubled real embedding for a
+    Hermitian variable)."""
+    if decl.structure not in ("symmetric", "hermitian"):
         raise ModelError(f"{decl.structure} variables cannot form primal PSD blocks")
-    return sels
+    coef = MatVar(decl).coef
+    low = (_embedded(coef, decl.rows) if decl.structure == "hermitian" else coef.real).tocoo()
+    counts = np.bincount(coef.indices, minlength=coef.shape[0])
+    return sp.coo_array((low.data / counts[low.row], (low.row - 1, low.col)), (coef.shape[0] - 1, low.shape[1]))
 
 
 def _is_bare_var_lmi(expr: MatExpr, decl: VarDecl) -> bool:
-    if expr.shape != (decl.rows, decl.cols) or np.max(np.abs(expr.const)) != 0:
+    if expr.shape != (decl.rows, decl.cols):
         return False
-    ids = set(range(decl.offset, decl.offset + decl.nparams))
-    if set(expr.terms) != ids:
-        return False
-    for k, b in zip(sorted(ids), decl.basis()):
-        if expr.terms[k].shape != b.shape or np.max(np.abs(expr.terms[k] - b)) != 0:
-            return False
-    return True
+    bare = MatVar(decl).coef
+    nrows = max(expr.coef.shape[0], bare.shape[0])
+    return (_padded(expr.coef, nrows) - _padded(bare, nrows)).count_nonzero() == 0
 
 
 def _compile_primal(model: Model) -> CompiledModel:
@@ -828,12 +825,10 @@ def _compile_primal(model: Model) -> CompiledModel:
     offsets = structure.flat_offsets()
     dim = structure.flat_dim
 
-    sel_pieces = [
-        (offsets[b], np.zeros(0), dict(enumerate(_selection_matrices(decl), start=decl.offset)))
-        for b, decl in enumerate(block_vars)
-    ]
-    sel_pieces += [(offsets[-2] + slot, np.zeros(0), {k: np.ones(1)}) for slot, k in enumerate(free_params)]
-    _, p_sel = _affine_map(sel_pieces, dim, nparams)
+    sel_pieces = [(offsets[b], np.zeros(0), _selection_matrices(decl)) for b, decl in enumerate(block_vars)]
+    slots = np.arange(len(free_params))
+    free = sp.coo_array((np.ones(slots.size), (np.array(free_params, dtype=np.int64), slots)), (nparams, slots.size))
+    _, p_sel = _affine_map(sel_pieces + [(offsets[-2], np.zeros(0), free)], dim, nparams)
 
     starts = _lmi_starts(sizes, offsets, len(block_vars))
     f0, f = _affine_map(_lowered(slack_lmis, sizes, starts), dim, nparams)

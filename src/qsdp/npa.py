@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
 from .modeling import MatExpr, Model, ScalarExpr
 
@@ -257,17 +258,18 @@ class MomentModel:
 
     # -- model emission ---------------------------------------------------
     def to_model(self) -> tuple[Model, MatExpr]:
-        """Dual-framed model: one scalar unknown per equality class."""
+        """Dual-framed model: one scalar unknown per equality class.  Gamma's
+        coefficient matrix holds a 1 at (class, cell) for both cells of each
+        class entry, built from the index arrays of ``class_of_cell``."""
         model = Model()
         var = model.declare(self.num_unknowns, 1, structure="full", name="moments")
         n = self.size
-        indicators = {}
-        for (i, j), cls in self.class_of_cell.items():
-            ind = indicators.setdefault(cls, np.zeros((n, n)))
-            ind[i, j] = 1.0
-            if i != j:
-                ind[j, i] = 1.0
-        gamma = MatExpr((n, n), terms={var.decl.offset + cls: ind for cls, ind in indicators.items()})
+        i, j = np.array(list(self.class_of_cell), dtype=np.int64).reshape(-1, 2).T
+        cls = 1 + var.decl.offset + np.fromiter(self.class_of_cell.values(), dtype=np.int64, count=i.size)
+        off = i != j
+        rows, cells = np.concatenate([cls, cls[off]]), np.concatenate([i * n + j, (j * n + i)[off]])
+        coef = sp.csc_array((np.ones(rows.size), (rows, cells)), shape=(1 + model.nparams, n * n))
+        gamma = MatExpr.from_coef((n, n), coef)
         model.add_lmi(gamma)
         model.add_equality(ScalarExpr({var.decl.offset + self.norm_class: 1.0}), 1.0)
         return model, gamma

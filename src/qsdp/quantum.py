@@ -272,7 +272,7 @@ def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = 
             continue
         full_perm = [0] + [1 + p for p in perm_b]
         u = _permutation_matrix(dims_ext, full_perm)
-        diff = expr - expr.map_linear(lambda m: u @ m @ u.T, expr.shape)
+        diff = expr - expr.left_mul(u).right_mul(u.T)
         for i in range(d_ext):
             for jcol in range(i, d_ext):
                 model.add_equality(diff.entry(i, jcol), 0.0)

@@ -12,7 +12,6 @@ from qsdp.modeling import (
     _hermitian_coeffs,
     _is_bare_var_lmi,
     _objective_vector,
-    _selection_matrices,
     clean,
     model_from_json,
     model_to_json,
@@ -336,6 +335,42 @@ def reference_dual(model, mode, eps=1e-8):
     return ConeProblem(c_obj, rows, -(nmat.T @ c_vec), meta={"framing": "dual", "equality_mode": mode})
 
 
+def dense_selection_matrices(decl):
+    """Dual-basis matrices S_k with <S_k, X_block> = parameter k, one dense
+    matrix per parameter."""
+    n = decl.rows
+    sels = []
+    if decl.structure == "symmetric":
+        for i in range(n):
+            for j in range(i, n):
+                s = np.zeros((n, n))
+                if i == j:
+                    s[i, i] = 1.0
+                else:
+                    s[i, j] = s[j, i] = 0.5
+                sels.append(s)
+    else:
+        # parameters: Re(i<=j) then Im(i<j); block is the doubled embedding and
+        # the recovered matrix reads Re S = X11 + X22, Im S = X21 - X21^T
+        for i in range(n):
+            for j in range(i, n):
+                s = np.zeros((2 * n, 2 * n))
+                if i == j:
+                    s[i, i] = 1.0
+                    s[n + i, n + i] = 1.0
+                else:
+                    s[i, j] = s[j, i] = 0.5
+                    s[n + i, n + j] = s[n + j, n + i] = 0.5
+                sels.append(s)
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = np.zeros((2 * n, 2 * n))
+                s[n + i, j] = s[j, n + i] = 0.5
+                s[n + j, i] = s[i, n + j] = -0.5
+                sels.append(s)
+    return sels
+
+
 def reference_primal(model):
     """One block matrix per equality and per independent slack cell, each a
     sum of the selection matrices of the parameters it reads."""
@@ -349,7 +384,7 @@ def reference_primal(model):
                 break
     sizes, loc = [], {}
     for decl in block_vars:
-        for k, sel in enumerate(_selection_matrices(decl)):
+        for k, sel in enumerate(dense_selection_matrices(decl)):
             loc[decl.offset + k] = ("block", len(sizes), sel)
         sizes.append(2 * decl.rows if decl.structure == "hermitian" else decl.rows)
     free = [k for decl in model.vars if decl not in block_vars for k in range(decl.offset, decl.offset + decl.nparams)]

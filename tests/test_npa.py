@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from itertools import product
 
 from qsdp.npa import (
@@ -20,6 +21,7 @@ from qsdp.npa import (
     qrac_witness,
     reduce_word,
     solve_bell,
+    word_adjoint,
 )
 
 ROOT2 = np.sqrt(2.0)
@@ -68,6 +70,28 @@ class TestWordReduction:
                 ru, rv = reduce_word(u), reduce_word(v)
                 rhs = ZERO if ZERO in (ru, rv) else reduce_word(ru + rv)
                 assert lhs == rhs
+
+
+# projector words over three parties, three settings and three outcomes
+SYMBOLS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+WORDS = st.lists(SYMBOLS, max_size=8).map(tuple)
+
+
+class TestWordAlgebraProperties:
+    @given(WORDS)
+    def test_reduce_word_is_idempotent(self, w):
+        r = reduce_word(w)
+        assert reduce_word(r) == r
+
+    @given(WORDS)
+    def test_adjoint_is_an_involution_on_reduced_words(self, w):
+        r = reduce_word(w)
+        assert word_adjoint(word_adjoint(r)) == r
+
+    @given(WORDS, WORDS, WORDS)
+    def test_zero_absorbs(self, u, w, v):
+        if reduce_word(w) == ZERO:
+            assert reduce_word(u + w + v) == ZERO
 
 
 class TestGenerateWords:
