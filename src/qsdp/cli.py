@@ -95,45 +95,35 @@ def _bell_from_doc(doc) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns a RunReport
+# subcommand handlers; each returns a RunReport and the solver's iteration log
 
 
-def _cmd_solve(args) -> RunReport:
+def _cmd_solve(args) -> tuple:
     text = _read(args.input)
     cfg = _solver_config(args)
     if args.input.endswith(".json"):
         model = model_from_json(text)
         compiled = model.compile(framing=args.framing, equality_mode=_equality_mode(args))
         res = compiled.solve(cfg)
-        if args.verbose:
-            print(res.log.to_text())
-        return RunReport.from_solution(
-            "solve", compiled.problem, res.solution, result={"model_value": res.value, "framing": args.framing}
-        )
+        result = {"model_value": res.value, "framing": args.framing}
+        return RunReport.from_solution("solve", compiled.problem, res.solution, result=result), res.log
     p = parse_sdpa(text)
     sol, log = solve(p, cfg)
-    if args.verbose:
-        print(log.to_text())
-    return RunReport.from_solution("solve", p, sol, result={"sdpa_objective": -sol.dual_value})
+    return RunReport.from_solution("solve", p, sol, result={"sdpa_objective": -sol.dual_value}), log
 
 
-def _cmd_npa(args) -> RunReport:
+def _cmd_npa(args) -> tuple:
     doc = json.loads(_read(args.scenario))
     scenario = _scenario_from_doc(doc)
     bell = _bell_from_doc(doc)
     level = args.level if args.level == "1+AB" else int(args.level)
     res = solve_bell(scenario, level, bell, cfg=_solver_config(args))
-    if args.verbose:
-        print(res.model_result.log.to_text())
-    return RunReport.from_solution(
-        "npa",
-        res.model_result.compiled.problem,
-        res.model_result.solution,
-        result={"bound": res.value, "level": str(level), "moment_size": res.gamma.shape[0]},
-    )
+    mr = res.model_result
+    result = {"bound": res.value, "level": str(level), "moment_size": res.gamma.shape[0]}
+    return RunReport.from_solution("npa", mr.compiled.problem, mr.solution, result=result), mr.log
 
 
-def _cmd_mlp(args) -> RunReport:
+def _cmd_mlp(args) -> tuple:
     doc = json.loads(_read(args.scenario))
     try:
         scenario = Scenario.prepare_measure(doc["preparations"], doc["meas_settings"], doc.get("outcomes", 2))
@@ -143,17 +133,12 @@ def _cmd_mlp(args) -> RunReport:
         raise UsageError(f"bad prepare-and-measure document: {exc}") from exc
     level = args.level if args.level == "1+AB" else int(args.level)
     res = mlp_bound(scenario, d, witness, level=level, cfg=_solver_config(args))
-    if args.verbose:
-        print(res.model_result.log.to_text())
-    return RunReport.from_solution(
-        "mlp",
-        res.model_result.compiled.problem,
-        res.model_result.solution,
-        result={"bound": res.value, "dim": d, "level": str(level)},
-    )
+    mr = res.model_result
+    result = {"bound": res.value, "dim": d, "level": str(level)}
+    return RunReport.from_solution("mlp", mr.compiled.problem, mr.solution, result=result), mr.log
 
 
-def _cmd_nv(args) -> RunReport:
+def _cmd_nv(args) -> tuple:
     doc = json.loads(_read(args.scenario))
     kind = doc.get("kind")
     if kind == "qrac":
@@ -166,18 +151,11 @@ def _cmd_nv(args) -> RunReport:
         raise UsageError("nv scenario document needs kind 'qrac' or 'chsh'")
     basis = nv_build_basis(task, seed=args.seed, max_draws=int(doc.get("max_draws", 800)))
     value, _, res = nv_solve(basis, game, cfg=_solver_config(args))
-    if args.verbose:
-        print(res.log.to_text())
-    return RunReport.from_solution(
-        "nv",
-        res.compiled.problem,
-        res.solution,
-        seed=args.seed,
-        result={"bound": value, "basis_size": len(basis), "kind": kind},
-    )
+    result = {"bound": value, "basis_size": len(basis), "kind": kind}
+    return RunReport.from_solution("nv", res.compiled.problem, res.solution, seed=args.seed, result=result), res.log
 
 
-def _cmd_theta(args) -> RunReport:
+def _cmd_theta(args) -> tuple:
     g = parse_graph(_read(args.graph))
     cfg = _solver_config(args)
     if g.weights is not None:
@@ -186,28 +164,20 @@ def _cmd_theta(args) -> RunReport:
     else:
         value, _, res = lovasz_theta(g, cfg)
         payload = {"theta": value, "vertices": g.n, "edges": len(g.edges)}
-    if args.verbose:
-        print(res.log.to_text())
-    return RunReport.from_solution("theta", res.compiled.problem, res.solution, result=payload)
+    return RunReport.from_solution("theta", res.compiled.problem, res.solution, result=payload), res.log
 
 
-def _cmd_dps(args) -> RunReport:
+def _cmd_dps(args) -> tuple:
     doc = json.loads(_read(args.state))
     rho = DensityMatrix.from_json_dict(doc)
     dims = (args.dims[0], args.dims[1])
     res = dps_test(rho, dims, k=args.copies, ppt=not args.no_ppt, cfg=_solver_config(args))
     mr = res.model_result
-    if args.verbose:
-        print(mr.log.to_text())
-    return RunReport.from_solution(
-        "dps",
-        mr.compiled.problem,
-        mr.solution,
-        result={"feasible": res.feasible, "slack": res.slack, "copies": args.copies, "ppt": not args.no_ppt},
-    )
+    result = {"feasible": res.feasible, "slack": res.slack, "copies": args.copies, "ppt": not args.no_ppt}
+    return RunReport.from_solution("dps", mr.compiled.problem, mr.solution, result=result), mr.log
 
 
-def _cmd_qsd(args) -> RunReport:
+def _cmd_qsd(args) -> tuple:
     doc = json.loads(_read(args.states))
     try:
         states = [DensityMatrix.from_json_dict(d) for d in doc["states"]]
@@ -215,14 +185,11 @@ def _cmd_qsd(args) -> RunReport:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad states document: {exc}") from exc
     value, _, res = qsd_optimal(states, priors, cfg=_solver_config(args))
-    if args.verbose:
-        print(res.log.to_text())
-    return RunReport.from_solution(
-        "qsd", res.compiled.problem, res.solution, result={"success_probability": value, "n_states": len(states)}
-    )
+    result = {"success_probability": value, "n_states": len(states)}
+    return RunReport.from_solution("qsd", res.compiled.problem, res.solution, result=result), res.log
 
 
-def _cmd_seesaw(args) -> RunReport:
+def _cmd_seesaw(args) -> tuple:
     start = time.perf_counter()
     if args.task == "chsh":
         out = chsh_seesaw(restarts=args.restarts, seed=args.seed)
@@ -231,8 +198,8 @@ def _cmd_seesaw(args) -> RunReport:
     else:
         raise UsageError("seesaw task must be 'chsh' or 'qrac'")
     wall_time = time.perf_counter() - start
-    # no solver runs, so the report carries the lower bound only
-    return RunReport(
+    # no solver runs, so the report carries the lower bound only, and there is no log
+    report = RunReport(
         command="seesaw",
         status=STATUS_SUCCESS,
         status_label="success",
@@ -250,19 +217,16 @@ def _cmd_seesaw(args) -> RunReport:
             "sweeps": len(out.trajectory) - 1,
         },
     )
+    return report, None
 
 
-def _cmd_sos(args) -> RunReport:
+def _cmd_sos(args) -> tuple:
     cfg = _solver_config(args)
     if args.chsh:
         q1, report = tsirelson_sos_chsh(cfg)
         res = report["result"]
-        return RunReport.from_solution(
-            "sos",
-            res.compiled.problem,
-            res.solution,
-            result={"q1": q1, "residual": report["residual"], "kind": "chsh"},
-        )
+        result = {"q1": q1, "residual": report["residual"], "kind": "chsh"}
+        return RunReport.from_solution("sos", res.compiled.problem, res.solution, result=result), res.log
     if not args.poly:
         raise UsageError("sos needs --poly FILE or --chsh")
     doc = json.loads(_read(args.poly))
@@ -277,7 +241,7 @@ def _cmd_sos(args) -> RunReport:
     if res.certificate is not None:
         payload["residual"] = res.certificate.residual
         payload["n_squares"] = len(res.certificate.squares)
-    return RunReport.from_solution("sos", mr.compiled.problem, mr.solution, result=payload)
+    return RunReport.from_solution("sos", mr.compiled.problem, mr.solution, result=payload), mr.log
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +335,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        report = args.handler(args)
+        report, log = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -379,6 +343,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if log is not None and args.verbose:
+        print(log.to_text())
     print(report.to_text())
     if args.json_out:
         text = report.to_json()

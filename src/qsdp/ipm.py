@@ -1,9 +1,9 @@
 """Primal-dual infeasible interior-point solver for :class:`ConeProblem`.
 
 Implements a Mehrotra predictor-corrector scheme with HKM (default) or NT
-search directions, cold start, Cholesky-based step lengths and an optional
-iterate perturbation.  Free variables are handled internally by splitting
-them into differences of nonnegative pairs.
+search directions, cold start and Cholesky-based step lengths.  Free
+variables are handled internally by splitting them into differences of
+nonnegative pairs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class SolverConfig:
     tol_dual: float = 1e-7
     max_iterations: int = 100
     direction: str = "hkm"  # "hkm" or "nt"
-    perturbation_enabled: bool = False
 
     def __post_init__(self):
         if min(self.tol_gap, self.tol_primal, self.tol_dual) <= 0:
@@ -209,23 +208,6 @@ def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float) -> float
     else:
         e = min(EXPON, 1.0 + np.log10(1e-3 / gap))
     return float((gap / n) * ratio**e)
-
-
-def perturb(it: Iterate, gap: float, eps_p: float, eps_d: float, trace_scale: float) -> Iterate:
-    """Shift iterates away from the cone boundary.
-
-    When the gap is lagging the primal feasibility by two orders of magnitude,
-    X gains 0.01*t_p*I; when the primal residual lags the dual one the same
-    way, Z gains 0.1*t_p*I.  Otherwise the iterate is returned unchanged.
-    """
-    shift_x = gap > 100.0 * eps_p
-    shift_z = eps_p > 100.0 * eps_d
-    if not (shift_x or shift_z):
-        return it
-    eye = SymBlockMat.identity(it.x.structure)
-    x = it.x + 0.01 * trace_scale * eye if shift_x else it.x
-    z = it.z + 0.1 * trace_scale * eye if shift_z else it.z
-    return Iterate(x=x, y=it.y.copy(), z=z, iteration=it.iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +587,8 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
             break
 
         it = Iterate(x=it.x + alpha * dx, y=it.y + beta * dy, z=it.z + beta * dz, iteration=k)
-        finite = np.isfinite(it.gap())
-        if finite and cfg.perturbation_enabled and max(alpha, beta) < 0.1:
-            mu = it.gap() / max(q.structure.cone_dim, 1)
-            it = perturb(it, it.gap(), pinf_i, dinf_i, mu)
         res, (it0, pinf, dinf) = measure(it)
-        if not finite:
+        if not np.isfinite(it.gap()):
             status = STATUS_NUMERICAL_FAILURE
             failure = "non-finite iterate"
             break

@@ -210,20 +210,9 @@ class MatExpr:
     def map_linear(self, f, out_shape) -> "MatExpr":
         """Apply a linear matrix map to the constant and every term.
 
-        ``f`` is the map's matrix on row-major vec(M), of size
-        (out rows * out cols) x (rows * cols), or a callable on matrices,
-        which is applied to the unit matrix of each cell in use.
+        ``f`` is the map's sparse matrix on row-major vec(M), of size
+        (out rows * out cols) x (rows * cols).
         """
-        size = out_shape[0] * out_shape[1]
-        if callable(f):
-            cells = np.flatnonzero(np.diff(self.coef.indptr))
-            images = np.zeros((cells.size, size), dtype=complex)
-            for t, c in enumerate(cells):
-                unit = np.zeros(self.shape, dtype=complex)
-                unit.flat[c] = 1.0
-                images[t] = np.ravel(f(unit))
-            t, o = np.nonzero(images)
-            f = sp.csr_array((images[t, o], (o, cells[t])), shape=(size, self.coef.shape[1]))
         return MatExpr.from_coef(out_shape, self.coef @ sp.csr_array(f).T)
 
     def _gather(self, source, out_shape) -> "MatExpr":

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .modeling import MatExpr, Model, partial_trace
+from .modeling import MatExpr, Model, _cplx_from_json, partial_trace
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, d) -> "DensityMatrix":
-        m = np.array(d["re"], dtype=complex)
-        if "im" in d:
-            m = m + 1j * np.array(d["im"])
-        return cls(m)
+        return cls(_cplx_from_json(d))
 
 
 def random_pure(rng, d: int) -> DensityMatrix:
@@ -95,10 +92,7 @@ class ChoiMatrix:
 
     @classmethod
     def from_json_dict(cls, d) -> "ChoiMatrix":
-        m = np.array(d["re"], dtype=complex)
-        if "im" in d:
-            m = m + 1j * np.array(d["im"])
-        return cls(m, int(d["dim_in"]), int(d["dim_out"]))
+        return cls(_cplx_from_json(d), int(d["dim_in"]), int(d["dim_out"]))
 
 
 def choi_of_channel(kraus_or_map, dim_in: int, dim_out: int | None = None) -> ChoiMatrix:
@@ -125,6 +119,13 @@ def apply_choi(j: ChoiMatrix, rho) -> np.ndarray:
         raise ValueError("state dimension does not match the channel input")
     op = j.matrix @ np.kron(np.eye(j.dim_out), rho.T)
     return partial_trace(op, (j.dim_out, j.dim_in), keep=[0])
+
+
+def _add_hermitian_equality(model: Model, expr: MatExpr, target: np.ndarray):
+    """expr == target, one equality per cell of the upper triangle: the
+    Hermitian-valued expr then matches below it too."""
+    for i, k in zip(*np.triu_indices(expr.shape[0])):
+        model.add_equality(expr.entry(i, k), target[i, k])
 
 
 def channel_feasibility(
@@ -163,11 +164,7 @@ def channel_feasibility(
         model.maximize(j_expr.frobenius_with(np.asarray(objective, dtype=complex)))
 
     if trace_preserving:
-        reduced = j_expr.partial_trace((dim_out, dim_in), keep=[1])
-        target = np.eye(dim_in)
-        for i in range(dim_in):
-            for k in range(i, dim_in):
-                model.add_equality(reduced.entry(i, k), target[i, k])
+        _add_hermitian_equality(model, j_expr.partial_trace((dim_out, dim_in), keep=[1]), np.eye(dim_in))
 
     if ppt_preserving_dims is not None:
         dims = tuple(ppt_preserving_dims)
@@ -187,18 +184,14 @@ def channel_feasibility(
         dims4 = (ao, bo, ai, bi)
         lhs = j_expr.partial_trace(dims4, keep=[0, 2, 3])  # trace out b_out
         marg = j_expr.partial_trace(dims4, keep=[0, 2])  # trace out b_out and b_in
-        rhs = marg.map_linear(lambda m: np.kron(m.reshape(ao * ai, ao * ai), np.eye(bi)) / bi, (ao * ai * bi,) * 2)
+        # kron(M, I) / b_in = sum_s V_s M V_s^T / b_in, V_s = I (x) e_s, and vec(V M V^T) = (V (x) V) vec(M)
+        v = [sp.kron(sp.identity(ao * ai), np.eye(bi)[:, [s]]) for s in range(bi)]
+        rhs = marg.map_linear(sum(sp.kron(v_s, v_s) for v_s in v) / bi, (ao * ai * bi,) * 2)
         # reorder lhs (a_out, a_in, b_in) is already the kron order of rhs
-        diff = lhs - rhs
-        for i in range(ao * ai * bi):
-            for k in range(i, ao * ai * bi):
-                model.add_equality(diff.entry(i, k), 0.0)
+        _add_hermitian_equality(model, lhs - rhs, np.zeros(rhs.shape))
 
     if fixed_choi is not None:
-        fixed = np.asarray(fixed_choi, dtype=complex)
-        for i in range(d):
-            for k in range(i, d):
-                model.add_equality(j_expr.entry(i, k), fixed[i, k])
+        _add_hermitian_equality(model, j_expr, np.asarray(fixed_choi, dtype=complex))
 
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
     j_val = res.values["J"]
@@ -226,12 +219,31 @@ class DpsResult:
     model_result: object
 
 
-def _permutation_matrix(dims, perm) -> np.ndarray:
-    """Unitary that permutes tensor factors: subsystem k moves to slot perm[k]."""
-    d = int(np.prod(dims))
-    p = np.eye(d).reshape(list(dims) + list(dims))
-    axes = list(perm) + list(range(len(dims), 2 * len(dims)))
-    return p.transpose(axes).reshape(d, d)
+def _symmetric_extension(model: Model, dims_ext) -> MatExpr:
+    """Declare a Hermitian matrix on A (x) B^k that is invariant under every
+    permutation of the B copies, as the image of one real parameter vector.
+
+    Cell (i, j) lies in the orbit keyed by a_i, a_j and the sorted pairs
+    (b_t(i), b_t(j)) of the k copies.  Each pair {O, O^T} of transposed
+    orbits takes one real parameter, and, when O != O^T, one imaginary
+    parameter with +1j on the lower-numbered orbit and -1j on the other.
+    """
+    d, d_b = int(np.prod(dims_ext)), dims_ext[1]
+    i, j = np.divmod(np.arange(d * d), d)
+    a_i, *b_i = np.unravel_index(i, dims_ext)
+    a_j, *b_j = np.unravel_index(j, dims_ext)
+    pairs = np.sort(np.multiply(b_i, d_b) + b_j, axis=0)
+    _, orbit = np.unique(np.vstack([a_i, a_j, pairs]), axis=1, return_inverse=True)
+    orbit = orbit.ravel()
+    orbit_t = orbit[j * d + i]  # the orbit of the transposed cell
+    off = orbit != orbit_t
+    re_keys, re_par = np.unique(np.minimum(orbit, orbit_t), return_inverse=True)
+    im_keys, im_par = np.unique(np.minimum(orbit, orbit_t)[off], return_inverse=True)
+    var = model.declare(re_keys.size + im_keys.size, 1, structure="full", name="ext")
+    rows = 1 + var.decl.offset + np.concatenate([re_par, re_keys.size + im_par])
+    cells = np.concatenate([np.arange(d * d), np.flatnonzero(off)])
+    vals = np.concatenate([np.ones(d * d), np.where(orbit < orbit_t, 1j, -1j)[off]])
+    return MatExpr.from_coef((d, d), sp.coo_array((vals, (rows, cells)), shape=(rows.max() + 1, d * d)))
 
 
 def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = True, cfg=None) -> DpsResult:
@@ -254,9 +266,8 @@ def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = 
         raise MemoryError(f"extension dimension {d_ext} exceeds the desk-scale guard (64)")
 
     model = Model()
-    var = model.declare(d_ext, structure="hermitian", field="complex", name="ext")
+    expr = _symmetric_extension(model, dims_ext)
     t = model.declare(1, structure="symmetric", name="t")
-    expr = var.expr()
     t_eye = MatExpr((d_ext, d_ext), terms={t.decl.offset: np.eye(d_ext)})
 
     model.add_lmi(expr - t_eye)
@@ -265,22 +276,7 @@ def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = 
             subsystems = list(range(1, 1 + j))  # first j copies of B
             model.add_lmi(expr.partial_transpose(dims_ext, subsystems) - t_eye)
 
-    # permutation invariance over the B copies (redundant rows are fine: the
-    # equality system is reduced by an orthogonal factorization at compile)
-    for perm_b in permutations(range(k)):
-        if perm_b == tuple(range(k)):
-            continue
-        full_perm = [0] + [1 + p for p in perm_b]
-        u = _permutation_matrix(dims_ext, full_perm)
-        diff = expr - expr.left_mul(u).right_mul(u.T)
-        for i in range(d_ext):
-            for jcol in range(i, d_ext):
-                model.add_equality(diff.entry(i, jcol), 0.0)
-
-    reduced = expr.partial_trace(dims_ext, keep=[0, 1])
-    for i in range(d_a * d_b):
-        for jcol in range(i, d_a * d_b):
-            model.add_equality(reduced.entry(i, jcol), rho.matrix[i, jcol])
+    _add_hermitian_equality(model, expr.partial_trace(dims_ext, keep=[0, 1]), rho.matrix)
 
     model.maximize(t.entry(0, 0))
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
@@ -289,7 +285,7 @@ def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = 
     return DpsResult(
         feasible=feasible,
         slack=slack,
-        extension=res.values["ext"] if feasible else None,
+        extension=expr.value(res.compiled.params_from(res.solution)) if feasible else None,
         witness_dual=res.solution.x_primal.blocks[0].copy() if not feasible else None,
         model_result=res,
     )
@@ -303,9 +299,10 @@ def swap_operator(dims, s1: int, s2: int) -> np.ndarray:
     """SWAP of subsystems s1 and s2 on a tensor space with the given dims."""
     if dims[s1] != dims[s2]:
         raise ValueError("swapped subsystems must have equal dimensions")
-    perm = list(range(len(dims)))
-    perm[s1], perm[s2] = perm[s2], perm[s1]
-    return _permutation_matrix(dims, perm)
+    d = int(np.prod(dims))
+    axes = list(range(2 * len(dims)))
+    axes[s1], axes[s2] = s2, s1
+    return np.eye(d).reshape(list(dims) * 2).transpose(axes).reshape(d, d)
 
 
 def swap_probability_extract(w: np.ndarray, dims: tuple[int, int], targets: str = "both") -> float:

@@ -1,10 +1,54 @@
+from itertools import permutations
+
+import numpy as np
 import pytest
 
-from qsdp.quantum import dps_test, werner_state
+from qsdp.modeling import MatExpr, Model
+from qsdp.quantum import werner_state
+
+
+def _permutation_matrix(dims, perm) -> np.ndarray:
+    """Unitary that permutes tensor factors: subsystem k moves to slot perm[k]."""
+    d = int(np.prod(dims))
+    p = np.eye(d).reshape(list(dims) + list(dims))
+    axes = list(perm) + list(range(len(dims), 2 * len(dims)))
+    return p.transpose(axes).reshape(d, d)
+
+
+def dps_reference(rho, dims, k):
+    """The PPT symmetric-extension test in its direct form, solved: a full
+    Hermitian extension on A (x) B^k whose B-copy symmetry is one equality
+    per permutation and upper-triangle cell.  Returns the ModelResult, whose
+    value is the slack ``dps_test`` must reproduce."""
+    d_a, d_b = dims
+    dims_ext = (d_a,) + (d_b,) * k
+    d_ext = int(np.prod(dims_ext))
+    model = Model()
+    expr = model.declare(d_ext, structure="hermitian", field="complex", name="ext").expr()
+    t = model.declare(1, structure="symmetric", name="t")
+    t_eye = MatExpr((d_ext, d_ext), terms={t.decl.offset: np.eye(d_ext)})
+    model.add_lmi(expr - t_eye)
+    for j in range(1, k + 1):
+        model.add_lmi(expr.partial_transpose(dims_ext, list(range(1, 1 + j))) - t_eye)
+    for perm_b in permutations(range(k)):
+        if perm_b == tuple(range(k)):
+            continue
+        u = _permutation_matrix(dims_ext, [0] + [1 + p for p in perm_b])
+        diff = expr - expr.left_mul(u).right_mul(u.T)
+        for i in range(d_ext):
+            for jcol in range(i, d_ext):
+                model.add_equality(diff.entry(i, jcol), 0.0)
+    reduced = expr.partial_trace(dims_ext, keep=[0, 1])
+    for i in range(d_a * d_b):
+        for jcol in range(i, d_a * d_b):
+            model.add_equality(reduced.entry(i, jcol), rho.matrix[i, jcol])
+    model.maximize(t.entry(0, 0))
+    return model.compile(framing="dual", equality_mode="eliminate").solve()
 
 
 @pytest.fixture(scope="session")
 def dps_k3():
-    """The DPS k = 3 solve (ModelResult): SVD elimination leaves its
-    constraint rows ~94 % full, so every block takes the dense kernels."""
-    return dps_test(werner_state(0.25), (2, 2), k=3).model_result
+    """The reference DPS k = 3 solve (ModelResult): SVD elimination of its
+    permutation equalities leaves the constraint rows ~94 % full, so every
+    block takes the dense kernels."""
+    return dps_reference(werner_state(0.25), (2, 2), 3)

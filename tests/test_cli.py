@@ -130,6 +130,17 @@ class TestQuantumCommands:
         code, report = run(tmp_path, ["dps", "--state", str(state), "--dims", "2", "2", "--copies", "1"])
         assert report["result"]["feasible"] is True
 
+    def test_dps_verbose_prints_the_iteration_table_before_the_report(self, tmp_path, capsys):
+        from qsdp.quantum import werner_state
+
+        state = tmp_path / "werner.json"
+        state.write_text(json.dumps(werner_state(0.25).to_json_dict()))
+        assert main(["dps", "--state", str(state), "--dims", "2", "2", "--copies", "2", "--verbose"]) == 0
+        text = capsys.readouterr().out
+        header = text.index(" it  pstep")
+        assert header < text.index("command        : dps")
+        assert text.count(" it  pstep") == 1
+
     def test_qsd(self, tmp_path):
         doc = {
             "states": [

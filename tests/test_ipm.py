@@ -14,7 +14,6 @@ from qsdp import (
     cold_start,
     corrector_nu,
     newton_direction,
-    perturb,
     residuals,
     solve,
     step_length,
@@ -207,34 +206,6 @@ class TestCorrectorNu:
         assert got == pytest.approx(0.25)
 
 
-class TestPerturb:
-    def _iterate(self):
-        structure = BlockStructure((2,), nonneg_dim=1)
-        return Iterate(
-            x=SymBlockMat(structure, [np.eye(2)], [1.0]),
-            y=np.zeros(0),
-            z=SymBlockMat(structure, [np.eye(2)], [1.0]),
-        )
-
-    def test_gap_branch(self):
-        it = perturb(self._iterate(), gap=1e-3, eps_p=1e-7, eps_d=1e-7, trace_scale=1.0)
-        assert np.allclose(it.x.blocks[0], np.eye(2) + 0.01 * np.eye(2))
-        assert np.allclose(it.z.blocks[0], np.eye(2))
-
-    def test_identity_when_balanced(self):
-        base = self._iterate()
-        it = perturb(base, gap=1e-9, eps_p=1e-7, eps_d=1e-7, trace_scale=1.0)
-        assert (it.x - base.x).norm() == 0.0
-        assert (it.z - base.z).norm() == 0.0
-
-    def test_both_branches(self):
-        it = perturb(self._iterate(), gap=1.0, eps_p=1e-3, eps_d=1e-6, trace_scale=2.0)
-        assert np.allclose(it.x.blocks[0], (1 + 0.02) * np.eye(2))
-        assert np.allclose(it.z.blocks[0], (1 + 0.2) * np.eye(2))
-        assert it.x.nonneg[0] == pytest.approx(1.02)
-        assert it.z.nonneg[0] == pytest.approx(1.2)
-
-
 class TestSolve:
     def test_largest_eigenvalue_program(self):
         # maximize Tr(X S) s.t. S >= 0, Tr S = 1 with X = diag(1, 2): value 2.
@@ -354,14 +325,6 @@ def _solve_correlation_interval():
     sol_lo, _ = solve(_correlation_problem(-1.0))
     assert sol_hi.success and sol_lo.success
     return -(-sol_lo.primal_value), -sol_hi.primal_value
-
-
-class TestPerturbationPath:
-    def test_solve_with_perturbation_enabled_still_converges(self):
-        p = _correlation_problem(sense=1.0)
-        sol, _ = solve(p, SolverConfig(perturbation_enabled=True))
-        assert sol.success
-        assert -sol.primal_value == pytest.approx(0.99573, abs=1e-3)
 
 
 @pytest.fixture

@@ -1,6 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from conftest import dps_reference
 
+from qsdp.modeling import partial_trace
 from qsdp.quantum import (
     ChoiMatrix,
     DensityMatrix,
@@ -141,6 +145,47 @@ class TestDps:
     def test_memory_guard(self):
         with pytest.raises(MemoryError):
             dps_test(werner_state(0.1), (2, 2), k=6)
+
+
+def locally_rotated_werner(p, seed):
+    """A Werner state under a random local unitary: complex, same spectra."""
+    rng = np.random.default_rng(seed)
+    u = np.kron(*[np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2)])
+    return DensityMatrix(u @ werner_state(p).matrix @ u.conj().T)
+
+
+class TestDpsOrbitBasis:
+    """``dps_test`` declares the extension in the orbit basis of the B-copy
+    permutations; the reference imposes the symmetry by equalities."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("state", ["werner-0.25", "werner-0.5", "rotated-0.3"])
+    def test_slack_matches_the_permutation_equality_model(self, k, state):
+        kind, p = state.split("-")
+        rho = werner_state(float(p)) if kind == "werner" else locally_rotated_werner(float(p), 3)
+        res = dps_test(rho, (2, 2), k=k)
+        ref = dps_reference(rho, (2, 2), k)
+        assert res.model_result.success and ref.success
+        assert res.slack == pytest.approx(ref.value, abs=1e-9)
+        assert res.model_result.solution.stats["iterations"] == ref.solution.stats["iterations"]
+
+    @pytest.mark.parametrize("state", ["werner", "rotated"])
+    def test_extension_is_permutation_invariant_and_traces_back(self, state):
+        rho = werner_state(0.25) if state == "werner" else locally_rotated_werner(0.25, 4)
+        res = dps_test(rho, (2, 2), k=3)
+        assert res.feasible
+        ext = res.extension.reshape([2] * 8)
+        for perm in permutations([1, 2, 3]):
+            axes = [0, *perm, 4, *(4 + q for q in perm)]
+            assert np.max(np.abs(ext.transpose(axes) - ext)) <= 1e-9
+        assert np.max(np.abs(res.extension - res.extension.conj().T)) <= 1e-9
+        assert np.max(np.abs(partial_trace(res.extension, (2, 2, 2, 2), keep=[0, 1]) - rho.matrix)) <= 1e-6
+
+    def test_k3_has_only_the_partial_trace_equalities(self):
+        model = dps_test(werner_state(0.25), (2, 2), k=3).model_result.compiled.model
+        assert len(model.equalities) == 16
+        assert model.nparams == 81
+        assert [(v.name, v.nparams) for v in model.vars] == [("ext", 80), ("t", 1)]
 
 
 class TestSwapExtraction:
