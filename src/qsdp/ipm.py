@@ -217,15 +217,23 @@ def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float) -> float
 def _support_chunks(a_k: sp.csr_array, n: int) -> list:
     """Chunks (js, sup, a_sub) of the constraints that touch an n x n block
     whose flat columns of A are a_k; see _SchurPlan."""
+    if not a_k.has_sorted_indices:
+        a_k = a_k.sorted_indices()
     m = a_k.shape[0]
     j = np.repeat(np.arange(m, dtype=np.int64), np.diff(a_k.indptr))
     rows, cols = np.divmod(a_k.indices, n)
-    # A_j's support is sup x sup, with sup its nonzero rows (A_j is symmetric);
-    # keys lists the pairs (j, row) sorted, so each A_j's support is one run
-    keys = np.unique(j * n + rows)
+    # A_j's support is sup x sup, with sup its nonzero rows (A_j is symmetric).
+    # With sorted indices the pairs (j, row) come sorted, so keys (their
+    # distinct values) is read off at run starts and each A_j's support is
+    # one run of keys
+    flat = j * n + rows
+    new = np.empty(flat.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    keys = flat[new]
     size = np.bincount(keys // n, minlength=m)
     start = np.cumsum(size) - size
-    at_row = np.searchsorted(keys, j * n + rows) - start[j]
+    at_row = np.cumsum(new) - 1 - start[j]
     at_col = np.searchsorted(keys, j * n + cols) - start[j]
     g_max = max(1, _SCHUR_CHUNK_FLOATS // (n * n))
     chunks = []

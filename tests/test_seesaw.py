@@ -1,9 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
-from qsdp.modeling import MatExpr, Model
+from qsdp.modeling import MatExpr, Model, partial_trace
+from qsdp.npa import chsh_functional, qrac_witness
 from qsdp.quantum import qsd_optimal, random_pure
-from qsdp.seesaw import PamSeesawTask, _max_density, _max_effect, chsh_seesaw, qrac_seesaw, seesaw
+from qsdp.seesaw import (
+    BellSeesawTask,
+    PamSeesawTask,
+    _max_density,
+    _max_effect,
+    chsh_seesaw,
+    qrac_seesaw,
+    seesaw,
+)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -78,6 +89,14 @@ class TestClosedFormSteps:
             lo, hi = eig_bounds(e)
             assert lo > -1e-7 and hi < 1 + 1e-7
 
+    @pytest.mark.parametrize("step", [_max_density, _max_effect])
+    def test_a_stack_gives_the_stack_of_maximizers(self, step):
+        ops = [op for op in step_ops() if op.shape == (3, 3)]
+        assert len(ops) == 3
+        batched = step(np.array(ops))
+        for op, got in zip(ops, batched):
+            assert np.array_equal(got, step(op))
+
 
 class TestSeesawChsh:
     def test_reaches_tsirelson(self):
@@ -135,3 +154,197 @@ class TestSeesawQsdStep:
         out = qrac_seesaw(restarts=3, seed=5)
         assert len(out.restart_values) == 3
         assert max(out.restart_values) == pytest.approx(out.value)
+
+
+# ---------------------------------------------------------------------------
+# per-term reference: one np.kron and one partial_trace per term, each
+# setting updated in turn
+
+
+def ref_effect(p, outcome):
+    return p if outcome == 0 else np.eye(p.shape[0]) - p
+
+
+def hermitize(m):
+    return (m + m.conj().T) / 2.0
+
+
+class RefBellTask(BellSeesawTask):
+    def objective(self, point):
+        return float(np.real(np.trace(point["state"] @ self.bell_operator(point))))
+
+    def bell_operator(self, point):
+        d_a, d_b = self.dims
+        g = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+        for (a, b, x, y), alpha in self.bell.items():
+            g += alpha * np.kron(ref_effect(point["A"][x], a), ref_effect(point["B"][y], b))
+        return hermitize(g)
+
+    def sweep(self, point):
+        d_a, d_b = self.dims
+        rho = point["state"]
+        for x in range(self.n_settings[0]):
+            k = np.zeros((d_a, d_a), dtype=complex)
+            for (a, b, xx, y), alpha in self.bell.items():
+                if xx == x:
+                    fb = ref_effect(point["B"][y], b)
+                    k += (-1) ** a * alpha * partial_trace(np.kron(np.eye(d_a), fb) @ rho, (d_a, d_b), keep=[0])
+            point["A"][x] = _max_effect(hermitize(k))
+        for y in range(self.n_settings[1]):
+            k = np.zeros((d_b, d_b), dtype=complex)
+            for (a, b, x, yy), alpha in self.bell.items():
+                if yy == y:
+                    ea = ref_effect(point["A"][x], a)
+                    k += (-1) ** b * alpha * partial_trace(np.kron(ea, np.eye(d_b)) @ rho, (d_a, d_b), keep=[1])
+            point["B"][y] = _max_effect(hermitize(k))
+        point["state"] = _max_density(self.bell_operator(point))
+        return point
+
+
+class RefPamTask(PamSeesawTask):
+    def objective(self, point):
+        total = 0.0
+        for (b, x, y), beta in self.witness.items():
+            total += beta * np.real(np.trace(point["states"][x] @ ref_effect(point["M"][y], b)))
+        return float(total)
+
+    def sweep(self, point):
+        for y in range(self.n_meas):
+            k = np.zeros((self.dim, self.dim), dtype=complex)
+            for (b, x, yy), beta in self.witness.items():
+                if yy == y:
+                    k += (-1) ** b * beta * point["states"][x]
+            point["M"][y] = _max_effect(hermitize(k))
+        if self.fixed_states is None:
+            for x in range(self.n_preparations):
+                k = np.zeros((self.dim, self.dim), dtype=complex)
+                for (b, xx, y), beta in self.witness.items():
+                    if xx == x:
+                        k += beta * ref_effect(point["M"][y], b)
+                point["states"][x] = _max_density(hermitize(k))
+        return point
+
+
+def mixed_state(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def copy_point(point):
+    return {key: np.array(value, dtype=complex) for key, value in point.items()}
+
+
+def assert_points_close(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.asarray(got[key]).shape == np.asarray(want[key]).shape
+        assert np.max(np.abs(np.asarray(got[key]) - np.asarray(want[key]))) <= 1e-12
+
+
+def random_bell(rng, n_settings):
+    c = rng.normal(size=(2, 2, *n_settings))
+    return {key: float(c[key]) for key in np.ndindex(c.shape)}
+
+
+def bell_tasks():
+    rng = np.random.default_rng(23)
+    return {
+        "chsh": dict(bell=chsh_functional()),
+        "three-settings-dims-2-3": dict(bell=random_bell(rng, (3, 3)), dims=(2, 3), n_settings=(3, 3)),
+        "settings-3-2-dims-3-2": dict(bell=random_bell(rng, (3, 2)), dims=(3, 2), n_settings=(3, 2)),
+    }
+
+
+def pam_tasks():
+    rng = np.random.default_rng(29)
+    # beta[0] - beta[1] takes both signs in each column, so no K_y is definite
+    # and no effect of a sweep is 0 or I (which would make the states' step
+    # degenerate, and its maximizer not unique)
+    beta1 = rng.uniform(0.0, 1.0, size=(3, 2))
+    beta0 = beta1 + np.array([[1, -1], [1, 1], [-1, 1]]) * rng.uniform(0.5, 1.5, size=(3, 2))
+    beta = np.stack([beta0, beta1])
+    witness = {key: float(beta[key]) for key in np.ndindex(beta.shape)}
+    fixed = [mixed_state(rng, 3) for _ in range(3)]
+    return {
+        "qrac": dict(witness=qrac_witness(2), dim=2, n_preparations=4, n_meas=2),
+        "random-dim-3": dict(witness=witness, dim=3, n_preparations=3, n_meas=2),
+        "fixed-states": dict(witness=witness, dim=3, n_preparations=3, n_meas=2, fixed_states=fixed),
+    }
+
+
+class TestContractedSweepMatchesPerTermReference:
+    @pytest.mark.parametrize("name", list(bell_tasks()))
+    def test_bell(self, name):
+        kwargs = bell_tasks()[name]
+        task, ref = BellSeesawTask(**kwargs), RefBellTask(**kwargs)
+        rng = np.random.default_rng(31)
+        states_compared = 0
+        for _ in range(3):
+            point = task.random_point(rng)
+            # full rank: with a pure state and d_a != d_b, the larger party's K
+            # has a zero eigenvalue, and its best effect is not unique
+            point["state"] = 0.9 * point["state"] + 0.1 * mixed_state(rng, task.dims[0] * task.dims[1])
+            assert np.max(np.abs(task.bell_operator(point) - ref.bell_operator(point))) <= 1e-12
+            assert task.objective(point) == pytest.approx(ref.objective(point), abs=1e-12)
+            got, want = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
+            assert_points_close({k: got[k] for k in "AB"}, {k: want[k] for k in "AB"})
+            assert task.objective(got) == pytest.approx(ref.objective(want), abs=1e-12)
+            # the new state is the top eigenprojector of the Bell operator,
+            # unique when its top eigenvalue is simple (not so when an effect
+            # came out 0 or I)
+            w = np.linalg.eigvalsh(ref.bell_operator(want))
+            if w[-1] - w[-2] > 1e-6:
+                assert_points_close({"state": got["state"]}, {"state": want["state"]})
+                states_compared += 1
+        assert states_compared > 0
+
+    @pytest.mark.parametrize("name", list(pam_tasks()))
+    def test_pam(self, name):
+        kwargs = pam_tasks()[name]
+        task, ref = PamSeesawTask(**kwargs), RefPamTask(**kwargs)
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            point = task.random_point(rng)
+            assert task.objective(point) == pytest.approx(ref.objective(point), abs=1e-12)
+            got, want = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
+            assert_points_close(got, want)
+            assert task.objective(got) == pytest.approx(ref.objective(want), abs=1e-12)
+        if "fixed_states" in kwargs:
+            assert np.array_equal(got["states"], np.array(kwargs["fixed_states"]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chsh_restart_values(self, seed):
+        got = chsh_seesaw(seed=seed)
+        want = seesaw(RefBellTask(bell=chsh_functional()), seed=seed)
+        assert len(got.restart_values) == len(want.restart_values) == 20
+        assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_qrac_restart_values(self, seed):
+        got = qrac_seesaw(seed=seed)
+        want = seesaw(RefPamTask(witness=qrac_witness(2), dim=2, n_preparations=4, n_meas=2), seed=seed)
+        assert len(got.restart_values) == len(want.restart_values) == 20
+        assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12
+
+
+class TestKeysChecked:
+    @pytest.mark.parametrize(
+        "key", [(2, 0, 0, 0), (0, 2, 0, 0), (-1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, -1), (0, 0, 0), (0.0, 0, 0, 0)]
+    )
+    def test_bell_key_out_of_range(self, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            BellSeesawTask(bell={(1, 1, 1, 1): 1.0, key: 1.0})
+
+    @pytest.mark.parametrize("key", [(2, 0, 0), (-1, 0, 0), (0, 4, 0), (0, -1, 0), (0, 0, 2), (1, 0)])
+    def test_pam_key_out_of_range(self, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            PamSeesawTask(witness={(1, 1, 1): 1.0, key: 1.0})
+
+    def test_fixed_states_count_matches_preparations(self):
+        with pytest.raises(ValueError, match="fixed_states"):
+            PamSeesawTask(witness={(0, 0, 0): 1.0}, n_preparations=4, n_meas=1, fixed_states=[np.eye(2) / 2] * 2)
+
+    def test_keys_in_range_accepted(self):
+        BellSeesawTask(bell={(1, 1, 2, 0): 1.0}, dims=(2, 3), n_settings=(3, 1))
+        PamSeesawTask(witness={(1, 3, 1): 1.0}, n_preparations=4, n_meas=2)

@@ -7,12 +7,14 @@ the Schur matrix are checked against the textbook formulas they replace.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qsdp.ipm as ipm
 import qsdp.problem as problem_mod
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, frobenius_inner, solve
 from qsdp.ipm import Iterate, _DirectionContext, split_free
 from qsdp.npa import Scenario, chsh_functional, solve_bell
+from qsdp.quantum import channel_feasibility, dps_test, werner_state
 
 STRUCTURES = [
     BlockStructure((3,)),
@@ -101,11 +103,9 @@ def test_schur_matches_dense_reference(st, direction, density):
     assert rel_err(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("direction", ["hkm", "nt"])
-def test_schur_matches_dense_reference_over_several_chunks(direction):
-    # one 64 x 64 block and 400 constraints touching 1, 2, 3 or 5 of its rows,
-    # so every support size fills more than one chunk of the Schur plan
-    rng = np.random.default_rng(5)
+def several_chunk_problem(rng):
+    """One 64 x 64 block and 400 constraints touching 1, 2, 3 or 5 of its rows,
+    so every support size fills more than one chunk of the Schur plan."""
     n, st = 64, BlockStructure((64,), nonneg_dim=2)
     rows = []
     for s in np.repeat([1, 2, 3, 5], 100):
@@ -114,7 +114,13 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
         blk[np.ix_(sup, sup)] = rng.normal(size=(s, s))
         blk[sup, sup] += 1.0  # every support row holds a nonzero
         rows.append(SymBlockMat(st, [blk + blk.T], rng.normal(size=2) * (rng.random(2) < 0.3)))
-    p = ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows)))
+    return ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows)))
+
+
+@pytest.mark.parametrize("direction", ["hkm", "nt"])
+def test_schur_matches_dense_reference_over_several_chunks(direction):
+    rng = np.random.default_rng(5)
+    p = several_chunk_problem(rng)
     chunks = ipm._SchurPlan(p).blocks[0][1]
     assert sorted({sup.shape[1] for _, sup, _ in chunks}) == [1, 2, 3, 5]
     assert len(chunks) > 4
@@ -206,3 +212,88 @@ def test_one_schur_per_iteration_and_one_residual_per_iterate(monkeypatch, free_
     # the cold start and every step's iterate; free variables add one pass in
     # the original problem's variables per iterate
     assert len(res) == (its + 1) * (2 if free_dim else 1)
+
+
+def reference_support_chunks(a_k, n):
+    """_support_chunks with the supports found by np.unique and searchsorted,
+    which needs no sorted indices."""
+    m = a_k.shape[0]
+    j = np.repeat(np.arange(m, dtype=np.int64), np.diff(a_k.indptr))
+    rows, cols = np.divmod(a_k.indices, n)
+    keys = np.unique(j * n + rows)
+    size = np.bincount(keys // n, minlength=m)
+    start = np.cumsum(size) - size
+    at_row = np.searchsorted(keys, j * n + rows) - start[j]
+    at_col = np.searchsorted(keys, j * n + cols) - start[j]
+    g_max = max(1, ipm._SCHUR_CHUNK_FLOATS // (n * n))
+    chunks = []
+    for s in np.unique(size[size > 0]):
+        js = np.flatnonzero(size == s)
+        sup = keys[start[js, None] + np.arange(s)] % n
+        a_sub = np.zeros((js.size, s, s))
+        hit = size[j] == s
+        a_sub[np.searchsorted(js, j[hit]), at_row[hit], at_col[hit]] = a_k.data[hit]
+        for lo in range(0, js.size, g_max):
+            chunks.append((js[lo : lo + g_max], sup[lo : lo + g_max], a_sub[lo : lo + g_max]))
+    return chunks
+
+
+class _Compiled(Exception):
+    """Carries the problem handed to the IPM, so a test compiles without solving."""
+
+
+def compiled_problem(monkeypatch, build):
+    def stop(p, cfg, iterate_hook):
+        raise _Compiled(p)
+
+    monkeypatch.setattr(ipm, "_solve", stop)
+    with pytest.raises(_Compiled) as caught:
+        build()
+    return caught.value.args[0]
+
+
+CHUNK_PROBLEMS = {
+    "dps-k3": lambda: dps_test(werner_state(0.25), (2, 2), k=3),
+    "channel": lambda: channel_feasibility(
+        4, 4, ppt_preserving_dims=(2, 2, 2, 2), nonsignaling_b_to_a_dims=(2, 2, 2, 2)
+    ),
+    # any functional gives I3322's constraints: the objective is not in A
+    "i3322-l3": lambda: solve_bell(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 3, chsh_functional()),
+}
+
+
+def block_slices(q):
+    offsets = q.structure.flat_offsets()
+    for k, n in enumerate(q.structure.sdp_blocks):
+        yield q.a[:, offsets[k] : offsets[k + 1]], n
+
+
+def assert_same_chunks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", [*CHUNK_PROBLEMS, "random", "several-chunks"])
+def test_support_chunks_match_the_unique_construction(monkeypatch, name):
+    if name in CHUNK_PROBLEMS:
+        problems = [compiled_problem(monkeypatch, CHUNK_PROBLEMS[name])]
+    elif name == "random":
+        rng = np.random.default_rng(13)
+        problems = [random_problem(rng, st, density=density) for st in STRUCTURES for density in (0.1, 0.5)]
+    else:
+        problems = [several_chunk_problem(np.random.default_rng(5))]
+    seen = unsorted = 0
+    for p in problems:
+        for a_k, n in block_slices(split_free(p)):
+            seen += a_k.nnz > 0
+            want = reference_support_chunks(a_k, n)
+            assert_same_chunks(ipm._support_chunks(a_k, n), want)
+            # the same matrix with each row's entries reversed, so unsorted
+            row = np.repeat(np.arange(a_k.shape[0]), np.diff(a_k.indptr))
+            rev = a_k.indptr[row] + a_k.indptr[row + 1] - 1 - np.arange(a_k.nnz)
+            shuffled = sp.csr_array((a_k.data[rev], a_k.indices[rev], a_k.indptr), shape=a_k.shape)
+            unsorted += not shuffled.has_sorted_indices
+            assert_same_chunks(ipm._support_chunks(shuffled, n), want)
+    assert seen > 0 and unsorted > 0
