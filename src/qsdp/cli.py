@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on solver success, 64 for usage/input errors, and otherwise a
-code mirroring the termination status: 11 primal-infeasibility suspicion,
-12 dual-infeasibility suspicion, 21 lack of progress, 23 numerical failure,
-26 iteration limit.
+code mirroring the termination status: 21 lack of progress, 23 numerical
+failure, 26 iteration limit.  11 / 12 (primal / dual infeasible) are
+reserved for a checked infeasibility certificate and are not produced.
 """
 
 from __future__ import annotations

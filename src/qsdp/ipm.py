@@ -25,12 +25,9 @@ from .problem import (
     ConeProblem,
     Solution,
     STATUS_SUCCESS,
-    STATUS_PRIMAL_INFEASIBLE,
-    STATUS_DUAL_INFEASIBLE,
     STATUS_LACK_OF_PROGRESS,
     STATUS_NUMERICAL_FAILURE,
     STATUS_ITERATION_LIMIT,
-    _is_dense,
     require_independent,
 )
 
@@ -251,28 +248,21 @@ def _support_chunks(a_k: sp.csr_array, n: int) -> list:
 class _SchurPlan:
     """The sparsity of A that the Schur assembly reads, derived once per solve.
 
-    ``blocks[k]`` is (A_k, chunks) for SDP block k.  For a sparse block A_k
-    is A's CSR column slice over the block, and each chunk (js, sup, a_sub)
-    holds constraints js that touch the same number s of the block's rows,
-    their support rows sup (g x s) and their dense A_j[sup, sup] (g x s x s).
-    A dense block (see problem._is_dense; its indices are in ``dense``) has
-    chunks None and A_k as a C-ordered m x n^2 array.  A chunk holds at most
-    _SCHUR_CHUNK_FLOATS / n^2 constraints.  ``a_nn`` is A's column slice over
-    the nonnegative entries.
+    ``blocks[k]`` is (A_k, chunks) for SDP block k: A_k is A's CSR column
+    slice over the block, and each chunk (js, sup, a_sub) holds constraints
+    js that touch the same number s of the block's rows, their support rows
+    sup (g x s) and their dense A_j[sup, sup] (g x s x s).  A chunk holds at
+    most _SCHUR_CHUNK_FLOATS / n^2 constraints.  ``a_nn`` is A's column slice
+    over the nonnegative entries.
     """
 
     def __init__(self, p: ConeProblem):
         st = p.structure
         offsets = st.flat_offsets()
         self.blocks = []
-        self.dense = []
         for k, n in enumerate(st.sdp_blocks):
             a_k = p.a[:, offsets[k] : offsets[k + 1]]
-            if _is_dense(a_k):
-                self.dense.append(k)
-                self.blocks.append((a_k.toarray(), None))
-            else:
-                self.blocks.append((a_k, _support_chunks(a_k, n)))
+            self.blocks.append((a_k, _support_chunks(a_k, n)))
         self.a_nn = p.a[:, offsets[-3] : offsets[-2]]
 
 
@@ -313,22 +303,13 @@ class _DirectionContext:
         For a chunk's constraints js in SDP block k, one batched product
         builds every K(A_j) = L[:, sup] A_j[sup, sup] R[sup, :], with
         (L, R) = (X_k, Z_k^-1) for HKM or (W_k, W_k) for NT, and A_k applied
-        to them adds rows js of B.  A dense block builds K(A_j) = L A_j R
-        for a run of constraints at a time and adds their rows with one
-        matrix product.  The nonnegative entries add A_nn diag(x / z) A_nn^T
-        (both scalings coincide there).
+        to them adds rows js of B.  The nonnegative entries add
+        A_nn diag(x / z) A_nn^T (both scalings coincide there).
         """
         m = self.p.num_constraints
         b = np.zeros((m, m))
         for k, (a_k, chunks) in enumerate(self.plan.blocks):
             lft, rgt = (it.x.blocks[k], self.zinv[k]) if self.direction == "hkm" else (self.w_nt[k],) * 2
-            if chunks is None:
-                n = lft.shape[0]
-                g = max(1, _SCHUR_CHUNK_FLOATS // (n * n))
-                for lo in range(0, m, g):
-                    u = lft @ a_k[lo : lo + g].reshape(-1, n, n) @ rgt
-                    b[lo : lo + g] += u.reshape(u.shape[0], -1) @ a_k.T
-                continue
             for js, sup, a_sub in chunks:
                 u = (lft[:, sup].transpose(1, 0, 2) @ a_sub @ rgt[sup]).reshape(js.size, -1)
                 b[js] += (a_k @ u.T).T
@@ -517,13 +498,12 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
     """Run the predictor-corrector IPM; returns (Solution, IterationLog).
 
     Termination statuses follow the usual convention: 0 success, -6 iteration
-    limit, -1 lack of progress, -3 numerical failure, and the heuristic codes
-    1 / 2 for suspected primal / dual infeasibility (diverging iterates with
-    shrinking residuals; these two are advisory only).  The solve runs with
-    scipy's OpenBLAS pool at one thread (see _ScipyPoolCap), and
-    ``stats["blas_threads"]`` gives the size of each bundled OpenBLAS pool
-    during it.  ``stats["schur"]`` gives the Schur matrix's order m and the
-    SDP blocks whose rows it built with the dense kernel (``dense_blocks``).
+    limit, -1 lack of progress, -3 numerical failure.  The codes 1 / 2
+    (primal / dual infeasible) are reserved for a checked infeasibility
+    certificate and are not produced.  The solve runs with scipy's OpenBLAS
+    pool at one thread (see _ScipyPoolCap), and ``stats["blas_threads"]``
+    gives the size of each bundled OpenBLAS pool during it.
+    ``stats["schur"]`` gives the Schur matrix's order m.
     """
     with _scipy_pool_cap() as blas_threads:
         sol, log = _solve(p, cfg or SolverConfig(), iterate_hook)
@@ -554,7 +534,6 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
         return res, (it0, pi, di)
 
     it = cold_start(q)
-    x_scale0 = it.x.trace()
     res, (it0, pinf, dinf) = measure(it)
     failure = None
     for k in range(1, cfg.max_iterations + 1):
@@ -571,14 +550,6 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
             if prev > 0 and (prev - merit) / prev < 1e-2:
                 status = STATUS_LACK_OF_PROGRESS
                 break
-
-        # heuristic infeasibility detectors (advisory)
-        if it.x.trace() > 1e9 * max(1.0, x_scale0) and pinf_i < 1e-6:
-            status = STATUS_DUAL_INFEASIBLE
-            break
-        if it.y.size and np.max(np.abs(it.y)) > 1e9 * (1.0 + np.max(np.abs(q.rhs))) and dinf_i < 1e-6:
-            status = STATUS_PRIMAL_INFEASIBLE
-            break
 
         try:
             ctx = _DirectionContext(q, it, cfg.direction, plan)
@@ -635,7 +606,7 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
         "dual_residual": dinf,
         "time": time.perf_counter() - t0,
         "direction": cfg.direction,
-        "schur": {"m": q.num_constraints, "dense_blocks": plan.dense},
+        "schur": {"m": q.num_constraints},
     }
     if failure:
         stats["failure"] = failure

@@ -661,7 +661,7 @@ class CompiledModel:
 
         sol, log = ipm_solve(self.problem, cfg)
         return ModelResult(
-            value=self.objective_value(sol) if sol.y_dual is not None else float("nan"),
+            value=self.objective_value(sol),
             values=self.recover(sol),
             solution=sol,
             log=log,

@@ -20,19 +20,6 @@ import scipy.sparse as sp
 # frobenius_inner stays importable from here: bench/tracer.py counts calls through this name
 from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, frobenius_inner  # noqa: F401
 
-# A CSR matrix that stores at least this share of its entries takes the dense
-# kernels (the Schur rows of an SDP block, the validation Gram matrix).  A
-# dense copy then needs at most 4/3 of the CSR's bytes (8 per entry against
-# 12 per stored one).  The dense Schur build wins on random rows from a fill
-# of about 0.05, and is ten times slower at 0.001.
-_DENSE_FILL = 0.5
-
-
-def _is_dense(a: sp.csr_array) -> bool:
-    """True when the nonempty matrix ``a`` stores at least _DENSE_FILL of its entries."""
-    rows, cols = a.shape
-    return rows * cols > 0 and a.nnz >= _DENSE_FILL * rows * cols
-
 
 def _stack_rows(structure: BlockStructure, constraints) -> sp.csr_array:
     """Row i holds constraint i's nonzeros in flat coordinates."""
@@ -159,17 +146,11 @@ def validate_problem(p: ConeProblem, spread_limit: float = 1e8) -> ValidationRep
     independent rows is at most 1e-12 * max(|A_i|_F, 1).  Rows with a zero
     Gram entry (such as rows that share no coordinate) are orthogonal, so the
     test runs on each connected component of the sparse Gram matrix A A'; a
-    row alone there is dependent only when it is zero.  A dense A (see
-    _is_dense) forms A A' as a dense product.
+    row alone there is dependent only when it is zero.
     """
     a = p.a
     m = p.num_constraints
-    if _is_dense(a):
-        dense = a.toarray()
-        gram = sp.csr_array(dense @ dense.T)
-        del dense  # the QR below densifies its own rows: two copies raise peak memory
-    else:
-        gram = a @ a.T
+    gram = a @ a.T
     norms = np.sqrt(gram.diagonal())
     tol = 1e-12 * np.maximum(norms, 1.0)
     labels = _components(gram)
@@ -210,8 +191,8 @@ def require_independent(p: ConeProblem):
 
 # termination codes, following the usual solver convention
 STATUS_SUCCESS = 0
-STATUS_PRIMAL_INFEASIBLE = 1  # heuristic suspicion
-STATUS_DUAL_INFEASIBLE = 2  # heuristic suspicion
+STATUS_PRIMAL_INFEASIBLE = 1  # reserved for a checked certificate; not produced
+STATUS_DUAL_INFEASIBLE = 2  # reserved for a checked certificate; not produced
 STATUS_LACK_OF_PROGRESS = -1
 STATUS_NUMERICAL_FAILURE = -3
 STATUS_ITERATION_LIMIT = -6

@@ -49,6 +49,6 @@ def dps_reference(rho, dims, k):
 @pytest.fixture(scope="session")
 def dps_k3():
     """The reference DPS k = 3 solve (ModelResult): SVD elimination of its
-    permutation equalities leaves the constraint rows ~94 % full, so every
-    block takes the dense kernels."""
+    permutation equalities leaves the constraint rows ~94 % full, which
+    exercises the Schur build and validation on full rows."""
     return dps_reference(werner_state(0.25), (2, 2), 3)

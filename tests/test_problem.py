@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import qsdp.problem as problem_mod
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, validate_problem
 from qsdp.problem import require_independent
 
@@ -140,19 +139,17 @@ def planted_dense_problem():
 
 
 @pytest.mark.parametrize("build", ["planted", "dps"])
-def test_dense_gram_report_matches_sparse(monkeypatch, request, build):
+def test_full_rows_validate_through_the_sparse_gram(request, build):
     p = planted_dense_problem() if build == "planted" else request.getfixturevalue("dps_k3").compiled.problem
-    assert problem_mod._is_dense(p.a)
-    dense = validate_problem(p)
-    monkeypatch.setattr(problem_mod, "_DENSE_FILL", 1.5)
-    assert not problem_mod._is_dense(p.a)
-    assert validate_problem(p) == dense
+    assert p.a.nnz > 0.5 * p.a.shape[0] * p.a.shape[1]
+    rep = validate_problem(p)
+    assert rep.rank == np.linalg.matrix_rank(p.a.toarray())
     if build == "planted":
-        assert dense.dependent_indices == [5, 7]
-        assert dense.duplicate_pairs == [(2, 7)]
-        assert dense.rank == 6
+        assert rep.dependent_indices == [5, 7]
+        assert rep.duplicate_pairs == [(2, 7)]
+        assert rep.rank == 6
     else:
-        assert dense.independent
+        assert rep.independent
 
 
 class TestSparseInput:

@@ -10,7 +10,6 @@ import pytest
 import scipy.sparse as sp
 
 import qsdp.ipm as ipm
-import qsdp.problem as problem_mod
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, frobenius_inner, solve
 from qsdp.ipm import Iterate, _DirectionContext, split_free
 from qsdp.npa import Scenario, chsh_functional, solve_bell
@@ -89,16 +88,24 @@ def test_apply_and_adjoint_match_dense_rows(st):
         assert rel_err(p.adjoint(y).flat(), want_adjoint.flat()) <= 1e-12
 
 
-@pytest.mark.parametrize("density", [0.1, 0.9])
-@pytest.mark.parametrize("direction", ["hkm", "nt"])
-@pytest.mark.parametrize("st", STRUCTURES, ids=str)
-def test_schur_matches_dense_reference(st, direction, density):
-    # after symmetrizing, the rows fill about 0.2 (sparse kernel) or all
-    # (dense kernel) of each SDP block
-    rng = np.random.default_rng(11)
-    q = split_free(random_problem(rng, st, density=density))
-    blocks = list(range(len(st.sdp_blocks)))
-    assert ipm._SchurPlan(q).dense == (blocks if density > 0.5 else [])
+SCHUR_CASES = [
+    pytest.param(st, direction, density, id=f"{st}-{direction}-{density}")
+    for st in STRUCTURES
+    for direction in ("hkm", "nt")
+    for density in (0.1, 0.9)
+] + [pytest.param("dps-k3", direction, None, id=f"dps-k3-{direction}") for direction in ("hkm", "nt")]
+
+
+@pytest.mark.parametrize("source, direction, density", SCHUR_CASES)
+def test_schur_matches_dense_reference(request, source, direction, density):
+    # after symmetrizing, the random rows fill about 0.2 or all of each SDP
+    # block; the reference DPS model's rows are ~94 % full
+    if source == "dps-k3":
+        rng = np.random.default_rng(2)
+        q = request.getfixturevalue("dps_k3").compiled.problem
+    else:
+        rng = np.random.default_rng(11)
+        q = split_free(random_problem(rng, source, density=density))
     want, got = dense_schur(q, interior_iterate(rng, q), direction)
     assert rel_err(got, want) <= 1e-12
 
@@ -128,45 +135,10 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
     assert rel_err(got, want) <= 1e-12
 
 
-def sparse_kernel(monkeypatch):
-    monkeypatch.setattr(problem_mod, "_DENSE_FILL", 1.5)
-
-
-def test_dps_blocks_take_the_dense_kernel(dps_k3):
-    p = dps_k3.compiled.problem
-    offsets = p.structure.flat_offsets()
-    for k in range(len(p.structure.sdp_blocks)):
-        a_k = p.a[:, offsets[k] : offsets[k + 1]]
-        assert a_k.nnz / (a_k.shape[0] * a_k.shape[1]) > problem_mod._DENSE_FILL
-    assert ipm._SchurPlan(p).dense == [0, 1, 2, 3]
-
-
-@pytest.mark.parametrize("direction", ["hkm", "nt"])
-def test_dense_schur_kernel_on_dps(monkeypatch, dps_k3, direction):
-    p = dps_k3.compiled.problem
-    it = interior_iterate(np.random.default_rng(2), p)
-    want, dense_b = dense_schur(p, it, direction)
-    sparse_kernel(monkeypatch)
-    assert ipm._SchurPlan(p).dense == []
-    _, sparse_b = dense_schur(p, it, direction)
-    assert rel_err(dense_b, want) <= 1e-12
-    assert rel_err(dense_b, sparse_b) <= 1e-12
-
-
-def test_dps_solve_agrees_on_both_kernels(monkeypatch, dps_k3):
-    sparse_kernel(monkeypatch)
-    sparse_sol, _ = solve(dps_k3.compiled.problem)
-    assert dps_k3.solution.success and sparse_sol.success
-    assert sparse_sol.stats["schur"]["dense_blocks"] == []
-    assert dps_k3.solution.stats["iterations"] == sparse_sol.stats["iterations"]
-    assert dps_k3.solution.dual_value == pytest.approx(sparse_sol.dual_value, abs=1e-9)
-    assert dps_k3.solution.primal_value == pytest.approx(sparse_sol.primal_value, abs=1e-9)
-
-
-def test_schur_stats_name_the_dense_blocks(dps_k3):
-    assert dps_k3.solution.stats["schur"] == {"m": 65, "dense_blocks": [0, 1, 2, 3]}
+def test_schur_stats_give_the_order(dps_k3):
+    assert dps_k3.solution.stats["schur"] == {"m": 65}
     chsh = solve_bell(Scenario.chsh(), 1, chsh_functional()).model_result
-    assert chsh.solution.stats["schur"] == {"m": chsh.compiled.problem.num_constraints, "dense_blocks": []}
+    assert chsh.solution.stats["schur"] == {"m": chsh.compiled.problem.num_constraints}
 
 
 def test_split_free_rows_extend_the_nonnegative_part():
