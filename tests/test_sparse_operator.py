@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import qsdp.ipm as ipm
-from qsdp import BlockStructure, ConeProblem, SymBlockMat, frobenius_inner, solve
+from qsdp import BlockStructure, ConeProblem, SolverConfig, SymBlockMat, frobenius_inner, solve
 from qsdp.ipm import Iterate, _DirectionContext, split_free
 from qsdp.npa import Scenario, chsh_functional, solve_bell
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
@@ -133,6 +133,30 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
     assert len(chunks) > 4
     want, got = dense_schur(p, interior_iterate(rng, p), direction)
     assert rel_err(got, want) <= 1e-12
+
+
+def test_support_plan_rebuilds_the_full_dps_rows(dps_k3):
+    # every block of the reference DPS model, ~94 % full, goes through the
+    # support plan: its chunks must hold each constraint once and rebuild it
+    p = dps_k3.compiled.problem
+    for k, (_, chunks) in enumerate(ipm._SchurPlan(p).blocks):
+        n = p.structure.sdp_blocks[k]
+        want = np.array([r.blocks[k] for r in p.constraints])
+        touched = np.concatenate([js for js, _, _ in chunks])
+        assert np.array_equal(np.sort(touched), np.flatnonzero(np.any(want != 0, axis=(1, 2))))
+        got = np.zeros((p.num_constraints, n, n))
+        for js, sup, a_sub in chunks:
+            got[js[:, None, None], sup[:, :, None], sup[:, None, :]] = a_sub
+        assert np.array_equal(got, want)
+
+
+def test_dps_solve_agrees_on_both_directions(dps_k3):
+    hkm = dps_k3.solution
+    nt, _ = solve(dps_k3.compiled.problem, SolverConfig(direction="nt"))
+    assert hkm.stats["direction"] == "hkm" and nt.stats["direction"] == "nt"
+    assert hkm.success and nt.success
+    assert nt.dual_value == pytest.approx(hkm.dual_value, abs=1e-8)
+    assert nt.primal_value == pytest.approx(hkm.primal_value, abs=1e-8)
 
 
 def test_schur_stats_give_the_order(dps_k3):
