@@ -3,15 +3,26 @@
 The (3,3) binary scenario at level 4 has a 244 x 244 moment matrix with 4492
 distinct moments.  Its upper bound on I3322 (Collins-Gisin form, written
 through joint probabilities) is 0.2508753748 (Pal & Vertesi, PRA 82, 022116,
-2010), a little below level 3 (0.25087556).  The script exits non-zero when
-the solve does not succeed, when a DIMACS error exceeds 1e-6, when the value
-is off by more than 1e-7, or when the peak resident memory of the process
-exceeds 1 GiB.
+2010), a little below level 3 (0.25087556).
+
+`solve_bell` builds the SDP in the +-1 observable basis and ties each moment
+to its orbit under the relabellings that fix the functional.  Here they form
+a group of order 8: every element but the identity flips outcomes, most
+also permute settings, and half swap the parties.  That leaves 593 unknowns
+in place of 4491.  The moment matrix it reports is the projector-basis one,
+lifted from the tied solution.
+
+The script exits non-zero when the solve does not succeed, when a DIMACS
+error exceeds 1e-6, when the value is off by more than 1e-7, when the
+lifted moment matrix has an eigenvalue below -1e-8, or when the peak
+resident memory of the process exceeds 1 GiB.
 """
 
 import resource
 import sys
 import time
+
+import numpy as np
 
 from qsdp import Scenario, build_moment_model, solve_bell
 from qsdp.report import dimacs_errors
@@ -43,11 +54,15 @@ res = solve_bell(scenario, 4, i3322())
 wall = time.perf_counter() - start
 sol = res.model_result.solution
 dimacs = dimacs_errors(res.model_result.compiled.problem, sol)
+sym = sol.stats["symmetry"]
+min_eig = float(np.linalg.eigvalsh(res.gamma)[0])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # ru_maxrss is in KiB on Linux
 
 print(f"value       {res.value:.10f}   (reference {REFERENCE}, level 3 {LEVEL3})")
 print(f"status      {sol.status} ({sol.status_label}), {sol.stats.get('iterations')} IPM iterations")
 print(f"DIMACS      " + "  ".join(f"{e:.1e}" for e in dimacs))
+print(f"symmetry    group of order {sym['order']}: {sym['classes']} moments -> {sym['orbits']} orbits, {sym['pinned']} pinned to 0")
+print(f"min eig     {min_eig:.1e}   (lifted projector-basis moment matrix)")
 print(f"wall time   {wall:.1f} s")
 print(f"peak RSS    {peak / 2**20:.0f} MiB")
 
@@ -58,6 +73,8 @@ if max(abs(e) for e in dimacs) > 1e-6:
     failures.append("a DIMACS error exceeds 1e-6")
 if abs(res.value - REFERENCE) > 1e-7:
     failures.append(f"value {res.value:.10f} is more than 1e-7 from {REFERENCE}")
+if min_eig < -1e-8:
+    failures.append(f"the moment matrix has eigenvalue {min_eig:.1e} below -1e-8")
 if peak > GIB:
     failures.append(f"peak RSS {peak / 2**20:.0f} MiB exceeds 1 GiB")
 if failures:

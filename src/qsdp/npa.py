@@ -1,10 +1,19 @@
 """Moment-matrix hierarchies for quantum correlations.
 
-Words are ordered tuples of projector symbols (party, setting, outcome),
-reduced modulo commutation between parties, idempotency, and orthogonality
-of outcomes of one setting.  Binary-outcome settings keep a single
-independent projector (the normalization sum removes the last outcome),
-which is what reproduces the published moment-matrix sizes.
+Words are ordered tuples of symbols (party, setting, outcome), reduced
+modulo commutation between parties, idempotency, and orthogonality of
+outcomes of one setting.  Binary-outcome settings keep a single
+independent symbol (the normalization sum removes the last outcome),
+which is what reproduces the published moment-matrix sizes.  In the
+projector basis that symbol is the outcome-0 projector P; in the
+observable basis it is the +-1 observable A = 2P - 1, which squares to the
+identity.  Settings with three or more outcomes keep their projectors in
+both bases.
+
+``solve_bell`` works in the observable basis.  There, setting permutations,
+the party swap and outcome flips act on the words as signed permutations,
+so each moment is tied to its orbit under the relabellings that fix the
+problem, and a moment that one of them maps to minus itself is 0.
 
 On top of the plain hierarchy this module implements the dimension
 constraint that pins every preparation-success probability to 1/d, and the
@@ -14,8 +23,9 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+import math
+from dataclasses import dataclass, field
+from itertools import permutations, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +69,12 @@ class Scenario:
                 out.append((party, x, a))
         return out
 
+    def observables(self) -> frozenset:
+        """The symbols of the binary settings: the +-1 observables of the observable basis."""
+        return frozenset(
+            (p, x, 0) for p in range(self.parties) for x, o in enumerate(self.outcomes[p]) if o == 2
+        )
+
     @classmethod
     def chsh(cls) -> "Scenario":
         return cls((2, 2), ((2, 2), (2, 2)), labels=("Alice", "Bob"))
@@ -78,33 +94,31 @@ class Scenario:
 # word algebra
 
 
-def _reduce_block(block: list[Symbol]):
-    """Idempotency/orthogonality fixpoint within one party's subsequence."""
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for s in block:
-            if out:
-                prev = s_prev = out[-1]
-                if s == prev:
-                    changed = True
-                    continue
-                if s[1] == prev[1]:  # same setting, different outcome
-                    return None
-            out.append(s)
-        block = out
-    return block
+def _reduce_block(block: list[Symbol], observables=frozenset()):
+    """One party's subsequence reduced: equal neighbours merge (a projector
+    is idempotent) or cancel (a symbol in ``observables`` squares to the
+    identity), and two outcomes of one setting annihilate (None)."""
+    out = []
+    for s in block:
+        if out and s[1] == out[-1][1]:
+            if s != out[-1]:
+                return None
+            if s in observables:
+                out.pop()
+            continue
+        out.append(s)
+    return out
 
 
-def reduce_word(w) -> Word | str:
-    """Canonical form of a projector word, or ZERO when it annihilates."""
+def reduce_word(w, observables=frozenset()) -> Word | str:
+    """Canonical form of a word, or ZERO when it annihilates.  Symbols in
+    ``observables`` square to the identity; the others are projectors."""
     if w == ZERO:
         return ZERO
     parties = sorted({s[0] for s in w})
     blocks = []
     for p in parties:
-        blk = _reduce_block([s for s in w if s[0] == p])
+        blk = _reduce_block([s for s in w if s[0] == p], observables)
         if blk is None:
             return ZERO
         blocks.extend(blk)
@@ -118,7 +132,8 @@ def canonical_order(w: Word) -> Word:
 
 
 def word_adjoint(w: Word) -> Word | str:
-    """Adjoint (reversal) of a projector word, in canonical form."""
+    """Adjoint (reversal) of a projector word, in canonical form.  The
+    reversal of a reduced word is reduced in the observable basis too."""
     if w == ZERO:
         return ZERO
     return reduce_word(tuple(reversed(w)))
@@ -180,6 +195,38 @@ def generate_words(scenario: Scenario, level) -> list[Word]:
 
 
 @dataclass
+class _Factors:
+    """Words split into one factor per party.
+
+    ``blocks[p]`` lists the reduced one-party words of party p that occur:
+    the factors of the index words, then their products u^dagger v (and
+    ``index[p]`` numbers them).  A product word is coded by the numbers of
+    its factors in radix ``radix``, party 0 lowest; ``adjoint[p]`` numbers
+    the reversal of each block.  Class c's word, or its adjoint, has code
+    ``class_codes[c]``.
+    """
+
+    blocks: list[list[Word]]
+    index: list[dict]
+    adjoint: list[np.ndarray]
+    radix: int
+    word_factors: np.ndarray  # (words, parties) factor numbers
+    class_codes: np.ndarray
+
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """(parties, ...) block numbers of each code."""
+        scale = self.radix ** np.arange(len(self.blocks))
+        return (codes[None] // scale.reshape(-1, *[1] * codes.ndim)) % self.radix
+
+    def canonical(self, digits: np.ndarray) -> np.ndarray:
+        """The smaller of the codes of each word and of its adjoint."""
+        scale = self.radix ** np.arange(len(self.blocks))
+        code = np.tensordot(scale, digits, axes=1)
+        adj = np.tensordot(scale, np.array([a[d] for a, d in zip(self.adjoint, digits)]), axes=1)
+        return np.minimum(code, adj)
+
+
+@dataclass
 class MomentModel:
     scenario: Scenario
     level: object
@@ -188,6 +235,10 @@ class MomentModel:
     class_of_cell: dict  # (i, j) with i <= j -> class index
     zero_cells: list[tuple[int, int]]
     norm_class: int  # class of the identity cell, pinned to 1
+    observables: frozenset  # symbols that square to the identity
+    cells: np.ndarray = field(repr=False)  # (2, K): the cells of class_of_cell, in its order
+    cell_classes: np.ndarray = field(repr=False)  # (K,): their classes
+    factors: _Factors = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -205,71 +256,45 @@ class MomentModel:
         return self.class_of_cell[(min(i, j), max(i, j))]
 
     # -- probability bookkeeping -----------------------------------------
-    def _single_index(self, party, x, a):
-        return self.word_index(((party, x, a),))
+    def coordinate_classes(self) -> np.ndarray:
+        """Class of the moment <X_i Y_j> for each pair of local coordinates
+        of a two-party scenario (see ``_local_terms``): a (1 + n_A) x (1 + n_B)
+        array whose entry (0, 0) is the identity's class."""
+        if self.scenario.parties != 2:
+            raise ValueError("joint probabilities require a two-party scenario")
+        wa, wb = (
+            [0] + [self.word_index((s,)) for s in self.scenario.reduced_symbols(p)] for p in range(2)
+        )
+        return np.array([[self.cell_class(i, j) for j in wb] for i in wa], dtype=np.int64)
+
+    def _expr(self, coords: np.ndarray) -> dict:
+        cls = self.coordinate_classes().tolist()
+        expr = {"_const": float(coords[0, 0])}
+        for i, j in zip(*np.nonzero(coords)):
+            if i or j:
+                expr[cls[i][j]] = expr.get(cls[i][j], 0.0) + float(coords[i, j])
+        return expr
 
     def marginal_expr(self, party: int, a: int, x: int) -> dict:
         """P(a|x) for one party as {class: coeff} plus a '_const' entry."""
-        n_out = self.scenario.outcomes[party][x]
-        expr = {"_const": 0.0}
-        if a < n_out - 1:
-            cls = self.cell_class(0, self._single_index(party, x, a))
-            expr[cls] = expr.get(cls, 0.0) + 1.0
-        else:
-            expr["_const"] += 1.0
-            for ap in range(n_out - 1):
-                cls = self.cell_class(0, self._single_index(party, x, ap))
-                expr[cls] = expr.get(cls, 0.0) - 1.0
-        return expr
+        atom = ("ma", a, x) if party == 0 else ("mb", a, x)
+        return self._expr(coordinates(self.scenario, {atom: 1.0}, self.observables))
 
     def joint_expr(self, a: int, b: int, x: int, y: int) -> dict:
         """P(a,b|x,y) for two parties as {class: coeff} plus '_const'."""
-        if self.scenario.parties != 2:
-            raise ValueError("joint probabilities require a two-party scenario")
-        n_a = self.scenario.outcomes[0][x]
-        n_b = self.scenario.outcomes[1][y]
-        expr = {"_const": 0.0}
-
-        def add(d, w=1.0):
-            for k, v in d.items():
-                expr[k] = expr.get(k, 0.0) + w * v
-
-        if a < n_a - 1 and b < n_b - 1:
-            cls = self.cell_class(self._single_index(0, x, a), self._single_index(1, y, b))
-            expr[cls] = expr.get(cls, 0.0) + 1.0
-        elif a == n_a - 1 and b < n_b - 1:
-            add(self.marginal_expr(1, b, y))
-            for ap in range(n_a - 1):
-                add(self.joint_expr(ap, b, x, y), -1.0)
-        elif a < n_a - 1 and b == n_b - 1:
-            add(self.marginal_expr(0, a, x))
-            for bp in range(n_b - 1):
-                add(self.joint_expr(a, bp, x, y), -1.0)
-        else:
-            expr["_const"] += 1.0
-            for ap in range(n_a - 1):
-                add(self.marginal_expr(0, ap, x), -1.0)
-            for bp in range(n_b - 1):
-                add(self.marginal_expr(1, bp, y), -1.0)
-            for ap in range(n_a - 1):
-                for bp in range(n_b - 1):
-                    add(self.joint_expr(ap, bp, x, y))
-        return expr
+        return self._expr(coordinates(self.scenario, {("joint", a, b, x, y): 1.0}, self.observables))
 
     # -- model emission ---------------------------------------------------
     def to_model(self) -> tuple[Model, MatExpr]:
-        """Dual-framed model: one scalar unknown per equality class.  Gamma's
-        coefficient matrix holds a 1 at (class, cell) for both cells of each
-        class entry, built from the index arrays of ``class_of_cell``."""
+        """Dual-framed model: one scalar unknown per equality class, the
+        identity's pinned to 1 by an equality.  Gamma's coefficient matrix
+        holds a 1 at (class, cell) for both cells of each class entry.  This
+        is the untied solve that ``solve_bell``'s tied one is checked
+        against."""
         model = Model()
         var = model.declare(self.num_unknowns, 1, structure="full", name="moments")
-        n = self.size
-        i, j = np.array(list(self.class_of_cell), dtype=np.int64).reshape(-1, 2).T
-        cls = 1 + var.decl.offset + np.fromiter(self.class_of_cell.values(), dtype=np.int64, count=i.size)
-        off = i != j
-        rows, cells = np.concatenate([cls, cls[off]]), np.concatenate([i * n + j, (j * n + i)[off]])
-        coef = sp.csc_array((np.ones(rows.size), (rows, cells)), shape=(1 + model.nparams, n * n))
-        gamma = MatExpr.from_coef((n, n), coef)
+        rows = 1 + var.decl.offset + self.cell_classes
+        gamma = _symmetric_expr(self.size, self.cells, rows, np.ones(rows.size), 1 + model.nparams)
         model.add_lmi(gamma)
         model.add_equality(ScalarExpr({var.decl.offset + self.norm_class: 1.0}), 1.0)
         return model, gamma
@@ -279,27 +304,295 @@ class MomentModel:
         return ScalarExpr(coeffs, expr.get("_const", 0.0))
 
 
-def build_moment_model(scenario: Scenario, level) -> MomentModel:
+def _symmetric_expr(n: int, cells: np.ndarray, rows: np.ndarray, values: np.ndarray, nrows: int) -> MatExpr:
+    """The n x n expression whose coefficient row rows[k] holds values[k] at
+    cell (i, j) = cells[:, k] and at its transpose."""
+    i, j = cells
+    off = i != j
+    coef = sp.csc_array(
+        (np.concatenate([values, values[off]]), (np.concatenate([rows, rows[off]]), np.concatenate([i * n + j, (j * n + i)[off]]))),
+        shape=(nrows, n * n),
+    )
+    return MatExpr.from_coef((n, n), coef)
+
+
+def build_moment_model(scenario: Scenario, level, observables: bool = False) -> MomentModel:
+    """The equality classes of Gamma's cells at one level, in the projector
+    basis, or with ``observables`` in the observable basis.
+
+    Cell (i, j) holds the word w_i^dagger w_j.  Parties commute, so that word
+    is the product over parties of u_p^dagger v_p, with u_p and v_p the
+    party-p factors of w_i and w_j, and each party's products are reduced
+    once per pair of distinct factors rather than once per cell.  A class
+    is the pair {w, w^dagger}, keyed by the smaller word (by length, then
+    symbols) and numbered in the order of its first cell in the row-major
+    scan of the upper triangle.
+    """
     words = generate_words(scenario, level)
-    index = {w: i for i, w in enumerate(words)}
-    class_index: dict[Word, int] = {}
-    class_keys: list[Word] = []
-    class_of_cell = {}
-    zero_cells = []
-    for i, wi in enumerate(words):
-        adj_i = tuple(reversed(wi))
-        for j in range(i, len(words)):
-            w = reduce_word(adj_i + words[j])
-            if w == ZERO:
-                zero_cells.append((i, j))
-                continue
-            key = min(w, word_adjoint(w), key=_word_key)
-            if key not in class_index:
-                class_index[key] = len(class_keys)
-                class_keys.append(key)
-            class_of_cell[(i, j)] = class_index[key]
-    norm_class = class_index[()]
-    return MomentModel(scenario, level, words, class_keys, class_of_cell, zero_cells, norm_class)
+    inv = scenario.observables() if observables else frozenset()
+    n, parties = len(words), scenario.parties
+    index = [{} for _ in range(parties)]
+    word_factors = np.array(
+        [[index[p].setdefault(tuple(s for s in w if s[0] == p), len(index[p])) for p in range(parties)] for w in words],
+        dtype=np.int64,
+    )
+    tables = []
+    for ix in index:
+        own = list(ix)
+        table = np.full((len(own), len(own)), -1, dtype=np.int64)
+        for u, fu in enumerate(own):
+            for v, fv in enumerate(own):
+                r = _reduce_block(fu[::-1] + fv, inv)
+                if r is not None:
+                    table[u, v] = ix.setdefault(tuple(r), len(ix))
+        tables.append(table)
+    blocks = [list(ix) for ix in index]
+    # the reversal of a product u^dagger v is v^dagger u, and of a factor u it is u^dagger ()
+    adjoint = [np.array([ix[b[::-1]] for b in bl], dtype=np.int64) for ix, bl in zip(index, blocks)]
+    radix = max(len(bl) for bl in blocks)
+
+    rows, cols = np.triu_indices(n)
+    digits = np.array([t[word_factors[rows, p], word_factors[cols, p]] for p, t in enumerate(tables)])
+    live = np.all(digits >= 0, axis=0)
+    fac = _Factors(blocks, index, adjoint, radix, word_factors, np.zeros(0, dtype=np.int64))
+    canon = fac.canonical(digits[:, live])
+    uniq, first, inverse = np.unique(canon, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    cell_classes = rank[inverse]
+    fac.class_codes = uniq[order]
+
+    class_keys = []
+    for d in fac.digits(fac.class_codes).T.tolist():
+        w = tuple(s for bl, k in zip(blocks, d) for s in bl[k])
+        class_keys.append(min(w, tuple(s for bl, k in zip(blocks, d) for s in bl[k][::-1]), key=_word_key))
+    cells = np.array([rows[live], cols[live]])
+    class_of_cell = dict(zip(zip(*cells.tolist()), cell_classes.tolist()))
+    zero_cells = list(zip(rows[~live].tolist(), cols[~live].tolist()))
+    return MomentModel(
+        scenario, level, words, class_keys, class_of_cell, zero_cells, int(cell_classes[0]), inv, cells, cell_classes, fac
+    )
+
+
+def _local_terms(scenario: Scenario, party: int, a: int, x: int, observables) -> list[tuple[int, float]]:
+    """P(a|x) of one party as [(local coordinate, coefficient)].  Coordinate
+    0 is the identity and 1 + k the party's k-th reduced symbol: the
+    observable of a binary setting in ``observables`` (P(a|x) = (1 +- A_x)/2),
+    a projector otherwise (the last outcome is 1 minus the others)."""
+    outs = scenario.outcomes[party]
+    if not (0 <= x < len(outs) and 0 <= a < outs[x]):
+        raise ValueError(f"party {party} has no outcome {a} of setting {x}")
+    first = 1 + sum(o - 1 for o in outs[:x])
+    if (party, x, 0) in observables:
+        return [(0, 0.5), (first, 0.5 - a)]
+    if a < outs[x] - 1:
+        return [(first + a, 1.0)]
+    return [(0, 1.0)] + [(first + b, -1.0) for b in range(outs[x] - 1)]
+
+
+def coordinates(scenario: Scenario, atoms: dict, observables=frozenset()) -> np.ndarray:
+    """A linear combination of probabilities as a (1 + n_A) x (1 + n_B) array
+    over pairs of local coordinates (see ``_local_terms``): entry (i, j) is
+    the coefficient of <X_i Y_j>, and (0, 0) the constant.  Each atom maps
+    ("joint", a, b, x, y), ("ma", a, x) or ("mb", b, y) to a coefficient."""
+    if scenario.parties != 2:
+        raise ValueError("joint probabilities require a two-party scenario")
+    out = np.zeros([1 + len(scenario.reduced_symbols(p)) for p in range(2)])
+    ident = [(0, 1.0)]
+    for atom, coeff in atoms.items():
+        kind = atom[0]
+        if kind == "joint":
+            a, b, x, y = atom[1:]
+            left, right = _local_terms(scenario, 0, a, x, observables), _local_terms(scenario, 1, b, y, observables)
+        elif kind == "ma":
+            left, right = _local_terms(scenario, 0, *atom[1:], observables), ident
+        elif kind == "mb":
+            left, right = ident, _local_terms(scenario, 1, *atom[1:], observables)
+        else:
+            raise ValueError(f"unknown constraint atom {atom!r}")
+        for (i, ci), (j, cj) in product(left, right):
+            out[i, j] += coeff * ci * cj
+    return out
+
+
+# ---------------------------------------------------------------------------
+# relabelling symmetry
+
+_SYM_TOL = 1e-12  # relative: a relabelled functional or row equal to within this is fixed
+_MAX_RELABELLINGS = 50_000  # per party; beyond it the search keeps the identity alone
+
+
+@dataclass
+class Relabellings:
+    """Every signed setting permutation of one party.
+
+    Element k sends setting x to ``sigma[k][x]`` (only between settings with
+    the same outcome count) and flips the observable of a binary setting x
+    when ``flip[k][x]`` is -1.  On the party's local coordinates (0 the
+    identity, 1 + k its k-th reduced symbol) it maps coordinate i to
+    ``sign[k, i]`` times coordinate ``perm[k, i]``.  Element 0 is the
+    identity, and the only element when the party has more than
+    _MAX_RELABELLINGS of them (8 binary settings have 8! 2^8).
+    """
+
+    sigma: list[tuple[int, ...]]
+    flip: list[tuple[int, ...]]
+    perm: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def of(cls, scenario: Scenario, party: int) -> "Relabellings":
+        outs = scenario.outcomes[party]
+        syms = scenario.reduced_symbols(party)
+        coord = {s: 1 + k for k, s in enumerate(syms)}
+        binary = [x for x, o in enumerate(outs) if o == 2]
+        count = 2 ** len(binary)
+        for o in set(outs):
+            for k in range(2, outs.count(o) + 1):
+                count *= k
+        sigmas, flips = [], []
+        for sigma in permutations(range(len(outs))):
+            if count > _MAX_RELABELLINGS:
+                sigmas, flips = [sigma], [(1,) * len(outs)]
+                break
+            if all(outs[t] == o for t, o in zip(sigma, outs)):
+                for bits in product((1, -1), repeat=len(binary)):
+                    flip = [1] * len(outs)
+                    for x, b in zip(binary, bits):
+                        flip[x] = b
+                    sigmas.append(sigma)
+                    flips.append(tuple(flip))
+        perm = np.array([[0] + [coord[(party, sg[x], a)] for _, x, a in syms] for sg in sigmas], dtype=np.int64)
+        sign = np.array([[1] + [fl[x] for _, x, _ in syms] for fl in flips], dtype=float)
+        return cls(sigmas, flips, perm, sign)
+
+    def block_map(self, k: int, blocks: list[Word], to_party: int, index: dict):
+        """Numbers (in ``index``) and signs of the images of one party's blocks
+        under element k, moved to party ``to_party``."""
+        sigma, flip = self.sigma[k], self.flip[k]
+        ids = [index[tuple((to_party, sigma[x], a) for _, x, a in b)] for b in blocks]
+        flips = [sum(flip[x] < 0 for _, x, _ in b) for b in blocks]
+        return np.array(ids, dtype=np.int64), 1.0 - 2.0 * (np.array(flips) % 2)
+
+
+def _fixed(target: np.ndarray, coords: np.ndarray, ga: Relabellings, gb: Relabellings, ka, kb, tol: float):
+    """(len(ka), len(kb)) mask: target[perm_A(i), perm_B(j)] equals
+    sign_A(i) sign_B(j) coords[i, j] for every pair of coordinates."""
+    pa, pb = ga.perm[ka], gb.perm[kb]
+    lhs = target[pa[:, None, :, None], pb[None, :, None, :]]
+    rhs = ga.sign[ka][:, None, :, None] * gb.sign[kb][None, :, None, :] * coords
+    return np.all(np.abs(lhs - rhs) <= tol, axis=(2, 3))
+
+
+def stabilizer(scenario: Scenario, functional: np.ndarray, rows=()) -> tuple[list, Relabellings, Relabellings]:
+    """The relabellings that fix a two-party functional and map the set of
+    constraint rows onto itself, each row up to sign.
+
+    The functional and the rows are arrays over pairs of local coordinates
+    (``coordinates``; a row holds its left side minus its right side).  A
+    candidate is (k_A, k_B, swap): signed setting permutations of each party,
+    then the party swap when both parties have the same settings and
+    outcomes.  It is tested on the coordinates, for all candidates at once
+    by broadcasting, first on the marginals, then on the pairs left.
+    Returns the elements found (the identity first) and both parties'
+    relabellings.
+    """
+    ga, gb = Relabellings.of(scenario, 0), Relabellings.of(scenario, 1)
+    f = np.asarray(functional, dtype=float)
+    tol = _SYM_TOL * max(1.0, float(np.abs(f).max()))
+    unit = [r / np.abs(r).max() for r in map(np.asarray, rows) if np.abs(r).max() > 0]
+    swaps = (False, True) if scenario.settings[0] == scenario.settings[1] and scenario.outcomes[0] == scenario.outcomes[1] else (False,)
+    found = []
+    for swap in swaps:
+        target = f.T if swap else f
+        # j = 0 and i = 0 of the pair condition involve one party each
+        ka = np.flatnonzero(np.all(np.abs(target[ga.perm, 0] - ga.sign * f[:, 0]) <= tol, axis=1))
+        kb = np.flatnonzero(np.all(np.abs(target[0, gb.perm] - gb.sign * f[0, :]) <= tol, axis=1))
+        chunk = max(1, 2**18 // max(1, kb.size * f.size))
+        for lo in range(0, ka.size, chunk):
+            ia, ib = np.nonzero(_fixed(target, f, ga, gb, ka[lo : lo + chunk], kb, tol))
+            found += [(int(ka[lo + a]), int(kb[b]), swap) for a, b in zip(ia, ib)]
+    if unit:
+        stack = np.array(unit)
+        kept = []
+        for k_a, k_b, swap in found:
+            targets = stack.transpose(0, 2, 1) if swap else stack
+            # each relabelled row must be +- some row: compare every pair
+            pa, pb = ga.perm[k_a], gb.perm[k_b]
+            lhs = targets[:, pa[:, None], pb[None, :]]
+            rhs = np.outer(ga.sign[k_a], gb.sign[k_b]) * stack
+            diff = np.minimum(np.abs(lhs[None] - rhs[:, None]).max(axis=(2, 3)), np.abs(lhs[None] + rhs[:, None]).max(axis=(2, 3)))
+            if np.all(diff.min(axis=1) <= _SYM_TOL):
+                kept.append((k_a, k_b, swap))
+        found = kept
+    return found, ga, gb
+
+
+def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
+    """Tie each class of a two-party observable-basis moment model to its
+    orbit under ``group`` (from ``stabilizer``).
+
+    Element g maps the word of class c to s_g(c) times the word of class
+    g(c).  A moment vector fixed by the group satisfies y[c] = s_g(c) y[g(c)]
+    for every g, so each class is its orbit representative (the smallest
+    class g(c)) times a sign, and a class with g(c) = c and s_g(c) = -1 is 0.
+    Returns the orbit number of each class (-1 for the identity and for
+    pinned classes), its sign and the number of orbits.
+    """
+    fac = mm.factors
+    digits = fac.digits(fac.class_codes)
+    order = np.argsort(fac.class_codes)
+    sorted_codes = fac.class_codes[order]
+    cache = {}
+
+    def block_map(rel, party, k, to_party):
+        key = (party, k, to_party)
+        if key not in cache:
+            cache[key] = rel.block_map(k, fac.blocks[party], to_party, fac.index[to_party])
+        return cache[key]
+
+    maps = np.empty((len(group), digits.shape[1]), dtype=np.int64)
+    signs = np.empty(maps.shape)
+    for h, (k_a, k_b, swap) in enumerate(group):
+        qa, qb = (1, 0) if swap else (0, 1)
+        (ia, sa), (ib, sb) = block_map(ga, 0, k_a, qa), block_map(gb, 1, k_b, qb)
+        image = np.empty_like(digits)
+        image[qa], image[qb] = ia[digits[0]], ib[digits[1]]
+        maps[h] = order[np.searchsorted(sorted_codes, fac.canonical(image))]
+        signs[h] = sa[digits[0]] * sb[digits[1]]
+    classes = np.arange(maps.shape[1])
+    best = maps.argmin(axis=0)
+    rep, sign = maps[best, classes], signs[best, classes]
+    pinned = np.any((maps == classes) & (signs < 0), axis=0)
+    free = ~pinned & (classes != mm.norm_class)
+    orbit = np.full(classes.size, -1, dtype=np.int64)
+    reps, orbit[free] = np.unique(rep[free], return_inverse=True)
+    return orbit, sign, reps.size
+
+
+def projector_lift(mm: MomentModel) -> np.ndarray:
+    """T with P-word_i = sum_k T[i, k] A-word_k, for the words of an
+    observable-basis model: each binary symbol is P = (1 + A)/2.  Then
+    Gamma_P = T Gamma_A T^T."""
+    inv, fac = mm.observables, mm.factors
+    index = {w: i for i, w in enumerate(mm.words)}
+    expansions = []  # per party, each factor of the words (they come first) as {A-word: coefficient}
+    for p, blocks in enumerate(fac.blocks):
+        exp = []
+        for b in blocks[: fac.word_factors[:, p].max() + 1]:
+            half, terms = 0.5 ** sum(s in inv for s in b), {}
+            for keep in product(*[(True, False) if s in inv else (True,) for s in b]):
+                r = reduce_word(tuple(s for s, k in zip(b, keep) if k), inv)
+                if r != ZERO:
+                    terms[r] = terms.get(r, 0.0) + half
+            exp.append(terms)
+        expansions.append(exp)
+    t = np.zeros((mm.size, mm.size))
+    for i, ids in enumerate(fac.word_factors.tolist()):
+        for parts in product(*[expansions[p][k].items() for p, k in enumerate(ids)]):
+            t[i, index[tuple(s for w, _ in parts for s in w)]] += math.prod(c for _, c in parts)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -324,42 +617,68 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     ``bell`` maps (a, b, x, y) to a real coefficient.  ``extra_constraints``
     is a list of (atoms, rhs) pairs, each atom dict mapping
     ("joint", a, b, x, y) / ("ma", a, x) / ("mb", b, y) to a coefficient.
+
+    The SDP is built in the observable basis.  The relabellings that fix the
+    functional and the set of constraint rows (``stabilizer``) tie the
+    moments to their orbits (``orbit_ties``); by convexity the optimum is
+    attained at a moment vector they fix, so the value is that of the untied
+    problem.  Gamma's constant term is the identity's moment, so a plain
+    Bell problem has no equality row.  ``gamma`` and ``moments`` are read in
+    the projector basis, Gamma_P = T Gamma_A T^T (``projector_lift``), with
+    ``moments[k]`` at the first cell of class k of ``build_moment_model``.
+    ``model_result.solution.stats["symmetry"]`` gives the group order, the
+    number of classes besides the identity, of orbits (the unknowns) and of
+    pinned classes.
     """
-    mm = build_moment_model(scenario, level)
-    model, gamma = mm.to_model()
-    off = model.vars[0].offset
-
-    objective = ScalarExpr()
-    for (a, b, x, y), coeff in bell.items():
-        objective = objective + coeff * mm.prob_scalar(off, mm.joint_expr(a, b, x, y))
-    model.maximize(objective)
-
+    obs = build_moment_model(scenario, level, observables=True)
+    inv = obs.observables
+    functional = coordinates(scenario, {("joint", *key): c for key, c in bell.items()}, inv)
+    rows = []
     for atoms, rhs in extra_constraints:
-        total = ScalarExpr()
-        for atom, coeff in atoms.items():
-            kind = atom[0]
-            if kind == "joint":
-                expr = mm.joint_expr(*atom[1:])
-            elif kind == "ma":
-                expr = mm.marginal_expr(0, atom[1], atom[2])
-            elif kind == "mb":
-                expr = mm.marginal_expr(1, atom[1], atom[2])
-            else:
-                raise ValueError(f"unknown constraint atom {atom!r}")
-            total = total + coeff * mm.prob_scalar(off, expr)
-        model.add_equality(total, rhs)
+        row = coordinates(scenario, atoms, inv)
+        row[0, 0] -= rhs
+        rows.append(row)
+    group, ga, gb = stabilizer(scenario, functional, rows)
+    orbit, sign, n_orbits = orbit_ties(obs, group, ga, gb)
+
+    model = Model()
+    var = model.declare(n_orbits, 1, structure="full", name="orbits")
+    cls = obs.cell_classes
+    at = (orbit[cls] >= 0) | (cls == obs.norm_class)
+    param_rows = np.where(orbit[cls] >= 0, 1 + var.decl.offset + orbit[cls], 0)[at]
+    values = np.where(orbit[cls] >= 0, sign[cls], 1.0)[at]
+    gamma = _symmetric_expr(obs.size, obs.cells[:, at], param_rows, values, 1 + model.nparams)
+    model.add_lmi(gamma)
+
+    coord_cls = obs.coordinate_classes()
+
+    def scalar(coords: np.ndarray) -> ScalarExpr:
+        c, v = coord_cls.ravel(), coords.ravel()
+        tied = orbit[c] >= 0
+        acc = np.bincount(orbit[c][tied], weights=(sign[c] * v)[tied], minlength=n_orbits)
+        return ScalarExpr(
+            {var.decl.offset + k: acc[k] for k in np.flatnonzero(acc).tolist()}, float(v[c == obs.norm_class].sum())
+        )
+
+    model.maximize(scalar(functional))
+    for row in rows:
+        expr = scalar(row)
+        if expr.coeffs or abs(expr.const) > _SYM_TOL * max(1.0, np.abs(row).max()):
+            model.add_equality(expr, 0.0)
 
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
-    moments = np.array([res.values["moments"][k, 0] for k in range(mm.num_unknowns)])
-    return BellResult(value=res.value, gamma=gamma.value(_pad(res, model)), moments=moments, model_result=res)
-
-
-def _pad(res, model) -> np.ndarray:
-    params = np.zeros(model.nparams)
-    off = model.vars[0].offset
-    vals = res.values["moments"]
-    params[off : off + vals.shape[0]] = vals[:, 0]
-    return params
+    res.solution.stats["symmetry"] = {
+        "order": len(group),
+        "classes": obs.num_unknowns - 1,
+        "orbits": n_orbits,
+        "pinned": int(np.sum((orbit < 0) & (np.arange(orbit.size) != obs.norm_class))),
+    }
+    t = projector_lift(obs)
+    gamma_p = t @ gamma.value(res.compiled.params_from(res.solution)).real @ t.T
+    proj = build_moment_model(scenario, level)
+    _, first = np.unique(proj.cell_classes, return_index=True)
+    moments = gamma_p[proj.cells[0, first], proj.cells[1, first]]
+    return BellResult(value=res.value, gamma=gamma_p, moments=moments, model_result=res)
 
 
 def chsh_functional() -> dict:

@@ -44,7 +44,9 @@ def dimacs_errors(p: ConeProblem, sol: Solution) -> list[float]:
 class RunReport:
     """One subcommand's result.  The solver fields (values, gap, residuals,
     iterations, DIMACS errors, direction) are None, JSON null, when no
-    solver certifies the result, as for the see-saw lower bound."""
+    solver certifies the result, as for the see-saw lower bound.
+    ``symmetry`` is the solution's ``stats["symmetry"]`` (the relabelling
+    group that tied the moments of a Bell solve), None elsewhere."""
 
     command: str
     status: int
@@ -64,7 +66,8 @@ class RunReport:
     direction: str | None = None
     seed: int | None = None
     result: dict = field(default_factory=dict)  # subcommand-specific payload
-    version: int = 2
+    symmetry: dict | None = None
+    version: int = 3
 
     @classmethod
     def from_solution(cls, command: str, p: ConeProblem, sol: Solution, seed=None, result=None) -> "RunReport":
@@ -88,6 +91,7 @@ class RunReport:
             direction=sol.stats.get("direction", "hkm"),
             seed=seed,
             result=result or {},
+            symmetry=sol.stats.get("symmetry"),
         )
 
     def to_json(self) -> str:
@@ -123,6 +127,12 @@ class RunReport:
                 f"iterations     : {self.iterations}   direction: {self.direction}",
                 "DIMACS errors  : " + "  ".join(f"{e:.2e}" for e in self.dimacs),
             ]
+        if self.symmetry is not None:
+            sym = self.symmetry
+            lines.append(
+                f"symmetry       : order {sym['order']}, {sym['classes']} moments -> {sym['orbits']} orbits,"
+                f" {sym['pinned']} pinned to 0"
+            )
         lines.append(f"wall time      : {self.wall_time:.3f}s")
         for k, v in self.result.items():
             if isinstance(v, float):

@@ -17,7 +17,10 @@ K_x = Tr_B[(I (x) F_x) rho], one einsum each, and all of her settings
 update together by one batched eigh (K_x depends only on rho and Bob's
 effects, so this is exact).  Bob's settings follow from Alice's new
 effects, then the state from both.  A sweep costs the same number of numpy
-calls however many terms the functional has.
+calls however many terms the functional has.  It returns the new point and
+its value; a Bell sweep's value is the top eigenvalue of the Bell operator
+that its state step has just diagonalized, so nothing is rebuilt to score
+the point.
 
 The method yields lower bounds only; restarting from fresh random points
 improves the chance of hitting the global optimum.
@@ -36,20 +39,33 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+# an eigenvalue with |w| <= _ZERO_EIG * max(1, max |w|) counts as zero
+_ZERO_EIG = 1e-12
+
+
+def _top_eigen(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The top eigenvalue of op and its eigenprojector: the maximum and a
+    maximizer of Tr(op rho) over density matrices.  A stack of ops
+    (..., d, d) gives the stacks."""
+    w, vecs = np.linalg.eigh(op)
+    v = vecs[..., -1:]
+    return w[..., -1], v @ _dagger(v)
+
+
 def _max_density(op: np.ndarray) -> np.ndarray:
     """A density matrix maximizing Tr(op rho): the top eigenprojector of op.
     A stack of ops (..., d, d) gives the stack of maximizers."""
-    _, vecs = np.linalg.eigh(op)
-    v = vecs[..., -1:]
-    return v @ _dagger(v)
+    return _top_eigen(op)[1]
 
 
 def _max_effect(op: np.ndarray) -> np.ndarray:
     """An effect 0 <= M <= I maximizing Tr(op M): the projector onto op's
-    positive eigenspace.  A stack of ops (..., d, d) gives the stack of
-    maximizers."""
+    positive eigenspace.  An eigenvalue that counts as zero (_ZERO_EIG) is
+    left out, so the effect does not follow the sign of rounding noise.  A
+    stack of ops (..., d, d) gives the stack of maximizers."""
     w, vecs = np.linalg.eigh(op)
-    v = vecs * (w > 0)[..., None, :]
+    tol = _ZERO_EIG * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    v = vecs * (w > tol)[..., None, :]
     return v @ _dagger(vecs)
 
 
@@ -121,9 +137,9 @@ class BellSeesawTask:
         # Bob's settings: K_y = Tr_A[(F_y (x) I) rho], F_y from Alice's new effects
         f = np.einsum("axy,xaij->yij", self._c[:, 0] - self._c[:, 1], _effects(point["A"]))
         point["B"] = _max_effect(_hermitize(np.einsum("yim,mkil->ykl", f, rho)))
-        # shared state
-        point["state"] = _max_density(self.bell_operator(point))
-        return point
+        # shared state: the point's value is the top eigenvalue
+        value, point["state"] = _top_eigen(self.bell_operator(point))
+        return point, float(value)
 
 
 @dataclass
@@ -167,7 +183,7 @@ class PamSeesawTask:
             # K_x = sum_{b, y} beta[b, x, y] E[y, b]
             k = np.einsum("bxy,ybij->xij", self._beta, _effects(point["M"]))
             point["states"] = _max_density(_hermitize(k))
-        return point
+        return point, self.objective(point)
 
 
 @dataclass
@@ -181,6 +197,7 @@ class SeesawOutcome:
 def seesaw(task, restarts: int = 20, seed: int = 0, max_alternations: int = 200, rel_tol: float = 1e-8):
     """Best lower bound over random restarts of alternating maximization.
 
+    ``task.sweep(point)`` returns the next point and its objective value.
     Every step is an exact maximizer, so within one restart the trajectory of
     objective values is non-decreasing up to rounding; alternation stops when
     the relative improvement drops below ``rel_tol`` or the cap is reached.
@@ -192,8 +209,8 @@ def seesaw(task, restarts: int = 20, seed: int = 0, max_alternations: int = 200,
         point = task.random_point(rng)
         traj = [task.objective(point)]
         for _ in range(max_alternations):
-            point = task.sweep(point)
-            traj.append(task.objective(point))
+            point, value = task.sweep(point)
+            traj.append(value)
             if traj[-1] - traj[-2] <= rel_tol * max(1.0, abs(traj[-2])):
                 break
         restart_values.append(traj[-1])

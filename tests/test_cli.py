@@ -46,8 +46,14 @@ class TestNpaCommand:
         assert code == 0
         assert report["status"] == 0
         assert abs(report["result"]["bound"] - 2 * ROOT2) < 1e-6
+        # the relabelling group that tied the moments, next to moment_size
+        assert report["result"]["moment_size"] == 5
+        assert report["result"]["symmetry"] == report["symmetry"]
+        assert report["symmetry"] == {"order": 16, "classes": 10, "orbits": 1, "pinned": 6}
+        assert report["version"] == 3
         text = capsys.readouterr().out
         assert "2.828427" in text
+        assert "symmetry       : order 16, 10 moments -> 1 orbits, 6 pinned to 0" in text
 
     def test_level_1ab(self, tmp_path):
         scen = tmp_path / "chsh.json"

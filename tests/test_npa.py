@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from itertools import product
 
+from qsdp.modeling import ScalarExpr
 from qsdp.npa import (
     ZERO,
     Scenario,
@@ -11,16 +12,20 @@ from qsdp.npa import (
     chsh_functional,
     chsh_nv_game,
     chsh_nv_task,
+    coordinates,
     generate_words,
     mlp_bound,
     mlp_constraints,
     nv_build_basis,
     nv_solve,
+    orbit_ties,
+    projector_lift,
     qrac_nv_game,
     qrac_nv_task,
     qrac_witness,
     reduce_word,
     solve_bell,
+    stabilizer,
     word_adjoint,
 )
 
@@ -330,3 +335,369 @@ class TestGeneralOutcomes:
         res = solve_bell(Scenario.chsh(), 4, chsh_functional())
         assert res.success
         assert res.value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# observable basis and relabelling symmetry
+
+
+def reference_bell(scenario, level, bell, extra_constraints=()):
+    """The untied projector-basis solve: one unknown per class of
+    build_moment_model, the identity's pinned to 1 by an equality."""
+    mm = build_moment_model(scenario, level)
+    model, _ = mm.to_model()
+    off = model.vars[0].offset
+    objective = ScalarExpr()
+    for (a, b, x, y), coeff in bell.items():
+        objective = objective + coeff * mm.prob_scalar(off, mm.joint_expr(a, b, x, y))
+    model.maximize(objective)
+    for atoms, rhs in extra_constraints:
+        total = ScalarExpr()
+        for atom, coeff in atoms.items():
+            if atom[0] == "joint":
+                expr = mm.joint_expr(*atom[1:])
+            else:
+                expr = mm.marginal_expr(0 if atom[0] == "ma" else 1, atom[1], atom[2])
+            total = total + coeff * mm.prob_scalar(off, expr)
+        model.add_equality(total, rhs)
+    return model.compile(framing="dual", equality_mode="eliminate").solve()
+
+
+I3322 = Scenario((3, 3), ((2, 2, 2), (2, 2, 2)))
+I3322_L3 = 0.25087556  # Pal & Vertesi, PRA 82, 022116 (2010)
+
+
+def i3322_functional(seed=None):
+    """I3322 in joint-probability form (Collins-Gisin: -P_A(0|0) - 2 P_B(0|0)
+    - P_B(0|1) + sum_xy J_xy P(00|xy), each marginal expanded over a setting
+    of the other party).  With a seed, the expanding settings are drawn, the
+    settings of each party permuted and the parties possibly swapped."""
+    rng = np.random.default_rng(seed) if seed is not None else None
+    y_for_a, x_for_b = (0, 0) if rng is None else (int(v) for v in rng.integers(0, 3, size=2))
+    joint = [[1, 1, 1], [1, 1, -1], [1, -1, 0]]
+    terms = {(0, 0, x, y): float(joint[x][y]) for x in range(3) for y in range(3) if joint[x][y]}
+
+    def add(key, c):
+        terms[key] = terms.get(key, 0.0) + c
+
+    for b in range(2):
+        add((0, b, 0, y_for_a), -1.0)
+    for a in range(2):
+        add((a, 0, x_for_b, 0), -2.0)
+        add((a, 0, x_for_b, 1), -1.0)
+    if rng is None:
+        return terms
+    perm_a, perm_b, swap = rng.permutation(3), rng.permutation(3), bool(rng.integers(0, 2))
+    bell = {}
+    for (a, b, x, y), c in terms.items():
+        key = (a, b, int(perm_a[x]), int(perm_b[y]))
+        if swap:
+            key = (key[1], key[0], key[3], key[2])
+        bell[key] = bell.get(key, 0.0) + c
+    return bell
+
+
+def random_functional(seed, scenario):
+    """Seeded coefficients on every P(a,b|x,y): no relabelling fixes them."""
+    rng = np.random.default_rng(seed)
+    return {
+        (a, b, x, y): float(rng.normal())
+        for x in range(scenario.settings[0])
+        for y in range(scenario.settings[1])
+        for a in range(scenario.outcomes[0][x])
+        for b in range(scenario.outcomes[1][y])
+    }
+
+
+def constraint_rows(scenario, d, obs):
+    """The rows of mlp_constraints(scenario, d) in local coordinates, left
+    side minus right side."""
+    rows = []
+    for atoms, rhs in mlp_constraints(scenario, d):
+        row = coordinates(scenario, atoms, obs.observables)
+        row[0, 0] -= rhs
+        rows.append(row)
+    return rows
+
+
+def symmetry_of(res):
+    return res.model_result.solution.stats["symmetry"]
+
+
+def cell_reference(scenario, level, observables):
+    """Classes by reducing every cell on its own: {cell: key word}, zero cells."""
+    inv = scenario.observables() if observables else frozenset()
+    words = generate_words(scenario, level)
+    keys, zero = {}, []
+    for i, wi in enumerate(words):
+        for j in range(i, len(words)):
+            w = reduce_word(tuple(reversed(wi)) + words[j], inv)
+            if w == ZERO:
+                zero.append((i, j))
+            else:
+                keys[(i, j)] = min(w, word_adjoint(w), key=lambda v: (len(v), v))
+    return keys, zero
+
+
+BUILD_CASES = [
+    (Scenario.chsh(), 3),
+    (Scenario.chsh(), "1+AB"),
+    (I3322, 2),
+    (Scenario((2, 2), ((3, 3), (2, 2))), 2),
+    (Scenario((2, 3), ((3, 2), (2, 3, 2))), 2),
+    (Scenario((2, 2, 2), ((2, 2), (2, 2), (2, 2))), 2),
+]
+
+
+class TestObservableAlgebra:
+    A0, A1 = (0, 0, 0), (0, 1, 0)
+    P0, P1 = (0, 2, 0), (0, 2, 1)  # two outcomes of a three-outcome setting
+    OBS = frozenset({A0, A1})
+
+    def test_observable_squares_to_identity(self):
+        assert reduce_word((self.A0, self.A0), self.OBS) == ()
+        assert reduce_word((self.A0, self.A1, self.A1, self.A0), self.OBS) == ()
+        assert reduce_word((self.A0, self.A0, self.A0), self.OBS) == (self.A0,)
+
+    def test_projectors_keep_their_rules(self):
+        assert reduce_word((self.P0, self.A1, self.A1, self.P0), self.OBS) == (self.P0,)
+        assert reduce_word((self.P0, self.A1, self.A1, self.P1), self.OBS) == ZERO
+        assert reduce_word((self.A0, self.A0), frozenset()) == (self.A0,)
+
+    def test_scenario_observables_are_the_binary_settings(self):
+        s = Scenario((2, 2), ((3, 2), (2, 2)))
+        assert s.observables() == {(0, 1, 0), (1, 0, 0), (1, 1, 0)}
+
+    @given(WORDS)
+    def test_reduce_is_idempotent_with_observables(self, w):
+        obs = frozenset(s for s in product(range(3), range(3), range(3)) if s[1] == 0 and s[2] == 0)
+        r = reduce_word(w, obs)
+        assert reduce_word(r, obs) == r
+
+
+class TestFactorBuild:
+    @pytest.mark.parametrize("observables", [False, True])
+    @pytest.mark.parametrize("scenario,level", BUILD_CASES)
+    def test_classes_match_a_reduction_per_cell(self, scenario, level, observables):
+        mm = build_moment_model(scenario, level, observables=observables)
+        keys, zero = cell_reference(scenario, level, observables)
+        assert mm.zero_cells == zero
+        assert list(mm.class_of_cell) == list(keys)
+        # classes numbered by first cell, keyed by the smaller word
+        seen = {}
+        for cell, key in keys.items():
+            seen.setdefault(key, len(seen))
+            assert mm.class_of_cell[cell] == seen[key]
+        assert mm.class_keys == list(seen)
+        assert mm.norm_class == mm.class_of_cell[(0, 0)] == seen[()]
+
+    def test_observable_diagonal_is_the_identity(self):
+        mm = build_moment_model(I3322, 2, observables=True)
+        assert all(mm.cell_class(i, i) == mm.norm_class for i in range(mm.size))
+        assert mm.num_unknowns == build_moment_model(I3322, 2).num_unknowns
+
+
+def qubit_strategy(rng, scenario):
+    """Random qubit projectors for each reduced symbol (rank-1 for binary
+    settings, orthogonal rank-1 outcomes otherwise) and a shared pure state."""
+    ops = {}
+    for p in range(2):
+        for x in range(scenario.settings[p]):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            for a in range(scenario.outcomes[p][x] - 1):
+                proj = np.outer(q[:, a], q[:, a].conj())
+                ops[(p, x, a)] = np.kron(proj, np.eye(3)) if p == 0 else np.kron(np.eye(3), proj)
+    psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return ops, psi / np.linalg.norm(psi)
+
+
+def strategy_gamma(words, ops, psi):
+    mats = []
+    for w in words:
+        m = np.eye(9, dtype=complex)
+        for s in w:
+            m = m @ ops[s]
+        mats.append(m)
+    return np.array([[np.real(psi.conj() @ u.conj().T @ v @ psi) for v in mats] for u in mats])
+
+
+class TestProjectorLift:
+    @pytest.mark.parametrize("scenario,level", [(Scenario.chsh(), 2), (Scenario((2, 2), ((3, 3), (2, 2))), 2), (I3322, 2)])
+    def test_lift_maps_observable_moments_to_projector_moments(self, scenario, level):
+        obs = build_moment_model(scenario, level, observables=True)
+        t = projector_lift(obs)
+        ops, psi = qubit_strategy(np.random.default_rng(5), scenario)
+        inv = scenario.observables()
+        observable_ops = {s: 2 * m - np.eye(9) if s in inv else m for s, m in ops.items()}
+        gamma_a = strategy_gamma(obs.words, observable_ops, psi)
+        gamma_p = strategy_gamma(obs.words, ops, psi)
+        assert np.max(np.abs(t @ gamma_a @ t.T - gamma_p)) <= 1e-12
+        # the observable-basis classes hold on the strategy too
+        first = {}
+        for (i, j), cls in obs.class_of_cell.items():
+            assert abs(gamma_a[i, j] - first.setdefault(cls, gamma_a[i, j])) <= 1e-12
+
+
+CHSH_LEVELS = [1, 2, 3, "1+AB"]
+
+
+class TestTiedSolveMatchesProjectorReference:
+    @pytest.mark.parametrize("level", CHSH_LEVELS)
+    def test_chsh(self, level):
+        res, ref = solve_bell(Scenario.chsh(), level, chsh_functional()), reference_bell(Scenario.chsh(), level, chsh_functional())
+        assert res.success and ref.success
+        assert res.value == pytest.approx(ref.value, abs=1e-7)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_qrac(self, level):
+        s = Scenario.prepare_measure(4, 2)
+        bell = {(0, b, x, y): 2 * beta for (b, x, y), beta in qrac_witness(2).items()}
+        res = mlp_bound(s, 2, qrac_witness(2), level=level)
+        ref = reference_bell(s, level, bell, mlp_constraints(s, 2))
+        assert res.success and ref.success
+        assert res.value == pytest.approx(ref.value, abs=1e-7)
+
+    @pytest.mark.parametrize("bell", [{(a, b, 0, 0): 1.0 for a in range(3) for b in range(2)}, {(2, 1, 0, 0): 1.0}])
+    def test_three_outcomes(self, bell):
+        s = Scenario((2, 2), ((3, 3), (2, 2)))
+        res, ref = solve_bell(s, 1, bell), reference_bell(s, 1, bell)
+        assert res.success and ref.success
+        assert res.value == pytest.approx(ref.value, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_i3322_level2_relabelled(self, seed):
+        bell = i3322_functional(seed)
+        res, ref = solve_bell(I3322, 2, bell), reference_bell(I3322, 2, bell)
+        assert res.success and ref.success
+        assert res.value == pytest.approx(ref.value, abs=1e-7)
+        assert symmetry_of(res)["order"] == 8
+
+    @pytest.fixture(scope="class")
+    def i3322_level3_reference(self):
+        # relabelling permutes the untied problem's rows and columns, so one
+        # solve is the reference for every seed (checked per seed at level 2)
+        ref = reference_bell(I3322, 3, i3322_functional())
+        assert ref.success
+        assert ref.value == pytest.approx(I3322_L3, abs=1e-6)
+        return ref.value
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_i3322_level3_relabelled(self, seed, i3322_level3_reference):
+        res = solve_bell(I3322, 3, i3322_functional(seed))
+        assert res.success
+        assert res.value == pytest.approx(i3322_level3_reference, abs=1e-7)
+        assert symmetry_of(res) == {"order": 8, "classes": 867, "orbits": 124, "pinned": 165}
+        assert res.model_result.compiled.problem.num_constraints == 124
+        assert res.model_result.solution.stats["iterations"] <= 23
+
+
+class TestStabilizer:
+    def test_trivial_stabilizer_gives_identity_orbits(self):
+        bell = random_functional(3, I3322)
+        obs = build_moment_model(I3322, 2, observables=True)
+        functional = coordinates(I3322, {("joint", *k): c for k, c in bell.items()}, obs.observables)
+        group, ga, gb = stabilizer(I3322, functional)
+        assert group == [(0, 0, False)]
+        orbit, sign, n_orbits = orbit_ties(obs, group, ga, gb)
+        others = np.arange(obs.num_unknowns) != obs.norm_class
+        assert n_orbits == obs.num_unknowns - 1
+        assert np.array_equal(orbit[others], np.arange(n_orbits))
+        assert np.all(sign == 1.0)
+        res = solve_bell(I3322, 2, bell)
+        assert symmetry_of(res) == {"order": 1, "classes": n_orbits, "orbits": n_orbits, "pinned": 0}
+        assert res.value == pytest.approx(reference_bell(I3322, 2, bell).value, abs=1e-7)
+
+    def test_sign_conflict_pins_a_class_to_zero(self):
+        # P(00|00) + P(11|00) = (1 + <A_0 B_0>)/2 is fixed by flipping A_0 and
+        # B_0 together, which maps <A_0> to -<A_0>
+        bell = {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): 1.0}
+        s = Scenario.chsh()
+        obs = build_moment_model(s, 1, observables=True)
+        group, ga, gb = stabilizer(s, coordinates(s, {("joint", *k): c for k, c in bell.items()}, obs.observables))
+        assert any(ga.flip[k_a][0] == -1 and gb.flip[k_b][0] == -1 for k_a, k_b, _ in group)
+        orbit, _, _ = orbit_ties(obs, group, ga, gb)
+        a0 = obs.cell_class(0, obs.word_index(((0, 0, 0),)))
+        assert orbit[a0] == -1 and a0 != obs.norm_class
+        res = solve_bell(s, 1, bell)
+        assert res.value == pytest.approx(1.0, abs=1e-7)
+        assert symmetry_of(res)["pinned"] > 0
+        proj = build_moment_model(s, 1)
+        assert res.moments[proj.cell_class(0, proj.word_index(((0, 0, 0),)))] == pytest.approx(0.5, abs=1e-9)
+
+    def test_chsh_group(self):
+        s = Scenario.chsh()
+        res = solve_bell(s, 1, chsh_functional())
+        assert symmetry_of(res)["order"] == 16
+        assert res.model_result.compiled.problem.num_constraints == symmetry_of(res)["orbits"]
+
+    def test_mlp_keeps_the_preparation_permutations(self):
+        s = Scenario.prepare_measure(4, 2)
+        for d in (1, 2):
+            bell = {(0, b, x, y): d * beta for (b, x, y), beta in qrac_witness(2).items()}
+            obs = build_moment_model(s, 1, observables=True)
+            f = coordinates(s, {("joint", *k): c for k, c in bell.items()}, obs.observables)
+            group, ga, _ = stabilizer(s, f, constraint_rows(s, d, obs))
+            assert len(group) > 1
+            assert any(ga.sigma[k_a] != (0, 1, 2, 3) for k_a, _, _ in group)
+
+    def test_mlp_dimension_one_drops_alices_flips(self):
+        # a functional of Bob's marginals alone is fixed by every flip of
+        # Alice; the rows <A_x> = 2/d - 1 keep the flips at d = 2 only
+        s = Scenario.prepare_measure(4, 2)
+        obs = build_moment_model(s, 1, observables=True)
+        f = coordinates(s, {("mb", 0, 0): 1.0, ("mb", 0, 1): 1.0}, obs.observables)
+        flips = {}
+        for d in (1, 2):
+            group, ga, _ = stabilizer(s, f, constraint_rows(s, d, obs))
+            assert any(ga.sigma[k_a] != (0, 1, 2, 3) for k_a, _, _ in group)
+            flips[d] = any(-1 in ga.flip[k_a] for k_a, _, _ in group)
+        assert flips == {1: False, 2: True}
+
+    def test_swap_needs_matching_parties(self):
+        s = Scenario.prepare_measure(4, 2)
+        res = mlp_bound(s, 2, qrac_witness(2), level=1)
+        group, _, _ = stabilizer(s, np.zeros((5, 3)))
+        assert not any(swap for _, _, swap in group)
+        assert len(group) == 3072
+        assert symmetry_of(res)["order"] < 3072
+
+
+class TestLiftedGamma:
+    @pytest.mark.parametrize(
+        "scenario,level,bell",
+        [
+            (Scenario.chsh(), 2, chsh_functional()),
+            (I3322, 2, i3322_functional(4)),
+            (Scenario((2, 2), ((3, 3), (2, 2))), 2, {(2, 1, 0, 0): 1.0, (0, 0, 1, 1): 0.5}),
+        ],
+    )
+    def test_projector_classes_agree(self, scenario, level, bell):
+        res = solve_bell(scenario, level, bell)
+        mm = build_moment_model(scenario, level)
+        spread = {}
+        for (i, j), cls in mm.class_of_cell.items():
+            lo, hi = spread.get(cls, (np.inf, -np.inf))
+            spread[cls] = (min(lo, res.gamma[i, j]), max(hi, res.gamma[i, j]))
+        assert max(hi - lo for lo, hi in spread.values()) <= 1e-9
+        assert all(abs(res.gamma[i, j]) <= 1e-9 for i, j in mm.zero_cells)
+        assert np.allclose(res.gamma, res.gamma.T, atol=1e-12)
+        assert res.gamma[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(res.gamma)[0] >= -1e-8
+        first = {}
+        for (i, j), cls in mm.class_of_cell.items():
+            first.setdefault(cls, res.gamma[i, j])
+        assert np.array_equal(res.moments, [first[k] for k in range(mm.num_unknowns)])
+
+
+class TestInputsChecked:
+    @pytest.mark.parametrize("key", [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, -1)])
+    def test_bell_key_out_of_range(self, key):
+        with pytest.raises(ValueError, match="no outcome"):
+            solve_bell(Scenario.chsh(), 1, {key: 1.0})
+
+    def test_relabelling_search_is_capped(self):
+        # 8! 2^8 signed permutations of Alice's settings: only the identity is tried
+        s = Scenario((8, 2), ((2,) * 8, (2, 2)))
+        group, ga, gb = stabilizer(s, np.zeros((9, 3)))
+        assert len(ga.sigma) == 1 and len(gb.sigma) == 8
+        assert len(group) == 8

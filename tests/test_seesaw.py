@@ -9,6 +9,7 @@ from qsdp.quantum import qsd_optimal, random_pure
 from qsdp.seesaw import (
     BellSeesawTask,
     PamSeesawTask,
+    _effects,
     _max_density,
     _max_effect,
     chsh_seesaw,
@@ -198,7 +199,7 @@ class RefBellTask(BellSeesawTask):
                     k += (-1) ** b * alpha * partial_trace(np.kron(ea, np.eye(d_b)) @ rho, (d_a, d_b), keep=[1])
             point["B"][y] = _max_effect(hermitize(k))
         point["state"] = _max_density(self.bell_operator(point))
-        return point
+        return point, self.objective(point)
 
 
 class RefPamTask(PamSeesawTask):
@@ -222,7 +223,7 @@ class RefPamTask(PamSeesawTask):
                     if xx == x:
                         k += beta * ref_effect(point["M"][y], b)
                 point["states"][x] = _max_density(hermitize(k))
-        return point
+        return point, self.objective(point)
 
 
 def mixed_state(rng, d):
@@ -287,9 +288,11 @@ class TestContractedSweepMatchesPerTermReference:
             point["state"] = 0.9 * point["state"] + 0.1 * mixed_state(rng, task.dims[0] * task.dims[1])
             assert np.max(np.abs(task.bell_operator(point) - ref.bell_operator(point))) <= 1e-12
             assert task.objective(point) == pytest.approx(ref.objective(point), abs=1e-12)
-            got, want = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
+            (got, got_value), (want, _) = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
             assert_points_close({k: got[k] for k in "AB"}, {k: want[k] for k in "AB"})
             assert task.objective(got) == pytest.approx(ref.objective(want), abs=1e-12)
+            # the sweep's value is the top eigenvalue of its state step
+            assert got_value == pytest.approx(ref.objective(want), abs=1e-12)
             # the new state is the top eigenprojector of the Bell operator,
             # unique when its top eigenvalue is simple (not so when an effect
             # came out 0 or I)
@@ -307,9 +310,10 @@ class TestContractedSweepMatchesPerTermReference:
         for _ in range(3):
             point = task.random_point(rng)
             assert task.objective(point) == pytest.approx(ref.objective(point), abs=1e-12)
-            got, want = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
+            (got, got_value), (want, _) = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
             assert_points_close(got, want)
             assert task.objective(got) == pytest.approx(ref.objective(want), abs=1e-12)
+            assert got_value == pytest.approx(ref.objective(want), abs=1e-12)
         if "fixed_states" in kwargs:
             assert np.array_equal(got["states"], np.array(kwargs["fixed_states"]))
 
@@ -326,6 +330,39 @@ class TestContractedSweepMatchesPerTermReference:
         want = seesaw(RefPamTask(witness=qrac_witness(2), dim=2, n_preparations=4, n_meas=2), seed=seed)
         assert len(got.restart_values) == len(want.restart_values) == 20
         assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12
+
+
+class TestRoundingDoesNotPickTheEffect:
+    def test_pure_state_with_unequal_dims(self):
+        """With a pure state and dims (2, 3), Bob's K has an exact zero
+        eigenvalue, computed as +-1e-17 or so.  Two inputs that differ only
+        by rounding give the same effects."""
+        task = BellSeesawTask(**bell_tasks()["three-settings-dims-2-3"])
+        rng = np.random.default_rng(41)
+        zero_eigs = 0
+        for _ in range(5):
+            point = task.random_point(rng)
+            # the same pure state, with its entries perturbed at the last bits
+            other = copy_point(point)
+            other["state"] = (other["state"] * 3.0 + 1e-300) / 3.0
+            assert 0 < np.max(np.abs(other["state"] - point["state"])) <= 1e-15
+            got, _ = task.sweep(copy_point(point))
+            again, _ = task.sweep(other)
+            for side in "AB":
+                assert np.max(np.abs(got[side] - again[side])) <= 1e-9
+            # Bob's K at the new Alice effects: rank <= 2 of 3
+            rho = point["state"].reshape(2, 3, 2, 3)
+            f = np.einsum("axy,xaij->yij", task._c[:, 0] - task._c[:, 1], _effects(got["A"]))
+            k = np.einsum("yim,mkil->ykl", f, rho)
+            zero_eigs += int(np.sum(np.abs(np.linalg.eigvalsh((k + k.conj().swapaxes(1, 2)) / 2)) <= 1e-12))
+        assert zero_eigs > 0
+
+    def test_zero_eigenvalue_is_left_out(self):
+        q, _ = np.linalg.qr(np.random.default_rng(43).normal(size=(3, 3)))
+        for noise in (1e-17, -1e-17, 0.0):
+            op = q @ np.diag([0.7, noise, -1.2]) @ q.T
+            m = _max_effect(op)
+            assert np.max(np.abs(m - np.outer(q[:, 0], q[:, 0]))) <= 1e-12
 
 
 class TestKeysChecked:

@@ -253,9 +253,21 @@ CHUNK_PROBLEMS = {
     "channel": lambda: channel_feasibility(
         4, 4, ppt_preserving_dims=(2, 2, 2, 2), nonsignaling_b_to_a_dims=(2, 2, 2, 2)
     ),
-    # any functional gives I3322's constraints: the objective is not in A
-    "i3322-l3": lambda: solve_bell(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 3, chsh_functional()),
+    # seeded coefficients on every P(a,b|x,y): no relabelling fixes them, so
+    # no moments are tied and A keeps I3322's m = 867 rows (a functional with
+    # symmetries, such as CHSH's, would tie moments and shrink A)
+    "i3322-l3": lambda: solve_bell(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 3, untied_i3322_functional()),
 }
+
+
+def untied_i3322_functional() -> dict:
+    c = np.random.default_rng(19).normal(size=(2, 2, 3, 3))
+    return {key: float(c[key]) for key in np.ndindex(c.shape)}
+
+
+def test_untied_i3322_keeps_every_moment(monkeypatch):
+    p = compiled_problem(monkeypatch, CHUNK_PROBLEMS["i3322-l3"])
+    assert p.num_constraints == 867 and p.structure.sdp_blocks == (88,)
 
 
 def block_slices(q):
