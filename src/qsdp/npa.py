@@ -195,38 +195,6 @@ def generate_words(scenario: Scenario, level) -> list[Word]:
 
 
 @dataclass
-class _Factors:
-    """Words split into one factor per party.
-
-    ``blocks[p]`` lists the reduced one-party words of party p that occur:
-    the factors of the index words, then their products u^dagger v (and
-    ``index[p]`` numbers them).  A product word is coded by the numbers of
-    its factors in radix ``radix``, party 0 lowest; ``adjoint[p]`` numbers
-    the reversal of each block.  Class c's word, or its adjoint, has code
-    ``class_codes[c]``.
-    """
-
-    blocks: list[list[Word]]
-    index: list[dict]
-    adjoint: list[np.ndarray]
-    radix: int
-    word_factors: np.ndarray  # (words, parties) factor numbers
-    class_codes: np.ndarray
-
-    def digits(self, codes: np.ndarray) -> np.ndarray:
-        """(parties, ...) block numbers of each code."""
-        scale = self.radix ** np.arange(len(self.blocks))
-        return (codes[None] // scale.reshape(-1, *[1] * codes.ndim)) % self.radix
-
-    def canonical(self, digits: np.ndarray) -> np.ndarray:
-        """The smaller of the codes of each word and of its adjoint."""
-        scale = self.radix ** np.arange(len(self.blocks))
-        code = np.tensordot(scale, digits, axes=1)
-        adj = np.tensordot(scale, np.array([a[d] for a, d in zip(self.adjoint, digits)]), axes=1)
-        return np.minimum(code, adj)
-
-
-@dataclass
 class MomentModel:
     scenario: Scenario
     level: object
@@ -238,7 +206,8 @@ class MomentModel:
     observables: frozenset  # symbols that square to the identity
     cells: np.ndarray = field(repr=False)  # (2, K): the cells of class_of_cell, in its order
     cell_classes: np.ndarray = field(repr=False)  # (K,): their classes
-    factors: _Factors = field(repr=False)
+    factors: list[list[Word]] = field(repr=False)  # per party, the distinct party-p factors of the words
+    word_factors: np.ndarray = field(repr=False)  # (words, parties): each word's factor numbers
 
     @property
     def size(self) -> int:
@@ -347,31 +316,45 @@ def build_moment_model(scenario: Scenario, level, observables: bool = False) -> 
                     table[u, v] = ix.setdefault(tuple(r), len(ix))
         tables.append(table)
     blocks = [list(ix) for ix in index]
-    # the reversal of a product u^dagger v is v^dagger u, and of a factor u it is u^dagger ()
+    factors = [bl[: t.shape[0]] for bl, t in zip(blocks, tables)]
+    # a product word is coded by its blocks' numbers in radix `radix`, and a
+    # class by the smaller code of its word and of the adjoint: the reversal
+    # of a product u^dagger v is v^dagger u, and of a factor u it is u^dagger ()
     adjoint = [np.array([ix[b[::-1]] for b in bl], dtype=np.int64) for ix, bl in zip(index, blocks)]
     radix = max(len(bl) for bl in blocks)
+    scale = radix ** np.arange(parties)
 
     rows, cols = np.triu_indices(n)
     digits = np.array([t[word_factors[rows, p], word_factors[cols, p]] for p, t in enumerate(tables)])
     live = np.all(digits >= 0, axis=0)
-    fac = _Factors(blocks, index, adjoint, radix, word_factors, np.zeros(0, dtype=np.int64))
-    canon = fac.canonical(digits[:, live])
+    digits = digits[:, live]
+    canon = np.minimum(scale @ digits, scale @ np.array([a[d] for a, d in zip(adjoint, digits)]))
     uniq, first, inverse = np.unique(canon, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     cell_classes = rank[inverse]
-    fac.class_codes = uniq[order]
 
     class_keys = []
-    for d in fac.digits(fac.class_codes).T.tolist():
+    for d in digits[:, first[order]].T.tolist():
         w = tuple(s for bl, k in zip(blocks, d) for s in bl[k])
         class_keys.append(min(w, tuple(s for bl, k in zip(blocks, d) for s in bl[k][::-1]), key=_word_key))
     cells = np.array([rows[live], cols[live]])
     class_of_cell = dict(zip(zip(*cells.tolist()), cell_classes.tolist()))
     zero_cells = list(zip(rows[~live].tolist(), cols[~live].tolist()))
     return MomentModel(
-        scenario, level, words, class_keys, class_of_cell, zero_cells, int(cell_classes[0]), inv, cells, cell_classes, fac
+        scenario,
+        level,
+        words,
+        class_keys,
+        class_of_cell,
+        zero_cells,
+        int(cell_classes[0]),
+        inv,
+        cells,
+        cell_classes,
+        factors,
+        word_factors,
     )
 
 
@@ -451,28 +434,32 @@ class Relabellings:
         for o in set(outs):
             for k in range(2, outs.count(o) + 1):
                 count *= k
-        sigmas, flips = [], []
-        for sigma in permutations(range(len(outs))):
-            if count > _MAX_RELABELLINGS:
-                sigmas, flips = [sigma], [(1,) * len(outs)]
-                break
-            if all(outs[t] == o for t, o in zip(sigma, outs)):
-                for bits in product((1, -1), repeat=len(binary)):
-                    flip = [1] * len(outs)
-                    for x, b in zip(binary, bits):
-                        flip[x] = b
-                    sigmas.append(sigma)
-                    flips.append(tuple(flip))
+        if count > _MAX_RELABELLINGS:
+            sigmas, flips = [tuple(range(len(outs)))], [(1,) * len(outs)]
+        else:
+            sigmas = [sg for sg in permutations(range(len(outs))) if all(outs[t] == o for t, o in zip(sg, outs))]
+            flips = []
+            for bits in product((1, -1), repeat=len(binary)):
+                flip = [1] * len(outs)
+                for x, b in zip(binary, bits):
+                    flip[x] = b
+                flips.append(tuple(flip))
+        # element k is permutation k // len(flips) with flips k % len(flips)
         perm = np.array([[0] + [coord[(party, sg[x], a)] for _, x, a in syms] for sg in sigmas], dtype=np.int64)
         sign = np.array([[1] + [fl[x] for _, x, _ in syms] for fl in flips], dtype=float)
-        return cls(sigmas, flips, perm, sign)
+        return cls(
+            [sg for sg in sigmas for _ in flips],
+            flips * len(sigmas),
+            np.repeat(perm, len(flips), axis=0),
+            np.tile(sign, (len(sigmas), 1)),
+        )
 
-    def block_map(self, k: int, blocks: list[Word], to_party: int, index: dict):
-        """Numbers (in ``index``) and signs of the images of one party's blocks
-        under element k, moved to party ``to_party``."""
+    def images(self, k: int, words: list[Word], to_party: int, index: dict):
+        """Numbers (in ``index``) and signs of the images of one party's
+        words under element k, moved to party ``to_party``."""
         sigma, flip = self.sigma[k], self.flip[k]
-        ids = [index[tuple((to_party, sigma[x], a) for _, x, a in b)] for b in blocks]
-        flips = [sum(flip[x] < 0 for _, x, _ in b) for b in blocks]
+        ids = [index[tuple((to_party, sigma[x], a) for _, x, a in w)] for w in words]
+        flips = [sum(flip[x] < 0 for _, x, _ in w) for w in words]
         return np.array(ids, dtype=np.int64), 1.0 - 2.0 * (np.array(flips) % 2)
 
 
@@ -533,35 +520,41 @@ def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
     """Tie each class of a two-party observable-basis moment model to its
     orbit under ``group`` (from ``stabilizer``).
 
-    Element g maps the word of class c to s_g(c) times the word of class
-    g(c).  A moment vector fixed by the group satisfies y[c] = s_g(c) y[g(c)]
-    for every g, so each class is its orbit representative (the smallest
-    class g(c)) times a sign, and a class with g(c) = c and s_g(c) = -1 is 0.
-    Returns the orbit number of each class (-1 for the identity and for
-    pinned classes), its sign and the number of orbits.
+    Element g maps word w_i to s_g(i) times a word w_pi(i) of the list, so
+    it maps the word of class c, at its first cell (i, j), to s_g(i) s_g(j)
+    times the word of the class g(c) at cell (pi(i), pi(j)).  A moment
+    vector fixed by the group satisfies y[c] = s_g(c) y[g(c)] for every g,
+    so each class is its orbit representative (the smallest class g(c))
+    times a sign, and a class with g(c) = c and s_g(c) = -1 is 0.  Returns
+    the orbit number of each class (-1 for the identity and for pinned
+    classes), its sign and the number of orbits.
     """
-    fac = mm.factors
-    digits = fac.digits(fac.class_codes)
-    order = np.argsort(fac.class_codes)
-    sorted_codes = fac.class_codes[order]
+    n, wf = mm.size, mm.word_factors
+    cls = np.full((n, n), -1, dtype=np.int64)
+    cls[mm.cells[0], mm.cells[1]] = cls[mm.cells[1], mm.cells[0]] = mm.cell_classes
+    _, first = np.unique(mm.cell_classes, return_index=True)
+    ci, cj = mm.cells[:, first]
+    word_of = np.full([len(f) for f in mm.factors], -1, dtype=np.int64)
+    word_of[wf[:, 0], wf[:, 1]] = np.arange(n)
+    index = [{f: k for k, f in enumerate(fs)} for fs in mm.factors]
     cache = {}
 
-    def block_map(rel, party, k, to_party):
+    def factor_map(rel, party, k, to_party):
         key = (party, k, to_party)
         if key not in cache:
-            cache[key] = rel.block_map(k, fac.blocks[party], to_party, fac.index[to_party])
+            cache[key] = rel.images(k, mm.factors[party], to_party, index[to_party])
         return cache[key]
 
-    maps = np.empty((len(group), digits.shape[1]), dtype=np.int64)
+    maps = np.empty((len(group), first.size), dtype=np.int64)
     signs = np.empty(maps.shape)
     for h, (k_a, k_b, swap) in enumerate(group):
         qa, qb = (1, 0) if swap else (0, 1)
-        (ia, sa), (ib, sb) = block_map(ga, 0, k_a, qa), block_map(gb, 1, k_b, qb)
-        image = np.empty_like(digits)
-        image[qa], image[qb] = ia[digits[0]], ib[digits[1]]
-        maps[h] = order[np.searchsorted(sorted_codes, fac.canonical(image))]
-        signs[h] = sa[digits[0]] * sb[digits[1]]
-    classes = np.arange(maps.shape[1])
+        (ia, sa), (ib, sb) = factor_map(ga, 0, k_a, qa), factor_map(gb, 1, k_b, qb)
+        image = np.empty_like(wf)
+        image[:, qa], image[:, qb] = ia[wf[:, 0]], ib[wf[:, 1]]
+        pi, s = word_of[image[:, 0], image[:, 1]], sa[wf[:, 0]] * sb[wf[:, 1]]
+        maps[h], signs[h] = cls[pi[ci], pi[cj]], s[ci] * s[cj]
+    classes = np.arange(first.size)
     best = maps.argmin(axis=0)
     rep, sign = maps[best, classes], signs[best, classes]
     pinned = np.any((maps == classes) & (signs < 0), axis=0)
@@ -575,12 +568,12 @@ def projector_lift(mm: MomentModel) -> np.ndarray:
     """T with P-word_i = sum_k T[i, k] A-word_k, for the words of an
     observable-basis model: each binary symbol is P = (1 + A)/2.  Then
     Gamma_P = T Gamma_A T^T."""
-    inv, fac = mm.observables, mm.factors
+    inv = mm.observables
     index = {w: i for i, w in enumerate(mm.words)}
-    expansions = []  # per party, each factor of the words (they come first) as {A-word: coefficient}
-    for p, blocks in enumerate(fac.blocks):
+    expansions = []  # per party, each factor of the words as {A-word: coefficient}
+    for factors in mm.factors:
         exp = []
-        for b in blocks[: fac.word_factors[:, p].max() + 1]:
+        for b in factors:
             half, terms = 0.5 ** sum(s in inv for s in b), {}
             for keep in product(*[(True, False) if s in inv else (True,) for s in b]):
                 r = reduce_word(tuple(s for s, k in zip(b, keep) if k), inv)
@@ -589,7 +582,7 @@ def projector_lift(mm: MomentModel) -> np.ndarray:
             exp.append(terms)
         expansions.append(exp)
     t = np.zeros((mm.size, mm.size))
-    for i, ids in enumerate(fac.word_factors.tolist()):
+    for i, ids in enumerate(mm.word_factors.tolist()):
         for parts in product(*[expansions[p][k].items() for p, k in enumerate(ids)]):
             t[i, index[tuple(s for w, _ in parts for s in w)]] += math.prod(c for _, c in parts)
     return t
