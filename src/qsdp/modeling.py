@@ -495,11 +495,6 @@ class Model:
                 "the model would be unbounded or structurally empty"
             )
 
-    # -- evaluation helper for tests ---------------------------------------
-    def eval_objective(self, params: np.ndarray) -> float:
-        v = self.objective.value(params)
-        return float(v.real)
-
 
 def real_restriction(model: Model) -> Model:
     """Replace hermitian variables by real symmetric ones, dropping the
@@ -634,10 +629,6 @@ def _affine_map(pieces, flat_dim: int, nparams: int):
 @dataclass
 class CompiledModel:
     problem: ConeProblem
-    framing: str
-    equality_mode: str
-    sense: str
-    value_offset: float
     # dual framing: params = y_map(y); primal framing: params read from blocks
     _recover_params: callable = field(repr=False, default=None)
     model: Model = field(repr=False, default=None)
@@ -683,6 +674,7 @@ class ModelResult:
 
 
 def _objective_vector(model: Model, nparams: int):
+    """The objective's coefficients in minimization form; raises unless it is real."""
     c = np.zeros(nparams)
     for k, v in model.objective.coeffs.items():
         if abs(v.imag) > 1e-12 * max(1.0, abs(v)):
@@ -691,8 +683,7 @@ def _objective_vector(model: Model, nparams: int):
     c0 = model.objective.const
     if abs(c0.imag) > 1e-12 * max(1.0, abs(c0)):
         raise ModelError("objective must be real-valued")
-    sign = 1.0 if model.sense == "min" else -1.0
-    return sign * c, float(c0.real)
+    return c if model.sense == "min" else -c
 
 
 def _equality_system(model: Model, nparams: int):
@@ -714,7 +705,7 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
     block_sizes = [size for size in sizes if size > 1]
     nonneg_slots = len(sizes) - len(block_sizes)
     e_mat, f_vec = _equality_system(model, nparams)
-    c_vec, c0 = _objective_vector(model, nparams)
+    c_vec = _objective_vector(model, nparams)
 
     n_eq = len(model.equalities)
     if equality_mode == "eliminate" and n_eq:
@@ -755,10 +746,6 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
 
     return CompiledModel(
         problem=problem,
-        framing="dual",
-        equality_mode=equality_mode,
-        sense=model.sense,
-        value_offset=c0,
         _recover_params=recover_params,
         model=model,
     )
@@ -839,7 +826,7 @@ def _compile_primal(model: Model) -> CompiledModel:
     unit = sp.csr_array((np.ones(cells.size), (np.arange(cells.size), cells)), shape=(cells.size, dim))
     a = sp.vstack([sp.csr_array(e_mat) @ p_sel, f[:, cells].T @ p_sel - unit], format="csr")
 
-    c_vec, c0 = _objective_vector(model, nparams)
+    c_vec = _objective_vector(model, nparams)
     problem = ConeProblem(
         SymBlockMat.from_flat(structure, p_sel.T @ c_vec),
         a,
@@ -852,10 +839,6 @@ def _compile_primal(model: Model) -> CompiledModel:
 
     return CompiledModel(
         problem=problem,
-        framing="primal",
-        equality_mode="rows",
-        sense=model.sense,
-        value_offset=c0,
         _recover_params=recover_params,
         model=model,
     )

@@ -200,12 +200,9 @@ class MomentModel:
     level: object
     words: list[Word]
     class_keys: list[Word]  # one canonical word per equality class
-    class_of_cell: dict  # (i, j) with i <= j -> class index
-    zero_cells: list[tuple[int, int]]
     norm_class: int  # class of the identity cell, pinned to 1
     observables: frozenset  # symbols that square to the identity
-    cells: np.ndarray = field(repr=False)  # (2, K): the cells of class_of_cell, in its order
-    cell_classes: np.ndarray = field(repr=False)  # (K,): their classes
+    classes: np.ndarray = field(repr=False)  # (n, n) symmetric: each cell's class, -1 where the word annihilates
     factors: list[list[Word]] = field(repr=False)  # per party, the distinct party-p factors of the words
     word_factors: np.ndarray = field(repr=False)  # (words, parties): each word's factor numbers
 
@@ -218,13 +215,22 @@ class MomentModel:
         """Distinct scalar unknowns of the dual-framed moment model."""
         return len(self.class_keys)
 
+    @property
+    def cells(self) -> np.ndarray:
+        """(2, K): the upper-triangle cells that do not annihilate, row-major."""
+        i, j = np.triu_indices(self.size)
+        live = self.classes[i, j] >= 0
+        return np.array([i[live], j[live]])
+
+    @property
+    def cell_classes(self) -> np.ndarray:
+        """(K,): the classes of ``cells``."""
+        c = self.classes[np.triu_indices(self.size)]
+        return c[c >= 0]
+
     def word_index(self, w: Word) -> int:
         return self.words.index(w)
 
-    def cell_class(self, i: int, j: int) -> int:
-        return self.class_of_cell[(min(i, j), max(i, j))]
-
-    # -- probability bookkeeping -----------------------------------------
     def coordinate_classes(self) -> np.ndarray:
         """Class of the moment <X_i Y_j> for each pair of local coordinates
         of a two-party scenario (see ``_local_terms``): a (1 + n_A) x (1 + n_B)
@@ -234,26 +240,8 @@ class MomentModel:
         wa, wb = (
             [0] + [self.word_index((s,)) for s in self.scenario.reduced_symbols(p)] for p in range(2)
         )
-        return np.array([[self.cell_class(i, j) for j in wb] for i in wa], dtype=np.int64)
+        return self.classes[np.ix_(wa, wb)]
 
-    def _expr(self, coords: np.ndarray) -> dict:
-        cls = self.coordinate_classes().tolist()
-        expr = {"_const": float(coords[0, 0])}
-        for i, j in zip(*np.nonzero(coords)):
-            if i or j:
-                expr[cls[i][j]] = expr.get(cls[i][j], 0.0) + float(coords[i, j])
-        return expr
-
-    def marginal_expr(self, party: int, a: int, x: int) -> dict:
-        """P(a|x) for one party as {class: coeff} plus a '_const' entry."""
-        atom = ("ma", a, x) if party == 0 else ("mb", a, x)
-        return self._expr(coordinates(self.scenario, {atom: 1.0}, self.observables))
-
-    def joint_expr(self, a: int, b: int, x: int, y: int) -> dict:
-        """P(a,b|x,y) for two parties as {class: coeff} plus '_const'."""
-        return self._expr(coordinates(self.scenario, {("joint", a, b, x, y): 1.0}, self.observables))
-
-    # -- model emission ---------------------------------------------------
     def to_model(self) -> tuple[Model, MatExpr]:
         """Dual-framed model: one scalar unknown per equality class, the
         identity's pinned to 1 by an equality.  Gamma's coefficient matrix
@@ -267,10 +255,6 @@ class MomentModel:
         model.add_lmi(gamma)
         model.add_equality(ScalarExpr({var.decl.offset + self.norm_class: 1.0}), 1.0)
         return model, gamma
-
-    def prob_scalar(self, model_offset: int, expr: dict) -> ScalarExpr:
-        coeffs = {model_offset + k: v for k, v in expr.items() if k != "_const"}
-        return ScalarExpr(coeffs, expr.get("_const", 0.0))
 
 
 def _symmetric_expr(n: int, cells: np.ndarray, rows: np.ndarray, values: np.ndarray, nrows: int) -> MatExpr:
@@ -295,7 +279,8 @@ def build_moment_model(scenario: Scenario, level, observables: bool = False) -> 
     once per pair of distinct factors rather than once per cell.  A class
     is the pair {w, w^dagger}, keyed by the smaller word (by length, then
     symbols) and numbered in the order of its first cell in the row-major
-    scan of the upper triangle.
+    scan of the upper triangle.  The model holds them as the symmetric
+    table ``classes``, -1 on the cells whose word annihilates.
     """
     words = generate_words(scenario, level)
     inv = scenario.observables() if observables else frozenset()
@@ -339,23 +324,9 @@ def build_moment_model(scenario: Scenario, level, observables: bool = False) -> 
     for d in digits[:, first[order]].T.tolist():
         w = tuple(s for bl, k in zip(blocks, d) for s in bl[k])
         class_keys.append(min(w, tuple(s for bl, k in zip(blocks, d) for s in bl[k][::-1]), key=_word_key))
-    cells = np.array([rows[live], cols[live]])
-    class_of_cell = dict(zip(zip(*cells.tolist()), cell_classes.tolist()))
-    zero_cells = list(zip(rows[~live].tolist(), cols[~live].tolist()))
-    return MomentModel(
-        scenario,
-        level,
-        words,
-        class_keys,
-        class_of_cell,
-        zero_cells,
-        int(cell_classes[0]),
-        inv,
-        cells,
-        cell_classes,
-        factors,
-        word_factors,
-    )
+    classes = np.full((n, n), -1, dtype=np.int64)
+    classes[rows[live], cols[live]] = classes[cols[live], rows[live]] = cell_classes
+    return MomentModel(scenario, level, words, class_keys, int(classes[0, 0]), inv, classes, factors, word_factors)
 
 
 def _local_terms(scenario: Scenario, party: int, a: int, x: int, observables) -> list[tuple[int, float]]:
@@ -530,8 +501,6 @@ def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
     classes), its sign and the number of orbits.
     """
     n, wf = mm.size, mm.word_factors
-    cls = np.full((n, n), -1, dtype=np.int64)
-    cls[mm.cells[0], mm.cells[1]] = cls[mm.cells[1], mm.cells[0]] = mm.cell_classes
     _, first = np.unique(mm.cell_classes, return_index=True)
     ci, cj = mm.cells[:, first]
     word_of = np.full([len(f) for f in mm.factors], -1, dtype=np.int64)
@@ -553,7 +522,7 @@ def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
         image = np.empty_like(wf)
         image[:, qa], image[:, qb] = ia[wf[:, 0]], ib[wf[:, 1]]
         pi, s = word_of[image[:, 0], image[:, 1]], sa[wf[:, 0]] * sb[wf[:, 1]]
-        maps[h], signs[h] = cls[pi[ci], pi[cj]], s[ci] * s[cj]
+        maps[h], signs[h] = mm.classes[pi[ci], pi[cj]], s[ci] * s[cj]
     classes = np.arange(first.size)
     best = maps.argmin(axis=0)
     rep, sign = maps[best, classes], signs[best, classes]

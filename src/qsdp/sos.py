@@ -4,13 +4,14 @@ level-1 noncommutative decomposition."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
 import scipy.linalg
 
 from .modeling import MatExpr, Model, ScalarExpr
+from .npa import Scenario, generate_words, reduce_word, word_adjoint
 
 
 def monomials(n_vars: int, degree: int):
@@ -151,38 +152,27 @@ def motzkin_polynomial() -> tuple[dict, int]:
 # CHSH level-1 weighted sum of squares
 
 
-_CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
-_BASIS_LABELS = ("A1", "A2", "B1", "B2")
-
-
-def _chsh_word(i: int, j: int) -> tuple:
-    """Reduced word of basis_i * basis_j under A^2 = B^2 = 1 and [A, B] = 0."""
-    if i == j:
-        return ()
-    a = sorted(x for x in (i, j) if x < 2)
-    b = sorted(x for x in (i, j) if x >= 2)
-    if len(a) == 2:
-        return (_BASIS_LABELS[i], _BASIS_LABELS[j])  # order matters: A1A2 != A2A1
-    if len(b) == 2:
-        return (_BASIS_LABELS[i], _BASIS_LABELS[j])
-    return (_BASIS_LABELS[a[0]], _BASIS_LABELS[b[0]])
+def _chsh_words() -> tuple[list, dict]:
+    """CHSH's level-1 observables (A1, A2, B1, B2) as words, and the reduced
+    word of u_i^dagger u_j for each pair (i, j) of them, an observable
+    squaring to the identity."""
+    s = Scenario.chsh()
+    basis = generate_words(s, 1)[1:]
+    pairs = product(enumerate(basis), repeat=2)
+    return basis, {(i, j): reduce_word(word_adjoint(u) + v, s.observables()) for (i, u), (j, v) in pairs}
 
 
 def chsh_operator_coefficients() -> dict:
-    """Coefficients of the CHSH operator over reduced words."""
-    out = {}
-    for x in range(2):
-        for y in range(2):
-            out[(f"A{x+1}", f"B{y+1}")] = _CHSH_SIGNS[(x, y)]
-    return out
+    """Coefficients of the CHSH operator sum_xy c_xy A_x B_y, c = (1, 1, 1, -1),
+    over reduced words."""
+    return {((0, x, 0), (1, y, 0)): -1.0 if x == y == 1 else 1.0 for x in range(2) for y in range(2)}
 
 
 def gram_polynomial(gram: np.ndarray) -> dict:
-    """Expand x^T M x over the dichotomic-operator words."""
+    """Expand x^T M x over the reduced words."""
     out: dict[tuple, float] = {}
-    for i in range(4):
-        for j in range(4):
-            out[_chsh_word(i, j)] = out.get(_chsh_word(i, j), 0.0) + gram[i, j]
+    for (i, j), w in _chsh_words()[1].items():
+        out[w] = out.get(w, 0.0) + gram[i, j]
     return out
 
 
@@ -190,8 +180,9 @@ def tsirelson_sos_chsh(cfg=None):
     """Level-1 weighted-SoS bound for CHSH over the basis (A1, A2, B1, B2).
 
     Minimizes q subject to q*1 - CHSH = x^T M x + sum_x g_x A_x + sum_y g_y B_y
-    with M PSD; word-by-word coefficient matching under the dichotomic-operator
-    relations.  Returns the bound together with a decomposition report.
+    with M PSD, matching coefficients word by word over the words of
+    ``npa.reduce_word``.  Returns the bound together with a decomposition
+    report.
     """
     model = Model()
     mvar = model.declare(4, structure="symmetric", name="M")
@@ -199,26 +190,14 @@ def tsirelson_sos_chsh(cfg=None):
     q = model.declare(1, structure="symmetric", name="q")
     model.add_lmi(mvar.expr())
 
-    # index of parameter (i, j) inside the symmetric packing of M
-    def midx(i, j):
-        i, j = min(i, j), max(i, j)
-        return mvar.decl.offset + i * 4 - i * (i - 1) // 2 + (j - i)
-
-    # off-diagonal AB block carries the CHSH coefficients: 2 M[x, 2+y] = -c_xy
-    for x in range(2):
-        for y in range(2):
-            model.add_equality(ScalarExpr({midx(x, 2 + y): 2.0}), -_CHSH_SIGNS[(x, y)])
-    # no A1A2 / B1B2 words on the left-hand side
-    model.add_equality(ScalarExpr({midx(0, 1): 1.0}), 0.0)
-    model.add_equality(ScalarExpr({midx(2, 3): 1.0}), 0.0)
-    # no linear words: the scalar weights vanish
-    for k in range(4):
-        model.add_equality(ScalarExpr({gamma.decl.offset + k: 1.0}), 0.0)
-    # constant word: q = Tr M (squares of dichotomic operators are 1)
-    model.add_equality(
-        ScalarExpr({q.decl.offset: 1.0, midx(0, 0): -1.0, midx(1, 1): -1.0, midx(2, 2): -1.0, midx(3, 3): -1.0}),
-        0.0,
-    )
+    # x^T M x + sum_k g_k u_k - q 1 = -CHSH
+    basis, pairs = _chsh_words()
+    lhs = {(): -q.entry(0, 0)} | {w: gamma.entry(k, 0) for k, w in enumerate(basis)}
+    for (i, j), w in pairs.items():
+        lhs[w] = lhs.get(w, ScalarExpr()) + mvar.entry(i, j)
+    chsh = chsh_operator_coefficients()
+    for w, expr in lhs.items():
+        model.add_equality(expr, -chsh.get(w, 0.0))
     model.minimize(q.entry(0, 0))
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
 
@@ -227,9 +206,7 @@ def tsirelson_sos_chsh(cfg=None):
     w, v = np.linalg.eigh(gram)
     square_roots = [np.sqrt(max(lam, 0.0)) * vec_ for lam, vec_ in zip(w, v.T) if lam > 1e-9]
     # residual of q1 * 1 - CHSH against the Gram expansion
-    target = {(): q1}
-    for word, c in chsh_operator_coefficients().items():
-        target[word] = target.get(word, 0.0) - c
+    target = {(): q1} | {word: -c for word, c in chsh.items()}
     expanded = gram_polynomial(gram)
     words = set(target) | set(expanded)
     residual = float(np.sqrt(sum((target.get(wd, 0.0) - expanded.get(wd, 0.0)) ** 2 for wd in words)))
@@ -238,7 +215,7 @@ def tsirelson_sos_chsh(cfg=None):
         "gamma": res.values["gamma"][:, 0],
         "squares": square_roots,
         "residual": residual,
-        "basis": _BASIS_LABELS,
+        "basis": basis,
         "result": res,
     }
     return q1, report

@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from qsdp.modeling import MatExpr, Model
+from qsdp.modeling import MatExpr, Model, ScalarExpr
 from qsdp.quantum import werner_state
 
 
@@ -44,6 +44,14 @@ def dps_reference(rho, dims, k):
             model.add_equality(reduced.entry(i, jcol), rho.matrix[i, jcol])
     model.maximize(t.entry(0, 0))
     return model.compile(framing="dual", equality_mode="eliminate").solve()
+
+
+def probability_expr(mm, offset, coords) -> ScalarExpr:
+    """A combination of probabilities (``npa.coordinates``) over the classes
+    of ``mm``, whose unknowns start at ``offset``; the identity's term is the
+    constant."""
+    acc = np.bincount(mm.coordinate_classes().ravel()[1:], weights=coords.ravel()[1:], minlength=mm.num_unknowns)
+    return ScalarExpr({offset + k: acc[k] for k in np.flatnonzero(acc).tolist()}, float(coords[0, 0]))
 
 
 @pytest.fixture(scope="session")

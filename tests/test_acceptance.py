@@ -8,6 +8,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from conftest import probability_expr
 
 from qsdp import SolverConfig, solve
 from qsdp.graphs import chsh_exclusivity_events, cycle_graph, exclusivity_graph, lovasz_theta
@@ -16,6 +17,7 @@ from qsdp.npa import (
     Scenario,
     build_moment_model,
     chsh_functional,
+    coordinates,
     generate_words,
     mlp_bound,
     nv_build_basis,
@@ -204,13 +206,8 @@ def test_criterion_10_solver_quality_gates():
         }
         chsh = build_moment_model(Scenario.chsh(), 1)
         model, _ = chsh.to_model()
-        off = model.vars[0].offset
-        from qsdp.modeling import ScalarExpr
-
-        objective = ScalarExpr()
-        for (a, b, x, y), coeff in chsh_functional().items():
-            objective = objective + coeff * chsh.prob_scalar(off, chsh.joint_expr(a, b, x, y))
-        model.maximize(objective)
+        coords = coordinates(chsh.scenario, {("joint", *k): c for k, c in chsh_functional().items()})
+        model.maximize(probability_expr(chsh, model.vars[0].offset, coords))
         problems["chsh_l1"] = model.compile(equality_mode="eliminate").problem
 
         values = {}

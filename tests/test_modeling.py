@@ -293,7 +293,7 @@ def reference_dual(model, mode, eps=1e-8):
     sizes = [size for size, _, _ in lowered if size > 1]
     n_nn = len(lowered) - len(sizes)
     e_mat, f_vec = _equality_system(model, nparams)
-    c_vec, _ = _objective_vector(model, nparams)
+    c_vec = _objective_vector(model, nparams)
     n_eq = len(model.equalities)
     y0, nmat = np.zeros(nparams), np.eye(nparams)
     if mode == "eliminate" and n_eq:
@@ -430,7 +430,7 @@ def reference_primal(model):
                 rows.append(a)
                 rhs.append(-float(const[i, j]))
                 names.append(f"slack_nn{idx}" if size == 1 else f"slack_b{idx}_{i}_{j}")
-    c_vec, _ = _objective_vector(model, nparams)
+    c_vec = _objective_vector(model, nparams)
     c_obj = SymBlockMat(st)
     for k, v in enumerate(c_vec):
         if v:
