@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .modeling import MatExpr, Model
+from .modeling import Model, _symmetric_expr
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,11 @@ def empty_graph(n: int) -> GraphSpec:
 
 
 def independence_number(g: GraphSpec) -> int:
-    best = 0
     for size in range(g.n, 0, -1):
-        if size <= best:
-            break
-        for subset in combinations(range(g.n), size):
-            if all(not g.adjacent(u, v) for u, v in combinations(subset, 2)):
-                best = size
-                break
-        if best:
-            break
-    return best
+        subsets = combinations(range(g.n), size)
+        if any(all(not g.adjacent(u, v) for u, v in combinations(subset, 2)) for subset in subsets):
+            return size
+    return 0
 
 
 def chromatic_number(g: GraphSpec) -> int:
@@ -112,30 +106,22 @@ def lovasz_theta(g: GraphSpec, cfg=None):
     on non-adjacent pairs, lambda I - X PSD."""
     model = Model()
     lam = model.declare(1, structure="symmetric", name="lam")
-    edges = sorted(g.edges)
-    t = model.declare(max(len(edges), 1), 1, structure="full", name="edge_cells")
-    base = np.ones((g.n, g.n))  # ones at diagonal and non-adjacent cells
-    terms = {}
-    for k, (u, v) in enumerate(edges):
-        base[u, v] = base[v, u] = 0.0
-        ind = np.zeros((g.n, g.n))
-        ind[u, v] = ind[v, u] = 1.0
-        terms[t.decl.offset + k] = ind
-    if not edges:
-        # keep the dummy variable constrained
-        terms[t.decl.offset] = np.zeros((g.n, g.n))
-    x_expr = MatExpr((g.n, g.n), base, terms)
-    lam_eye = MatExpr((g.n, g.n), terms={lam.decl.offset: np.eye(g.n)})
+    edges = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2).T
+    ones = np.array([(i, j) for i in range(g.n) for j in range(i, g.n) if i == j or not g.adjacent(i, j)]).T
+    t = model.declare(max(edges.shape[1], 1), 1, structure="full", name="edge_cells")
+    nrows = 1 + model.nparams
+    # X: the constant 1 at the diagonal and non-adjacent cells, parameter t_k at edge k
+    rows = np.concatenate([np.zeros(ones.shape[1], np.int64), 1 + t.decl.offset + np.arange(edges.shape[1])])
+    x_expr = _symmetric_expr(g.n, np.hstack([ones, edges]), rows, np.ones(rows.size), nrows)
+    diag = np.arange(g.n)
+    lam_eye = _symmetric_expr(g.n, np.array([diag, diag]), np.full(g.n, 1 + lam.decl.offset), np.ones(g.n), nrows)
     model.add_lmi(lam_eye - x_expr)
-    if not edges:
+    if not edges.size:
+        # keep the dummy variable constrained
         model.add_equality(t.expr().entry(0, 0), 0.0)
     model.minimize(lam.entry(0, 0))
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
-    params = np.zeros(model.nparams)
-    params[lam.decl.offset] = res.values["lam"][0, 0]
-    for k in range(len(edges)):
-        params[t.decl.offset + k] = res.values["edge_cells"][k, 0]
-    return res.value, x_expr.value(params).real, res
+    return res.value, x_expr.value(res.compiled.params_from(res.solution)).real, res
 
 
 def weighted_theta(g: GraphSpec, cfg=None):
@@ -143,15 +129,11 @@ def weighted_theta(g: GraphSpec, cfg=None):
     if g.weights is None:
         raise ValueError("weighted_theta needs vertex weights")
     w = np.asarray(g.weights)
-    cells = [(i, j) for i in range(g.n) for j in range(i, g.n) if i == j or not g.adjacent(i, j)]
+    cells = np.array([(i, j) for i in range(g.n) for j in range(i, g.n) if i == j or not g.adjacent(i, j)]).T
     model = Model()
-    var = model.declare(len(cells), 1, structure="full", name="cells")
-    terms = {}
-    for k, (i, j) in enumerate(cells):
-        ind = np.zeros((g.n, g.n))
-        ind[i, j] = ind[j, i] = 1.0
-        terms[var.decl.offset + k] = ind
-    b_expr = MatExpr((g.n, g.n), terms=terms)
+    var = model.declare(cells.shape[1], 1, structure="full", name="cells")
+    rows = 1 + var.decl.offset + np.arange(cells.shape[1])
+    b_expr = _symmetric_expr(g.n, cells, rows, np.ones(rows.size), 1 + model.nparams)
     model.add_lmi(b_expr)
     model.add_equality(b_expr.trace(), 1.0)
     model.maximize(b_expr.frobenius_with(np.outer(np.sqrt(w), np.sqrt(w))))
@@ -167,15 +149,12 @@ def exclusivity_graph(events) -> GraphSpec:
     """Events are mappings test -> outcome; two events are exclusive when some
     shared test gets different outcomes."""
     assignments = [dict(e) for e in events]
-    for i, a in enumerate(assignments):
-        for j in range(i + 1, len(assignments)):
-            if a == assignments[j]:
-                raise ValueError(f"events {i} and {j} are identical")
     edges = set()
     for i, j in combinations(range(len(assignments)), 2):
         ai, aj = assignments[i], assignments[j]
-        shared = set(ai) & set(aj)
-        if any(ai[t] != aj[t] for t in shared):
+        if ai == aj:
+            raise ValueError(f"events {i} and {j} are identical")
+        if any(ai[t] != aj[t] for t in set(ai) & set(aj)):
             edges.add((i, j))
     return GraphSpec(len(assignments), frozenset(edges))
 

@@ -333,6 +333,19 @@ def clean(expr: MatExpr, threshold: float) -> MatExpr:
     return expr.clean(threshold)
 
 
+def _symmetric_expr(n: int, cells: np.ndarray, rows: np.ndarray, values: np.ndarray, nrows: int) -> MatExpr:
+    """The n x n expression whose coefficient row rows[k] holds values[k] at
+    cell (i, j) = cells[:, k] and at its transpose; the values are nonzero
+    and no (row, cell) pair repeats."""
+    i, j = cells
+    off = i != j
+    coef = sp.csc_array(
+        (np.concatenate([values, values[off]]), (np.concatenate([rows, rows[off]]), np.concatenate([i * n + j, (j * n + i)[off]]))),
+        shape=(nrows, n * n),
+    )
+    return MatExpr.from_coef((n, n), coef)
+
+
 def scalar_nonneg(expr: ScalarExpr) -> MatExpr:
     """Wrap a scalar affine expression as a 1x1 LMI (expr >= 0)."""
     return MatExpr((1, 1), np.array([[expr.const]]), {k: np.array([[v]]) for k, v in expr.coeffs.items()})
@@ -848,14 +861,6 @@ def _compile_primal(model: Model) -> CompiledModel:
 # JSON serialization
 
 
-def _cplx_to_json(m: np.ndarray):
-    m = np.asarray(m, dtype=complex)
-    out = {"re": np.real(m).tolist()}
-    if np.max(np.abs(np.imag(m))) > 0:
-        out["im"] = np.imag(m).tolist()
-    return out
-
-
 def _cplx_from_json(d) -> np.ndarray:
     m = np.array(d["re"], dtype=complex)
     if "im" in d:
@@ -863,7 +868,19 @@ def _cplx_from_json(d) -> np.ndarray:
     return m
 
 
+def _lmi_to_json(expr: MatExpr) -> dict:
+    """Shape and the COO triplets of the coefficient matrix: coefficient row
+    (0 the constant, 1 + k parameter k), row-major cell, value."""
+    c = expr.coef.tocoo()
+    re, im = c.data.real.tolist(), c.data.imag.tolist()
+    return {"shape": list(expr.shape), "rows": c.row.tolist(), "cols": c.col.tolist(), "re": re, "im": im}
+
+
 def model_to_json(model: Model) -> str:
+    """Format version 2: each LMI as the triplets of its coefficient matrix.
+    ``model_from_json`` also reads version 1, which wrote the constant and
+    every term as a dense matrix."""
+
     def scalar(e: ScalarExpr):
         return {
             "coeffs": {str(k): [v.real, v.imag] for k, v in e.coeffs.items()},
@@ -872,19 +889,12 @@ def model_to_json(model: Model) -> str:
 
     doc = {
         "format": "qsdp-model",
-        "version": 1,
+        "version": 2,
         "variables": [
             {"name": v.name, "rows": v.rows, "cols": v.cols, "structure": v.structure, "field": v.field}
             for v in model.vars
         ],
-        "lmis": [
-            {
-                "shape": list(expr.shape),
-                "const": _cplx_to_json(expr.const),
-                "terms": {str(k): _cplx_to_json(v) for k, v in expr.terms.items()},
-            }
-            for expr in model.lmis
-        ],
+        "lmis": [_lmi_to_json(expr) for expr in model.lmis],
         "equalities": [scalar(e) for e in model.equalities],
         "objective": scalar(model.objective),
         "sense": model.sense,
@@ -896,6 +906,9 @@ def model_from_json(text: str) -> Model:
     doc = json.loads(text)
     if doc.get("format") != "qsdp-model":
         raise ModelError("not a qsdp model document")
+    version = doc.get("version")
+    if version not in (1, 2):
+        raise ModelError(f"unknown qsdp model format version {version!r}")
     model = Model()
     for v in doc["variables"]:
         model.declare(v["rows"], v["cols"], structure=v["structure"], field=v["field"], name=v["name"])
@@ -907,11 +920,13 @@ def model_from_json(text: str) -> Model:
         )
 
     for l in doc["lmis"]:
-        expr = MatExpr(
-            tuple(l["shape"]),
-            _cplx_from_json(l["const"]),
-            {int(k): _cplx_from_json(v) for k, v in l["terms"].items()},
-        )
+        shape = tuple(l["shape"])
+        if version == 1:
+            expr = MatExpr(shape, _cplx_from_json(l["const"]), {int(k): _cplx_from_json(v) for k, v in l["terms"].items()})
+        else:
+            nrows = 1 + max(l["rows"], default=0)
+            coef = sp.coo_array((_cplx_from_json(l), (l["rows"], l["cols"])), shape=(nrows, shape[0] * shape[1]))
+            expr = MatExpr.from_coef(shape, coef)
         model.add_lmi(expr)
     for e in doc["equalities"]:
         model.equalities.append(scalar(e))

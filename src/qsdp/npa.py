@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 import numpy as np
-import scipy.sparse as sp
 
-from .modeling import MatExpr, Model, ScalarExpr
+from .modeling import MatExpr, Model, ScalarExpr, _symmetric_expr
 
 ZERO = "ZERO"  # annihilated word sentinel
 
@@ -255,18 +254,6 @@ class MomentModel:
         model.add_lmi(gamma)
         model.add_equality(ScalarExpr({var.decl.offset + self.norm_class: 1.0}), 1.0)
         return model, gamma
-
-
-def _symmetric_expr(n: int, cells: np.ndarray, rows: np.ndarray, values: np.ndarray, nrows: int) -> MatExpr:
-    """The n x n expression whose coefficient row rows[k] holds values[k] at
-    cell (i, j) = cells[:, k] and at its transpose."""
-    i, j = cells
-    off = i != j
-    coef = sp.csc_array(
-        (np.concatenate([values, values[off]]), (np.concatenate([rows, rows[off]]), np.concatenate([i * n + j, (j * n + i)[off]]))),
-        shape=(nrows, n * n),
-    )
-    return MatExpr.from_coef((n, n), coef)
 
 
 def build_moment_model(scenario: Scenario, level, observables: bool = False) -> MomentModel:
@@ -587,7 +574,8 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     problem.  Gamma's constant term is the identity's moment, so a plain
     Bell problem has no equality row.  ``gamma`` and ``moments`` are read in
     the projector basis, Gamma_P = T Gamma_A T^T (``projector_lift``), with
-    ``moments[k]`` at the first cell of class k of ``build_moment_model``.
+    ``moments[k]`` at the first cell of class k, which the observable and
+    the projector builds share.
     ``model_result.solution.stats["symmetry"]`` gives the group order, the
     number of classes besides the identity, of orbits (the unknowns) and of
     pinned classes.
@@ -637,9 +625,8 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     }
     t = projector_lift(obs)
     gamma_p = t @ gamma.value(res.compiled.params_from(res.solution)).real @ t.T
-    proj = build_moment_model(scenario, level)
-    _, first = np.unique(proj.cell_classes, return_index=True)
-    moments = gamma_p[proj.cells[0, first], proj.cells[1, first]]
+    _, first = np.unique(cls, return_index=True)
+    moments = gamma_p[obs.cells[0, first], obs.cells[1, first]]
     return BellResult(value=res.value, gamma=gamma_p, moments=moments, model_result=res)
 
 
@@ -776,9 +763,7 @@ def nv_solve(basis, game: np.ndarray, cfg=None):
     model.add_equality(gamma.entry(0, 0), 1.0)
     model.maximize(gamma.frobenius_with(np.asarray(game, dtype=float)))
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
-    params = np.zeros(model.nparams)
-    params[: len(basis)] = res.values["coeffs"][:, 0]
-    return res.value, gamma.value(params).real, res
+    return res.value, gamma.value(res.compiled.params_from(res.solution)).real, res
 
 
 def _sym_place(game: np.ndarray, i: int, j: int, w: float):

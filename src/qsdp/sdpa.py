@@ -29,6 +29,14 @@ def _clean_tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _int(token: str) -> int:
+    """An integer field: "2" and "2.0" read as 2, "2.7" raises ValueError."""
+    value = float(token)
+    if not value.is_integer():
+        raise ValueError(f"{token!r} is not an integer")
+    return int(value)
+
+
 def parse_sdpa(text: str) -> ConeProblem:
     """Parse SDPA sparse input (entries "mat# blk# i j value", upper triangle)."""
     numbered = [(no + 1, raw) for no, raw in enumerate(text.splitlines())]
@@ -40,7 +48,7 @@ def parse_sdpa(text: str) -> ConeProblem:
         no, ln = lines[idx]
         toks = _clean_tokens(ln)
         try:
-            vals = [int(float(t)) for t in toks]
+            vals = [_int(t) for t in toks]
         except ValueError as exc:
             raise SdpaFormatError(no, f"expected integers, got {ln!r}") from exc
         if expect is not None and len(vals) < expect:
@@ -76,10 +84,10 @@ def parse_sdpa(text: str) -> ConeProblem:
         if len(toks) != 5:
             raise SdpaFormatError(no, f"expected 5 fields, got {len(toks)}")
         try:
-            mat_no, blk_no, i, j = (int(float(t)) for t in toks[:4])
+            mat_no, blk_no, i, j = (_int(t) for t in toks[:4])
             value = float(toks[4])
         except ValueError as exc:
-            raise SdpaFormatError(no, "malformed entry") from exc
+            raise SdpaFormatError(no, f"malformed entry: {exc}") from exc
         if not 0 <= mat_no <= m:
             raise SdpaFormatError(no, f"matrix index {mat_no} out of range 0..{m}")
         if not 1 <= blk_no <= len(sizes):

@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
-from .modeling import MatExpr, Model, ScalarExpr
+from .modeling import Model, ScalarExpr, _symmetric_expr
 from .npa import Scenario, generate_words, reduce_word, word_adjoint
 
 
@@ -26,13 +26,13 @@ def monomials(n_vars: int, degree: int):
 
 
 def _pairing_matrix(basis, n_vars: int, degree2: int):
-    """Linear map from symmetric-matrix cells to degree-2m coefficients."""
+    """Linear map from symmetric-matrix cells to degree-2m coefficients; the
+    cells (i <= j, row-major) come back as a (2, K) array."""
     prods = monomials(n_vars, degree2)
     prod_index = {m: i for i, m in enumerate(prods)}
-    d = len(basis)
-    cells = [(i, j) for i in range(d) for j in range(i, d)]
-    p = np.zeros((len(prods), len(cells)))
-    for c, (i, j) in enumerate(cells):
+    cells = np.array(np.triu_indices(len(basis)))
+    p = np.zeros((len(prods), cells.shape[1]))
+    for c, (i, j) in enumerate(cells.T.tolist()):
         m = tuple(a + b for a, b in zip(basis[i], basis[j]))
         p[prod_index[m], c] += 1.0 if i == j else 2.0
     return p, prods, cells
@@ -53,16 +53,6 @@ class SosResult:
     certificate: SosCertificate | None
     dual_witness: np.ndarray | None
     model_result: object
-
-
-def _poly_from_gram(gram: np.ndarray, basis) -> dict:
-    out: dict[tuple, float] = {}
-    d = len(basis)
-    for i in range(d):
-        for j in range(d):
-            m = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            out[m] = out.get(m, 0.0) + gram[i, j]
-    return {m: c for m, c in out.items() if abs(c) > 0}
 
 
 def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
@@ -93,36 +83,31 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
     cell_vec, *_ = np.linalg.lstsq(p, target, rcond=None)
     if np.linalg.norm(p @ cell_vec - target) > 1e-9 * max(1.0, np.linalg.norm(target)):
         raise ValueError("polynomial cannot be represented over the monomial basis")
-    h_mat = np.zeros((d, d))
-    for c, (i, j) in enumerate(cells):
-        h_mat[i, j] = h_mat[j, i] = cell_vec[c]
-
     kernel = scipy.linalg.null_space(p)
     n_null = kernel.shape[1]
-    null_mats = []
-    for k in range(n_null):
-        nm = np.zeros((d, d))
-        for c, (i, j) in enumerate(cells):
-            nm[i, j] = nm[j, i] = kernel[c, k]
-        null_mats.append(nm)
 
+    # H - t I + sum_k y_k N_k, from the nonzeros of H's cell vector and of the kernel
     model = Model()
     t = model.declare(1, structure="symmetric", name="t")
-    gram_expr = MatExpr((d, d), h_mat, {t.decl.offset: -np.eye(d)})
     if n_null:
-        y = model.declare(n_null, 1, structure="full", name="y")
-        for k, nm in enumerate(null_mats):
-            gram_expr = gram_expr + MatExpr((d, d), terms={y.decl.offset + k: nm})
+        model.declare(n_null, 1, structure="full", name="y")  # parameters 1 .. n_null
+    nz_cell, nz_k = np.nonzero(kernel)
+    h_at = np.flatnonzero(cell_vec)
+    diag = np.arange(d)
+    gram_expr = _symmetric_expr(
+        d,
+        np.hstack([cells[:, h_at], [diag, diag], cells[:, nz_cell]]),
+        np.concatenate([np.zeros(h_at.size, np.int64), np.full(d, 1 + t.decl.offset), 2 + nz_k]),
+        np.concatenate([cell_vec[h_at], -np.ones(d), kernel[nz_cell, nz_k]]),
+        1 + model.nparams,
+    )
     model.add_lmi(gram_expr)
     model.maximize(t.entry(0, 0))
     res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
 
     margin = res.value
-    params = np.zeros(model.nparams)
+    params = res.compiled.params_from(res.solution)
     params[t.decl.offset] = 0.0  # evaluate the Gram matrix itself, without the slack
-    if n_null:
-        yv = res.values["y"][:, 0]
-        params[model.vars[1].offset : model.vars[1].offset + n_null] = yv
     gram = gram_expr.value(params).real
 
     if not (res.success and margin >= -1e-7):
@@ -135,11 +120,8 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
         if lam > 1e-10:
             g = np.sqrt(lam) * vec_
             squares.append({basis[i]: g[i] for i in range(d) if abs(g[i]) > 1e-12})
-    recon = _poly_from_gram(gram, basis)
-    residual = 0.0
-    for e in set(recon) | set(h):
-        residual += (recon.get(e, 0.0) - float(h.get(e, 0.0))) ** 2
-    cert = SosCertificate(gram=gram, basis=basis, squares=squares, residual=float(np.sqrt(residual)))
+    residual = np.linalg.norm(p @ gram[cells[0], cells[1]] - target)
+    cert = SosCertificate(gram=gram, basis=basis, squares=squares, residual=float(residual))
     return SosResult(True, margin, cert, None, res)
 
 

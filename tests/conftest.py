@@ -46,6 +46,22 @@ def dps_reference(rho, dims, k):
     return model.compile(framing="dual", equality_mode="eliminate").solve()
 
 
+def assert_same_problem(got, want):
+    """Two compiled problems hold the same bits: A (indptr, indices, data), C and b."""
+    assert got.structure == want.structure
+    assert got.meta == want.meta
+    pairs = [
+        (got.a.indptr, want.a.indptr),
+        (got.a.indices, want.a.indices),
+        (got.a.data, want.a.data),
+        (got.c_obj.flat(), want.c_obj.flat()),
+        (got.rhs, want.rhs),
+    ]
+    for g, w in pairs:
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def probability_expr(mm, offset, coords) -> ScalarExpr:
     """A combination of probabilities (``npa.coordinates``) over the classes
     of ``mm``, whose unknowns start at ``offset``; the identity's term is the

@@ -1,6 +1,9 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
-from itertools import combinations
+from conftest import assert_same_problem
 
 from qsdp.graphs import (
     GraphSpec,
@@ -16,6 +19,7 @@ from qsdp.graphs import (
     weighted_theta,
     write_graph,
 )
+from qsdp.modeling import MatExpr, Model
 
 ROOT5 = np.sqrt(5.0)
 
@@ -24,6 +28,98 @@ def odd_cycle_theta(n: int) -> float:
     # closed form for odd cycles: n cos(pi/n) / (1 + cos(pi/n))
     c = np.cos(np.pi / n)
     return n * c / (1 + c)
+
+
+def dense_theta_model(g: GraphSpec) -> Model:
+    """The eigenvalue form built with one dense indicator matrix per edge:
+    the reference for ``lovasz_theta``'s sparse build."""
+    model = Model()
+    lam = model.declare(1, structure="symmetric", name="lam")
+    edges = sorted(g.edges)
+    t = model.declare(max(len(edges), 1), 1, structure="full", name="edge_cells")
+    base = np.ones((g.n, g.n))
+    terms = {}
+    for k, (u, v) in enumerate(edges):
+        base[u, v] = base[v, u] = 0.0
+        ind = np.zeros((g.n, g.n))
+        ind[u, v] = ind[v, u] = 1.0
+        terms[t.decl.offset + k] = ind
+    if not edges:
+        terms[t.decl.offset] = np.zeros((g.n, g.n))
+    model.add_lmi(MatExpr((g.n, g.n), terms={lam.decl.offset: np.eye(g.n)}) - MatExpr((g.n, g.n), base, terms))
+    if not edges:
+        model.add_equality(t.expr().entry(0, 0), 0.0)
+    model.minimize(lam.entry(0, 0))
+    return model
+
+
+def dense_weighted_theta_model(g: GraphSpec) -> Model:
+    """The Gram form with one dense indicator matrix per free cell."""
+    w = np.asarray(g.weights)
+    cells = [(i, j) for i in range(g.n) for j in range(i, g.n) if i == j or not g.adjacent(i, j)]
+    model = Model()
+    var = model.declare(len(cells), 1, structure="full", name="cells")
+    terms = {}
+    for k, (i, j) in enumerate(cells):
+        ind = np.zeros((g.n, g.n))
+        ind[i, j] = ind[j, i] = 1.0
+        terms[var.decl.offset + k] = ind
+    b_expr = MatExpr((g.n, g.n), terms=terms)
+    model.add_lmi(b_expr)
+    model.add_equality(b_expr.trace(), 1.0)
+    model.maximize(b_expr.frobenius_with(np.outer(np.sqrt(w), np.sqrt(w))))
+    return model
+
+
+def random_graph(n, seed, p=0.4, weights=None):
+    rng = np.random.default_rng(seed)
+    return GraphSpec(n, frozenset((u, v) for u, v in combinations(range(n), 2) if rng.random() < p), weights)
+
+
+SPARSE_BUILD_GRAPHS = {
+    "C5": cycle_graph(5),
+    "C7": cycle_graph(7),
+    "random9": random_graph(9, 3),
+    "empty4": empty_graph(4),
+    "complete4": complete_graph(4),
+}
+
+
+class TestSparseBuild:
+    """lovasz_theta and weighted_theta compile the same bits as the dense builds."""
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_BUILD_GRAPHS))
+    def test_theta(self, name):
+        g = SPARSE_BUILD_GRAPHS[name]
+        want = dense_theta_model(g).compile(framing="dual", equality_mode="eliminate").problem
+        assert_same_problem(lovasz_theta(g)[2].compiled.problem, want)
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_BUILD_GRAPHS))
+    def test_weighted_theta(self, name):
+        g = SPARSE_BUILD_GRAPHS[name]
+        g = GraphSpec(g.n, g.edges, tuple(np.random.default_rng(g.n).uniform(0.5, 2.0, g.n)))
+        want = dense_weighted_theta_model(g).compile(framing="dual", equality_mode="eliminate").problem
+        assert_same_problem(weighted_theta(g)[1].compiled.problem, want)
+
+    def test_theta_returns_x_at_the_solution(self):
+        value, x_mat, res = lovasz_theta(cycle_graph(7))
+        t = res.values["edge_cells"][:, 0]
+        want = np.ones((7, 7))
+        for k, (u, v) in enumerate(sorted(cycle_graph(7).edges)):
+            want[u, v] = want[v, u] = t[k]
+        assert np.array_equal(x_mat, want)
+
+    def test_cycle_100_allocates_little(self):
+        """A dense indicator per edge held 100 matrices of 100 x 100 and
+        peaked at ~24 MiB."""
+        tracemalloc.start()
+        try:
+            value, _, _ = lovasz_theta(cycle_graph(100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(50.0, abs=1e-6)
+        assert peak <= 12 * 2**20
 
 
 class TestGraphSpec:

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from conftest import assert_same_problem
 
 from qsdp import BlockStructure, ConeProblem, Solution, SymBlockMat
 from qsdp.blockmat import embed_hermitian
@@ -19,6 +22,7 @@ from qsdp.modeling import (
     partial_transpose,
     scalar_nonneg,
 )
+from qsdp.npa import Scenario, build_moment_model
 
 
 def random_hermitian(n, seed=0):
@@ -201,21 +205,43 @@ class TestModelChecks:
             m.compile()
 
 
+def json_model():
+    """Complex constant and terms, an equality and a real objective."""
+    m = Model()
+    s = m.declare(2, structure="hermitian", field="complex", name="S")
+    t = m.declare(1, structure="symmetric", name="t")
+    m.add_lmi(s.expr())
+    m.add_lmi(MatExpr((2, 2), np.array([[1.0, 0.5j], [-0.5j, 2.0]]), {t.decl.offset: np.eye(2)}) - s.expr())
+    m.add_equality(s.trace(), 1.0)
+    m.minimize(t.entry(0, 0) - 0.25 * s.entry(0, 1).real())
+    return m
+
+
+# json_model() as format version 1 wrote it: the constant and each term as dense matrices
+JSON_MODEL_V1 = (
+    '{"format": "qsdp-model", "version": 1, "variables": [{"name": "S", "rows": 2, "cols": 2, "structure": "hermitian", '
+    '"field": "complex"}, {"name": "t", "rows": 1, "cols": 1, "structure": "symmetric", "field": "real"}], "lmis": '
+    '[{"shape": [2, 2], "const": {"re": [[0.0, 0.0], [0.0, 0.0]]}, "terms": {"0": {"re": [[1.0, 0.0], [0.0, 0.0]]}, '
+    '"1": {"re": [[0.0, 1.0], [1.0, 0.0]]}, "2": {"re": [[0.0, 0.0], [0.0, 1.0]]}, "3": {"re": [[0.0, 0.0], [0.0, 0.0]], '
+    '"im": [[0.0, 1.0], [-1.0, 0.0]]}}}, {"shape": [2, 2], "const": {"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.5], '
+    '[-0.5, 0.0]]}, "terms": {"0": {"re": [[-1.0, 0.0], [0.0, 0.0]]}, "1": {"re": [[0.0, -1.0], [-1.0, 0.0]]}, "2": '
+    '{"re": [[0.0, 0.0], [0.0, -1.0]]}, "3": {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, -1.0], [1.0, 0.0]]}, "4": '
+    '{"re": [[1.0, 0.0], [0.0, 1.0]]}}}], "equalities": [{"coeffs": {"0": [1.0, 0.0], "1": [0.0, 0.0], "2": [1.0, 0.0], '
+    '"3": [0.0, 0.0]}, "const": [-1.0, 0.0]}], "objective": {"coeffs": {"4": [1.0, 0.0], "1": [-0.25, 0.0], "3": '
+    '[0.0, 0.0]}, "const": [0.0, 0.0]}, "sense": "min"}'
+)
+
+
+def assert_same_compiles(got: Model, want: Model):
+    for framing, mode in [("dual", "free_split"), ("dual", "eliminate"), ("primal", "free_split")]:
+        assert_same_problem(got.compile(framing, mode).problem, want.compile(framing, mode).problem)
+
+
 class TestJson:
-    def test_roundtrip_compiles_identically(self):
-        x = random_hermitian(3, seed=3)
-        m, _ = eigenvalue_model(x)
-        m2 = model_from_json(model_to_json(m))
-        p1 = m.compile(framing="dual").problem
-        p2 = m2.compile(framing="dual").problem
-        assert p1.structure == p2.structure
-        assert np.allclose(p1.rhs, p2.rhs, atol=1e-15)
-        for a1, a2 in zip(p1.constraints, p2.constraints):
-            for b1, b2 in zip(a1.blocks, a2.blocks):
-                assert np.allclose(b1, b2, atol=1e-15)
-            assert np.allclose(a1.free, a2.free, atol=1e-15)
-        for b1, b2 in zip(p1.c_obj.blocks, p2.c_obj.blocks):
-            assert np.allclose(b1, b2, atol=1e-15)
+    @pytest.mark.parametrize("name", ["eigenvalue", "json"])
+    def test_roundtrip_compiles_identically(self, name):
+        m = eigenvalue_model(random_hermitian(3, seed=3))[0] if name == "eigenvalue" else json_model()
+        assert_same_compiles(model_from_json(model_to_json(m)), m)
 
     def test_solve_value_preserved(self):
         x = random_hermitian(3, seed=5)
@@ -223,6 +249,36 @@ class TestJson:
         v1 = m.solve().value
         v2 = model_from_json(model_to_json(m)).solve().value
         assert v1 == pytest.approx(v2, abs=1e-8)
+
+    def test_writes_coefficient_triplets(self):
+        doc = json.loads(model_to_json(json_model()))
+        assert doc["version"] == 2
+        lmi = doc["lmis"][1]
+        assert set(lmi) == {"shape", "rows", "cols", "re", "im"}
+        # the constant's four entries, then 1 + 2 + 1 + 2 for S and 2 for t
+        assert len(lmi["rows"]) == len(lmi["cols"]) == len(lmi["re"]) == len(lmi["im"]) == 12
+        assert lmi["rows"].count(0) == 4
+
+    def test_reads_version_1(self):
+        old = model_from_json(JSON_MODEL_V1)
+        assert_same_compiles(old, json_model())
+        again = model_to_json(old)
+        assert json.loads(again)["version"] == 2
+        assert_same_compiles(model_from_json(again), json_model())
+
+    def test_unknown_version_rejected(self):
+        doc = json.loads(JSON_MODEL_V1)
+        doc["version"] = 3
+        with pytest.raises(ModelError, match="version"):
+            model_from_json(json.dumps(doc))
+
+    def test_i3322_level2_is_small(self):
+        """Dense terms wrote 1.5 MB for this model."""
+        model, _ = build_moment_model(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 2).to_model()
+        text = model_to_json(model)
+        assert len(text) <= 100_000
+        back = model_from_json(text)
+        assert_same_problem(back.compile(equality_mode="eliminate").problem, model.compile(equality_mode="eliminate").problem)
 
 
 class TestTensorHelpers:
@@ -436,21 +492,6 @@ def reference_primal(model):
         if v:
             add(c_obj, k, float(v))
     return ConeProblem(c_obj, rows, np.array(rhs), meta={"framing": "primal", "constraint_names": names})
-
-
-def assert_same_problem(got, want):
-    assert got.structure == want.structure
-    assert got.meta == want.meta
-    pairs = [
-        (got.a.indptr, want.a.indptr),
-        (got.a.indices, want.a.indices),
-        (got.a.data, want.a.data),
-        (got.c_obj.flat(), want.c_obj.flat()),
-        (got.rhs, want.rhs),
-    ]
-    for g, w in pairs:
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
 
 
 def mixed_model():

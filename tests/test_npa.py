@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from itertools import product
 
-from conftest import probability_expr
+from conftest import assert_same_problem, probability_expr
+from qsdp import npa
 from qsdp.npa import (
     ZERO,
     Scenario,
@@ -312,10 +313,7 @@ class TestMomentModelExport:
         model, _ = mm.to_model()
         model.minimize(ScalarExpr({model.vars[0].offset: 1.0}))
         restored = model_from_json(model_to_json(model))
-        p1 = model.compile(equality_mode="eliminate").problem
-        p2 = restored.compile(equality_mode="eliminate").problem
-        assert p1.structure == p2.structure
-        assert p1.num_constraints == p2.num_constraints
+        assert_same_problem(restored.compile(equality_mode="eliminate").problem, model.compile(equality_mode="eliminate").problem)
 
 
 class TestGeneralOutcomes:
@@ -487,6 +485,17 @@ class TestFactorBuild:
         assert mm.cell_classes.tolist() == [seen[key] for key in keys.values()]
         assert mm.class_keys == list(seen)
         assert mm.norm_class == mm.classes[0, 0] == seen[()]
+
+    @pytest.mark.parametrize("scenario,level", BUILD_CASES)
+    def test_bases_share_first_cells(self, scenario, level):
+        """solve_bell reads the projector-basis moments at the observable
+        build's first cell of each class."""
+        firsts = []
+        for observables in (False, True):
+            mm = build_moment_model(scenario, level, observables=observables)
+            _, first = np.unique(mm.cell_classes, return_index=True)
+            firsts.append(mm.cells[:, first])
+        assert np.array_equal(*firsts)
 
     def test_level4_build_keeps_little_memory(self):
         tracemalloc.start()
@@ -694,6 +703,23 @@ class TestLiftedGamma:
         for i, j, cls in zip(*mm.cells, mm.cell_classes):
             first.setdefault(cls, res.gamma[i, j])
         assert np.array_equal(res.moments, [first[k] for k in range(mm.num_unknowns)])
+
+
+class TestOneBuildPerSolve:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_bell(Scenario.chsh(), 2, chsh_functional()),
+            lambda: mlp_bound(Scenario.prepare_measure(4, 2), 2, qrac_witness(2), level=1),
+        ],
+        ids=["chsh", "qrac-mlp"],
+    )
+    def test_one_moment_model(self, monkeypatch, solve):
+        calls = []
+        build = npa.build_moment_model
+        monkeypatch.setattr(npa, "build_moment_model", lambda *args, **kw: calls.append(kw) or build(*args, **kw))
+        assert solve().success
+        assert calls == [{"observables": True}]
 
 
 class TestInputsChecked:

@@ -38,6 +38,21 @@ class TestParse:
         with pytest.raises(SdpaFormatError, match="line 5"):
             parse_sdpa(text)
 
+    def test_fractional_header_rejected(self):
+        text = "1.9\n1\n2\n1.0\n1 1 1 1 1.0\n"
+        with pytest.raises(SdpaFormatError, match="line 1"):
+            parse_sdpa(text)
+
+    def test_fractional_entry_index_rejected(self):
+        text = "1\n1\n2\n1.0\n1 1 1.5 2.7 1.0\n"
+        with pytest.raises(SdpaFormatError, match="line 5.*1.5"):
+            parse_sdpa(text)
+
+    def test_integers_written_as_floats_accepted(self):
+        p = parse_sdpa("1.0\n1\n2.0\n1.0\n1.0 1 1 2.0 1.0\n")
+        assert p.num_constraints == 1
+        assert p.constraints[0].blocks[0][0, 1] == 1.0
+
     def test_lower_triangle_rejected(self):
         text = "1\n1\n2\n1.0\n1 1 2 1 1.0\n"
         with pytest.raises(SdpaFormatError, match="upper triangular"):

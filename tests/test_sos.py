@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import assert_same_problem
 
+from qsdp.modeling import MatExpr, Model
 from qsdp.npa import Scenario, chsh_functional, solve_bell
 from qsdp.sos import (
     chsh_operator_coefficients,
@@ -23,6 +26,74 @@ def poly_mul_squares(squares):
                 key = tuple(a + b for a, b in zip(m1, m2))
                 out[key] = out.get(key, 0.0) + c1 * c2
     return {k: v for k, v in out.items() if abs(v) > 1e-12}
+
+
+def dense_sos_model(h: dict, n_vars: int) -> Model:
+    """H - t I + sum_k y_k N_k with one dense matrix and one addition per
+    null-space vector: the reference for ``sos_certificate``'s sparse build."""
+    (deg,) = {sum(e) for e in h}
+    basis, prods = monomials(n_vars, deg // 2), monomials(n_vars, deg)
+    d = len(basis)
+    cells = [(i, j) for i in range(d) for j in range(i, d)]
+    p = np.zeros((len(prods), len(cells)))
+    for c, (i, j) in enumerate(cells):
+        p[prods.index(tuple(a + b for a, b in zip(basis[i], basis[j]))), c] += 1.0 if i == j else 2.0
+    target = np.zeros(len(prods))
+    for e, c in h.items():
+        target[prods.index(e)] = float(c)
+    cell_vec, *_ = np.linalg.lstsq(p, target, rcond=None)
+    h_mat = np.zeros((d, d))
+    for c, (i, j) in enumerate(cells):
+        h_mat[i, j] = h_mat[j, i] = cell_vec[c]
+    kernel = scipy.linalg.null_space(p)
+    model = Model()
+    t = model.declare(1, structure="symmetric", name="t")
+    gram_expr = MatExpr((d, d), h_mat, {t.decl.offset: -np.eye(d)})
+    if kernel.shape[1]:
+        y = model.declare(kernel.shape[1], 1, structure="full", name="y")
+        for k in range(kernel.shape[1]):
+            nm = np.zeros((d, d))
+            for c, (i, j) in enumerate(cells):
+                nm[i, j] = nm[j, i] = kernel[c, k]
+            gram_expr = gram_expr + MatExpr((d, d), terms={y.decl.offset + k: nm})
+    model.add_lmi(gram_expr)
+    model.maximize(t.entry(0, 0))
+    return model
+
+
+def random_sos(n_vars, half_degree, seed, n_squares=2):
+    rng = np.random.default_rng(seed)
+    basis = monomials(n_vars, half_degree)
+    return poly_mul_squares([dict(zip(basis, rng.normal(size=len(basis)))) for _ in range(n_squares)])
+
+
+class TestSparseBuild:
+    @pytest.mark.parametrize("name", ["motzkin", "random"])
+    def test_compiles_like_the_dense_build(self, name):
+        h, n = motzkin_polynomial() if name == "motzkin" else (random_sos(3, 2, seed=7), 3)
+        want = dense_sos_model(h, n).compile(framing="dual", equality_mode="eliminate").problem
+        assert_same_problem(sos_certificate(h, n).model_result.compiled.problem, want)
+
+    def test_no_addition_per_null_vector(self, monkeypatch):
+        calls = []
+        add = MatExpr.__add__
+        monkeypatch.setattr(MatExpr, "__add__", lambda self, other: calls.append(1) or add(self, other))
+        h = random_sos(3, 2, seed=7)
+        res = sos_certificate(h, 3)
+        n_null = res.model_result.compiled.model.vars[1].nparams
+        assert res.feasible and n_null > 1
+        assert not calls
+
+    def test_residual_is_the_pairing_mismatch(self):
+        h = random_sos(2, 2, seed=4)
+        cert = sos_certificate(h, 2).certificate
+        recon = {}
+        for i, u in enumerate(cert.basis):
+            for j, v in enumerate(cert.basis):
+                m = tuple(a + b for a, b in zip(u, v))
+                recon[m] = recon.get(m, 0.0) + cert.gram[i, j]
+        direct = np.sqrt(sum((recon.get(m, 0.0) - h.get(m, 0.0)) ** 2 for m in set(recon) | set(h)))
+        assert cert.residual == pytest.approx(direct, abs=1e-12)
 
 
 class TestMonomials:
