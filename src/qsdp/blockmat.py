@@ -217,11 +217,6 @@ def embed_hermitian(b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
     if np.max(np.abs(b - b.conj().T)) > tol * scale:
         raise ValueError("input is not Hermitian within tolerance")
-    return _real_embedding(b)
-
-
-def _real_embedding(b: np.ndarray) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]] of b, with no Hermitian check (see embed_hermitian)."""
     br, bi = np.real(b), np.imag(b)
     return np.block([[br, -bi], [bi, br]])
 

@@ -87,8 +87,13 @@ def _scenario_from_doc(doc) -> Scenario:
 
 def _bell_from_doc(doc) -> dict:
     bell = {}
-    for entry in doc.get("bell", []):
-        bell[(entry["a"], entry["b"], entry["x"], entry["y"])] = float(entry["coeff"])
+    try:
+        for entry in doc.get("bell", []):
+            bell[(entry["a"], entry["b"], entry["x"], entry["y"])] = float(entry["coeff"])
+    except KeyError as exc:
+        raise UsageError(f"a 'bell' entry lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'bell' entry: {exc}") from exc
     if not bell:
         raise UsageError("scenario document has no 'bell' coefficients")
     return bell
@@ -145,6 +150,8 @@ def _cmd_mlp(args) -> tuple:
 
 def _cmd_nv(args) -> tuple:
     doc = json.loads(_read(args.scenario))
+    if not isinstance(doc, dict):
+        raise UsageError("nv scenario document must be a JSON object")
     kind = doc.get("kind")
     if kind == "qrac":
         task = qrac_nv_task(int(doc.get("bits", 2)), int(doc.get("dim", 2)))

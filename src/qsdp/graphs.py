@@ -187,7 +187,11 @@ def parse_graph(text: str) -> GraphSpec:
     weights = {}
     for ln in lines[1:]:
         parts = ln.split()
+        if len(parts) != (3 if parts[0] == "w" else 2):
+            raise ValueError(f"graph line {ln!r}: expected 'u v' or 'w i weight'")
         if parts[0] == "w":
+            if not 0 <= int(parts[1]) < n:
+                raise ValueError(f"graph line {ln!r}: vertex {parts[1]} is not in 0..{n - 1}")
             weights[int(parts[1])] = float(parts[2])
         else:
             u, v = int(parts[0]), int(parts[1])

@@ -16,30 +16,16 @@ complex data to the doubled real representation and emits a
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .blockmat import BlockStructure, SymBlockMat, _real_embedding
+from .blockmat import BlockStructure, SymBlockMat
 from .problem import ConeProblem, Solution
 
 _STRUCTURES = ("full", "symmetric", "hermitian", "diagonal", "skew")
-_EQ_TOL = 1e-9
-
-
-def param_count(rows: int, cols: int, structure: str) -> int:
-    if structure == "full":
-        return rows * cols
-    n = rows
-    return {
-        "symmetric": n * (n + 1) // 2,
-        "hermitian": n * n,
-        "diagonal": n,
-        "skew": n * (n - 1) // 2,
-    }[structure]
 
 
 @dataclass(frozen=True)
@@ -53,7 +39,14 @@ class VarDecl:
 
     @property
     def nparams(self) -> int:
-        return param_count(self.rows, self.cols, self.structure)
+        n = self.rows
+        return {
+            "full": n * self.cols,
+            "symmetric": n * (n + 1) // 2,
+            "hermitian": n * n,
+            "diagonal": n,
+            "skew": n * (n - 1) // 2,
+        }[self.structure]
 
     def pattern(self):
         """(parameter, cell, coefficient) arrays of the basis: the coefficient
@@ -77,12 +70,6 @@ class VarDecl:
             par, cells = np.concatenate([par, im, im]), np.concatenate([cells, i * n + j, j * n + i])
             vals = np.concatenate([vals, np.full(i.size, 1j), np.full(i.size, -1j)])
         return par, cells, vals
-
-    def assemble(self, params: np.ndarray) -> np.ndarray:
-        par, cells, vals = self.pattern()
-        m = np.zeros(self.rows * self.cols, dtype=complex)
-        np.add.at(m, cells, np.asarray(params)[par] * vals)
-        return m.reshape(self.rows, self.cols)
 
 
 class ScalarExpr:
@@ -469,29 +456,21 @@ class Model:
         self.sense = "max"
 
     # -- compilation ------------------------------------------------------
-    def compile(self, framing="dual", equality_mode="free_split", eps=1e-8, real_shortcut=False) -> "CompiledModel":
-        """Lower to a canonical ConeProblem.
-
-        With ``real_shortcut`` the imaginary parts of hermitian variables are
-        dropped before framing; valid (and checked) only when every piece of
-        data touching them is real and the objective ignores them, in which
-        case the optimal value is unchanged and the blocks stay at size n
-        instead of 2n.
-        """
+    def compile(self, framing="dual", equality_mode="free_split", eps=1e-8) -> "CompiledModel":
+        """Lower to a canonical ConeProblem."""
         if framing not in ("dual", "primal"):
             raise ModelError("framing must be 'dual' or 'primal'")
         if equality_mode not in ("free_split", "eliminate", "two_inequalities"):
             raise ModelError("equality_mode must be free_split, eliminate or two_inequalities")
-        model = real_restriction(self) if real_shortcut else self
-        if not model.lmis:
+        if not self.lmis:
             raise ModelError("model has no LMI constraints; nothing to optimize over")
-        model._check_all_params_used()
+        self._check_all_params_used()
         if framing == "dual":
-            return _compile_dual(model, equality_mode, eps)
-        return _compile_primal(model)
+            return _compile_dual(self, equality_mode, eps)
+        return _compile_primal(self)
 
-    def solve(self, framing="dual", equality_mode="free_split", eps=1e-8, cfg=None, real_shortcut=False):
-        return self.compile(framing, equality_mode, eps, real_shortcut).solve(cfg)
+    def solve(self, framing="dual", equality_mode="free_split", eps=1e-8, cfg=None):
+        return self.compile(framing, equality_mode, eps).solve(cfg)
 
     def _check_all_params_used(self):
         used = set()
@@ -507,57 +486,6 @@ class Model:
                 f"variable {var.name!r} has parameters that appear in no constraint; "
                 "the model would be unbounded or structurally empty"
             )
-
-
-def real_restriction(model: Model) -> Model:
-    """Replace hermitian variables by real symmetric ones, dropping the
-    imaginary parameters.
-
-    Sound when the surrounding data is real: the real part of any feasible
-    Hermitian point is feasible with the same objective value.  Raises when a
-    coefficient matrix on a real parameter has imaginary content, or when the
-    objective or an equality involves an imaginary parameter.
-    """
-    new = Model()
-    # new coefficient row of each old one; -1 drops the row of an imaginary
-    # parameter, whose purely imaginary basis direction is discarded
-    new_row = np.full(1 + model.nparams, -1)
-    new_row[0] = 0
-    for decl in model.vars:
-        if decl.structure == "hermitian":
-            nv = new.declare(decl.rows, structure="symmetric", name=decl.name)
-        else:
-            nv = new.declare(decl.rows, decl.cols, structure=decl.structure, field=decl.field, name=decl.name)
-        kept = 1 + decl.offset + np.arange(nv.nparams)  # the real parameters lead
-        new_row[kept] = 1 + nv.decl.offset + np.arange(nv.nparams)
-
-    def conv_mat(expr: MatExpr) -> MatExpr:
-        c = expr.coef.tocoo()
-        row = new_row[c.row]
-        kept = row >= 0
-        if np.max(np.abs(c.data.imag[row == 0]), initial=0.0) > 1e-12:
-            raise ModelError("real shortcut requires real constant data")
-        if np.max(np.abs(c.data.imag[kept]), initial=0.0) > 1e-12:
-            raise ModelError("real shortcut requires real coefficient data")
-        coef = sp.coo_array((c.data.real[kept], (row[kept], c.col[kept])), shape=(1 + new.nparams, c.shape[1]))
-        return MatExpr.from_coef(expr.shape, coef)
-
-    def conv_scalar(e: ScalarExpr, where: str) -> ScalarExpr:
-        coeffs = {}
-        for k, v in e.coeffs.items():
-            if new_row[1 + k] >= 0:
-                coeffs[int(new_row[1 + k]) - 1] = v
-            elif abs(v) > 1e-12:
-                raise ModelError(f"real shortcut invalid: {where} involves an imaginary parameter")
-        return ScalarExpr(coeffs, e.const)
-
-    for lmi in model.lmis:
-        new.add_lmi(conv_mat(lmi))
-    for eq in model.equalities:
-        new.equalities.append(conv_scalar(eq, "an equality"))
-    new.objective = conv_scalar(model.objective, "the objective")
-    new.sense = model.sense
-    return new
 
 
 def _hermitian_coeffs(expr: MatExpr, what: str) -> bool:
@@ -594,15 +522,12 @@ def _lmi_starts(sizes, offsets, first_block: int) -> list[int]:
 
 
 def _lowered(exprs, sizes, starts):
-    """(start, const, terms) of each LMI as real data: the constant dense, the
-    terms as the rows of a sparse matrix.  An LMI of size 2n holds its complex
-    data in the doubled real embedding."""
+    """(start, coef) of each LMI as real data, its whole coefficient matrix
+    lowered at once.  An LMI of size 2n holds its complex data in the doubled
+    real embedding."""
     for expr, size, start in zip(exprs, sizes, starts):
         # _hermitian_coeffs has checked every term already
-        if size > expr.shape[0]:
-            yield start, _real_embedding(expr.const), _embedded(expr.coef, expr.shape[0]).tocsr()[1:]
-        else:
-            yield start, np.real(expr.const), expr.coef.real[1:]
+        yield start, _embedded(expr.coef, expr.shape[0]) if size > expr.shape[0] else expr.coef.real
 
 
 def _embedded(coef, n: int):
@@ -619,20 +544,20 @@ def _embedded(coef, n: int):
 def _affine_map(pieces, flat_dim: int, nparams: int):
     """The affine map p -> F0 + sum_k p_k F_k in flat coordinates.
 
-    Each piece (start, const, terms) puts const + sum_k p_k F_k, flattened
-    row-major, at flat positions start, start + 1, ..., where row k of the
-    matrix terms (sparse or dense) holds the flattened F_k.  Returns F0 as a
-    dense vector and F as the nparams x flat_dim CSR matrix whose row k holds
-    the nonzeros of F_k.
+    Each piece (start, coef) puts its part of the map at flat positions
+    start, start + 1, ...: row 0 of the coefficient matrix coef (sparse or
+    dense) holds that part of F0 and row 1 + k the part of F_k, flattened
+    row-major.  Returns F0 as a dense vector and F as the nparams x flat_dim
+    CSR matrix whose row k holds the nonzeros of F_k.
     """
     f0 = np.zeros(flat_dim)
     rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
-    for start, const, terms in pieces:
-        const = np.ravel(const)
-        f0[start : start + const.size] = const
-        t = sp.coo_array(terms)
-        nz = t.data != 0
-        rows.append(t.row[nz].astype(np.int32))
+    for start, coef in pieces:
+        t = sp.coo_array(coef)
+        at0 = t.row == 0
+        f0[start + t.col[at0]] = t.data[at0]  # assigned, so a stored -0.0 stays -0.0
+        nz = (t.data != 0) & ~at0
+        rows.append((t.row[nz] - 1).astype(np.int32))
         cols.append((start + t.col[nz]).astype(np.int32))
         vals.append(t.data[nz])
     f = sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nparams, flat_dim))
@@ -653,7 +578,7 @@ class CompiledModel:
         params = self.params_from(sol)
         out = {}
         for decl in self.model.vars:
-            m = decl.assemble(params[decl.offset : decl.offset + decl.nparams])
+            m = MatVar(decl).value(params)
             out[decl.name] = np.real(m) if decl.field == "real" else m
         return out
 
@@ -740,13 +665,15 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
     # equality slots: f - E p = 0 in the free part, or the pair
     # f + eps - E p >= 0 and -f + eps + E p >= 0 after the 1x1 LMIs
     slots = []
+    f_map = np.vstack([f_vec, -e_mat.T])  # the coefficient matrix of f - E p
     if n_free:
-        slots.append((offsets[-2], f_vec, -e_mat.T))
+        slots.append((offsets[-2], f_map))
     if n_ineq:
-        pairs = np.stack([-e_mat.T, e_mat.T], axis=2).reshape(nparams, 2 * n_eq)
-        slots.append((offsets[-3] + nonneg_slots, np.column_stack([f_vec + eps, -f_vec + eps]), pairs))
+        pairs = np.stack([f_map, -f_map], axis=2).reshape(1 + nparams, 2 * n_eq)
+        pairs[0] += eps
+        slots.append((offsets[-3] + nonneg_slots, pairs))
     lmis = _lowered(model.lmis, sizes, _lmi_starts(sizes, offsets, 0))
-    f0, f = _affine_map(itertools.chain(lmis, slots), structure.flat_dim, nparams)
+    f0, f = _affine_map([*lmis, *slots], structure.flat_dim, nparams)
 
     c_obj = SymBlockMat.from_flat(structure, f0 + f.T @ y0)
     b = -(nmat.T @ c_vec)
@@ -766,15 +693,15 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
 
 def _selection_matrices(decl: VarDecl):
     """Dual basis S_k of the variable's primal block, <S_k, X_block> = parameter
-    k, as row k of a sparse matrix: S_k is the lowered F_k divided by its
-    number of nonzeros (the block is the doubled real embedding for a
-    Hermitian variable)."""
+    k, as row 1 + k of a sparse matrix with an empty row 0: S_k is the
+    lowered F_k divided by its number of nonzeros (the block is the doubled
+    real embedding for a Hermitian variable)."""
     if decl.structure not in ("symmetric", "hermitian"):
         raise ModelError(f"{decl.structure} variables cannot form primal PSD blocks")
     coef = MatVar(decl).coef
     low = (_embedded(coef, decl.rows) if decl.structure == "hermitian" else coef.real).tocoo()
     counts = np.bincount(coef.indices, minlength=coef.shape[0])
-    return sp.coo_array((low.data / counts[low.row], (low.row - 1, low.col)), (coef.shape[0] - 1, low.shape[1]))
+    return sp.coo_array((low.data / counts[low.row], (low.row, low.col)), low.shape)
 
 
 def _is_bare_var_lmi(expr: MatExpr, decl: VarDecl) -> bool:
@@ -814,10 +741,10 @@ def _compile_primal(model: Model) -> CompiledModel:
     offsets = structure.flat_offsets()
     dim = structure.flat_dim
 
-    sel_pieces = [(offsets[b], np.zeros(0), _selection_matrices(decl)) for b, decl in enumerate(block_vars)]
+    sel_pieces = [(offsets[b], _selection_matrices(decl)) for b, decl in enumerate(block_vars)]
     slots = np.arange(len(free_params))
-    free = sp.coo_array((np.ones(slots.size), (np.array(free_params, dtype=np.int64), slots)), (nparams, slots.size))
-    _, p_sel = _affine_map(sel_pieces + [(offsets[-2], np.zeros(0), free)], dim, nparams)
+    free = sp.coo_array((np.ones(slots.size), (1 + np.array(free_params, dtype=np.int64), slots)), (1 + nparams, slots.size))
+    _, p_sel = _affine_map(sel_pieces + [(offsets[-2], free)], dim, nparams)
 
     starts = _lmi_starts(sizes, offsets, len(block_vars))
     f0, f = _affine_map(_lowered(slack_lmis, sizes, starts), dim, nparams)
@@ -862,6 +789,8 @@ def _compile_primal(model: Model) -> CompiledModel:
 
 
 def _cplx_from_json(d) -> np.ndarray:
+    if not isinstance(d, dict) or "re" not in d:
+        raise ValueError("a complex matrix document needs an object with an 're' entry")
     m = np.array(d["re"], dtype=complex)
     if "im" in d:
         m = m + 1j * np.array(d["im"])
@@ -904,14 +833,11 @@ def model_to_json(model: Model) -> str:
 
 def model_from_json(text: str) -> Model:
     doc = json.loads(text)
-    if doc.get("format") != "qsdp-model":
+    if not isinstance(doc, dict) or doc.get("format") != "qsdp-model":
         raise ModelError("not a qsdp model document")
     version = doc.get("version")
     if version not in (1, 2):
         raise ModelError(f"unknown qsdp model format version {version!r}")
-    model = Model()
-    for v in doc["variables"]:
-        model.declare(v["rows"], v["cols"], structure=v["structure"], field=v["field"], name=v["name"])
 
     def scalar(d):
         return ScalarExpr(
@@ -919,17 +845,23 @@ def model_from_json(text: str) -> Model:
             complex(d["const"][0], d["const"][1]),
         )
 
-    for l in doc["lmis"]:
-        shape = tuple(l["shape"])
-        if version == 1:
-            expr = MatExpr(shape, _cplx_from_json(l["const"]), {int(k): _cplx_from_json(v) for k, v in l["terms"].items()})
-        else:
-            nrows = 1 + max(l["rows"], default=0)
-            coef = sp.coo_array((_cplx_from_json(l), (l["rows"], l["cols"])), shape=(nrows, shape[0] * shape[1]))
-            expr = MatExpr.from_coef(shape, coef)
-        model.add_lmi(expr)
-    for e in doc["equalities"]:
-        model.equalities.append(scalar(e))
-    model.objective = scalar(doc["objective"])
-    model.sense = doc["sense"]
+    try:
+        model = Model()
+        for v in doc["variables"]:
+            model.declare(v["rows"], v["cols"], structure=v["structure"], field=v["field"], name=v["name"])
+        for l in doc["lmis"]:
+            shape = tuple(l["shape"])
+            if version == 1:
+                expr = MatExpr(shape, _cplx_from_json(l["const"]), {int(k): _cplx_from_json(v) for k, v in l["terms"].items()})
+            else:
+                nrows = 1 + max(l["rows"], default=0)
+                coef = sp.coo_array((_cplx_from_json(l), (l["rows"], l["cols"])), shape=(nrows, shape[0] * shape[1]))
+                expr = MatExpr.from_coef(shape, coef)
+            model.add_lmi(expr)
+        for e in doc["equalities"]:
+            model.equalities.append(scalar(e))
+        model.objective = scalar(doc["objective"])
+        model.sense = doc["sense"]
+    except KeyError as exc:
+        raise ModelError(f"qsdp model document lacks {exc}") from exc
     return model

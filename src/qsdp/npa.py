@@ -701,14 +701,10 @@ class NVTask:
                 m = m @ ops[g]
             return m
 
-        mats = [op_of(w) for w in self.words]
-        n = len(mats)
-        gamma = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = np.trace(mats[i].conj().T @ mats[j])
-                gamma[i, j] = gamma[j, i] = v.real
-        return gamma
+        # Gamma_ij = Re Tr(W_i^dagger W_j) = Re(conj(F) F^T), F the flattened words
+        f = np.array([op_of(w).ravel() for w in self.words])
+        g = np.concatenate([f.real, f.imag], axis=1)
+        return g @ g.T
 
 
 def haar_state(rng, d: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qsdp.cli import EXIT_USAGE, main
 from qsdp.modeling import Model, model_to_json
@@ -29,6 +30,21 @@ def eigenvalue_model_json(seed=42):
     m.add_equality(s.trace(), 1.0)
     m.maximize(s.expr().frobenius_with(x))
     return model_to_json(m), float(np.linalg.eigvalsh(x)[-1])
+
+
+# input files the readers must reject: subcommand and file text
+MALFORMED = {
+    "edge_line.edges": ("theta", "3\n0 1\n1\n"),
+    "weight_line.edges": ("theta", "3\n0 1\nw 1\n"),
+    "weight_vertex.edges": ("theta", "3\n0 1\nw 7 2.5\n"),
+    "bell_no_y.json": ("npa", json.dumps({**chsh_scenario_doc(), "bell": [{"a": 0, "b": 0, "x": 0, "coeff": 1.0}]})),
+    "bell_no_coeff.json": ("npa", json.dumps({**chsh_scenario_doc(), "bell": [{"a": 0, "b": 0, "x": 0, "y": 0}]})),
+    "state_no_re.json": ("dps", json.dumps({"dim": 4, "im": np.zeros((4, 4)).tolist()})),
+    "state_list.json": ("dps", json.dumps(np.eye(4).tolist())),
+    "model_no_lmis.json": ("solve", json.dumps({k: v for k, v in json.loads(eigenvalue_model_json()[0]).items() if k != "lmis"})),
+    "model_var_no_rows.json": ("solve", eigenvalue_model_json()[0].replace('"rows": 3,', "")),
+    "nv_list.json": ("nv", json.dumps([{"kind": "qrac"}])),
+}
 
 
 def run(tmp_path, argv):
@@ -212,6 +228,16 @@ class TestErrors:
 
     def test_seesaw_rejects_solver_flags(self, capsys):
         assert main(["seesaw", "--tol", "1e-6"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, case):
+        command, text = MALFORMED[case]
+        path = tmp_path / case
+        path.write_text(text)
+        flag = {"theta": ["--graph"], "npa": ["--scenario"], "nv": ["--scenario"], "solve": [], "dps": ["--state"]}
+        argv = [command, *flag[command], str(path)] + (["--dims", "2", "2"] if command == "dps" else [])
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_usage_distinct_from_solver_codes(self):
         assert EXIT_USAGE not in (0, 11, 12, 21, 23, 26)

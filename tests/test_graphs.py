@@ -250,3 +250,12 @@ class TestEdgeListFormat:
         assert g.n == 3
         assert g.edges == frozenset({(0, 1), (1, 2)})
         assert g.weights is None
+
+    def test_weight_of_missing_vertex_rejected(self):
+        with pytest.raises(ValueError, match="'w 7 2.5'"):
+            parse_graph("3\n0 1\nw 7 2.5\n")
+
+    @pytest.mark.parametrize("line", ["1", "0 1 2", "w 1", "w 1 2.0 3"])
+    def test_wrong_field_count_rejected(self, line):
+        with pytest.raises(ValueError, match=repr(line)):
+            parse_graph(f"3\n0 1\n{line}\n")

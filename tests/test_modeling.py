@@ -63,7 +63,7 @@ class TestDeclare:
         m = Model()
         v = m.declare(2, structure="hermitian", field="complex")
         params = np.array([1.0, 2.0, 3.0, 4.0])  # re11, re12, re22, im12
-        mat_v = v.decl.assemble(params)
+        mat_v = v.value(params)
         expected = np.array([[1.0, 2.0 + 4.0j], [2.0 - 4.0j, 3.0]])
         assert np.allclose(mat_v, expected)
 
@@ -307,27 +307,6 @@ class TestTensorHelpers:
         got = partial_trace(full, (2, 2, 3), keep=[0, 2])
         want = np.kron(ms[0], ms[2]) * np.trace(ms[1])
         assert np.allclose(got, want)
-
-
-class TestRealShortcut:
-    def test_real_data_halves_block_and_keeps_value(self):
-        x = np.diag([1.0, 2.0, 3.0]).astype(complex)  # real Hermitian data
-        m, _ = eigenvalue_model(x)
-        full = m.compile(framing="dual", equality_mode="eliminate")
-        m2, _ = eigenvalue_model(x)
-        short = m2.compile(framing="dual", equality_mode="eliminate", real_shortcut=True)
-        assert full.problem.structure.sdp_blocks == (6,)
-        assert short.problem.structure.sdp_blocks == (3,)
-        v_full = full.solve().value
-        v_short = short.solve().value
-        assert v_full == pytest.approx(3.0, abs=1e-6)
-        assert v_short == pytest.approx(3.0, abs=1e-6)
-
-    def test_complex_data_rejected(self):
-        x = random_hermitian(3, seed=1)  # genuinely complex
-        m, _ = eigenvalue_model(x)
-        with pytest.raises(Exception, match="real shortcut"):
-            m.compile(real_shortcut=True)
 
 
 # ---------------------------------------------------------------------------
@@ -618,3 +597,15 @@ class TestCompileMatchesReference:
         monkeypatch.setattr(SymBlockMat, "__init__", counting)
         model.compile(framing, mode)
         assert len(built) == 1
+
+
+class TestLowering:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_compile_reads_no_dense_constant(self, monkeypatch, name):
+        # each LMI is lowered whole from its coefficient matrix, F0 included
+        reads = []
+        const = MatExpr.const
+        monkeypatch.setattr(MatExpr, "const", property(lambda self: reads.append(1) or const.fget(self)))
+        for framing, mode in [("primal", "free_split")] + [("dual", m) for m in ("free_split", "eliminate", "two_inequalities")]:
+            MODELS[name]().compile(framing, mode)
+        assert reads == []
