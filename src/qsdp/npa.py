@@ -13,7 +13,8 @@ both bases.
 ``solve_bell`` works in the observable basis.  There, setting permutations,
 the party swap and outcome flips act on the words as signed permutations,
 so each moment is tied to its orbit under the relabellings that fix the
-problem, and a moment that one of them maps to minus itself is 0.
+problem, and a moment that one of them maps to minus itself is 0.  The
+same action splits a large moment matrix into symmetry-adapted blocks.
 
 On top of the plain hierarchy this module implements the dimension
 constraint that pins every preparation-success probability to 1/d, and the
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 import numpy as np
+import scipy.sparse as sp
 
 from .modeling import MatExpr, Model, ScalarExpr, _symmetric_expr
 
@@ -241,20 +243,6 @@ class MomentModel:
         )
         return self.classes[np.ix_(wa, wb)]
 
-    def to_model(self) -> tuple[Model, MatExpr]:
-        """Dual-framed model: one scalar unknown per equality class, the
-        identity's pinned to 1 by an equality.  Gamma's coefficient matrix
-        holds a 1 at (class, cell) for both cells of each class entry.  This
-        is the untied solve that ``solve_bell``'s tied one is checked
-        against."""
-        model = Model()
-        var = model.declare(self.num_unknowns, 1, structure="full", name="moments")
-        rows = 1 + var.decl.offset + self.cell_classes
-        gamma = _symmetric_expr(self.size, self.cells, rows, np.ones(rows.size), 1 + model.nparams)
-        model.add_lmi(gamma)
-        model.add_equality(ScalarExpr({var.decl.offset + self.norm_class: 1.0}), 1.0)
-        return model, gamma
-
 
 def build_moment_model(scenario: Scenario, level, observables: bool = False) -> MomentModel:
     """The equality classes of Gamma's cells at one level, in the projector
@@ -361,6 +349,7 @@ def coordinates(scenario: Scenario, atoms: dict, observables=frozenset()) -> np.
 # relabelling symmetry
 
 _SYM_TOL = 1e-12  # relative: a relabelled functional or row equal to within this is fixed
+_SPLIT_MIN = 64  # Gamma this size or larger is split into symmetry-adapted blocks; below, the IPM's per-block cost wins
 _MAX_RELABELLINGS = 50_000  # per party; beyond it the search keeps the identity alone
 
 
@@ -474,22 +463,13 @@ def stabilizer(scenario: Scenario, functional: np.ndarray, rows=()) -> tuple[lis
     return found, ga, gb
 
 
-def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
-    """Tie each class of a two-party observable-basis moment model to its
-    orbit under ``group`` (from ``stabilizer``).
-
-    Element g maps word w_i to s_g(i) times a word w_pi(i) of the list, so
-    it maps the word of class c, at its first cell (i, j), to s_g(i) s_g(j)
-    times the word of the class g(c) at cell (pi(i), pi(j)).  A moment
-    vector fixed by the group satisfies y[c] = s_g(c) y[g(c)] for every g,
-    so each class is its orbit representative (the smallest class g(c))
-    times a sign, and a class with g(c) = c and s_g(c) = -1 is 0.  Returns
-    the orbit number of each class (-1 for the identity and for pinned
-    classes), its sign and the number of orbits.
-    """
+def word_action(mm: MomentModel, group, ga: Relabellings, gb: Relabellings) -> tuple[np.ndarray, np.ndarray]:
+    """The signed action of ``group`` (from ``stabilizer``) on the words of a
+    two-party observable-basis moment model: (|G|, n) arrays ``perm`` and
+    ``sign`` with element g mapping word w_i to sign[g, i] times the word
+    w_perm[g, i] of the list.  ``orbit_ties`` and ``symmetry_blocks`` read
+    it."""
     n, wf = mm.size, mm.word_factors
-    _, first = np.unique(mm.cell_classes, return_index=True)
-    ci, cj = mm.cells[:, first]
     word_of = np.full([len(f) for f in mm.factors], -1, dtype=np.int64)
     word_of[wf[:, 0], wf[:, 1]] = np.arange(n)
     index = [{f: k for k, f in enumerate(fs)} for fs in mm.factors]
@@ -501,15 +481,32 @@ def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
             cache[key] = rel.images(k, mm.factors[party], to_party, index[to_party])
         return cache[key]
 
-    maps = np.empty((len(group), first.size), dtype=np.int64)
-    signs = np.empty(maps.shape)
+    perm = np.empty((len(group), n), dtype=np.int64)
+    sign = np.empty(perm.shape)
     for h, (k_a, k_b, swap) in enumerate(group):
         qa, qb = (1, 0) if swap else (0, 1)
         (ia, sa), (ib, sb) = factor_map(ga, 0, k_a, qa), factor_map(gb, 1, k_b, qb)
         image = np.empty_like(wf)
         image[:, qa], image[:, qb] = ia[wf[:, 0]], ib[wf[:, 1]]
-        pi, s = word_of[image[:, 0], image[:, 1]], sa[wf[:, 0]] * sb[wf[:, 1]]
-        maps[h], signs[h] = mm.classes[pi[ci], pi[cj]], s[ci] * s[cj]
+        perm[h], sign[h] = word_of[image[:, 0], image[:, 1]], sa[wf[:, 0]] * sb[wf[:, 1]]
+    return perm, sign
+
+
+def orbit_ties(mm: MomentModel, perm: np.ndarray, sign: np.ndarray):
+    """Tie each class of a two-party observable-basis moment model to its
+    orbit under the signed word action ``perm``, ``sign`` (``word_action``).
+
+    Element g maps the word of class c, at its first cell (i, j), to
+    s_g(i) s_g(j) times the word of the class g(c) at cell (pi(i), pi(j)).  A
+    moment vector fixed by the group satisfies y[c] = s_g(c) y[g(c)] for
+    every g, so each class is its orbit representative (the smallest class
+    g(c)) times a sign, and a class with g(c) = c and s_g(c) = -1 is 0.
+    Returns the orbit number of each class (-1 for the identity and for
+    pinned classes), its sign and the number of orbits.
+    """
+    _, first = np.unique(mm.cell_classes, return_index=True)
+    ci, cj = mm.cells[:, first]
+    maps, signs = mm.classes[perm[:, ci], perm[:, cj]], sign[:, ci] * sign[:, cj]
     classes = np.arange(first.size)
     best = maps.argmin(axis=0)
     rep, sign = maps[best, classes], signs[best, classes]
@@ -518,6 +515,129 @@ def orbit_ties(mm: MomentModel, group, ga: Relabellings, gb: Relabellings):
     orbit = np.full(classes.size, -1, dtype=np.int64)
     reps, orbit[free] = np.unique(rep[free], return_inverse=True)
     return orbit, sign, reps.size
+
+
+def _clusters(values: np.ndarray, tol: float, groups=None) -> np.ndarray:
+    """Cluster number of each value.  In the order of (group, value), a new
+    cluster starts at each new group and at each gap above tol."""
+    groups = np.zeros(values.size, dtype=np.int64) if groups is None else groups
+    order = np.lexsort((values, groups))
+    step = (np.diff(groups[order]) != 0) | (np.diff(values[order]) > tol)
+    out = np.empty(values.size, dtype=np.int64)
+    out[order] = np.concatenate([[0], np.cumsum(step)])
+    return out
+
+
+def _conjugacy_classes(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Conjugacy class number of each element of a group of signed
+    permutations, composing elements as index arrays: P_a P_b sends e_i to
+    sign_b[i] sign_a[perm_b[i]] e_{perm_a[perm_b[i]]}."""
+    size, n = perm.shape
+    ids = {row.tobytes(): k for k, row in enumerate(2 * perm + (sign < 0))}
+    rows = np.arange(size)[:, None]
+    inv_perm, inv_sign = np.empty_like(perm), np.empty_like(sign)
+    inv_perm[rows, perm], inv_sign[rows, perm] = np.arange(n), sign
+    label = np.full(size, -1, dtype=np.int64)
+    for g in range(size):
+        if label[g] < 0:
+            # h g h^-1 for every h at once: g h^-1 first, then h
+            p, s = perm[g][inv_perm], inv_sign * sign[g][inv_perm]
+            p, s = np.take_along_axis(perm, p, axis=1), s * np.take_along_axis(sign, p, axis=1)
+            label[[ids[row.tobytes()] for row in 2 * p + (s < 0)]] = label.max() + 1
+    return label
+
+
+def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
+    """Orthonormal bases Q_1, Q_2, ... of R^n that block-diagonalise every
+    symmetric matrix a group of signed permutations fixes.
+
+    Element g of the group (row g of the (|G|, n) arrays, the identity among
+    them) is the matrix P_g sending e_i to sign[g, i] e_{perm[g, i]}.  A
+    matrix M with P_g M P_g^T = M for every g commutes with the group
+    algebra, so it maps each eigenspace of a symmetric element of that
+    algebra into itself.  Stage 1 takes the eigenspaces of a random
+    combination of class sums, a central element that acts as one scalar on
+    each isotypic component.  Stage 2 cuts each component by the eigenspaces
+    of a random symmetric element sum_g r_g (P_g + P_g^T), one per copy of
+    the irrep; a cut into unequal parts is not one copy per part, and the
+    component is kept whole.  The group permutes the span of each index
+    orbit's e_i, so both stages work orbit by orbit, on all orbits of one
+    length at once, and each column of each Q lies inside one orbit.  Every
+    copy of each irrep is kept: [Q_1 Q_2 ...] is orthogonal, and
+    Q_a^T M Q_b = 0 for a != b.  The random weights have a fixed seed, so
+    the blocks are the same on every call.
+    """
+    codes = np.unique(2 * np.asarray(perm) + (np.asarray(sign) < 0), axis=0)
+    perm, sign = codes // 2, 1.0 - 2.0 * (codes % 2)
+    size, n = perm.shape
+    rng = np.random.default_rng(0)
+    central = rng.uniform(1.0, 2.0, size=size)[_conjugacy_classes(perm, sign)]
+    generic = rng.uniform(1.0, 2.0, size=size)
+    bound = 4.0 * size  # |eigenvalue| of either element: 2 sum_g w_g with w_g < 2
+    tol = 1e-8 * bound
+
+    # the identity is an element, so column i of perm lists the orbit of i
+    orbit = np.unique(perm.min(axis=0), return_inverse=True)[1]
+    members = np.argsort(orbit, kind="stable")
+    starts, lengths = np.unique(orbit[members], return_index=True, return_counts=True)[1:]
+    runs = []  # per orbit length: the orbits' members, stage-1 values and vectors, stage-2 element
+    for k in np.unique(lengths):
+        idx = members[starts[lengths == k, None] + np.arange(k)]  # (orbits, k)
+        local = np.empty(n, dtype=np.int64)
+        local[idx] = np.arange(k)
+        at = (np.arange(idx.shape[0])[None, :, None], local[perm[:, idx]], np.arange(k))
+
+        def element(weights):
+            """sum_g w_g (P_g + P_g^T) on each orbit's span."""
+            z = np.zeros((idx.shape[0], k, k))
+            np.add.at(z, at, weights[:, None, None] * sign[:, idx])
+            return z + z.transpose(0, 2, 1)
+
+        runs.append((idx, *np.linalg.eigh(element(central)), element(generic)))
+    # stage 1: the components, by value across all orbits
+    values = np.concatenate([w.ravel() for _, w, _, _ in runs])
+    component = np.split(_clusters(values, tol), np.cumsum([w.size for _, w, _, _ in runs])[:-1])
+    shift = 4.0 * bound
+    rows, cols, vals, owner, mu = [], [], [], [], []  # owner and mu per column: its component and stage-2 value
+    for (idx, _, v, y), comp in zip(runs, component):
+        comp = comp.reshape(idx.shape)
+        # stage 2 in each orbit's stage-1 basis: the entries between
+        # components are 0 but for rounding; masking them and shifting the
+        # components apart gives one eigh per orbit that cannot mix them
+        t = v.transpose(0, 2, 1) @ y @ v * (comp[:, :, None] == comp[:, None, :])
+        w, u = np.linalg.eigh(t + shift * comp[:, :, None] * np.eye(idx.shape[1]))
+        own = np.rint(w / shift).astype(np.int64)
+        q = (v @ u).transpose(0, 2, 1)  # q[o, j] is column j of orbit o, on the rows idx[o]
+        rows.append(np.broadcast_to(idx[:, None, :], q.shape).ravel())
+        cols.append(np.repeat(sum(map(len, owner)) + np.arange(own.size), idx.shape[1]))
+        vals.append(q.ravel())
+        owner.append(own.ravel())
+        mu.append((w - shift * own).ravel())
+    owner = np.concatenate(owner)
+    copy = _clusters(np.concatenate(mu), tol, owner)
+    for c in np.unique(owner):
+        counts = np.unique(copy[owner == c], return_counts=True)[1]
+        if counts.min() != counts.max():
+            copy[owner == c] = copy[owner == c].min()
+    block = np.unique(copy, return_inverse=True)[1]  # numbered by component, then value
+    place = np.empty_like(block)  # each column's place when sorted by block
+    place[np.argsort(block, kind="stable")] = np.arange(n)
+    rows, cols, vals = np.concatenate(rows), place[np.concatenate(cols)], np.concatenate(vals)
+    keep = np.abs(vals) > 1e-14
+    q = sp.csc_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    ends = np.cumsum(np.bincount(block))
+    return [q[:, lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
+def _congruent(gamma: MatExpr, q) -> MatExpr:
+    """Q^T Gamma Q for a sparse n x r basis Q.  Row k of the coefficient
+    matrix is vec(Q^T F_k Q) = vec(F_k) (Q (x) Q), row-major, symmetrised;
+    entries at rounding level, where the sum cancels, are dropped."""
+    r = q.shape[1]
+    coef = gamma.coef.real @ sp.kron(q, q, format="csc")
+    coef = (coef + coef[:, np.arange(r * r).reshape(r, r).T.ravel()]) / 2
+    coef.data[np.abs(coef.data) <= _SYM_TOL * np.abs(coef.data).max(initial=0.0)] = 0.0
+    return MatExpr.from_coef((r, r), coef)
 
 
 def projector_lift(mm: MomentModel) -> np.ndarray:
@@ -572,13 +692,16 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     moments to their orbits (``orbit_ties``); by convexity the optimum is
     attained at a moment vector they fix, so the value is that of the untied
     problem.  Gamma's constant term is the identity's moment, so a plain
-    Bell problem has no equality row.  ``gamma`` and ``moments`` are read in
-    the projector basis, Gamma_P = T Gamma_A T^T (``projector_lift``), with
-    ``moments[k]`` at the first cell of class k, which the observable and
-    the projector builds share.
-    ``model_result.solution.stats["symmetry"]`` gives the group order, the
-    number of classes besides the identity, of orbits (the unknowns) and of
-    pinned classes.
+    Bell problem has no equality row.  The same group fixes the tied Gamma,
+    so from _SPLIT_MIN words on, the LMIs are the blocks Q^T Gamma Q of
+    ``symmetry_blocks``, an orthogonal congruence of Gamma.  ``gamma`` and
+    ``moments`` are read off the unsplit Gamma, in the projector basis,
+    Gamma_P = T Gamma_A T^T (``projector_lift``), with ``moments[k]`` at the
+    first cell of class k, which the observable and the projector builds
+    share.  ``model_result.solution.stats["symmetry"]`` gives the group
+    order, the number of classes besides the identity, of orbits (the
+    unknowns) and of pinned classes, and the LMI sizes (``blocks``, [n] when
+    Gamma is not split).
     """
     obs = build_moment_model(scenario, level, observables=True)
     inv = obs.observables
@@ -589,7 +712,8 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
         row[0, 0] -= rhs
         rows.append(row)
     group, ga, gb = stabilizer(scenario, functional, rows)
-    orbit, sign, n_orbits = orbit_ties(obs, group, ga, gb)
+    action = word_action(obs, group, ga, gb)
+    orbit, sign, n_orbits = orbit_ties(obs, *action)
 
     model = Model()
     var = model.declare(n_orbits, 1, structure="full", name="orbits")
@@ -598,7 +722,10 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     param_rows = np.where(orbit[cls] >= 0, 1 + var.decl.offset + orbit[cls], 0)[at]
     values = np.where(orbit[cls] >= 0, sign[cls], 1.0)[at]
     gamma = _symmetric_expr(obs.size, obs.cells[:, at], param_rows, values, 1 + model.nparams)
-    model.add_lmi(gamma)
+    bases = symmetry_blocks(*action) if obs.size >= _SPLIT_MIN and len(group) > 1 else []
+    lmis = [_congruent(gamma, q) for q in bases] if len(bases) > 1 else [gamma]
+    for lmi in lmis:
+        model.add_lmi(lmi)
 
     coord_cls = obs.coordinate_classes()
 
@@ -622,6 +749,7 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
         "classes": obs.num_unknowns - 1,
         "orbits": n_orbits,
         "pinned": int(np.sum((orbit < 0) & (np.arange(orbit.size) != obs.norm_class))),
+        "blocks": [lmi.shape[0] for lmi in lmis],
     }
     t = projector_lift(obs)
     gamma_p = t @ gamma.value(res.compiled.params_from(res.solution)).real @ t.T
@@ -728,7 +856,7 @@ def nv_build_basis(task: NVTask, seed: int = 0, max_draws: int = 500, stall_limi
     first.  The returned matrices are pairwise orthogonal and unit-normalized
     under the trace pairing.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     basis: list[np.ndarray] = []
     stall = 0
     for _ in range(max_draws):

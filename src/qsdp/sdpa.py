@@ -9,6 +9,8 @@ split into nonnegative pairs because the format has no free cone.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -23,10 +25,7 @@ class SdpaFormatError(ValueError):
         self.line_no = line_no
 
 
-def _clean_tokens(line: str) -> list[str]:
-    for ch in ",(){}":
-        line = line.replace(ch, " ")
-    return line.split()
+_SEPARATORS = str.maketrans(",(){}", "     ")
 
 
 def _int(token: str) -> int:
@@ -37,20 +36,58 @@ def _int(token: str) -> int:
     return int(value)
 
 
+def _entry_error(toks: list[str]) -> str | None:
+    """Why one entry line is not five numbers with the first four integers,
+    or None."""
+    if len(toks) != 5:
+        return f"expected 5 fields, got {len(toks)}"
+    try:
+        for t in toks[:4]:
+            _int(t)
+        float(toks[4])
+    except ValueError as exc:
+        return f"malformed entry: {exc}"
+    return None
+
+
+def _as_table(parts: list[list[str]]) -> np.ndarray | None:
+    """Five-token lines as one (lines, 5) float array, or None unless each
+    is five numbers with the first four integers."""
+    try:
+        table = np.array(list(chain.from_iterable(parts)), dtype=float).reshape(len(parts), 5)
+    except ValueError:
+        return None
+    ints = table[:, :4]
+    return table if np.all(np.isfinite(ints) & (ints == np.trunc(ints))) else None
+
+
+def _entry_table(entries) -> np.ndarray:
+    """The entry lines [(line number, text)] before the first malformed one
+    (``_entry_error``), as one float array with five columns."""
+    parts = [ln.split() for _, ln in entries]
+    table = _as_table(parts) if all(len(toks) == 5 for toks in parts) else None
+    if table is None:
+        table = _as_table(parts[: next(k for k, toks in enumerate(parts) if _entry_error(toks))])
+    return table
+
+
 def parse_sdpa(text: str) -> ConeProblem:
-    """Parse SDPA sparse input (entries "mat# blk# i j value", upper triangle)."""
-    numbered = [(no + 1, raw) for no, raw in enumerate(text.splitlines())]
-    lines = [(no, ln.strip()) for no, ln in numbered if ln.strip() and not ln.lstrip().startswith(("*", '"'))]
+    """Parse SDPA sparse input (entries "mat# blk# i j value", upper triangle).
+
+    The entry lines are converted and checked as arrays.  An error names the
+    first line that breaks a rule, and the first rule that line breaks."""
+    raw = text.splitlines()
+    clean = text.translate(_SEPARATORS).splitlines()  # the same lines, separators blanked
+    lines = [(no + 1, clean[no]) for no, r in enumerate(raw) if (t := r.lstrip()) and t[0] not in '*"']
     if len(lines) < 4:
-        raise SdpaFormatError(len(numbered), "missing header lines")
+        raise SdpaFormatError(len(raw), "missing header lines")
 
     def ints(idx, expect=None):
         no, ln = lines[idx]
-        toks = _clean_tokens(ln)
         try:
-            vals = [_int(t) for t in toks]
+            vals = [_int(t) for t in ln.split()]
         except ValueError as exc:
-            raise SdpaFormatError(no, f"expected integers, got {ln!r}") from exc
+            raise SdpaFormatError(no, f"expected integers, got {raw[no - 1].strip()!r}") from exc
         if expect is not None and len(vals) < expect:
             raise SdpaFormatError(no, f"expected {expect} integers")
         return vals
@@ -60,7 +97,7 @@ def parse_sdpa(text: str) -> ConeProblem:
     sizes = ints(2, nblocks)[:nblocks]
     no_b, ln_b = lines[3]
     try:
-        b = np.array([float(t) for t in _clean_tokens(ln_b)])
+        b = np.array([float(t) for t in ln_b.split()])
     except ValueError as exc:
         raise SdpaFormatError(no_b, "malformed objective vector") from exc
     if b.size != m:
@@ -70,47 +107,54 @@ def parse_sdpa(text: str) -> ConeProblem:
         raise SdpaFormatError(lines[2][0], "zero block size")
     structure = BlockStructure(tuple(s for s in sizes if s > 0), sum(-s for s in sizes if s < 0), 0)
 
-    # F_0 .. F_m become the rows of one matrix over the flat coordinates;
-    # block number -> (flat start, size, SDP block?)
+    # F_0 .. F_m become the rows of one matrix over the flat coordinates.
+    # Per block number: flat start, size and whether it is an SDP block,
+    # with a sentinel block 0 that out-of-range block numbers read
     offsets = structure.flat_offsets()
-    layout, sdp_starts, nn_start = [], iter(offsets), offsets[-3]
+    sdp_starts, nn_start, starts = iter(offsets), offsets[-3], [0]
     for s in sizes:
-        layout.append((next(sdp_starts), s, True) if s > 0 else (nn_start, -s, False))
+        starts.append(next(sdp_starts) if s > 0 else nn_start)
         nn_start += max(-s, 0)
-    rows, cols, vals = [], [], []
-    seen: dict[tuple, tuple] = {}
-    for no, ln in lines[4:]:
-        toks = _clean_tokens(ln)
-        if len(toks) != 5:
-            raise SdpaFormatError(no, f"expected 5 fields, got {len(toks)}")
-        try:
-            mat_no, blk_no, i, j = (_int(t) for t in toks[:4])
-            value = float(toks[4])
-        except ValueError as exc:
-            raise SdpaFormatError(no, f"malformed entry: {exc}") from exc
-        if not 0 <= mat_no <= m:
-            raise SdpaFormatError(no, f"matrix index {mat_no} out of range 0..{m}")
-        if not 1 <= blk_no <= len(sizes):
-            raise SdpaFormatError(no, f"block index {blk_no} out of range")
-        start, size, sdp = layout[blk_no - 1]
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise SdpaFormatError(no, f"entry ({i}, {j}) outside block of size {size}")
-        if i > j:
-            raise SdpaFormatError(no, "entries must be upper triangular (i <= j)")
-        if not sdp and i != j:
-            raise SdpaFormatError(no, "diagonal block entries need i == j")
-        key = (mat_no, blk_no, i, j)
-        if key in seen:
-            if seen[key] != value:
-                raise SdpaFormatError(no, f"conflicting duplicate entry for {key}")
-            continue
-        seen[key] = value
-        at = {start + (i - 1) * size + j - 1, start + (j - 1) * size + i - 1} if sdp else {start + i - 1}
-        rows.extend([mat_no] * len(at))
-        cols.extend(at)
-        vals.extend([value] * len(at))
+    starts, widths, sdp = np.array(starts), np.abs([0, *sizes]), np.array([True] + [s > 0 for s in sizes])
 
-    f = sp.csr_array((vals, (rows, cols)), shape=(m + 1, structure.flat_dim))
+    entries = lines[4:]
+    table = _entry_table(entries)
+    good = table.shape[0]
+    # an integer that large is out of every range; the clip keeps the cast defined
+    mat, blk, i, j = np.clip(table[:, :4], -(2**62), 2**62).astype(np.int64).T
+    value = table[:, 4]
+    inside = (1 <= blk) & (blk <= len(sizes))
+    at = np.where(inside, blk, 0)
+    start, size, on_sdp = starts[at], widths[at], sdp[at]
+    # a valid entry's place in F: the upper-triangle cell for an SDP block
+    cell = np.where(on_sdp, start + (i - 1) * size + j - 1, start + i - 1)
+    _, first, inverse = np.unique(mat * structure.flat_dim + cell, return_index=True, return_inverse=True)
+    first = first[inverse]
+
+    def key(k):
+        return tuple(int(v) for v in table[k, :4])
+
+    checks = [
+        (~((0 <= mat) & (mat <= m)), lambda k: f"matrix index {key(k)[0]} out of range 0..{m}"),
+        (~inside, lambda k: f"block index {key(k)[1]} out of range"),
+        (~((1 <= i) & (i <= size) & (1 <= j) & (j <= size)), lambda k: f"entry {key(k)[2:]} outside block of size {size[k]}"),
+        (i > j, lambda k: "entries must be upper triangular (i <= j)"),
+        (~on_sdp & (i != j), lambda k: "diagonal block entries need i == j"),
+        ((first != np.arange(first.size)) & (value != value[first]), lambda k: f"conflicting duplicate entry for {key(k)}"),
+    ]
+    failed = np.array([mask for mask, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed.any(axis=0)))
+        raise SdpaFormatError(entries[k][0], checks[int(np.argmax(failed[:, k]))][1](k))
+    if good < len(entries):
+        raise SdpaFormatError(entries[good][0], _entry_error(entries[good][1].split()))
+
+    # each entry once; an SDP entry also sits at (j, i)
+    keep = first == np.arange(first.size)
+    mirror = keep & on_sdp & (i != j)
+    rows = np.concatenate([mat[keep], mat[mirror]])
+    cols = np.concatenate([cell[keep], (start + (j - 1) * size + i - 1)[mirror]])
+    f = sp.csr_array((np.concatenate([value[keep], value[mirror]]), (rows, cols)), shape=(m + 1, structure.flat_dim))
     c_obj = SymBlockMat.from_flat(structure, -f[[0]].toarray()[0])
     return ConeProblem(c_obj, f[1:], b, meta={"source": "sdpa"})
 

@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from qsdp.modeling import MatExpr, Model, ScalarExpr
+from qsdp.modeling import MatExpr, Model, ScalarExpr, _symmetric_expr
 from qsdp.quantum import werner_state
 
 
@@ -60,6 +60,21 @@ def assert_same_problem(got, want):
     for g, w in pairs:
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def untied_model(mm) -> tuple[Model, MatExpr]:
+    """The dual-framed model of a moment model: one scalar unknown per
+    equality class, the identity's pinned to 1 by an equality.  Gamma's
+    coefficient matrix holds a 1 at (class, cell) for both cells of each
+    class entry.  This is the untied solve that ``solve_bell``'s tied one is
+    checked against."""
+    model = Model()
+    var = model.declare(mm.num_unknowns, 1, structure="full", name="moments")
+    rows = 1 + var.decl.offset + mm.cell_classes
+    gamma = _symmetric_expr(mm.size, mm.cells, rows, np.ones(rows.size), 1 + model.nparams)
+    model.add_lmi(gamma)
+    model.add_equality(ScalarExpr({var.decl.offset + mm.norm_class: 1.0}), 1.0)
+    return model, gamma
 
 
 def probability_expr(mm, offset, coords) -> ScalarExpr:

@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import probability_expr
+from conftest import probability_expr, untied_model
 
 from qsdp import SolverConfig, solve
 from qsdp.graphs import chsh_exclusivity_events, cycle_graph, exclusivity_graph, lovasz_theta
@@ -205,7 +205,7 @@ def test_criterion_10_solver_quality_gates():
             "eigen_primal": hermitian_eigen_model()[0].compile(framing="primal").problem,
         }
         chsh = build_moment_model(Scenario.chsh(), 1)
-        model, _ = chsh.to_model()
+        model, _ = untied_model(chsh)
         coords = coordinates(chsh.scenario, {("joint", *k): c for k, c in chsh_functional().items()})
         model.maximize(probability_expr(chsh, model.vars[0].offset, coords))
         problems["chsh_l1"] = model.compile(equality_mode="eliminate").problem

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ class TestNpaCommand:
         # the relabelling group that tied the moments, next to moment_size
         assert report["result"]["moment_size"] == 5
         assert report["result"]["symmetry"] == report["symmetry"]
-        assert report["symmetry"] == {"order": 16, "classes": 10, "orbits": 1, "pinned": 6}
-        assert report["version"] == 3
+        assert report["symmetry"] == {"order": 16, "classes": 10, "orbits": 1, "pinned": 6, "blocks": [5]}
+        assert report["version"] == 4
         text = capsys.readouterr().out
         assert "2.828427" in text
         assert "symmetry       : order 16, 10 moments -> 1 orbits, 6 pinned to 0" in text
@@ -77,6 +78,18 @@ class TestNpaCommand:
         code, report = run(tmp_path, ["npa", "--scenario", str(scen), "--level", "1+AB"])
         assert code == 0
         assert abs(report["result"]["bound"] - 2 * ROOT2) < 1e-6
+
+
+    def test_shipped_i3322_is_split(self, tmp_path):
+        # the canonical I3322 file; at level 3 its 88 x 88 moment matrix is
+        # past the size gate and becomes one LMI per copy of each irrep
+        path = Path(__file__).resolve().parents[1] / "demos" / "data" / "i3322.json"
+        code, report = run(tmp_path, ["npa", "--scenario", str(path), "--level", "3"])
+        assert code == 0
+        assert abs(report["result"]["bound"] - 0.25087556) < 1e-6
+        assert report["result"]["moment_size"] == 88
+        assert sorted(report["symmetry"]["blocks"]) == [9, 11, 11, 13, 22, 22]
+        assert report["block_sizes"] == report["symmetry"]["blocks"]
 
 
 class TestThetaCommand:

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import untied_model
 
 from qsdp.modeling import MatExpr, Model, model_from_json, model_to_json, partial_trace, partial_transpose
 from qsdp.npa import Scenario, build_moment_model
@@ -214,7 +215,7 @@ def test_moment_model_allocates_little():
     mm = build_moment_model(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 3)
     tracemalloc.start()
     try:
-        model, gamma = mm.to_model()
+        model, gamma = untied_model(mm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

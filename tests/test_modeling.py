@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import assert_same_problem
+from conftest import assert_same_problem, untied_model
 
 from qsdp import BlockStructure, ConeProblem, Solution, SymBlockMat
 from qsdp.blockmat import embed_hermitian
@@ -274,7 +274,7 @@ class TestJson:
 
     def test_i3322_level2_is_small(self):
         """Dense terms wrote 1.5 MB for this model."""
-        model, _ = build_moment_model(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 2).to_model()
+        model, _ = untied_model(build_moment_model(Scenario((3, 3), ((2, 2, 2), (2, 2, 2))), 2))
         text = model_to_json(model)
         assert len(text) <= 100_000
         back = model_from_json(text)

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from itertools import product
 
-from conftest import assert_same_problem, probability_expr
+from conftest import assert_same_problem, probability_expr, untied_model
 from qsdp import npa
 from qsdp.npa import (
     ZERO,
@@ -29,6 +30,8 @@ from qsdp.npa import (
     reduce_word,
     solve_bell,
     stabilizer,
+    symmetry_blocks,
+    word_action,
     word_adjoint,
 )
 
@@ -310,7 +313,7 @@ class TestMomentModelExport:
         from qsdp.modeling import ScalarExpr, model_from_json, model_to_json
 
         mm = build_moment_model(Scenario.chsh(), 2)
-        model, _ = mm.to_model()
+        model, _ = untied_model(mm)
         model.minimize(ScalarExpr({model.vars[0].offset: 1.0}))
         restored = model_from_json(model_to_json(model))
         assert_same_problem(restored.compile(equality_mode="eliminate").problem, model.compile(equality_mode="eliminate").problem)
@@ -348,7 +351,7 @@ def reference_bell(scenario, level, bell, extra_constraints=()):
     """The untied projector-basis solve: one unknown per class of
     build_moment_model, the identity's pinned to 1 by an equality."""
     mm = build_moment_model(scenario, level)
-    model, _ = mm.to_model()
+    model, _ = untied_model(mm)
     off = model.vars[0].offset
     model.maximize(probability_expr(mm, off, coordinates(scenario, {("joint", *k): c for k, c in bell.items()})))
     for atoms, rhs in extra_constraints:
@@ -602,7 +605,9 @@ class TestTiedSolveMatchesProjectorReference:
         res = solve_bell(I3322, 3, i3322_functional(seed))
         assert res.success
         assert res.value == pytest.approx(i3322_level3_reference, abs=1e-7)
-        assert symmetry_of(res) == {"order": 8, "classes": 867, "orbits": 124, "pinned": 165}
+        sym = symmetry_of(res)
+        assert sorted(sym.pop("blocks")) == [9, 11, 11, 13, 22, 22]
+        assert sym == {"order": 8, "classes": 867, "orbits": 124, "pinned": 165}
         assert res.model_result.compiled.problem.num_constraints == 124
         assert res.model_result.solution.stats["iterations"] <= 23
 
@@ -614,13 +619,13 @@ class TestStabilizer:
         functional = coordinates(I3322, {("joint", *k): c for k, c in bell.items()}, obs.observables)
         group, ga, gb = stabilizer(I3322, functional)
         assert group == [(0, 0, False)]
-        orbit, sign, n_orbits = orbit_ties(obs, group, ga, gb)
+        orbit, sign, n_orbits = orbit_ties(obs, *word_action(obs, group, ga, gb))
         others = np.arange(obs.num_unknowns) != obs.norm_class
         assert n_orbits == obs.num_unknowns - 1
         assert np.array_equal(orbit[others], np.arange(n_orbits))
         assert np.all(sign == 1.0)
         res = solve_bell(I3322, 2, bell)
-        assert symmetry_of(res) == {"order": 1, "classes": n_orbits, "orbits": n_orbits, "pinned": 0}
+        assert symmetry_of(res) == {"order": 1, "classes": n_orbits, "orbits": n_orbits, "pinned": 0, "blocks": [obs.size]}
         assert res.value == pytest.approx(reference_bell(I3322, 2, bell).value, abs=1e-7)
 
     def test_sign_conflict_pins_a_class_to_zero(self):
@@ -631,7 +636,7 @@ class TestStabilizer:
         obs = build_moment_model(s, 1, observables=True)
         group, ga, gb = stabilizer(s, coordinates(s, {("joint", *k): c for k, c in bell.items()}, obs.observables))
         assert any(ga.flip[k_a][0] == -1 and gb.flip[k_b][0] == -1 for k_a, k_b, _ in group)
-        orbit, _, _ = orbit_ties(obs, group, ga, gb)
+        orbit, _, _ = orbit_ties(obs, *word_action(obs, group, ga, gb))
         a0 = obs.classes[0, obs.word_index(((0, 0, 0),))]
         assert orbit[a0] == -1 and a0 != obs.norm_class
         res = solve_bell(s, 1, bell)
@@ -734,3 +739,105 @@ class TestInputsChecked:
         group, ga, gb = stabilizer(s, np.zeros((9, 3)))
         assert len(ga.sigma) == 1 and len(gb.sigma) == 8
         assert len(group) == 8
+
+
+# ---------------------------------------------------------------------------
+# symmetry-adapted blocks
+
+
+def i3322_action(level):
+    """The signed word action of the stabilizer of a relabelled I3322, and
+    the observable-basis moment model it acts on."""
+    obs = build_moment_model(I3322, level, observables=True)
+    f = coordinates(I3322, {("joint", *k): c for k, c in i3322_functional(1).items()}, obs.observables)
+    group, ga, gb = stabilizer(I3322, f)
+    return obs, word_action(obs, group, ga, gb)
+
+
+def random_tied_gamma(obs, action, rng):
+    """Gamma at a random moment vector tied to the orbits: each class is its
+    orbit's value times its sign, pinned classes 0 and the identity 1."""
+    orbit, sign, n_orbits = orbit_ties(obs, *action)
+    y = np.where(orbit >= 0, sign * rng.normal(size=n_orbits)[orbit], 0.0)
+    y[obs.norm_class] = 1.0
+    return np.where(obs.classes >= 0, y[obs.classes], 0.0)
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_basis_is_orthonormal_and_orbit_local(self, level):
+        obs, (perm, sign) = i3322_action(level)
+        q = sp.hstack(symmetry_blocks(perm, sign)).toarray()
+        assert q.shape == (obs.size, obs.size)
+        assert np.max(np.abs(q.T @ q - np.eye(obs.size))) <= 1e-12
+        orbit = perm.min(axis=0)
+        for col in q.T:
+            assert np.unique(orbit[np.abs(col) > 0]).size == 1
+            assert np.count_nonzero(col) <= 8
+
+    def test_blocks_diagonalise_a_tied_gamma(self):
+        obs, action = i3322_action(3)
+        gamma = random_tied_gamma(obs, action, np.random.default_rng(0))
+        bases = symmetry_blocks(*action)
+        q = sp.hstack(bases).toarray()
+        congruent = q.T @ gamma @ q
+        label = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+        off = label[:, None] != label[None, :]
+        assert np.max(np.abs(congruent[off])) <= 1e-12 * np.max(np.abs(gamma))
+        assert np.max(np.abs(congruent[~off])) > 0.1
+
+    def test_both_copies_of_the_two_dimensional_irrep(self):
+        # D4: four 1-dimensional irreps and one 2-dimensional one, whose two
+        # copies are separate blocks holding the same matrix up to a rotation
+        obs, action = i3322_action(3)
+        assert sorted(np.bincount(npa._conjugacy_classes(*action)).tolist()) == [1, 1, 2, 2, 2]
+        bases = symmetry_blocks(*action)
+        sizes = [b.shape[1] for b in bases]
+        assert sorted(sizes) == [9, 11, 11, 13, 22, 22]
+        gamma = random_tied_gamma(obs, action, np.random.default_rng(1))
+        pair = [np.linalg.eigvalsh((b.T @ gamma @ b)) for b, size in zip(bases, sizes) if size == 22]
+        assert np.max(np.abs(pair[0] - pair[1])) <= 1e-10
+
+    def test_trivial_group_is_one_identity_block(self):
+        n = 70
+        (q,) = symmetry_blocks(np.arange(n)[None, :], np.ones((1, n)))
+        assert np.array_equal(q.toarray(), np.eye(n))
+
+
+class TestSplitSolve:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_split_matches_unsplit(self, seed, monkeypatch):
+        bell = i3322_functional(seed)
+        split = solve_bell(I3322, 3, bell)
+        monkeypatch.setattr(npa, "_SPLIT_MIN", 10**9)
+        whole = solve_bell(I3322, 3, bell)
+        assert split.success and whole.success
+        assert symmetry_of(whole)["blocks"] == [88]
+        assert sorted(symmetry_of(split)["blocks"]) == [9, 11, 11, 13, 22, 22]
+        assert split.model_result.compiled.problem.structure.sdp_blocks == tuple(symmetry_of(split)["blocks"])
+        assert split.value == pytest.approx(whole.value, abs=1e-7)
+        its = [r.model_result.solution.stats["iterations"] for r in (split, whole)]
+        assert its[0] == its[1]
+        # gamma is read off the unsplit expression either way
+        assert split.gamma.shape == whole.gamma.shape == (88, 88)
+        assert np.linalg.eigvalsh(split.gamma)[0] >= -1e-8
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_bell(Scenario.chsh(), 4, chsh_functional()),
+            lambda: mlp_bound(Scenario.prepare_measure(4, 2), 2, qrac_witness(2), level=2),
+            lambda: solve_bell(Scenario.chsh(), 6, random_functional(3, Scenario.chsh())),
+        ],
+        ids=["chsh-l4-below-gate", "qrac-l2-below-gate", "chsh-l6-trivial-group"],
+    )
+    def test_unsplit_problems_compile_as_before(self, solve, monkeypatch):
+        calls = []
+        blocks = npa.symmetry_blocks
+        monkeypatch.setattr(npa, "symmetry_blocks", lambda *a, **k: calls.append(1) or blocks(*a, **k))
+        res = solve()
+        assert calls == []
+        assert symmetry_of(res)["blocks"] == [res.gamma.shape[0]]
+        monkeypatch.setattr(npa, "_SPLIT_MIN", 10**9)
+        ref = solve()
+        assert_same_problem(res.model_result.compiled.problem, ref.model_result.compiled.problem)
