@@ -560,7 +560,10 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
     each isotypic component.  Stage 2 cuts each component by the eigenspaces
     of a random symmetric element sum_g r_g (P_g + P_g^T), one per copy of
     the irrep; a cut into unequal parts is not one copy per part, and the
-    component is kept whole.  The group permutes the span of each index
+    component is kept whole.  Stage 1 alone is also a congruence, but the
+    IPM scales its start block by block, and with the copies left together
+    the I3322 solves take one iteration more at level 3 (19, seeds 1-10)
+    and two at level 4.  The group permutes the span of each index
     orbit's e_i, so both stages work orbit by orbit, on all orbits of one
     length at once, and each column of each Q lies inside one orbit.  Every
     copy of each irrep is kept: [Q_1 Q_2 ...] is orthogonal, and
@@ -856,7 +859,7 @@ def nv_build_basis(task: NVTask, seed: int = 0, max_draws: int = 500, stall_limi
     first.  The returned matrices are pairwise orthogonal and unit-normalized
     under the trace pairing.
     """
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     basis: list[np.ndarray] = []
     stall = 0
     for _ in range(max_draws):

@@ -273,6 +273,12 @@ class TestNV:
         for m1, m2 in zip(b1, b2):
             assert np.max(np.abs(m1 - m2)) < 1e-12
 
+    def test_seed_changes_the_draws(self):
+        task = qrac_nv_task(2, 2)
+        b1 = nv_build_basis(task, seed=5)
+        b2 = nv_build_basis(task, seed=6)
+        assert np.max(np.abs(b1[0] - b2[0])) > 1e-6
+
     def test_pairwise_orthogonal(self):
         basis = nv_build_basis(qrac_nv_task(2, 2), seed=1)
         for i in range(len(basis)):
