@@ -67,7 +67,7 @@ print(f"status      {sol.status} ({sol.status_label}), {sol.stats.get('iteration
 print(f"DIMACS      " + "  ".join(f"{e:.1e}" for e in dimacs))
 print(
     f"symmetry    group of order {sym['order']}: {sym['classes']} moments -> {sym['orbits']} orbits,"
-    f" {sym['pinned']} pinned to 0, blocks {sym['blocks']}"
+    f" {sym['pinned']} pinned to 0, blocks {list(res.model_result.compiled.problem.structure.sdp_blocks)}"
 )
 print(f"min eig     {min_eig:.1e}   (lifted projector-basis moment matrix)")
 print(f"wall time   {wall:.1f} s")

@@ -124,12 +124,7 @@ def _cmd_npa(args) -> tuple:
     level = args.level if args.level == "1+AB" else int(args.level)
     res = solve_bell(scenario, level, bell, cfg=_solver_config(args))
     mr = res.model_result
-    result = {
-        "bound": res.value,
-        "level": str(level),
-        "moment_size": res.gamma.shape[0],
-        "symmetry": mr.solution.stats["symmetry"],
-    }
+    result = {"bound": res.value, "level": str(level), "moment_size": res.gamma.shape[0]}
     return RunReport.from_solution("npa", mr.compiled.problem, mr.solution, result=result), mr.log
 
 

@@ -155,21 +155,16 @@ def residuals(p: ConeProblem, it: Iterate):
 
 
 def step_length(m: np.ndarray, dm: np.ndarray) -> float:
-    """Largest t <= 1 with m + t*dm PSD, via min(1, 1/lambda_max(C^-T (-dm) C^-1)).
+    """Largest t <= 1 with m + t*dm PSD, via min(1, 1/lambda_max) of the
+    pencil (-dm, m).
 
-    C is the Cholesky factor of the positive definite m; a Cholesky failure
-    propagates as LinAlgError.
+    LAPACK sygv factors the positive definite m by Cholesky, reduces the
+    pencil to C^-1 (-dm) C^-T and runs the QR algorithm (syev) on it; a
+    Cholesky failure propagates as LinAlgError.
     """
-    m = np.asarray(m, dtype=float)
-    dm = np.asarray(dm, dtype=float)
     if m.size == 0:
         return 1.0
-    low = scipy.linalg.cholesky(m, lower=True)
-    w = scipy.linalg.solve_triangular(low, -dm, lower=True)
-    w = scipy.linalg.solve_triangular(low, w.T, lower=True)
-    # syev (QR algorithm): on blocks of ~100 it is many times faster than the
-    # threaded divide-and-conquer syevd that np.linalg.eigvalsh calls
-    lam = float(scipy.linalg.eigvalsh((w + w.T) / 2.0, driver="ev", overwrite_a=True)[-1])
+    lam = float(scipy.linalg.eigh(-dm, m, eigvals_only=True, driver="gv")[-1])
     if lam <= 1e-300:
         return 1.0
     return min(1.0, 1.0 / lam)

@@ -517,34 +517,13 @@ def orbit_ties(mm: MomentModel, perm: np.ndarray, sign: np.ndarray):
     return orbit, sign, reps.size
 
 
-def _clusters(values: np.ndarray, tol: float, groups=None) -> np.ndarray:
-    """Cluster number of each value.  In the order of (group, value), a new
-    cluster starts at each new group and at each gap above tol."""
-    groups = np.zeros(values.size, dtype=np.int64) if groups is None else groups
-    order = np.lexsort((values, groups))
-    step = (np.diff(groups[order]) != 0) | (np.diff(values[order]) > tol)
+def _clusters(values: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster number of each value: in ascending order, a new cluster starts
+    at each gap above tol."""
+    order = np.argsort(values)
     out = np.empty(values.size, dtype=np.int64)
-    out[order] = np.concatenate([[0], np.cumsum(step)])
+    out[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > tol)])
     return out
-
-
-def _conjugacy_classes(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Conjugacy class number of each element of a group of signed
-    permutations, composing elements as index arrays: P_a P_b sends e_i to
-    sign_b[i] sign_a[perm_b[i]] e_{perm_a[perm_b[i]]}."""
-    size, n = perm.shape
-    ids = {row.tobytes(): k for k, row in enumerate(2 * perm + (sign < 0))}
-    rows = np.arange(size)[:, None]
-    inv_perm, inv_sign = np.empty_like(perm), np.empty_like(sign)
-    inv_perm[rows, perm], inv_sign[rows, perm] = np.arange(n), sign
-    label = np.full(size, -1, dtype=np.int64)
-    for g in range(size):
-        if label[g] < 0:
-            # h g h^-1 for every h at once: g h^-1 first, then h
-            p, s = perm[g][inv_perm], inv_sign * sign[g][inv_perm]
-            p, s = np.take_along_axis(perm, p, axis=1), s * np.take_along_axis(sign, p, axis=1)
-            label[[ids[row.tobytes()] for row in 2 * p + (s < 0)]] = label.max() + 1
-    return label
 
 
 def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
@@ -553,76 +532,47 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
 
     Element g of the group (row g of the (|G|, n) arrays, the identity among
     them) is the matrix P_g sending e_i to sign[g, i] e_{perm[g, i]}.  A
-    matrix M with P_g M P_g^T = M for every g commutes with the group
-    algebra, so it maps each eigenspace of a symmetric element of that
-    algebra into itself.  Stage 1 takes the eigenspaces of a random
-    combination of class sums, a central element that acts as one scalar on
-    each isotypic component.  Stage 2 cuts each component by the eigenspaces
-    of a random symmetric element sum_g r_g (P_g + P_g^T), one per copy of
-    the irrep; a cut into unequal parts is not one copy per part, and the
-    component is kept whole.  Stage 1 alone is also a congruence, but the
+    matrix M with P_g M P_g^T = M for every g commutes with every P_g, so
+    with the symmetric element S = sum_g r_g (P_g + P_g^T) of the group
+    algebra, and it maps each eigenspace of S into itself, whatever the
+    weights r_g.  For generic weights S acts on each isotypic component as
+    I_m (x) T_rho, so its eigenspaces, one block per eigenvalue of T_rho,
+    are the copies of the irreps (Gatermann & Parrilo 2004; Murota, Kanno,
+    Kojima & Kojima 2010).  Every copy of each irrep is kept apart:
+    splitting only into isotypic components is also a congruence, but the
     IPM scales its start block by block, and with the copies left together
     the I3322 solves take one iteration more at level 3 (19, seeds 1-10)
-    and two at level 4.  The group permutes the span of each index
-    orbit's e_i, so both stages work orbit by orbit, on all orbits of one
-    length at once, and each column of each Q lies inside one orbit.  Every
-    copy of each irrep is kept: [Q_1 Q_2 ...] is orthogonal, and
-    Q_a^T M Q_b = 0 for a != b.  The random weights have a fixed seed, so
-    the blocks are the same on every call.
+    and two at level 4.  The group permutes the span of each index orbit's
+    e_i, so S is one eigh per orbit, over all orbits of one length at once,
+    and each column of each Q lies inside one orbit; the eigenvalues are
+    then clustered across orbits.  [Q_1 Q_2 ...] is orthogonal, and
+    Q_a^T M Q_b = 0 for a != b.  The weights have a fixed seed, so the
+    blocks are the same on every call.
     """
     codes = np.unique(2 * np.asarray(perm) + (np.asarray(sign) < 0), axis=0)
     perm, sign = codes // 2, 1.0 - 2.0 * (codes % 2)
     size, n = perm.shape
-    rng = np.random.default_rng(0)
-    central = rng.uniform(1.0, 2.0, size=size)[_conjugacy_classes(perm, sign)]
-    generic = rng.uniform(1.0, 2.0, size=size)
-    bound = 4.0 * size  # |eigenvalue| of either element: 2 sum_g w_g with w_g < 2
-    tol = 1e-8 * bound
-
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, size=size)
     # the identity is an element, so column i of perm lists the orbit of i
     orbit = np.unique(perm.min(axis=0), return_inverse=True)[1]
     members = np.argsort(orbit, kind="stable")
     starts, lengths = np.unique(orbit[members], return_index=True, return_counts=True)[1:]
-    runs = []  # per orbit length: the orbits' members, stage-1 values and vectors, stage-2 element
+    rows, cols, vals, values = [], [], [], []
     for k in np.unique(lengths):
         idx = members[starts[lengths == k, None] + np.arange(k)]  # (orbits, k)
         local = np.empty(n, dtype=np.int64)
         local[idx] = np.arange(k)
         at = (np.arange(idx.shape[0])[None, :, None], local[perm[:, idx]], np.arange(k))
-
-        def element(weights):
-            """sum_g w_g (P_g + P_g^T) on each orbit's span."""
-            z = np.zeros((idx.shape[0], k, k))
-            np.add.at(z, at, weights[:, None, None] * sign[:, idx])
-            return z + z.transpose(0, 2, 1)
-
-        runs.append((idx, *np.linalg.eigh(element(central)), element(generic)))
-    # stage 1: the components, by value across all orbits
-    values = np.concatenate([w.ravel() for _, w, _, _ in runs])
-    component = np.split(_clusters(values, tol), np.cumsum([w.size for _, w, _, _ in runs])[:-1])
-    shift = 4.0 * bound
-    rows, cols, vals, owner, mu = [], [], [], [], []  # owner and mu per column: its component and stage-2 value
-    for (idx, _, v, y), comp in zip(runs, component):
-        comp = comp.reshape(idx.shape)
-        # stage 2 in each orbit's stage-1 basis: the entries between
-        # components are 0 but for rounding; masking them and shifting the
-        # components apart gives one eigh per orbit that cannot mix them
-        t = v.transpose(0, 2, 1) @ y @ v * (comp[:, :, None] == comp[:, None, :])
-        w, u = np.linalg.eigh(t + shift * comp[:, :, None] * np.eye(idx.shape[1]))
-        own = np.rint(w / shift).astype(np.int64)
-        q = (v @ u).transpose(0, 2, 1)  # q[o, j] is column j of orbit o, on the rows idx[o]
+        s = np.zeros((idx.shape[0], k, k))  # sum_g r_g P_g on each orbit's span
+        np.add.at(s, at, weights[:, None, None] * sign[:, idx])
+        w, u = np.linalg.eigh(s + s.transpose(0, 2, 1))
+        q = u.transpose(0, 2, 1)  # q[o, j] is column j of orbit o, on the rows idx[o]
         rows.append(np.broadcast_to(idx[:, None, :], q.shape).ravel())
-        cols.append(np.repeat(sum(map(len, owner)) + np.arange(own.size), idx.shape[1]))
+        cols.append(np.repeat(sum(map(len, values)) + np.arange(w.size), k))
         vals.append(q.ravel())
-        owner.append(own.ravel())
-        mu.append((w - shift * own).ravel())
-    owner = np.concatenate(owner)
-    copy = _clusters(np.concatenate(mu), tol, owner)
-    for c in np.unique(owner):
-        counts = np.unique(copy[owner == c], return_counts=True)[1]
-        if counts.min() != counts.max():
-            copy[owner == c] = copy[owner == c].min()
-    block = np.unique(copy, return_inverse=True)[1]  # numbered by component, then value
+        values.append(w.ravel())
+    # |eigenvalue of S| <= 2 sum_g r_g < 4 |G|
+    block = _clusters(np.concatenate(values), 1e-8 * 4.0 * size)  # numbered by value
     place = np.empty_like(block)  # each column's place when sorted by block
     place[np.argsort(block, kind="stable")] = np.arange(n)
     rows, cols, vals = np.concatenate(rows), place[np.concatenate(cols)], np.concatenate(vals)
@@ -702,9 +652,9 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     Gamma_P = T Gamma_A T^T (``projector_lift``), with ``moments[k]`` at the
     first cell of class k, which the observable and the projector builds
     share.  ``model_result.solution.stats["symmetry"]`` gives the group
-    order, the number of classes besides the identity, of orbits (the
-    unknowns) and of pinned classes, and the LMI sizes (``blocks``, [n] when
-    Gamma is not split).
+    order and the number of classes besides the identity, of orbits (the
+    unknowns) and of pinned classes; the LMI sizes are the compiled
+    problem's ``structure.sdp_blocks``.
     """
     obs = build_moment_model(scenario, level, observables=True)
     inv = obs.observables
@@ -752,7 +702,6 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
         "classes": obs.num_unknowns - 1,
         "orbits": n_orbits,
         "pinned": int(np.sum((orbit < 0) & (np.arange(orbit.size) != obs.norm_class))),
-        "blocks": [lmi.shape[0] for lmi in lmis],
     }
     t = projector_lift(obs)
     gamma_p = t @ gamma.value(res.compiled.params_from(res.solution)).real @ t.T

@@ -52,20 +52,20 @@ class ConeProblem:
     A is held once, as the m x ``structure.flat_dim`` CSR matrix ``a`` whose
     row i is A_i in flat coordinates (see :meth:`SymBlockMat.flat`): SDP
     blocks row-major with both triangles stored, then the nonnegative and the
-    free entries.  ``constraints`` lists the A_i as block matrices, or is
-    already such a sparse matrix; its rows are then averaged with their
+    free entries.  ``constraints`` lists the A_i as block matrices, stacked
+    into such a matrix, or is already one.  Its rows are averaged with their
     transpose in every SDP block, as :class:`SymBlockMat` does with blocks,
-    into a new matrix (the caller's is left as it is).
+    into a new matrix (the caller's is left as it is); on the rows of block
+    matrices, already symmetric, the average is exact.
     """
 
     def __init__(self, c_obj: SymBlockMat, constraints, rhs, meta: dict | None = None):
         self.c_obj = c_obj
-        if sp.issparse(constraints):
-            if constraints.shape[1] != self.structure.flat_dim:
-                raise ValueError("constraint rows do not match the objective's structure")
-            self.a = _symmetric_rows(c_obj.structure, constraints)
-        else:
-            self.a = _stack_rows(c_obj.structure, constraints)
+        if not sp.issparse(constraints):
+            constraints = _stack_rows(c_obj.structure, constraints)
+        if constraints.shape[1] != self.structure.flat_dim:
+            raise ValueError("constraint rows do not match the objective's structure")
+        self.a = _symmetric_rows(c_obj.structure, constraints)
         self.rhs = np.asarray(rhs, dtype=float)
         self.meta = {} if meta is None else meta
         if self.rhs.shape != (self.a.shape[0],):

@@ -46,8 +46,8 @@ class RunReport:
     iterations, DIMACS errors, direction) are None, JSON null, when no
     solver certifies the result, as for the see-saw lower bound.
     ``symmetry`` is the solution's ``stats["symmetry"]`` (the relabelling
-    group that tied the moments of a Bell solve, and the sizes of the LMIs
-    it split the moment matrix into), None elsewhere."""
+    group that tied the moments of a Bell solve), None elsewhere; the LMIs
+    the moment matrix became are ``block_sizes``."""
 
     command: str
     status: int
@@ -68,7 +68,7 @@ class RunReport:
     seed: int | None = None
     result: dict = field(default_factory=dict)  # subcommand-specific payload
     symmetry: dict | None = None
-    version: int = 4
+    version: int = 5
 
     @classmethod
     def from_solution(cls, command: str, p: ConeProblem, sol: Solution, seed=None, result=None) -> "RunReport":
@@ -132,7 +132,7 @@ class RunReport:
             sym = self.symmetry
             lines.append(
                 f"symmetry       : order {sym['order']}, {sym['classes']} moments -> {sym['orbits']} orbits,"
-                f" {sym['pinned']} pinned to 0, blocks {sym['blocks']}"
+                f" {sym['pinned']} pinned to 0"
             )
         lines.append(f"wall time      : {self.wall_time:.3f}s")
         for k, v in self.result.items():

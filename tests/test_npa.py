@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
-from itertools import product
+from itertools import permutations, product
 
 from conftest import assert_same_problem, probability_expr, untied_model
 from qsdp import npa
@@ -426,6 +426,10 @@ def symmetry_of(res):
     return res.model_result.solution.stats["symmetry"]
 
 
+def sdp_blocks(res):
+    return res.model_result.compiled.problem.structure.sdp_blocks
+
+
 def cell_reference(scenario, level, observables):
     """Classes by reducing every cell on its own: {cell: key word}, zero cells."""
     inv = scenario.observables() if observables else frozenset()
@@ -611,9 +615,8 @@ class TestTiedSolveMatchesProjectorReference:
         res = solve_bell(I3322, 3, i3322_functional(seed))
         assert res.success
         assert res.value == pytest.approx(i3322_level3_reference, abs=1e-7)
-        sym = symmetry_of(res)
-        assert sorted(sym.pop("blocks")) == [9, 11, 11, 13, 22, 22]
-        assert sym == {"order": 8, "classes": 867, "orbits": 124, "pinned": 165}
+        assert sorted(sdp_blocks(res)) == [9, 11, 11, 13, 22, 22]
+        assert symmetry_of(res) == {"order": 8, "classes": 867, "orbits": 124, "pinned": 165}
         assert res.model_result.compiled.problem.num_constraints == 124
         assert res.model_result.solution.stats["iterations"] <= 23
 
@@ -631,7 +634,8 @@ class TestStabilizer:
         assert np.array_equal(orbit[others], np.arange(n_orbits))
         assert np.all(sign == 1.0)
         res = solve_bell(I3322, 2, bell)
-        assert symmetry_of(res) == {"order": 1, "classes": n_orbits, "orbits": n_orbits, "pinned": 0, "blocks": [obs.size]}
+        assert symmetry_of(res) == {"order": 1, "classes": n_orbits, "orbits": n_orbits, "pinned": 0}
+        assert sdp_blocks(res) == (obs.size,)
         assert res.value == pytest.approx(reference_bell(I3322, 2, bell).value, abs=1e-7)
 
     def test_sign_conflict_pins_a_class_to_zero(self):
@@ -769,7 +773,50 @@ def random_tied_gamma(obs, action, rng):
     return np.where(obs.classes >= 0, y[obs.classes], 0.0)
 
 
+def cyclic_shifts(n):
+    """C_n shifting the coordinates of R^n: the regular representation."""
+    return (np.arange(n)[None, :] + np.arange(n)[:, None]) % n, np.ones((n, n))
+
+
+def copy_permutations(copies, dims=(2,) * 5):
+    """S_copies permuting the last ``copies`` factors of the tensor product
+    of spaces of the given dimensions, all of one dimension, on its basis."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    head = len(dims) - copies
+    perm = []
+    for sigma in permutations(range(copies)):
+        image = np.concatenate([digits[:head], digits[head:][list(sigma)]])
+        perm.append(np.ravel_multi_index(tuple(image), dims))
+    return np.array(perm), np.ones((len(perm), digits.shape[1]))
+
+
 class TestSymmetryBlocks:
+    @pytest.mark.parametrize(
+        "action, sizes",
+        [(cyclic_shifts(4), [1, 1, 2]), (copy_permutations(4), [2, 2, 6, 6, 6, 10])],
+        ids=["c4-complex-type-irrep", "s4-on-four-copies"],
+    )
+    def test_blocks_diagonalise_an_invariant_matrix(self, action, sizes):
+        perm, sign = action
+        n = perm.shape[1]
+        bases = symmetry_blocks(perm, sign)
+        assert sorted(b.shape[1] for b in bases) == sizes
+        # average a random symmetric matrix over the group: P_g M P_g^T
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        invariant = np.zeros((n, n))
+        for p, s in zip(perm, sign):
+            g = np.zeros((n, n))
+            g[p, np.arange(n)] = s
+            invariant += g @ m @ g.T / len(perm)
+        q = sp.hstack(bases).toarray()
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
+        congruent = q.T @ invariant @ q
+        label = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+        off = label[:, None] != label[None, :]
+        assert np.max(np.abs(congruent[off])) <= 1e-12 * np.max(np.abs(invariant))
+
     @pytest.mark.parametrize("level", [3, 4])
     def test_basis_is_orthonormal_and_orbit_local(self, level):
         obs, (perm, sign) = i3322_action(level)
@@ -796,7 +843,7 @@ class TestSymmetryBlocks:
         # D4: four 1-dimensional irreps and one 2-dimensional one, whose two
         # copies are separate blocks holding the same matrix up to a rotation
         obs, action = i3322_action(3)
-        assert sorted(np.bincount(npa._conjugacy_classes(*action)).tolist()) == [1, 1, 2, 2, 2]
+        assert action[0].shape[0] == 8
         bases = symmetry_blocks(*action)
         sizes = [b.shape[1] for b in bases]
         assert sorted(sizes) == [9, 11, 11, 13, 22, 22]
@@ -818,9 +865,8 @@ class TestSplitSolve:
         monkeypatch.setattr(npa, "_SPLIT_MIN", 10**9)
         whole = solve_bell(I3322, 3, bell)
         assert split.success and whole.success
-        assert symmetry_of(whole)["blocks"] == [88]
-        assert sorted(symmetry_of(split)["blocks"]) == [9, 11, 11, 13, 22, 22]
-        assert split.model_result.compiled.problem.structure.sdp_blocks == tuple(symmetry_of(split)["blocks"])
+        assert sdp_blocks(whole) == (88,)
+        assert sorted(sdp_blocks(split)) == [9, 11, 11, 13, 22, 22]
         assert split.value == pytest.approx(whole.value, abs=1e-7)
         its = [r.model_result.solution.stats["iterations"] for r in (split, whole)]
         assert its[0] == its[1]
@@ -843,7 +889,7 @@ class TestSplitSolve:
         monkeypatch.setattr(npa, "symmetry_blocks", lambda *a, **k: calls.append(1) or blocks(*a, **k))
         res = solve()
         assert calls == []
-        assert symmetry_of(res)["blocks"] == [res.gamma.shape[0]]
+        assert sdp_blocks(res) == (res.gamma.shape[0],)
         monkeypatch.setattr(npa, "_SPLIT_MIN", 10**9)
         ref = solve()
         assert_same_problem(res.model_result.compiled.problem, ref.model_result.compiled.problem)
