@@ -60,7 +60,9 @@ class SymBlockMat:
     """One element of the block space: per-block symmetric matrices plus vectors.
 
     Blocks are symmetrized on construction by averaging with the transpose, so
-    entry (i, j) equals entry (j, i) bit-for-bit afterwards.
+    entry (i, j) equals entry (j, i) bit-for-bit afterwards.  Sums, differences
+    and scalar multiples of such blocks are bitwise symmetric already, so the
+    arithmetic builds its results with :meth:`_new`, which does not average.
     """
 
     __slots__ = ("structure", "blocks", "nonneg", "free")
@@ -86,6 +88,13 @@ class SymBlockMat:
             raise StructureMismatchError("free part has wrong length")
 
     # -- constructors -------------------------------------------------------
+    @classmethod
+    def _new(cls, structure: BlockStructure, blocks: list, nonneg: np.ndarray, free: np.ndarray) -> "SymBlockMat":
+        """Wrap parts that are already checked and bitwise symmetric, without copying."""
+        out = object.__new__(cls)
+        out.structure, out.blocks, out.nonneg, out.free = structure, blocks, nonneg, free
+        return out
+
     @classmethod
     def zeros(cls, structure: BlockStructure) -> "SymBlockMat":
         return cls(structure)
@@ -114,7 +123,7 @@ class SymBlockMat:
 
     def __add__(self, other: "SymBlockMat") -> "SymBlockMat":
         self._check(other)
-        return SymBlockMat(
+        return SymBlockMat._new(
             self.structure,
             [a + b for a, b in zip(self.blocks, other.blocks)],
             self.nonneg + other.nonneg,
@@ -123,7 +132,7 @@ class SymBlockMat:
 
     def __sub__(self, other: "SymBlockMat") -> "SymBlockMat":
         self._check(other)
-        return SymBlockMat(
+        return SymBlockMat._new(
             self.structure,
             [a - b for a, b in zip(self.blocks, other.blocks)],
             self.nonneg - other.nonneg,
@@ -132,7 +141,7 @@ class SymBlockMat:
 
     def __mul__(self, t: float) -> "SymBlockMat":
         t = float(t)
-        return SymBlockMat(self.structure, [t * b for b in self.blocks], t * self.nonneg, t * self.free)
+        return SymBlockMat._new(self.structure, [t * b for b in self.blocks], t * self.nonneg, t * self.free)
 
     __rmul__ = __mul__
 
@@ -181,7 +190,7 @@ def frobenius_inner(a: SymBlockMat, b: SymBlockMat) -> float:
         raise StructureMismatchError("frobenius_inner: operands have different structures")
     total = 0.0
     for x, y in zip(a.blocks, b.blocks):
-        total += float(np.tensordot(x, y))
+        total += float(np.vdot(x, y))
     total += float(a.nonneg @ b.nonneg) + float(a.free @ b.free)
     return total
 

@@ -35,6 +35,20 @@ GAMMA_STEP = 0.98  # step-length safety factor, keeps iterates interior
 EXPON = 3.0  # cap for the corrector exponent
 # Floats in one chunk's g x n^2 work array of the Schur assembly (2 MB)
 _SCHUR_CHUNK_FLOATS = 1 << 18
+# LAPACK routines of the per-block kernels, called without the scipy.linalg
+# wrappers, whose checks cost more than the work on small blocks
+_SYGV, _SYGV_LWORK, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
+    ("sygv", "sygv_lwork", "potrf", "potrs"), dtype=np.float64
+)
+
+
+@functools.cache
+def _sygv_lwork(n: int) -> int:
+    """The workspace size scipy.linalg.eigh queries for sygv on an n x n pencil."""
+    work, info = _SYGV_LWORK(n, uplo="L")
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"sygv workspace query failed (info {info})")
+    return int(work)
 
 
 @dataclass
@@ -158,13 +172,21 @@ def step_length(m: np.ndarray, dm: np.ndarray) -> float:
     """Largest t <= 1 with m + t*dm PSD, via min(1, 1/lambda_max) of the
     pencil (-dm, m).
 
-    LAPACK sygv factors the positive definite m by Cholesky, reduces the
-    pencil to C^-1 (-dm) C^-T and runs the QR algorithm (syev) on it; a
-    Cholesky failure propagates as LinAlgError.
+    One call of LAPACK sygv (jobz "N", lower triangle, the workspace that
+    scipy.linalg.eigh queries, so the eigenvalues are bitwise those of
+    ``eigh(-dm, m, eigvals_only=True, driver="gv")``) factors the positive
+    definite m by Cholesky, reduces the pencil to C^-1 (-dm) C^-T and runs
+    the QR algorithm (syev) on it.  Both matrices are symmetric, so their
+    transposes are passed: the Fortran-ordered -dm^T is reduced in place.
+    A nonzero info (m not positive definite, or no convergence) raises
+    LinAlgError.
     """
     if m.size == 0:
         return 1.0
-    lam = float(scipy.linalg.eigh(-dm, m, eigvals_only=True, driver="gv")[-1])
+    w, _, info = _SYGV(-dm.T, m.T, jobz="N", uplo="L", lwork=_sygv_lwork(m.shape[0]), overwrite_a=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"sygv failed in step_length (info {info})")
+    lam = float(w[-1])
     if lam <= 1e-300:
         return 1.0
     return min(1.0, 1.0 / lam)
@@ -227,13 +249,17 @@ def _support_chunks(a_k: sp.csr_array, n: int) -> list:
     start = np.cumsum(size) - size
     at_row = np.cumsum(new) - 1 - start[j]
     at_col = np.searchsorted(keys, j * n + cols) - start[j]
+    # bucket: the support size rounded up to a power of two (2 to the bit
+    # length of size - 1), at most n
+    bucket = np.minimum(1 << np.frexp(size - 1)[1].astype(np.int64), n)
     g_max = max(1, _SCHUR_CHUNK_FLOATS // (n * n))
     chunks = []
-    for s in np.unique(size[size > 0]):
-        js = np.flatnonzero(size == s)
-        sup = keys[start[js, None] + np.arange(s)] % n
+    for s in np.unique(bucket[size > 0]):
+        js = np.flatnonzero((bucket == s) & (size > 0))
+        # a support shorter than s repeats its last row; A_sub is 0 there
+        sup = keys[start[js, None] + np.minimum(np.arange(s), size[js, None] - 1)] % n
         a_sub = np.zeros((js.size, s, s))
-        hit = size[j] == s
+        hit = bucket[j] == s
         a_sub[np.searchsorted(js, j[hit]), at_row[hit], at_col[hit]] = a_k.data[hit]
         for lo in range(0, js.size, g_max):
             chunks.append((js[lo : lo + g_max], sup[lo : lo + g_max], a_sub[lo : lo + g_max]))
@@ -245,10 +271,14 @@ class _SchurPlan:
 
     ``blocks[k]`` is (A_k, chunks) for SDP block k: A_k is A's CSR column
     slice over the block, and each chunk (js, sup, a_sub) holds constraints
-    js that touch the same number s of the block's rows, their support rows
-    sup (g x s) and their dense A_j[sup, sup] (g x s x s).  A chunk holds at
-    most _SCHUR_CHUNK_FLOATS / n^2 constraints.  ``a_nn`` is A's column slice
-    over the nonnegative entries.
+    js whose number of touched rows of the block rounds up to the same
+    bucket s, a power of two capped at n; their support rows sup (g x s) and
+    their dense A_j[sup, sup] (g x s x s).  A support with fewer than s rows
+    is padded by repeating its last row, and the padded rows and columns of
+    a_sub are exact zeros, so they add nothing to K(A_j).  Bucketing keeps
+    the chunks, and so the batched products per Schur build, few when the
+    support sizes vary.  A chunk holds at most _SCHUR_CHUNK_FLOATS / n^2
+    constraints.  ``a_nn`` is A's column slice over the nonnegative entries.
     """
 
     def __init__(self, p: ConeProblem):
@@ -271,9 +301,7 @@ class _DirectionContext:
         self.zinv = []
         self.w_nt = []
         for zb, xb in zip(it.z.blocks, it.x.blocks):
-            low = scipy.linalg.cholesky(zb, lower=True)
-            zin = scipy.linalg.cho_solve((low, True), np.eye(zb.shape[0]))
-            self.zinv.append((zin + zin.T) / 2.0)
+            self.zinv.append(_spd_inverse(zb))
             if direction == "nt":
                 self.w_nt.append(_nt_scaling(xb, zb))
         self.direction = direction
@@ -328,6 +356,17 @@ class _DirectionContext:
             raise NewtonSystemError(str(exc)) from exc
 
 
+def _spd_inverse(z: np.ndarray) -> np.ndarray:
+    """Z^-1 of a positive definite block by potrf and potrs (the routines of
+    scipy.linalg's cholesky and cho_solve), averaged with its transpose."""
+    low, info = _POTRF(z, lower=1)
+    if info == 0:
+        zin, info = _POTRS(low, np.eye(z.shape[0]), lower=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"Cholesky factorization of a Z block failed (info {info})")
+    return (zin + zin.T) / 2.0
+
+
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """NT scaling point W with W Z W = X, computed from eigendecompositions."""
     wx, vx = np.linalg.eigh(x)
@@ -374,7 +413,7 @@ def newton_direction(
         prods = [dxb @ dzb @ zi for dxb, dzb, zi in zip(dxp.blocks, dzp.blocks, ctx.zinv)]
         g = g - SymBlockMat(st, prods, dxp.nonneg * dzp.nonneg / it.z.nonneg)
 
-    dy = ctx.solve(r_p - p.apply(g) + p.apply(ctx.kappa(it, r_d)))
+    dy = ctx.solve(r_p - p.apply(g - ctx.kappa(it, r_d)))
     dz = r_d - p.adjoint(dy)
     dx = g - ctx.kappa(it, dz)
     return dx, dy, dz
@@ -449,11 +488,11 @@ class _ScipyPoolCap:
     """Holds scipy's OpenBLAS pool at one thread while any solve runs.
 
     The kernels of an iteration alternate between numpy's pool (matmuls,
-    ``eigh``) and scipy's (Cholesky, ``cho_solve``, ``solve_triangular``,
-    ``syev``); when both are threaded, the spinning workers of one slow the
-    other down.  Solves may nest and overlap across Python threads: under a
-    lock, the first to enter saves the pool size and sets 1, and the last to
-    leave restores it.  Without scipy's bundled OpenBLAS, or with a pool of
+    ``eigh``) and scipy's (``potrf``, ``potrs`` and ``sygv``, bound directly,
+    and ``cho_factor``, ``cho_solve``); when both are threaded, the spinning
+    workers of one slow the other down.  Solves may nest and overlap across
+    Python threads: under a lock, the first to enter saves the pool size and
+    sets 1, and the last to leave restores it.  Without scipy's bundled OpenBLAS, or with a pool of
     one thread, nothing is changed.
     """
 

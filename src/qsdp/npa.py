@@ -582,15 +582,34 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
     return [q[:, lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
-def _congruent(gamma: MatExpr, q) -> MatExpr:
-    """Q^T Gamma Q for a sparse n x r basis Q.  Row k of the coefficient
-    matrix is vec(Q^T F_k Q) = vec(F_k) (Q (x) Q), row-major, symmetrised;
-    entries at rounding level, where the sum cancels, are dropped."""
-    r = q.shape[1]
-    coef = gamma.coef.real @ sp.kron(q, q, format="csc")
-    coef = (coef + coef[:, np.arange(r * r).reshape(r, r).T.ravel()]) / 2
-    coef.data[np.abs(coef.data) <= _SYM_TOL * np.abs(coef.data).max(initial=0.0)] = 0.0
-    return MatExpr.from_coef((r, r), coef)
+def _congruent(gamma: MatExpr, bases) -> list[MatExpr]:
+    """Q^T Gamma Q for each sparse n x r CSC basis Q.  Row k of a block's
+    coefficient matrix is vec(Q^T F_k Q) = vec(F_k) (Q (x) Q), row-major,
+    symmetrised; entries at rounding level for their block, where the sum
+    cancels, are dropped.  One product with the column-stacked Q (x) Q
+    serves every block: its columns are those of the per-block products."""
+    n = gamma.shape[0]
+    sizes = np.array([q.shape[1] for q in bases])
+    ends = np.cumsum(sizes * sizes)
+    starts = ends - sizes * sizes
+    # entries u, v of one Q (column-major) give Q (x) Q the entry q_u q_v at
+    # row n i_u + i_v and column r a_u + a_v of the block: sorted CSC order
+    rows, cols, vals, flip = [], [], [], []
+    for q, r, lo in zip(bases, sizes, starts):
+        a = np.repeat(np.arange(r), np.diff(q.indptr))
+        i = q.indices.astype(np.int64)
+        rows.append(np.add.outer(i * n, i).ravel())
+        cols.append(np.add.outer(lo + a * r, a).ravel())
+        vals.append(np.multiply.outer(q.data, q.data).ravel())
+        flip.append(lo + np.arange(r * r).reshape(r, r).T.ravel())  # column of (j, i) for (i, j)
+    kron = sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n * n, ends[-1]))
+    coef = gamma.coef.real @ kron
+    coef = sp.csc_array((coef + coef[:, np.concatenate(flip)]) / 2)
+    block = np.repeat(np.arange(sizes.size), np.diff(coef.indptr[np.concatenate([[0], ends])]))
+    top = np.zeros(sizes.size)
+    np.maximum.at(top, block, np.abs(coef.data))
+    coef.data[np.abs(coef.data) <= _SYM_TOL * top[block]] = 0.0
+    return [MatExpr.from_coef((r, r), coef[:, lo:hi]) for r, lo, hi in zip(sizes.tolist(), starts, ends)]
 
 
 def projector_lift(mm: MomentModel) -> np.ndarray:
@@ -676,7 +695,7 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     values = np.where(orbit[cls] >= 0, sign[cls], 1.0)[at]
     gamma = _symmetric_expr(obs.size, obs.cells[:, at], param_rows, values, 1 + model.nparams)
     bases = symmetry_blocks(*action) if obs.size >= _SPLIT_MIN and len(group) > 1 else []
-    lmis = [_congruent(gamma, q) for q in bases] if len(bases) > 1 else [gamma]
+    lmis = _congruent(gamma, bases) if len(bases) > 1 else [gamma]
     for lmi in lmis:
         model.add_lmi(lmi)
 

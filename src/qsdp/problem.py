@@ -56,7 +56,8 @@ class ConeProblem:
     into such a matrix, or is already one.  Its rows are averaged with their
     transpose in every SDP block, as :class:`SymBlockMat` does with blocks,
     into a new matrix (the caller's is left as it is); on the rows of block
-    matrices, already symmetric, the average is exact.
+    matrices, already symmetric, the average is exact.  Its transpose is
+    stored beside it as CSR, ``a_t``, for :meth:`adjoint`.
     """
 
     def __init__(self, c_obj: SymBlockMat, constraints, rhs, meta: dict | None = None):
@@ -66,6 +67,7 @@ class ConeProblem:
         if constraints.shape[1] != self.structure.flat_dim:
             raise ValueError("constraint rows do not match the objective's structure")
         self.a = _symmetric_rows(c_obj.structure, constraints)
+        self.a_t = self.a.T.tocsr()
         self.rhs = np.asarray(rhs, dtype=float)
         self.meta = {} if meta is None else meta
         if self.rhs.shape != (self.a.shape[0],):
@@ -92,7 +94,7 @@ class ConeProblem:
 
     def adjoint(self, y: np.ndarray) -> SymBlockMat:
         """Adjoint map A*(y) = sum_i y_i A_i."""
-        return SymBlockMat.from_flat(self.structure, self.a.T @ np.asarray(y, dtype=float))
+        return SymBlockMat.from_flat(self.structure, self.a_t @ np.asarray(y, dtype=float))
 
 
 @dataclass

@@ -71,6 +71,41 @@ class TestFrobenius:
         assert frobenius_inner(nz, nz) > 0.0
 
 
+class TestArithmetic:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_symmetrizing_construction(self, seed):
+        # sums, differences and multiples skip the average with the
+        # transpose; on symmetric operands it would change no bit
+        rng = np.random.default_rng(seed)
+        stc = BlockStructure((1, 3, 7, 22), nonneg_dim=4, free_dim=2)
+
+        def elem():
+            return SymBlockMat(stc, [rng.normal(size=(n, n)) for n in stc.sdp_blocks], rng.normal(size=4), rng.normal(size=2))
+
+        a, b, t = elem(), elem(), float(rng.normal())
+        cases = [
+            (a + b, [x + y for x, y in zip(a.blocks, b.blocks)], a.nonneg + b.nonneg, a.free + b.free),
+            (a - b, [x - y for x, y in zip(a.blocks, b.blocks)], a.nonneg - b.nonneg, a.free - b.free),
+            (t * a, [t * x for x in a.blocks], t * a.nonneg, t * a.free),
+            (a * t, [t * x for x in a.blocks], t * a.nonneg, t * a.free),
+            (-a, [-1.0 * x for x in a.blocks], -a.nonneg, -a.free),
+        ]
+        for got, blocks, nonneg, free in cases:
+            want = SymBlockMat(stc, blocks, nonneg, free)
+            assert got.structure == want.structure
+            assert all(np.array_equal(g, w) for g, w in zip(got.blocks, want.blocks))
+            assert np.array_equal(got.nonneg, want.nonneg) and np.array_equal(got.free, want.free)
+            assert all(np.array_equal(g, g.T) for g in got.blocks)
+
+    def test_results_share_no_array_with_the_operands(self):
+        a = one_block(np.eye(2), nonneg=[1.0], free=[2.0])
+        for out in (a + a, a - a, 2.0 * a, -a):
+            out.blocks[0][0, 0] = 9.0
+            out.nonneg[0] = 9.0
+            out.free[0] = 9.0
+        assert np.array_equal(a.blocks[0], np.eye(2)) and a.nonneg[0] == 1.0 and a.free[0] == 2.0
+
+
 class TestVecMat:
     def test_column_major_packing(self):
         a, b, c, d = 1.0, 2.0, 3.0, 4.0

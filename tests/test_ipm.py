@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsdp import ipm
 from qsdp import (
@@ -175,6 +176,41 @@ class TestStepLength:
         dm = (dm + dm.T) / 2.0
         assert step_length(m, dm) == pytest.approx(0.25, rel=1e-10)
         assert step_length(m, dm) == pytest.approx(self._eigvalsh_formula(m, dm), rel=1e-10)
+
+    def test_bitwise_equal_to_scipy_eigh(self):
+        # the direct sygv call against the scipy.linalg wrapper it replaces;
+        # the inputs are left as they were
+        rng = np.random.default_rng(21)
+        for n in range(1, 41):
+            g = rng.normal(size=(n, n))
+            m = g @ g.T + 0.1 * np.eye(n)
+            m = (m + m.T) / 2.0
+            dm = rng.normal(size=(n, n))
+            dm = dm + dm.T
+            m0, dm0 = m.copy(), dm.copy()
+            lam = scipy.linalg.eigh(-dm, m, eigvals_only=True, driver="gv")[-1]
+            assert step_length(m, dm) == (1.0 if lam <= 1e-300 else min(1.0, 1.0 / lam))
+            assert np.array_equal(m, m0) and np.array_equal(dm, dm0)
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, -1.0]), np.diag([2.0, 0.0, 1.0]), -np.eye(1)], ids=len)
+    def test_not_positive_definite_raises_linalg_error(self, m):
+        with pytest.raises(np.linalg.LinAlgError):
+            step_length(m, np.eye(m.shape[0]))
+
+
+class TestSpdInverse:
+    def test_bitwise_equal_to_cholesky_and_cho_solve(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 41):
+            g = rng.normal(size=(n, n))
+            z = g @ g.T + 0.1 * np.eye(n)
+            z = (z + z.T) / 2.0
+            zin = scipy.linalg.cho_solve((scipy.linalg.cholesky(z, lower=True), True), np.eye(n))
+            assert np.array_equal(ipm._spd_inverse(z), (zin + zin.T) / 2.0)
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            ipm._spd_inverse(np.diag([1.0, -1.0]))
 
 
 class TestCorrectorNu:

@@ -8,6 +8,7 @@ from itertools import permutations, product
 
 from conftest import assert_same_problem, probability_expr, untied_model
 from qsdp import npa
+from qsdp.modeling import MatExpr
 from qsdp.npa import (
     ZERO,
     Scenario,
@@ -855,6 +856,33 @@ class TestSymmetryBlocks:
         n = 70
         (q,) = symmetry_blocks(np.arange(n)[None, :], np.ones((1, n)))
         assert np.array_equal(q.toarray(), np.eye(n))
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_congruent_blocks_equal_the_per_block_products(self, level, monkeypatch):
+        # the one stacked product against one product per block, bit for bit
+        class Stop(Exception):
+            pass
+
+        def capture(gamma, bases):
+            raise Stop(gamma, bases)
+
+        monkeypatch.setattr(npa, "_congruent", capture)
+        with pytest.raises(Stop) as caught:
+            solve_bell(I3322, level, i3322_functional(1))
+        gamma, bases = caught.value.args
+        monkeypatch.undo()
+        got = npa._congruent(gamma, bases)
+        assert len(got) == len(bases) == 6
+        for expr, q in zip(got, bases):
+            r = q.shape[1]
+            coef = gamma.coef.real @ sp.kron(q, q, format="csc")
+            coef = (coef + coef[:, np.arange(r * r).reshape(r, r).T.ravel()]) / 2
+            coef.data[np.abs(coef.data) <= npa._SYM_TOL * np.abs(coef.data).max(initial=0.0)] = 0.0
+            want = MatExpr.from_coef((r, r), coef)
+            assert expr.shape == want.shape == (r, r) and type(expr.shape[0]) is int
+            for x, y in ((expr.coef.indptr, want.coef.indptr), (expr.coef.indices, want.coef.indices)):
+                assert np.array_equal(x, y)
+            assert expr.coef.data.tobytes() == want.coef.data.tobytes()
 
 
 class TestSplitSolve:

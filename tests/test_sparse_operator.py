@@ -129,7 +129,8 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
     rng = np.random.default_rng(5)
     p = several_chunk_problem(rng)
     chunks = ipm._SchurPlan(p).blocks[0][1]
-    assert sorted({sup.shape[1] for _, sup, _ in chunks}) == [1, 2, 3, 5]
+    # support sizes 1, 2, 3 and 5 round up to the buckets 1, 2, 4 and 8
+    assert sorted({sup.shape[1] for _, sup, _ in chunks}) == [1, 2, 4, 8]
     assert len(chunks) > 4
     want, got = dense_schur(p, interior_iterate(rng, p), direction)
     assert rel_err(got, want) <= 1e-12
@@ -211,26 +212,38 @@ def test_one_schur_per_iteration_and_one_residual_per_iterate(monkeypatch, free_
 
 
 def reference_support_chunks(a_k, n):
-    """_support_chunks with the supports found by np.unique and searchsorted,
-    which needs no sorted indices."""
+    """_support_chunks built the slow way: each constraint's support by
+    np.unique, its bucket by doubling, its padded support and A_sub one
+    constraint at a time; needs no sorted indices."""
     m = a_k.shape[0]
-    j = np.repeat(np.arange(m, dtype=np.int64), np.diff(a_k.indptr))
-    rows, cols = np.divmod(a_k.indices, n)
-    keys = np.unique(j * n + rows)
-    size = np.bincount(keys // n, minlength=m)
-    start = np.cumsum(size) - size
-    at_row = np.searchsorted(keys, j * n + rows) - start[j]
-    at_col = np.searchsorted(keys, j * n + cols) - start[j]
     g_max = max(1, ipm._SCHUR_CHUNK_FLOATS // (n * n))
+    buckets = {}
+    for j in range(m):
+        lo, hi = a_k.indptr[j], a_k.indptr[j + 1]
+        if lo == hi:
+            continue
+        rows, cols = np.divmod(a_k.indices[lo:hi], n)
+        sup = np.unique(rows)
+        s = 1
+        while s < sup.size:
+            s *= 2
+        s = min(s, n)
+        padded = np.concatenate([sup, np.repeat(sup[-1], s - sup.size)])
+        sub = np.zeros((s, s))
+        sub[np.searchsorted(sup, rows), np.searchsorted(sup, cols)] = a_k.data[lo:hi]
+        buckets.setdefault(s, []).append((j, padded, sub))
     chunks = []
-    for s in np.unique(size[size > 0]):
-        js = np.flatnonzero(size == s)
-        sup = keys[start[js, None] + np.arange(s)] % n
-        a_sub = np.zeros((js.size, s, s))
-        hit = size[j] == s
-        a_sub[np.searchsorted(js, j[hit]), at_row[hit], at_col[hit]] = a_k.data[hit]
-        for lo in range(0, js.size, g_max):
-            chunks.append((js[lo : lo + g_max], sup[lo : lo + g_max], a_sub[lo : lo + g_max]))
+    for s in sorted(buckets):
+        entries = buckets[s]
+        for lo in range(0, len(entries), g_max):
+            part = entries[lo : lo + g_max]
+            chunks.append(
+                (
+                    np.array([j for j, _, _ in part], dtype=np.int64),
+                    np.array([sup for _, sup, _ in part], dtype=np.int64).reshape(len(part), s),
+                    np.array([sub for _, _, sub in part]).reshape(len(part), s, s),
+                )
+            )
     return chunks
 
 
@@ -305,3 +318,36 @@ def test_support_chunks_match_the_unique_construction(monkeypatch, name):
             unsorted += not shuffled.has_sorted_indices
             assert_same_chunks(ipm._support_chunks(shuffled, n), want)
     assert seen > 0 and unsorted > 0
+
+
+@pytest.mark.parametrize("name", CHUNK_PROBLEMS)
+def test_bucketed_chunks_hold_each_constraint_once_padded_with_zeros(monkeypatch, name):
+    p = compiled_problem(monkeypatch, CHUNK_PROBLEMS[name])
+    q = split_free(p)
+    plan = ipm._SchurPlan(q)
+    for (a_k, chunks), n in zip(plan.blocks, q.structure.sdp_blocks):
+        rows = np.repeat(np.arange(a_k.shape[0]), np.diff(a_k.indptr))
+        touched = [np.unique(a_k.indices[rows == j] // n) for j in range(a_k.shape[0])]
+        js = np.concatenate([c[0] for c in chunks])
+        assert np.array_equal(np.sort(js), [j for j, sup in enumerate(touched) if sup.size])
+        for js, sup, a_sub in chunks:
+            s = sup.shape[1]
+            for j, row, sub in zip(js, sup, a_sub):
+                t = touched[j].size
+                assert s == min(1 << (t - 1).bit_length(), n)  # the power of two at or above t, at most n
+                assert np.array_equal(row[:t], touched[j]) and np.all(row[t:] == row[t - 1])
+                assert not np.any(sub[t:]) and not np.any(sub[:, t:])
+    rng = np.random.default_rng(17)
+    it = interior_iterate(rng, q)
+    for direction in ("hkm", "nt"):
+        want, got = dense_schur(q, it, direction)
+        assert rel_err(got, want) <= 1e-12
+
+
+def test_adjoint_reads_the_stored_transpose():
+    rng = np.random.default_rng(23)
+    for st in STRUCTURES:
+        p = split_free(random_problem(rng, st, m=9))
+        y = rng.normal(size=p.num_constraints)
+        assert p.a_t.format == "csr" and p.a_t.shape == p.a.T.shape
+        assert np.array_equal(p.adjoint(y).flat(), p.a.T @ y)
