@@ -32,11 +32,6 @@ class BlockStructure:
             raise ValueError("nonneg_dim and free_dim must be >= 0")
 
     @property
-    def sym_dim(self) -> int:
-        """Total number of scalar parameters under symmetric packing."""
-        return sum(s * (s + 1) // 2 for s in self.sdp_blocks) + self.nonneg_dim + self.free_dim
-
-    @property
     def cone_dim(self) -> int:
         """Barrier dimension: sum of block sizes plus the nonnegative count."""
         return sum(self.sdp_blocks) + self.nonneg_dim

@@ -292,8 +292,9 @@ class _SchurPlan:
 
 
 class _DirectionContext:
-    """Scalings and the factored Schur matrix at one iterate, shared by the
-    predictor and the corrector solve of an iteration."""
+    """Scalings and the Schur matrix B at one iterate, shared by the predictor
+    and the corrector solve of an iteration.  B is held once, as its Cholesky
+    factor; only when that fails is B built again, for an indefinite solve."""
 
     def __init__(self, p: ConeProblem, it: Iterate, direction: str, plan: _SchurPlan | None = None):
         self.p = p
@@ -305,11 +306,11 @@ class _DirectionContext:
             if direction == "nt":
                 self.w_nt.append(_nt_scaling(xb, zb))
         self.direction = direction
-        self.b = self.schur(it)
-        try:
-            self.cho = scipy.linalg.cho_factor(self.b, lower=True)
-        except scipy.linalg.LinAlgError:
-            self.cho = None
+        b = self.schur(it)
+        try:  # b is symmetric, so b.T is B in Fortran order, factored in place
+            self.cho, self.b_indefinite = scipy.linalg.cho_factor(b.T, lower=True, overwrite_a=True), None
+        except scipy.linalg.LinAlgError:  # and overwritten when that fails
+            self.cho, self.b_indefinite = None, self.schur(it)
 
     def kappa(self, it: Iterate, dz: SymBlockMat) -> SymBlockMat:
         """The scaling operator K with dX + K(dZ) = G (blocks symmetrized on construction)."""
@@ -341,17 +342,18 @@ class _DirectionContext:
             scaled = a_nn.copy()
             scaled.data *= (it.x.nonneg / it.z.nonneg)[a_nn.indices]
             b += (scaled @ a_nn.T).toarray()
-        return (b + b.T) / 2.0
+        b += b.T
+        b *= 0.5
+        return b
 
     def solve(self, h: np.ndarray) -> np.ndarray:
-        """Cholesky solve with one refinement step; symmetric-indefinite
-        fallback when B is not numerically positive definite."""
+        """B^-1 h by one Cholesky solve; a symmetric-indefinite solve when B
+        is not numerically positive definite."""
         if self.cho is not None:
             # cho_factor checked B, so only each right-hand side needs the finiteness check
-            dy = scipy.linalg.cho_solve(self.cho, np.asarray_chkfinite(h), check_finite=False)
-            return dy + scipy.linalg.cho_solve(self.cho, np.asarray_chkfinite(h - self.b @ dy), check_finite=False)
+            return scipy.linalg.cho_solve(self.cho, np.asarray_chkfinite(h), check_finite=False)
         try:
-            return scipy.linalg.solve(self.b, h, assume_a="sym")
+            return scipy.linalg.solve(self.b_indefinite, h, assume_a="sym")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NewtonSystemError(str(exc)) from exc
 

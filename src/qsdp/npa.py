@@ -37,6 +37,8 @@ ZERO = "ZERO"  # annihilated word sentinel
 
 Symbol = tuple  # (party, setting, outcome)
 Word = tuple  # tuple of Symbols; () is the identity
+_NV_STALL = 5  # consecutive samples inside the span that end nv_build_basis
+_NV_TOL = 1e-9  # relative residual below which a sample lies inside the span
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class Scenario:
 
     settings: tuple[int, ...]  # measurements per party
     outcomes: tuple[tuple[int, ...], ...]  # outcomes per party per setting
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
@@ -78,7 +79,7 @@ class Scenario:
 
     @classmethod
     def chsh(cls) -> "Scenario":
-        return cls((2, 2), ((2, 2), (2, 2)), labels=("Alice", "Bob"))
+        return cls((2, 2), ((2, 2), (2, 2)))
 
     @classmethod
     def prepare_measure(cls, n_preparations: int, n_meas_settings: int, n_outcomes: int = 2) -> "Scenario":
@@ -87,7 +88,6 @@ class Scenario:
         return cls(
             (n_preparations, n_meas_settings),
             (tuple(2 for _ in range(n_preparations)), tuple(n_outcomes for _ in range(n_meas_settings))),
-            labels=("Alice", "Bob"),
         )
 
 
@@ -812,18 +812,17 @@ def haar_state(rng, d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def haar_projector(rng, d: int, rank: int = 1) -> np.ndarray:
+def haar_projector(rng, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, _ = np.linalg.qr(g)
-    cols = q[:, :rank]
-    return cols @ cols.conj().T
+    return q[:, :1] @ q[:, :1].conj().T
 
 
-def nv_build_basis(task: NVTask, seed: int = 0, max_draws: int = 500, stall_limit: int = 5, tol: float = 1e-9):
+def nv_build_basis(task: NVTask, seed: int = 0, max_draws: int = 500):
     """Orthogonal basis of the span of sampled moment matrices.
 
-    Draws strategies until ``stall_limit`` consecutive samples project to zero
-    against the current span (to tolerance); raises if ``max_draws`` runs out
+    Draws strategies until ``_NV_STALL`` consecutive samples project to zero
+    against the current span (to ``_NV_TOL``); raises if ``max_draws`` runs out
     first.  The returned matrices are pairwise orthogonal and unit-normalized
     under the trace pairing.
     """
@@ -836,9 +835,9 @@ def nv_build_basis(task: NVTask, seed: int = 0, max_draws: int = 500, stall_limi
         resid = gamma.copy()
         for b in basis:
             resid -= np.sum(b * resid) * b
-        if np.linalg.norm(resid) <= tol * max(scale, 1.0):
+        if np.linalg.norm(resid) <= _NV_TOL * max(scale, 1.0):
             stall += 1
-            if stall >= stall_limit:
+            if stall >= _NV_STALL:
                 return basis
         else:
             stall = 0
@@ -878,7 +877,7 @@ def qrac_nv_task(n_bits: int = 2, d: int = 2) -> NVTask:
 
     def sampler(rng):
         ops = {g: haar_state(rng, d) for g in preps}
-        ops.update({g: haar_projector(rng, d, rank=1) for g in meas})
+        ops.update({g: haar_projector(rng, d) for g in meas})
         return ops
 
     return NVTask(dim=d, words=words, sampler=sampler)
@@ -918,9 +917,9 @@ def chsh_nv_task(d_each: int = 2) -> NVTask:
         eye = np.eye(d_each)
         ops = {("psi",): haar_state(rng, d)}
         for x in range(2):
-            ops[("a", x)] = np.kron(haar_projector(rng, d_each, 1), eye)
+            ops[("a", x)] = np.kron(haar_projector(rng, d_each), eye)
         for y in range(2):
-            ops[("b", y)] = np.kron(eye, haar_projector(rng, d_each, 1))
+            ops[("b", y)] = np.kron(eye, haar_projector(rng, d_each))
         return ops
 
     return NVTask(dim=d, words=words, sampler=sampler)

@@ -20,6 +20,8 @@ import scipy.sparse as sp
 # frobenius_inner stays importable from here: bench/tracer.py counts calls through this name
 from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, frobenius_inner  # noqa: F401
 
+SPREAD_LIMIT = 1e8  # a coefficient spread max/min above this sets ValidationReport.scaling_warning
+
 
 def _stack_rows(structure: BlockStructure, constraints) -> sp.csr_array:
     """Row i holds constraint i's nonzeros in flat coordinates."""
@@ -141,7 +143,7 @@ def _ordered_dependents(rows: np.ndarray, tol: np.ndarray) -> list[int]:
     return sorted(set(range(len(rows))) - set(keep))
 
 
-def validate_problem(p: ConeProblem, spread_limit: float = 1e8) -> ValidationReport:
+def validate_problem(p: ConeProblem) -> ValidationReport:
     """Report-only diagnostics: constraint rank, dependencies, coefficient spread.
 
     Row i is dependent when its residual against the span of the earlier
@@ -172,7 +174,7 @@ def validate_problem(p: ConeProblem, spread_limit: float = 1e8) -> ValidationRep
     coeffs = np.abs(np.concatenate([p.c_obj.flat(), a.data, p.rhs]))
     coeffs = coeffs[coeffs > 0]
     cmin, cmax = (float(coeffs.min()), float(coeffs.max())) if coeffs.size else (0.0, 0.0)
-    warning = cmin > 0 and cmax / cmin > spread_limit
+    warning = cmin > 0 and cmax / cmin > SPREAD_LIMIT
     return ValidationReport(m, m - len(dependent), dependent, pairs, cmin, cmax, warning)
 
 

@@ -9,6 +9,7 @@ split into nonnegative pairs because the format has no free cone.
 
 from __future__ import annotations
 
+import contextlib
 from itertools import chain
 
 import numpy as np
@@ -50,25 +51,23 @@ def _entry_error(toks: list[str]) -> str | None:
     return None
 
 
-def _as_table(parts: list[list[str]]) -> np.ndarray | None:
-    """Five-token lines as one (lines, 5) float array, or None unless each
-    is five numbers with the first four integers."""
-    try:
-        table = np.array(list(chain.from_iterable(parts)), dtype=float).reshape(len(parts), 5)
-    except ValueError:
-        return None
-    ints = table[:, :4]
-    return table if np.all(np.isfinite(ints) & (ints == np.trunc(ints))) else None
-
-
-def _entry_table(entries) -> np.ndarray:
-    """The entry lines [(line number, text)] before the first malformed one
-    (``_entry_error``), as one float array with five columns."""
-    parts = [ln.split() for _, ln in entries]
-    table = _as_table(parts) if all(len(toks) == 5 for toks in parts) else None
-    if table is None:
-        table = _as_table(parts[: next(k for k, toks in enumerate(parts) if _entry_error(toks))])
-    return table
+def _entry_table(lines: list[str]) -> np.ndarray:
+    """The entry lines before the first malformed one (``_entry_error``), as
+    one float array with five columns.  The lines are split as one block,
+    joined by ";" tokens, and every sixth token is dropped: a ";" is no
+    number, so when the rest converts, the dropped tokens were the joins and
+    each line has five fields.  Only a malformed block is split line by line."""
+    tokens = " ; ".join(lines).split()
+    if len(tokens) == 6 * len(lines) - 1:
+        del tokens[5::6]
+        with contextlib.suppress(ValueError):
+            table = np.array(tokens, dtype=float).reshape(-1, 5)
+            ints = table[:, :4]
+            if np.all(np.isfinite(ints) & (ints == np.trunc(ints))):
+                return table
+    parts = [ln.split() for ln in lines]
+    good = next((k for k, toks in enumerate(parts) if _entry_error(toks)), len(parts))
+    return np.array(list(chain.from_iterable(parts[:good])), dtype=float).reshape(good, 5)
 
 
 def parse_sdpa(text: str) -> ConeProblem:
@@ -78,33 +77,32 @@ def parse_sdpa(text: str) -> ConeProblem:
     first line that breaks a rule, and the first rule that line breaks."""
     raw = text.splitlines()
     clean = text.translate(_SEPARATORS).splitlines()  # the same lines, separators blanked
-    lines = [(no + 1, clean[no]) for no, r in enumerate(raw) if (t := r.lstrip()) and t[0] not in '*"']
-    if len(lines) < 4:
+    data = [k for k, r in enumerate(raw) if (t := r.lstrip()) and t[0] not in '*"']  # 0-based line numbers
+    if len(data) < 4:
         raise SdpaFormatError(len(raw), "missing header lines")
 
     def ints(idx, expect=None):
-        no, ln = lines[idx]
+        k = data[idx]
         try:
-            vals = [_int(t) for t in ln.split()]
+            vals = [_int(t) for t in clean[k].split()]
         except ValueError as exc:
-            raise SdpaFormatError(no, f"expected integers, got {raw[no - 1].strip()!r}") from exc
+            raise SdpaFormatError(k + 1, f"expected integers, got {raw[k].strip()!r}") from exc
         if expect is not None and len(vals) < expect:
-            raise SdpaFormatError(no, f"expected {expect} integers")
+            raise SdpaFormatError(k + 1, f"expected {expect} integers")
         return vals
 
     m = ints(0, 1)[0]
     nblocks = ints(1, 1)[0]
     sizes = ints(2, nblocks)[:nblocks]
-    no_b, ln_b = lines[3]
     try:
-        b = np.array([float(t) for t in ln_b.split()])
+        b = np.array([float(t) for t in clean[data[3]].split()])
     except ValueError as exc:
-        raise SdpaFormatError(no_b, "malformed objective vector") from exc
+        raise SdpaFormatError(data[3] + 1, "malformed objective vector") from exc
     if b.size != m:
-        raise SdpaFormatError(no_b, f"objective vector has {b.size} entries, expected {m}")
+        raise SdpaFormatError(data[3] + 1, f"objective vector has {b.size} entries, expected {m}")
 
     if any(s == 0 for s in sizes):
-        raise SdpaFormatError(lines[2][0], "zero block size")
+        raise SdpaFormatError(data[2] + 1, "zero block size")
     structure = BlockStructure(tuple(s for s in sizes if s > 0), sum(-s for s in sizes if s < 0), 0)
 
     # F_0 .. F_m become the rows of one matrix over the flat coordinates.
@@ -117,8 +115,8 @@ def parse_sdpa(text: str) -> ConeProblem:
         nn_start += max(-s, 0)
     starts, widths, sdp = np.array(starts), np.abs([0, *sizes]), np.array([True] + [s > 0 for s in sizes])
 
-    entries = lines[4:]
-    table = _entry_table(entries)
+    entries = data[4:]
+    table = _entry_table([clean[k] for k in entries])
     good = table.shape[0]
     # an integer that large is out of every range; the clip keeps the cast defined
     mat, blk, i, j = np.clip(table[:, :4], -(2**62), 2**62).astype(np.int64).T
@@ -145,9 +143,9 @@ def parse_sdpa(text: str) -> ConeProblem:
     failed = np.array([mask for mask, _ in checks])
     if failed.any():
         k = int(np.argmax(failed.any(axis=0)))
-        raise SdpaFormatError(entries[k][0], checks[int(np.argmax(failed[:, k]))][1](k))
+        raise SdpaFormatError(entries[k] + 1, checks[int(np.argmax(failed[:, k]))][1](k))
     if good < len(entries):
-        raise SdpaFormatError(entries[good][0], _entry_error(entries[good][1].split()))
+        raise SdpaFormatError(entries[good] + 1, _entry_error(clean[entries[good]].split()))
 
     # each entry once; an SDP entry also sits at (j, i)
     keep = first == np.arange(first.size)

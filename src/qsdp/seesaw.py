@@ -34,6 +34,8 @@ import numpy as np
 
 from .npa import haar_projector, haar_state
 
+REL_TOL = 1e-8  # a restart stops once one sweep improves the objective by at most this, relative
+
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
@@ -116,8 +118,8 @@ class BellSeesawTask:
     def random_point(self, rng):
         d_a, d_b = self.dims
         state = haar_state(rng, d_a * d_b)
-        meas_a = np.array([haar_projector(rng, d_a, 1) for _ in range(self.n_settings[0])])
-        meas_b = np.array([haar_projector(rng, d_b, 1) for _ in range(self.n_settings[1])])
+        meas_a = np.array([haar_projector(rng, d_a) for _ in range(self.n_settings[0])])
+        meas_b = np.array([haar_projector(rng, d_b) for _ in range(self.n_settings[1])])
         return {"state": state, "A": meas_a, "B": meas_b}
 
     def objective(self, point) -> float:
@@ -169,7 +171,7 @@ class PamSeesawTask:
             if self.fixed_states is not None
             else np.array([haar_state(rng, self.dim) for _ in range(self.n_preparations)])
         )
-        meas = np.array([haar_projector(rng, self.dim, 1) for _ in range(self.n_meas)])
+        meas = np.array([haar_projector(rng, self.dim) for _ in range(self.n_meas)])
         return {"states": states, "M": meas}
 
     def objective(self, point) -> float:
@@ -194,13 +196,13 @@ class SeesawOutcome:
     restart_values: list[float] = field(default_factory=list)
 
 
-def seesaw(task, restarts: int = 20, seed: int = 0, max_alternations: int = 200, rel_tol: float = 1e-8):
+def seesaw(task, restarts: int = 20, seed: int = 0, max_alternations: int = 200):
     """Best lower bound over random restarts of alternating maximization.
 
     ``task.sweep(point)`` returns the next point and its objective value.
     Every step is an exact maximizer, so within one restart the trajectory of
     objective values is non-decreasing up to rounding; alternation stops when
-    the relative improvement drops below ``rel_tol`` or the cap is reached.
+    the relative improvement drops below ``REL_TOL`` or the cap is reached.
     """
     rng = np.random.default_rng(seed)
     best: SeesawOutcome | None = None
@@ -211,7 +213,7 @@ def seesaw(task, restarts: int = 20, seed: int = 0, max_alternations: int = 200,
         for _ in range(max_alternations):
             point, value = task.sweep(point)
             traj.append(value)
-            if traj[-1] - traj[-2] <= rel_tol * max(1.0, abs(traj[-2])):
+            if traj[-1] - traj[-2] <= REL_TOL * max(1.0, abs(traj[-2])):
                 break
         restart_values.append(traj[-1])
         if best is None or traj[-1] > best.value:

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from itertools import permutations, product
 
 from conftest import assert_same_problem, probability_expr, untied_model
 from qsdp import npa
+from qsdp.cli import _scenario_from_doc
 from qsdp.modeling import MatExpr
 from qsdp.npa import (
     ZERO,
@@ -104,6 +107,17 @@ class TestWordAlgebraProperties:
     def test_zero_absorbs(self, u, w, v):
         if reduce_word(w) == ZERO:
             assert reduce_word(u + w + v) == ZERO
+
+
+class TestScenario:
+    def test_named_scenarios_equal_their_plain_forms(self):
+        assert Scenario.chsh() == Scenario((2, 2), ((2, 2), (2, 2)))
+        assert Scenario.prepare_measure(4, 2) == Scenario((4, 2), ((2, 2, 2, 2), (2, 2)))
+        assert Scenario.prepare_measure(3, 2, 3) == Scenario((3, 2), ((2, 2, 2), (3, 3)))
+
+    def test_chsh_equals_the_shipped_scenario_file(self):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "demos" / "data" / "chsh.json").read_text())
+        assert Scenario.chsh() == _scenario_from_doc(doc)
 
 
 class TestGenerateWords:

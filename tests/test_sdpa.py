@@ -71,6 +71,9 @@ class TestParse:
             ("1 1 1 2 1.0\n1 1 x 1 1.0\n1 3 1 1 1.0\n", "line 6: malformed entry"),
             ("1 3 1 1 1.0\n1 1 x 1 1.0\n", "line 5: block index 3"),
             ("1 1 2 1 1.0\n2 1 1 1 1.0\n", "line 5: entries must be upper"),
+            # ";" joins the lines when they are converted as one block
+            ("1 1 1 1 1.0 ;\n1 1 1 2\n", "line 5: expected 5 fields, got 6"),
+            ("1 1 1 1 1.0\n1 1 1 2 ;\n", "line 6: malformed entry: could not convert string to float: ';'"),
         ],
     )
     def test_first_bad_line_is_reported_whatever_its_rule(self, entries, error):

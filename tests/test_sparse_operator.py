@@ -5,8 +5,11 @@ rebuilt from the materialized rows (``p.constraints``), so apply, adjoint and
 the Schur matrix are checked against the textbook formulas they replace.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import qsdp.ipm as ipm
@@ -66,7 +69,7 @@ def dense_schur(p, it, direction):
         b += a.reshape(len(rows), -1) @ (lft @ a @ rgt).reshape(len(rows), -1).T
     a_nn = np.array([r.nonneg for r in rows]).reshape(len(rows), -1)
     b += (a_nn * (it.x.nonneg / it.z.nonneg)) @ a_nn.T
-    return (b + b.T) / 2.0, ctx.b
+    return (b + b.T) / 2.0, ctx.schur(it)
 
 
 def rel_err(got, want):
@@ -351,3 +354,42 @@ def test_adjoint_reads_the_stored_transpose():
         y = rng.normal(size=p.num_constraints)
         assert p.a_t.format == "csr" and p.a_t.shape == p.a.T.shape
         assert np.array_equal(p.adjoint(y).flat(), p.a.T @ y)
+
+
+def test_direction_context_keeps_one_schur_matrix(monkeypatch):
+    # B is symmetrized and Cholesky-factored in place; only the scalings and
+    # small per-block arrays are kept beside it
+    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["i3322-l3"]))
+    plan = ipm._SchurPlan(q)
+    it = interior_iterate(np.random.default_rng(29), q)
+    m = q.num_constraints
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = _DirectionContext(q, it, "hkm", plan)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ctx.cho is not None
+    assert kept <= 1.2 * m * m * 8
+
+
+@pytest.mark.parametrize("direction", ["hkm", "nt"])
+def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
+    rng = np.random.default_rng(31)
+    st = BlockStructure((5, 3), nonneg_dim=2, free_dim=1)
+    rows = [sparse_elem(rng, st, 0.5) for _ in range(8)]
+    p = split_free(ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows))))
+    it = interior_iterate(rng, p)
+    want_b, _ = dense_schur(p, it, direction)
+
+    def fail(a, lower=False, overwrite_a=False, check_finite=True):
+        if overwrite_a:
+            a[:] = np.nan  # a failed factorization leaves its input overwritten
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    ctx = _DirectionContext(p, it, direction)
+    assert ctx.cho is None
+    h = rng.normal(size=p.num_constraints)
+    assert rel_err(ctx.solve(h), np.linalg.solve(want_b, h)) <= 1e-10
