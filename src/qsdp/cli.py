@@ -201,6 +201,9 @@ def _cmd_seesaw(args) -> tuple:
     if args.task == "chsh":
         out = chsh_seesaw(restarts=args.restarts, seed=args.seed)
     elif args.task == "qrac":
+        for flag, value in (("--bits", args.bits), ("--dim", args.dim)):
+            if value < 1:
+                raise UsageError(f"seesaw {flag} must be at least 1, got {value}")
         out = qrac_seesaw(n_bits=args.bits, d=args.dim, restarts=args.restarts, seed=args.seed)
     else:
         raise UsageError("seesaw task must be 'chsh' or 'qrac'")

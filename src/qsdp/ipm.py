@@ -33,7 +33,8 @@ from .problem import (
 
 GAMMA_STEP = 0.98  # step-length safety factor, keeps iterates interior
 EXPON = 3.0  # cap for the corrector exponent
-# Floats in one chunk's g x n^2 work array of the Schur assembly (2 MB)
+# Floats in one chunk's g x n^2 work array of the Schur assembly, and in one
+# band of rows of its symmetrization (2 MB)
 _SCHUR_CHUNK_FLOATS = 1 << 18
 # LAPACK routines of the per-block kernels, called without the scipy.linalg
 # wrappers, whose checks cost more than the work on small blocks
@@ -342,8 +343,14 @@ class _DirectionContext:
             scaled = a_nn.copy()
             scaled.data *= (it.x.nonneg / it.z.nonneg)[a_nn.indices]
             b += (scaled @ a_nn.T).toarray()
-        b += b.T
-        b *= 0.5
+        # (B + B^T) / 2 by bands of rows, so no m x m transpose is copied
+        band = max(1, _SCHUR_CHUNK_FLOATS // max(m, 1))
+        for lo in range(0, m, band):
+            hi = min(lo + band, m)
+            s = b[lo:hi, lo:] + b[lo:, lo:hi].T
+            s *= 0.5
+            b[lo:hi, lo:] = s
+            b[lo:, lo:hi] = s.T
         return b
 
     def solve(self, h: np.ndarray) -> np.ndarray:

@@ -582,29 +582,44 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
     return [q[:, lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
+def _stacked_kron(bases, n: int) -> sp.csc_array:
+    """The column-stacked Q (x) Q of the sparse n x r CSC bases Q (each with
+    sorted indices), built in sorted CSC order.  Entries u, v of one Q, in
+    columns a_u, a_v at places p_u, p_v there, give the entry q_u q_v at row
+    n i_u + i_v of the block's column r a_u + a_v, where rows sort as
+    (i_u, i_v): its place is p_u * (count of column a_v) + p_v."""
+    counts, indices, data = [], [], []
+    for q in bases:
+        r, cnt = q.shape[1], np.diff(q.indptr)
+        a = np.repeat(np.arange(r), cnt)
+        place = np.arange(q.nnz) - q.indptr[a]
+        col_nnz = np.multiply.outer(cnt, cnt).ravel()
+        pos = (np.cumsum(col_nnz) - col_nnz)[np.add.outer(a * r, a)]
+        pos += np.multiply.outer(place, cnt[a]) + place
+        i = q.indices.astype(np.int64)
+        rows, vals = np.empty(pos.size, dtype=np.int64), np.empty(pos.size)
+        rows[pos.ravel()] = np.add.outer(i * n, i).ravel()
+        vals[pos.ravel()] = np.multiply.outer(q.data, q.data).ravel()
+        counts.append(col_nnz)
+        indices.append(rows)
+        data.append(vals)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csc_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(n * n, indptr.size - 1))
+
+
 def _congruent(gamma: MatExpr, bases) -> list[MatExpr]:
     """Q^T Gamma Q for each sparse n x r CSC basis Q.  Row k of a block's
     coefficient matrix is vec(Q^T F_k Q) = vec(F_k) (Q (x) Q), row-major,
     symmetrised; entries at rounding level for their block, where the sum
     cancels, are dropped.  One product with the column-stacked Q (x) Q
     serves every block: its columns are those of the per-block products."""
-    n = gamma.shape[0]
     sizes = np.array([q.shape[1] for q in bases])
     ends = np.cumsum(sizes * sizes)
     starts = ends - sizes * sizes
-    # entries u, v of one Q (column-major) give Q (x) Q the entry q_u q_v at
-    # row n i_u + i_v and column r a_u + a_v of the block: sorted CSC order
-    rows, cols, vals, flip = [], [], [], []
-    for q, r, lo in zip(bases, sizes, starts):
-        a = np.repeat(np.arange(r), np.diff(q.indptr))
-        i = q.indices.astype(np.int64)
-        rows.append(np.add.outer(i * n, i).ravel())
-        cols.append(np.add.outer(lo + a * r, a).ravel())
-        vals.append(np.multiply.outer(q.data, q.data).ravel())
-        flip.append(lo + np.arange(r * r).reshape(r, r).T.ravel())  # column of (j, i) for (i, j)
-    kron = sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n * n, ends[-1]))
-    coef = gamma.coef.real @ kron
-    coef = sp.csc_array((coef + coef[:, np.concatenate(flip)]) / 2)
+    # column of (j, i) for (i, j)
+    flip = np.concatenate([lo + np.arange(r * r).reshape(r, r).T.ravel() for r, lo in zip(sizes, starts)])
+    coef = gamma.coef.real @ _stacked_kron(bases, gamma.shape[0])
+    coef = sp.csc_array((coef + coef[:, flip]) / 2)
     block = np.repeat(np.arange(sizes.size), np.diff(coef.indptr[np.concatenate([[0], ends])]))
     top = np.zeros(sizes.size)
     np.maximum.at(top, block, np.abs(coef.data))

@@ -242,6 +242,24 @@ class TestErrors:
     def test_seesaw_rejects_solver_flags(self, capsys):
         assert main(["seesaw", "--tol", "1e-6"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--restarts", "0"], "restarts"),
+            (["--restarts", "-3"], "restarts"),
+            (["--task", "qrac", "--restarts", "0"], "restarts"),
+            (["--task", "qrac", "--bits", "0"], "--bits"),
+            (["--task", "qrac", "--dim", "0"], "--dim"),
+            (["--task", "qrac", "--dim", "-2"], "--dim"),
+        ],
+    )
+    def test_seesaw_rejects_what_it_would_not_run(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "report.json"
+        assert main(["seesaw", *argv, "--json-out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, case):
         command, text = MALFORMED[case]

@@ -779,6 +779,30 @@ def i3322_action(level):
     return obs, word_action(obs, group, ga, gb)
 
 
+def chsh_action(level):
+    """The signed word action of CHSH's stabilizer, and the observable-basis
+    moment model it acts on."""
+    obs = build_moment_model(Scenario.chsh(), level, observables=True)
+    f = coordinates(Scenario.chsh(), {("joint", *k): c for k, c in chsh_functional().items()}, obs.observables)
+    return obs, word_action(obs, *stabilizer(Scenario.chsh(), f))
+
+
+def coo_stacked_kron(bases, n):
+    """Reference: the column-stacked Q (x) Q from its entries in any order,
+    sorted by scipy's COO -> CSC conversion."""
+    sizes = np.array([q.shape[1] for q in bases])
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    rows, cols, vals = [], [], []
+    for q, r, lo in zip(bases, sizes, starts):
+        a = np.repeat(np.arange(r), np.diff(q.indptr))
+        i = q.indices.astype(np.int64)
+        rows.append(np.add.outer(i * n, i).ravel())
+        cols.append(np.add.outer(lo + a * r, a).ravel())
+        vals.append(np.multiply.outer(q.data, q.data).ravel())
+    shape = (n * n, int((sizes * sizes).sum()))
+    return sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+
+
 def random_tied_gamma(obs, action, rng):
     """Gamma at a random moment vector tied to the orbits: each class is its
     orbit's value times its sign, pinned classes 0 and the identity 1."""
@@ -870,6 +894,19 @@ class TestSymmetryBlocks:
         n = 70
         (q,) = symmetry_blocks(np.arange(n)[None, :], np.ones((1, n)))
         assert np.array_equal(q.toarray(), np.eye(n))
+
+    @pytest.mark.parametrize(
+        "action", [lambda: i3322_action(3), lambda: i3322_action(4), lambda: chsh_action(4)], ids=["i3322-l3", "i3322-l4", "chsh-l4"]
+    )
+    def test_stacked_kron_equals_the_coo_built_matrix(self, action):
+        obs, (perm, sign) = action()
+        bases = symmetry_blocks(perm, sign)
+        assert len(bases) > 1
+        got, want = npa._stacked_kron(bases, obs.size), coo_stacked_kron(bases, obs.size)
+        assert got.shape == want.shape and got.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("level", [3, 4])
     def test_congruent_blocks_equal_the_per_block_products(self, level, monkeypatch):

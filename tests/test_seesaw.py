@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qsdp.modeling import MatExpr, Model, partial_trace
-from qsdp.npa import chsh_functional, qrac_witness
+from qsdp.npa import chsh_functional, haar_projector, haar_state, qrac_witness
 from qsdp.quantum import qsd_optimal, random_pure
 from qsdp.seesaw import (
+    REL_TOL,
     BellSeesawTask,
     PamSeesawTask,
     _effects,
@@ -170,11 +171,26 @@ def hermitize(m):
     return (m + m.conj().T) / 2.0
 
 
+def unstack(point):
+    """The points of a stack, one dict per restart."""
+    n = len(next(iter(point.values())))
+    return [{key: np.array(value[i]) for key, value in point.items()} for i in range(n)]
+
+
+def stack(points):
+    return {key: np.array([p[key] for p in points]) for key in points[0]}
+
+
 class RefBellTask(BellSeesawTask):
+    """The per-term reference, looping over the restarts of a stack."""
+
     def objective(self, point):
-        return float(np.real(np.trace(point["state"] @ self.bell_operator(point))))
+        return np.array([float(np.real(np.trace(p["state"] @ self._bell_operator(p)))) for p in unstack(point)])
 
     def bell_operator(self, point):
+        return np.array([self._bell_operator(p) for p in unstack(point)])
+
+    def _bell_operator(self, point):
         d_a, d_b = self.dims
         g = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
         for (a, b, x, y), alpha in self.bell.items():
@@ -182,6 +198,10 @@ class RefBellTask(BellSeesawTask):
         return hermitize(g)
 
     def sweep(self, point):
+        points = [self._sweep(p) for p in unstack(point)]
+        return stack(points), self.objective(stack(points))
+
+    def _sweep(self, point):
         d_a, d_b = self.dims
         rho = point["state"]
         for x in range(self.n_settings[0]):
@@ -198,18 +218,27 @@ class RefBellTask(BellSeesawTask):
                     ea = ref_effect(point["A"][x], a)
                     k += (-1) ** b * alpha * partial_trace(np.kron(ea, np.eye(d_b)) @ rho, (d_a, d_b), keep=[1])
             point["B"][y] = _max_effect(hermitize(k))
-        point["state"] = _max_density(self.bell_operator(point))
-        return point, self.objective(point)
+        point["state"] = _max_density(self._bell_operator(point))
+        return point
 
 
 class RefPamTask(PamSeesawTask):
+    """The per-term reference, looping over the restarts of a stack."""
+
     def objective(self, point):
+        return np.array([self._objective(p) for p in unstack(point)])
+
+    def _objective(self, point):
         total = 0.0
         for (b, x, y), beta in self.witness.items():
             total += beta * np.real(np.trace(point["states"][x] @ ref_effect(point["M"][y], b)))
         return float(total)
 
     def sweep(self, point):
+        points = [self._sweep(p) for p in unstack(point)]
+        return stack(points), self.objective(stack(points))
+
+    def _sweep(self, point):
         for y in range(self.n_meas):
             k = np.zeros((self.dim, self.dim), dtype=complex)
             for (b, x, yy), beta in self.witness.items():
@@ -223,7 +252,7 @@ class RefPamTask(PamSeesawTask):
                     if xx == x:
                         k += beta * ref_effect(point["M"][y], b)
                 point["states"][x] = _max_density(hermitize(k))
-        return point, self.objective(point)
+        return point
 
 
 def mixed_state(rng, d):
@@ -280,25 +309,29 @@ class TestContractedSweepMatchesPerTermReference:
         kwargs = bell_tasks()[name]
         task, ref = BellSeesawTask(**kwargs), RefBellTask(**kwargs)
         rng = np.random.default_rng(31)
-        states_compared = 0
+        points = []
         for _ in range(3):
-            point = task.random_point(rng)
+            point = task.random_points(rng, 1)
             # full rank: with a pure state and d_a != d_b, the larger party's K
             # has a zero eigenvalue, and its best effect is not unique
             point["state"] = 0.9 * point["state"] + 0.1 * mixed_state(rng, task.dims[0] * task.dims[1])
-            assert np.max(np.abs(task.bell_operator(point) - ref.bell_operator(point))) <= 1e-12
-            assert task.objective(point) == pytest.approx(ref.objective(point), abs=1e-12)
-            (got, got_value), (want, _) = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
-            assert_points_close({k: got[k] for k in "AB"}, {k: want[k] for k in "AB"})
-            assert task.objective(got) == pytest.approx(ref.objective(want), abs=1e-12)
-            # the sweep's value is the top eigenvalue of its state step
-            assert got_value == pytest.approx(ref.objective(want), abs=1e-12)
-            # the new state is the top eigenprojector of the Bell operator,
-            # unique when its top eigenvalue is simple (not so when an effect
-            # came out 0 or I)
-            w = np.linalg.eigvalsh(ref.bell_operator(want))
-            if w[-1] - w[-2] > 1e-6:
-                assert_points_close({"state": got["state"]}, {"state": want["state"]})
+            points.append(point)
+        point = {key: np.concatenate([p[key] for p in points]) for key in points[0]}
+        assert np.max(np.abs(task.bell_operator(point) - ref.bell_operator(point))) <= 1e-12
+        assert np.max(np.abs(task.objective(point) - ref.objective(point))) <= 1e-12
+        (got, got_value), (want, _) = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
+        assert_points_close({k: got[k] for k in "AB"}, {k: want[k] for k in "AB"})
+        assert np.max(np.abs(task.objective(got) - ref.objective(want))) <= 1e-12
+        # the sweep's value is the top eigenvalue of its state step
+        assert np.max(np.abs(got_value - ref.objective(want))) <= 1e-12
+        # the new state is the top eigenprojector of the Bell operator, unique
+        # when its top eigenvalue is simple (not so when an effect came out 0
+        # or I)
+        states_compared = 0
+        for g, w, op in zip(got["state"], want["state"], ref.bell_operator(want)):
+            eigs = np.linalg.eigvalsh(op)
+            if eigs[-1] - eigs[-2] > 1e-6:
+                assert_points_close({"state": g}, {"state": w})
                 states_compared += 1
         assert states_compared > 0
 
@@ -306,16 +339,14 @@ class TestContractedSweepMatchesPerTermReference:
     def test_pam(self, name):
         kwargs = pam_tasks()[name]
         task, ref = PamSeesawTask(**kwargs), RefPamTask(**kwargs)
-        rng = np.random.default_rng(37)
-        for _ in range(3):
-            point = task.random_point(rng)
-            assert task.objective(point) == pytest.approx(ref.objective(point), abs=1e-12)
-            (got, got_value), (want, _) = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
-            assert_points_close(got, want)
-            assert task.objective(got) == pytest.approx(ref.objective(want), abs=1e-12)
-            assert got_value == pytest.approx(ref.objective(want), abs=1e-12)
+        point = task.random_points(np.random.default_rng(37), 3)
+        assert np.max(np.abs(task.objective(point) - ref.objective(point))) <= 1e-12
+        (got, got_value), (want, _) = task.sweep(copy_point(point)), ref.sweep(copy_point(point))
+        assert_points_close(got, want)
+        assert np.max(np.abs(task.objective(got) - ref.objective(want))) <= 1e-12
+        assert np.max(np.abs(got_value - ref.objective(want))) <= 1e-12
         if "fixed_states" in kwargs:
-            assert np.array_equal(got["states"], np.array(kwargs["fixed_states"]))
+            assert all(np.array_equal(states, np.array(kwargs["fixed_states"])) for states in got["states"])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_chsh_restart_values(self, seed):
@@ -332,16 +363,133 @@ class TestContractedSweepMatchesPerTermReference:
         assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12
 
 
+def all_tasks():
+    return [
+        *(pytest.param(BellSeesawTask(**kwargs), id=name) for name, kwargs in bell_tasks().items()),
+        *(pytest.param(PamSeesawTask(**kwargs), id=name) for name, kwargs in pam_tasks().items()),
+    ]
+
+
+def one_restart_draw(task, rng):
+    """The starting point one restart drew on its own, before the restarts
+    were drawn together."""
+    if isinstance(task, BellSeesawTask):
+        (d_a, d_b), (n_a, n_b) = task.dims, task.n_settings
+        state = haar_state(rng, d_a * d_b)
+        meas_a = np.array([haar_projector(rng, d_a) for _ in range(n_a)])
+        meas_b = np.array([haar_projector(rng, d_b) for _ in range(n_b)])
+        return {"state": state, "A": meas_a, "B": meas_b}
+    states = (
+        np.array(task.fixed_states)
+        if task.fixed_states is not None
+        else np.array([haar_state(rng, task.dim) for _ in range(task.n_preparations)])
+    )
+    return {"states": states, "M": np.array([haar_projector(rng, task.dim) for _ in range(task.n_meas)])}
+
+
+def per_restart_seesaw(task, restarts, seed, max_alternations):
+    """Each restart run on its own as a batch of one, from the batched draw:
+    its trajectory and final point."""
+    points = task.random_points(np.random.default_rng(seed), restarts)
+    runs = []
+    for i in range(restarts):
+        point = {key: np.array(value[i : i + 1]) for key, value in points.items()}
+        traj = [float(task.objective(point)[0])]
+        for _ in range(max_alternations):
+            point, value = task.sweep(point)
+            traj.append(float(value[0]))
+            if traj[-1] - traj[-2] <= REL_TOL * max(1.0, abs(traj[-2])):
+                break
+        runs.append((traj, {key: value[0] for key, value in point.items()}))
+    return runs
+
+
+class TestRestartsAdvanceTogether:
+    @pytest.mark.parametrize("task", all_tasks())
+    def test_one_draw_equals_consecutive_draws(self, task):
+        batched = np.random.default_rng(53)
+        got = task.random_points(batched, 6)
+        rng = np.random.default_rng(53)
+        for i in range(6):
+            want = one_restart_draw(task, rng)
+            for key in want:
+                assert got[key][i].shape == want[key].shape
+            for key in ("A", "B", "M"):
+                if key in want:
+                    assert np.array_equal(got[key][i], want[key])
+            state_key = "state" if "state" in want else "states"
+            assert np.max(np.abs(got[state_key][i] - want[state_key])) <= 1e-15
+        # the draw leaves the generator where the consecutive draws did
+        assert batched.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("task", all_tasks())
+    def test_sweep_on_a_stack_equals_sweep_on_each_slice(self, task):
+        points = task.random_points(np.random.default_rng(59), 5)
+        got, got_values = task.sweep(copy_point(points))
+        assert got_values.shape == (5,)
+        assert np.max(np.abs(task.objective(points) - [task.objective(p) for p in unstack(points)])) <= 1e-12
+        for i, point in enumerate(unstack(points)):
+            want, want_value = task.sweep(copy_point(point))
+            assert np.ndim(want_value) == 0
+            assert abs(got_values[i] - want_value) <= 1e-12
+            assert_points_close({key: value[i] for key, value in got.items()}, want)
+
+    @pytest.mark.parametrize(
+        "task, max_alternations, sweeps",
+        [
+            # CHSH, the QRAC and fixed states take 3 or 2 sweeps from every start
+            pytest.param(BellSeesawTask(bell=chsh_functional()), 200, [3] * 8, id="chsh"),
+            pytest.param(PamSeesawTask(**pam_tasks()["qrac"]), 200, [3] * 8, id="qrac"),
+            pytest.param(PamSeesawTask(**pam_tasks()["fixed-states"]), 200, [2] * 8, id="fixed-states"),
+            # restarts stop at different alternations, leaving the batch apart
+            pytest.param(
+                BellSeesawTask(**bell_tasks()["three-settings-dims-2-3"]), 200, [2, 2, 2, 3, 2, 5, 5, 2], id="dims-2-3"
+            ),
+            # two restarts reach the cap, the others stop before it
+            pytest.param(
+                BellSeesawTask(**bell_tasks()["three-settings-dims-2-3"]), 4, [2, 2, 2, 3, 2, 4, 4, 2], id="dims-2-3-capped"
+            ),
+        ],
+    )
+    def test_batched_driver_equals_a_per_restart_loop(self, task, max_alternations, sweeps):
+        out = seesaw(task, restarts=8, seed=61, max_alternations=max_alternations)
+        runs = per_restart_seesaw(task, 8, 61, max_alternations)
+        assert [len(traj) - 1 for traj, _ in runs] == sweeps
+        assert np.max(np.abs(np.subtract(out.restart_values, [traj[-1] for traj, _ in runs]))) <= 1e-12
+        best = max(range(8), key=lambda i: runs[i][0][-1])
+        traj, point = runs[best]
+        assert out.value == out.restart_values[best]
+        assert len(out.trajectory) == len(traj)
+        assert np.max(np.abs(np.subtract(out.trajectory, traj))) <= 1e-12
+        assert_points_close(out.point, point)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_no_restart_is_an_error(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            chsh_seesaw(restarts=restarts)
+
+    def test_negative_alternation_cap_is_an_error(self):
+        with pytest.raises(ValueError, match="max_alternations"):
+            seesaw(BellSeesawTask(bell=chsh_functional()), max_alternations=-1)
+
+    def test_no_alternation_scores_the_starting_points(self):
+        task = PamSeesawTask(witness=qrac_witness(2), dim=2, n_preparations=4, n_meas=2)
+        out = seesaw(task, restarts=4, seed=67, max_alternations=0)
+        start = task.objective(task.random_points(np.random.default_rng(67), 4))
+        assert out.restart_values == start.tolist()
+        assert out.trajectory == [out.value] and out.value == max(start)
+
+
 class TestRoundingDoesNotPickTheEffect:
     def test_pure_state_with_unequal_dims(self):
         """With a pure state and dims (2, 3), Bob's K has an exact zero
         eigenvalue, computed as +-1e-17 or so.  Two inputs that differ only
         by rounding give the same effects."""
         task = BellSeesawTask(**bell_tasks()["three-settings-dims-2-3"])
-        rng = np.random.default_rng(41)
+        points = task.random_points(np.random.default_rng(41), 5)
         zero_eigs = 0
-        for _ in range(5):
-            point = task.random_point(rng)
+        for i in range(5):
+            point = {key: value[i : i + 1] for key, value in points.items()}
             # the same pure state, with its entries perturbed at the last bits
             other = copy_point(point)
             other["state"] = (other["state"] * 3.0 + 1e-300) / 3.0
@@ -351,8 +499,8 @@ class TestRoundingDoesNotPickTheEffect:
             for side in "AB":
                 assert np.max(np.abs(got[side] - again[side])) <= 1e-9
             # Bob's K at the new Alice effects: rank <= 2 of 3
-            rho = point["state"].reshape(2, 3, 2, 3)
-            f = np.einsum("axy,xaij->yij", task._c[:, 0] - task._c[:, 1], _effects(got["A"]))
+            rho = point["state"][0].reshape(2, 3, 2, 3)
+            f = np.einsum("axy,xaij->yij", task._c[:, 0] - task._c[:, 1], _effects(got["A"][0]))
             k = np.einsum("yim,mkil->ykl", f, rho)
             zero_eigs += int(np.sum(np.abs(np.linalg.eigvalsh((k + k.conj().swapaxes(1, 2)) / 2)) <= 1e-12))
         assert zero_eigs > 0

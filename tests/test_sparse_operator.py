@@ -374,6 +374,25 @@ def test_direction_context_keeps_one_schur_matrix(monkeypatch):
     assert kept <= 1.2 * m * m * 8
 
 
+def test_schur_symmetrization_copies_no_transpose():
+    # B = (B + B^T) / 2 in place by bands of rows: a whole-matrix b += b.T
+    # would copy the overlapping m x m transpose and peak at 2 m^2 floats
+    rng = np.random.default_rng(47)
+    m, n, nnz = 2000, 64, 40000
+    a = sp.csr_array((rng.normal(size=nnz), (rng.integers(0, m, nnz), rng.integers(0, n * n, nnz))), shape=(m, n * n))
+    p = ConeProblem(sparse_elem(rng, BlockStructure((n,)), 1.0), a, rng.normal(size=m))
+    it = interior_iterate(rng, p)
+    ctx = _DirectionContext(p, it, "hkm")
+    tracemalloc.start()
+    try:
+        b = ctx.schur(it)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * m * m * 8
+    assert np.array_equal(b, b.T)
+
+
 @pytest.mark.parametrize("direction", ["hkm", "nt"])
 def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
     rng = np.random.default_rng(31)
