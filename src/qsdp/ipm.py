@@ -350,7 +350,7 @@ class _DirectionContext:
             s = b[lo:hi, lo:] + b[lo:, lo:hi].T
             s *= 0.5
             b[lo:hi, lo:] = s
-            b[lo:, lo:hi] = s.T
+            b[hi:, lo:hi] = s[:, hi - lo :].T
         return b
 
     def solve(self, h: np.ndarray) -> np.ndarray:
