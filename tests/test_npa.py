@@ -896,7 +896,9 @@ class TestSymmetryBlocks:
         assert np.array_equal(q.toarray(), np.eye(n))
 
     @pytest.mark.parametrize(
-        "action", [lambda: i3322_action(3), lambda: i3322_action(4), lambda: chsh_action(4)], ids=["i3322-l3", "i3322-l4", "chsh-l4"]
+        "action",
+        [lambda: i3322_action(3), lambda: i3322_action(4), lambda: chsh_action(4)],
+        ids=["i3322-l3", "i3322-l4", "chsh-l4"],
     )
     def test_stacked_kron_equals_the_coo_built_matrix(self, action):
         obs, (perm, sign) = action()

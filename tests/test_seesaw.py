@@ -371,8 +371,8 @@ def all_tasks():
 
 
 def one_restart_draw(task, rng):
-    """The starting point one restart drew on its own, before the restarts
-    were drawn together."""
+    """Reference: the starting point of one restart drawn on its own, with
+    one ``haar_state`` and ``haar_projector`` call per state and setting."""
     if isinstance(task, BellSeesawTask):
         (d_a, d_b), (n_a, n_b) = task.dims, task.n_settings
         state = haar_state(rng, d_a * d_b)
@@ -447,7 +447,10 @@ class TestRestartsAdvanceTogether:
             ),
             # two restarts reach the cap, the others stop before it
             pytest.param(
-                BellSeesawTask(**bell_tasks()["three-settings-dims-2-3"]), 4, [2, 2, 2, 3, 2, 4, 4, 2], id="dims-2-3-capped"
+                BellSeesawTask(**bell_tasks()["three-settings-dims-2-3"]),
+                4,
+                [2, 2, 2, 3, 2, 4, 4, 2],
+                id="dims-2-3-capped",
             ),
         ],
     )
