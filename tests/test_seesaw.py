@@ -454,7 +454,7 @@ class TestRestartsAdvanceTogether:
             ),
         ],
     )
-    def test_batched_driver_equals_a_per_restart_loop(self, task, max_alternations, sweeps):
+    def test_batched_seesaw_equals_a_per_restart_loop(self, task, max_alternations, sweeps):
         out = seesaw(task, restarts=8, seed=61, max_alternations=max_alternations)
         runs = per_restart_seesaw(task, 8, 61, max_alternations)
         assert [len(traj) - 1 for traj, _ in runs] == sweeps
