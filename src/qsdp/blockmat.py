@@ -30,6 +30,10 @@ class BlockStructure:
             raise ValueError("all SDP block sizes must be >= 1")
         if self.nonneg_dim < 0 or self.free_dim < 0:
             raise ValueError("nonneg_dim and free_dim must be >= 0")
+        sizes = [s * s for s in self.sdp_blocks] + [self.nonneg_dim, self.free_dim]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        offsets.flags.writeable = False
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def cone_dim(self) -> int:
@@ -42,13 +46,20 @@ class BlockStructure:
         return sum(s * s for s in self.sdp_blocks) + self.nonneg_dim + self.free_dim
 
     def flat_offsets(self) -> np.ndarray:
-        """Flat start of each SDP block, the nonnegative and the free part, then flat_dim."""
-        sizes = [s * s for s in self.sdp_blocks] + [self.nonneg_dim, self.free_dim]
-        return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        """Flat start of each SDP block, the nonnegative and the free part, then
+        flat_dim, as one read-only array computed with the structure."""
+        return self._offsets
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
+
+
+def _flat_views(structure: BlockStructure, v: np.ndarray):
+    """Blocks, nonnegative and free part of flat coordinates v, as views of v."""
+    offsets = structure.flat_offsets()
+    blocks = [v[offsets[k] : offsets[k + 1]].reshape(s, s) for k, s in enumerate(structure.sdp_blocks)]
+    return blocks, v[offsets[-3] : offsets[-2]], v[offsets[-2] :]
 
 
 class SymBlockMat:
@@ -97,9 +108,7 @@ class SymBlockMat:
     @classmethod
     def from_flat(cls, structure: BlockStructure, v: np.ndarray) -> "SymBlockMat":
         """Inverse of :meth:`flat`."""
-        offsets = structure.flat_offsets()
-        blocks = [v[offsets[k] : offsets[k + 1]].reshape(s, s) for k, s in enumerate(structure.sdp_blocks)]
-        return cls(structure, blocks, v[offsets[-3] : offsets[-2]], v[offsets[-2] :])
+        return cls(structure, *_flat_views(structure, v))
 
     @classmethod
     def identity(cls, structure: BlockStructure) -> "SymBlockMat":

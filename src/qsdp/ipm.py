@@ -36,8 +36,9 @@ EXPON = 3.0  # cap for the corrector exponent
 # Floats in one chunk's g x n^2 work array of the Schur assembly, and in one
 # band of rows of its symmetrization (2 MB)
 _SCHUR_CHUNK_FLOATS = 1 << 18
-# LAPACK routines of the per-block kernels, called without the scipy.linalg
-# wrappers, whose checks cost more than the work on small blocks
+# LAPACK routines of the per-block kernels and of the Schur factorization,
+# called without the scipy.linalg wrappers, whose checks cost more than the
+# work on small blocks and small m
 _SYGV, _SYGV_LWORK, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
     ("sygv", "sygv_lwork", "potrf", "potrs"), dtype=np.float64
 )
@@ -307,10 +308,15 @@ class _DirectionContext:
             if direction == "nt":
                 self.w_nt.append(_nt_scaling(xb, zb))
         self.direction = direction
-        b = self.schur(it)
-        try:  # b is symmetric, so b.T is B in Fortran order, factored in place
-            self.cho, self.b_indefinite = scipy.linalg.cho_factor(b.T, lower=True, overwrite_a=True), None
-        except scipy.linalg.LinAlgError:  # and overwritten when that fails
+        # b is symmetric, so b.T is B in Fortran order, factored in place by
+        # potrf (and overwritten when that fails); the upper triangle is left
+        # as it was, since potrs reads only the lower one
+        b = np.asarray_chkfinite(self.schur(it))
+        self.cho, info = _POTRF(b.T, lower=1, overwrite_a=1, clean=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        self.b_indefinite = None
+        if info > 0:
             self.cho, self.b_indefinite = None, self.schur(it)
 
     def kappa(self, it: Iterate, dz: SymBlockMat) -> SymBlockMat:
@@ -357,8 +363,14 @@ class _DirectionContext:
         """B^-1 h by one Cholesky solve; a symmetric-indefinite solve when B
         is not numerically positive definite."""
         if self.cho is not None:
-            # cho_factor checked B, so only each right-hand side needs the finiteness check
-            return scipy.linalg.cho_solve(self.cho, np.asarray_chkfinite(h), check_finite=False)
+            # B was checked before its factorization, so only each right-hand side needs the finiteness check
+            h = np.asarray_chkfinite(h)
+            if not h.size:
+                return np.zeros(0)
+            x, info = _POTRS(self.cho, h, lower=1)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of potrs")
+            return x
         try:
             return scipy.linalg.solve(self.b_indefinite, h, assume_a="sym")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -498,11 +510,12 @@ class _ScipyPoolCap:
 
     The kernels of an iteration alternate between numpy's pool (matmuls,
     ``eigh``) and scipy's (``potrf``, ``potrs`` and ``sygv``, bound directly,
-    and ``cho_factor``, ``cho_solve``); when both are threaded, the spinning
-    workers of one slow the other down.  Solves may nest and overlap across
-    Python threads: under a lock, the first to enter saves the pool size and
-    sets 1, and the last to leave restores it.  Without scipy's bundled OpenBLAS, or with a pool of
-    one thread, nothing is changed.
+    for the Z blocks, the step lengths and the Schur matrix); when both are
+    threaded, the spinning workers of one slow the other down.  Solves may
+    nest and overlap across Python threads: under a lock, the first to enter
+    saves the pool size and sets 1, and the last to leave restores it.
+    Without scipy's bundled OpenBLAS, or with a pool of one thread, nothing
+    is changed.
     """
 
     def __init__(self):

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 # frobenius_inner stays importable from here: bench/tracer.py counts calls through this name
-from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, frobenius_inner  # noqa: F401
+from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, _flat_views, frobenius_inner  # noqa: F401
 
 SPREAD_LIMIT = 1e8  # a coefficient spread max/min above this sets ValidationReport.scaling_warning
 
@@ -95,8 +95,11 @@ class ConeProblem:
         return self.a @ x.flat()
 
     def adjoint(self, y: np.ndarray) -> SymBlockMat:
-        """Adjoint map A*(y) = sum_i y_i A_i."""
-        return SymBlockMat.from_flat(self.structure, self.a_t @ np.asarray(y, dtype=float))
+        """Adjoint map A*(y) = sum_i y_i A_i, its parts views of one vector.
+        Every row of ``a`` is bitwise symmetric in its SDP blocks, so the
+        blocks of the product are too, and they are not averaged again."""
+        v = self.a_t @ np.asarray(y, dtype=float)
+        return SymBlockMat._new(self.structure, *_flat_views(self.structure, v))
 
 
 @dataclass

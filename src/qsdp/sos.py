@@ -8,9 +8,8 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
-from .modeling import Model, ScalarExpr, _symmetric_expr
+from .modeling import Model, ScalarExpr, _symmetric_expr, null_space_by_component
 from .npa import Scenario, generate_words, reduce_word, word_adjoint
 
 
@@ -83,7 +82,9 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
     cell_vec, *_ = np.linalg.lstsq(p, target, rcond=None)
     if np.linalg.norm(p @ cell_vec - target) > 1e-9 * max(1.0, np.linalg.norm(target)):
         raise ValueError("polynomial cannot be represented over the monomial basis")
-    kernel = scipy.linalg.null_space(p)
+    # each column of P pairs to one product monomial, so the null space
+    # splits by monomial: one small SVD each
+    kernel = null_space_by_component(p, target)[1].tocoo()
     n_null = kernel.shape[1]
 
     # H - t I + sum_k y_k N_k, from the nonzeros of H's cell vector and of the kernel
@@ -91,14 +92,14 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
     t = model.declare(1, structure="symmetric", name="t")
     if n_null:
         model.declare(n_null, 1, structure="full", name="y")  # parameters 1 .. n_null
-    nz_cell, nz_k = np.nonzero(kernel)
+    nz_cell, nz_k = kernel.row, kernel.col
     h_at = np.flatnonzero(cell_vec)
     diag = np.arange(d)
     gram_expr = _symmetric_expr(
         d,
         np.hstack([cells[:, h_at], [diag, diag], cells[:, nz_cell]]),
         np.concatenate([np.zeros(h_at.size, np.int64), np.full(d, 1 + t.decl.offset), 2 + nz_k]),
-        np.concatenate([cell_vec[h_at], -np.ones(d), kernel[nz_cell, nz_k]]),
+        np.concatenate([cell_vec[h_at], -np.ones(d), kernel.data]),
         1 + model.nparams,
     )
     model.add_lmi(gram_expr)

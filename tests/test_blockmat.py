@@ -71,6 +71,17 @@ class TestFrobenius:
         assert frobenius_inner(nz, nz) > 0.0
 
 
+class TestStructure:
+    def test_flat_offsets_are_computed_once_and_read_only(self):
+        st_ = BlockStructure((2, 3), nonneg_dim=1, free_dim=2)
+        offsets = st_.flat_offsets()
+        assert offsets is st_.flat_offsets()
+        assert offsets.tolist() == [0, 4, 13, 14, 16]
+        with pytest.raises(ValueError):
+            offsets[0] = 1
+        assert st_ == BlockStructure((2, 3), nonneg_dim=1, free_dim=2)
+
+
 class TestArithmetic:
     @pytest.mark.parametrize("seed", range(5))
     def test_bitwise_equal_to_symmetrizing_construction(self, seed):

@@ -18,6 +18,7 @@ from qsdp.modeling import (
     clean,
     model_from_json,
     model_to_json,
+    null_space_by_component,
     partial_trace,
     partial_transpose,
     scalar_nonneg,
@@ -332,10 +333,8 @@ def reference_dual(model, mode, eps=1e-8):
     n_eq = len(model.equalities)
     y0, nmat = np.zeros(nparams), np.eye(nparams)
     if mode == "eliminate" and n_eq:
-        _, s, vt = np.linalg.svd(e_mat, full_matrices=n_eq < nparams)
-        rank = int(np.sum(s > max(1e-12 * (s[0] if s.size else 0.0), 1e-300)))
         y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec
-        nmat = vt[rank:].T
+        nmat = null_space_by_component(e_mat, f_vec)[1].toarray()
     n_free = n_eq if mode == "free_split" else 0
     n_ineq = 2 * n_eq if mode == "two_inequalities" else 0
     st = BlockStructure(tuple(sizes), n_nn + n_ineq, n_free)
@@ -359,15 +358,17 @@ def reference_dual(model, mode, eps=1e-8):
     nonneg[n_nn::2] = f_vec[: n_ineq // 2] + eps - e_mat[: n_ineq // 2] @ y0
     nonneg[n_nn + 1 :: 2] = -(f_vec[: n_ineq // 2] - eps) + e_mat[: n_ineq // 2] @ y0
     c_obj = SymBlockMat(st, blocks, nonneg, f_vec if n_free else None)
-    rows = []
+    rows, rhs = [], []
     for col in nmat.T:
+        # b_t = -sum_k N[k, t] c_k, summed in parameter order as the sparse product does
+        rhs.append(-sum(col[k] * c_vec[k] for k in np.flatnonzero(col)))
         blocks, nonneg = assemble(col, 0.0)
         nonneg = -nonneg
         ex = e_mat @ col
         if n_ineq:
             nonneg[n_nn::2], nonneg[n_nn + 1 :: 2] = ex, -ex
         rows.append(SymBlockMat(st, [-b for b in blocks], nonneg, ex if n_free else None))
-    return ConeProblem(c_obj, rows, -(nmat.T @ c_vec), meta={"framing": "dual", "equality_mode": mode})
+    return ConeProblem(c_obj, rows, np.array(rhs, dtype=float), meta={"framing": "dual", "equality_mode": mode})
 
 
 def dense_selection_matrices(decl):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import orthogonal_mix
 
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, validate_problem
 from qsdp.problem import require_independent
@@ -140,7 +141,7 @@ def planted_dense_problem():
 
 @pytest.mark.parametrize("build", ["planted", "dps"])
 def test_full_rows_validate_through_the_sparse_gram(request, build):
-    p = planted_dense_problem() if build == "planted" else request.getfixturevalue("dps_k3").compiled.problem
+    p = planted_dense_problem() if build == "planted" else orthogonal_mix(request.getfixturevalue("dps_k3").compiled.problem, 1)
     assert p.a.nnz > 0.5 * p.a.shape[0] * p.a.shape[1]
     rep = validate_problem(p)
     assert rep.rank == np.linalg.matrix_rank(p.a.toarray())

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from conftest import assert_same_problem
 
-from qsdp.modeling import MatExpr, Model
+from qsdp.modeling import MatExpr, Model, null_space_by_component
 from qsdp.npa import Scenario, chsh_functional, solve_bell
 from qsdp.sos import (
     chsh_operator_coefficients,
@@ -45,7 +44,7 @@ def dense_sos_model(h: dict, n_vars: int) -> Model:
     h_mat = np.zeros((d, d))
     for c, (i, j) in enumerate(cells):
         h_mat[i, j] = h_mat[j, i] = cell_vec[c]
-    kernel = scipy.linalg.null_space(p)
+    kernel = null_space_by_component(p, target)[1].toarray()
     model = Model()
     t = model.declare(1, structure="symmetric", name="t")
     gram_expr = MatExpr((d, d), h_mat, {t.decl.offset: -np.eye(d)})

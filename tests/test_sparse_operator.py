@@ -9,8 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
+from conftest import orthogonal_mix
 
 import qsdp.ipm as ipm
 from qsdp import BlockStructure, ConeProblem, SolverConfig, SymBlockMat, frobenius_inner, solve
@@ -96,16 +96,22 @@ SCHUR_CASES = [
     for st in STRUCTURES
     for direction in ("hkm", "nt")
     for density in (0.1, 0.9)
-] + [pytest.param("dps-k3", direction, None, id=f"dps-k3-{direction}") for direction in ("hkm", "nt")]
+] + [
+    pytest.param(source, direction, None, id=f"{source}-{direction}")
+    for source in ("dps-k3", "dps-k3-mixed")
+    for direction in ("hkm", "nt")
+]
 
 
 @pytest.mark.parametrize("source, direction, density", SCHUR_CASES)
 def test_schur_matches_dense_reference(request, source, direction, density):
     # after symmetrizing, the random rows fill about 0.2 or all of each SDP
-    # block; the reference DPS model's rows are ~94 % full
-    if source == "dps-k3":
+    # block; the reference DPS model's rows are sparse with supports of
+    # varied size, and an orthogonal mix of them is 92 % full
+    if isinstance(source, str):
         rng = np.random.default_rng(2)
         q = request.getfixturevalue("dps_k3").compiled.problem
+        q = orthogonal_mix(q, 1) if source == "dps-k3-mixed" else q
     else:
         rng = np.random.default_rng(11)
         q = split_free(random_problem(rng, source, density=density))
@@ -140,18 +146,21 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
 
 
 def test_support_plan_rebuilds_the_full_dps_rows(dps_k3):
-    # every block of the reference DPS model, ~94 % full, goes through the
-    # support plan: its chunks must hold each constraint once and rebuild it
-    p = dps_k3.compiled.problem
-    for k, (_, chunks) in enumerate(ipm._SchurPlan(p).blocks):
-        n = p.structure.sdp_blocks[k]
-        want = np.array([r.blocks[k] for r in p.constraints])
-        touched = np.concatenate([js for js, _, _ in chunks])
-        assert np.array_equal(np.sort(touched), np.flatnonzero(np.any(want != 0, axis=(1, 2))))
-        got = np.zeros((p.num_constraints, n, n))
-        for js, sup, a_sub in chunks:
-            got[js[:, None, None], sup[:, :, None], sup[:, None, :]] = a_sub
-        assert np.array_equal(got, want)
+    # every block of the reference DPS model, its sparse rows and an
+    # orthogonal mix of them 92 % full, goes through the support plan: its
+    # chunks must hold each constraint once and rebuild it.  A padded
+    # support repeats its last row with zeros in a_sub, so the entries are
+    # added, not assigned
+    for p in (dps_k3.compiled.problem, orthogonal_mix(dps_k3.compiled.problem, 1)):
+        for k, (_, chunks) in enumerate(ipm._SchurPlan(p).blocks):
+            n = p.structure.sdp_blocks[k]
+            want = np.array([r.blocks[k] for r in p.constraints])
+            touched = np.concatenate([js for js, _, _ in chunks])
+            assert np.array_equal(np.sort(touched), np.flatnonzero(np.any(want != 0, axis=(1, 2))))
+            got = np.zeros((p.num_constraints, n, n))
+            for js, sup, a_sub in chunks:
+                np.add.at(got, (js[:, None, None], sup[:, :, None], sup[:, None, :]), a_sub)
+            assert np.array_equal(got, want)
 
 
 def test_dps_solve_agrees_on_both_directions(dps_k3):
@@ -286,6 +295,14 @@ def test_untied_i3322_keeps_every_moment(monkeypatch):
     assert p.num_constraints == 867 and p.structure.sdp_blocks == (88,)
 
 
+@pytest.mark.parametrize("name, limit", [("dps-k3", 6000), ("channel", 4000)])
+def test_eliminated_equalities_leave_sparse_rows(monkeypatch, name, limit):
+    # each null-space vector of the equalities lives on one connected
+    # component of their row-column graph; one SVD of the whole system gave
+    # 14 672 and 48 832 nonzeros
+    assert compiled_problem(monkeypatch, CHUNK_PROBLEMS[name]).a.nnz <= limit
+
+
 def block_slices(q):
     offsets = q.structure.flat_offsets()
     for k, n in enumerate(q.structure.sdp_blocks):
@@ -356,6 +373,20 @@ def test_adjoint_reads_the_stored_transpose():
         assert np.array_equal(p.adjoint(y).flat(), p.a.T @ y)
 
 
+def test_adjoint_blocks_need_no_average():
+    # ConeProblem makes every row bitwise symmetric, asymmetric CSR input
+    # included, so the blocks of A^T y are too: adjoint does not average
+    # them, and they equal those of the averaging constructor bit for bit
+    rng = np.random.default_rng(29)
+    for st in STRUCTURES:
+        dense = rng.normal(size=(9, st.flat_dim)) * (rng.random((9, st.flat_dim)) < 0.3)
+        for p in (random_problem(rng, st, m=9), ConeProblem(sparse_elem(rng, st, 1.0), sp.csr_array(dense), np.ones(9))):
+            y = rng.normal(size=p.num_constraints)
+            got, want = p.adjoint(y), SymBlockMat.from_flat(st, p.a_t @ y)
+            for g, w in zip(got.blocks, want.blocks):
+                assert np.array_equal(g, g.T) and np.array_equal(g, w)
+
+
 def test_direction_context_keeps_one_schur_matrix(monkeypatch):
     # B is symmetrized and Cholesky-factored in place; only the scalings and
     # small per-block arrays are kept beside it
@@ -402,12 +433,15 @@ def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
     it = interior_iterate(rng, p)
     want_b, _ = dense_schur(p, it, direction)
 
-    def fail(a, lower=False, overwrite_a=False, check_finite=True):
-        if overwrite_a:
-            a[:] = np.nan  # a failed factorization leaves its input overwritten
-        raise scipy.linalg.LinAlgError("not positive definite")
+    potrf = ipm._POTRF
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    def fail(a, lower=0, overwrite_a=0, clean=1):
+        if not overwrite_a:  # the Z blocks' inverses factor a copy
+            return potrf(a, lower=lower, clean=clean)
+        a[:] = np.nan  # a failed factorization leaves its input overwritten
+        return a, 1  # info > 0: B is not positive definite
+
+    monkeypatch.setattr(ipm, "_POTRF", fail)
     ctx = _DirectionContext(p, it, direction)
     assert ctx.cho is None
     h = rng.normal(size=p.num_constraints)
