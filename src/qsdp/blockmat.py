@@ -34,6 +34,8 @@ class BlockStructure:
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         offsets.flags.writeable = False
         object.__setattr__(self, "_offsets", offsets)
+        # the same offsets as Python ints, which slice a flat vector faster
+        object.__setattr__(self, "_cuts", tuple(offsets.tolist()))
 
     @property
     def cone_dim(self) -> int:
@@ -43,7 +45,7 @@ class BlockStructure:
     @property
     def flat_dim(self) -> int:
         """Length of the flat coordinates: every SDP block stored in full (n*n)."""
-        return sum(s * s for s in self.sdp_blocks) + self.nonneg_dim + self.free_dim
+        return self._cuts[-1]
 
     def flat_offsets(self) -> np.ndarray:
         """Flat start of each SDP block, the nonnegative and the free part, then
@@ -57,48 +59,51 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 def _flat_views(structure: BlockStructure, v: np.ndarray):
     """Blocks, nonnegative and free part of flat coordinates v, as views of v."""
-    offsets = structure.flat_offsets()
-    blocks = [v[offsets[k] : offsets[k + 1]].reshape(s, s) for k, s in enumerate(structure.sdp_blocks)]
-    return blocks, v[offsets[-3] : offsets[-2]], v[offsets[-2] :]
+    cuts = structure._cuts
+    blocks = [v[cuts[k] : cuts[k + 1]].reshape(s, s) for k, s in enumerate(structure.sdp_blocks)]
+    return blocks, v[cuts[-3] : cuts[-2]], v[cuts[-2] :]
 
 
 class SymBlockMat:
     """One element of the block space: per-block symmetric matrices plus vectors.
 
+    The element is held once, as one float vector in flat coordinates (see
+    :meth:`flat`); ``blocks``, ``nonneg`` and ``free`` are views of it.
     Blocks are symmetrized on construction by averaging with the transpose, so
     entry (i, j) equals entry (j, i) bit-for-bit afterwards.  Sums, differences
     and scalar multiples of such blocks are bitwise symmetric already, so the
-    arithmetic builds its results with :meth:`_new`, which does not average.
+    arithmetic wraps its result vector with :meth:`_new`, which does not average.
     """
 
-    __slots__ = ("structure", "blocks", "nonneg", "free")
+    __slots__ = ("structure", "_v", "blocks", "nonneg", "free")
 
     def __init__(self, structure: BlockStructure, blocks=None, nonneg=None, free=None):
         self.structure = structure
-        if blocks is None:
-            blocks = [np.zeros((s, s)) for s in structure.sdp_blocks]
-        if len(blocks) != len(structure.sdp_blocks):
-            raise StructureMismatchError("wrong number of SDP blocks")
-        fixed = []
-        for b, s in zip(blocks, structure.sdp_blocks):
-            b = np.asarray(b, dtype=float)
-            if b.shape != (s, s):
-                raise StructureMismatchError(f"block shape {b.shape} != ({s}, {s})")
-            fixed.append(_symmetrize(b))
-        self.blocks = fixed
-        self.nonneg = np.zeros(structure.nonneg_dim) if nonneg is None else np.asarray(nonneg, dtype=float).copy()
-        self.free = np.zeros(structure.free_dim) if free is None else np.asarray(free, dtype=float).copy()
-        if self.nonneg.shape != (structure.nonneg_dim,):
-            raise StructureMismatchError("nonneg part has wrong length")
-        if self.free.shape != (structure.free_dim,):
-            raise StructureMismatchError("free part has wrong length")
+        self._v = np.zeros(structure.flat_dim)
+        self.blocks, self.nonneg, self.free = _flat_views(structure, self._v)
+        if blocks is not None:
+            if len(blocks) != len(structure.sdp_blocks):
+                raise StructureMismatchError("wrong number of SDP blocks")
+            for out, b, s in zip(self.blocks, blocks, structure.sdp_blocks):
+                b = np.asarray(b, dtype=float)
+                if b.shape != (s, s):
+                    raise StructureMismatchError(f"block shape {b.shape} != ({s}, {s})")
+                np.add(b, b.T, out=out)
+                out /= 2.0
+        for part, given, name in ((self.nonneg, nonneg, "nonneg"), (self.free, free, "free")):
+            if given is not None:
+                given = np.asarray(given, dtype=float)
+                if given.shape != part.shape:
+                    raise StructureMismatchError(f"{name} part has wrong length")
+                part[:] = given
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def _new(cls, structure: BlockStructure, blocks: list, nonneg: np.ndarray, free: np.ndarray) -> "SymBlockMat":
-        """Wrap parts that are already checked and bitwise symmetric, without copying."""
+    def _new(cls, structure: BlockStructure, v: np.ndarray) -> "SymBlockMat":
+        """Wrap flat coordinates v, already bitwise symmetric, without copying."""
         out = object.__new__(cls)
-        out.structure, out.blocks, out.nonneg, out.free = structure, blocks, nonneg, free
+        out.structure, out._v = structure, v
+        out.blocks, out.nonneg, out.free = _flat_views(structure, v)
         return out
 
     @classmethod
@@ -127,25 +132,14 @@ class SymBlockMat:
 
     def __add__(self, other: "SymBlockMat") -> "SymBlockMat":
         self._check(other)
-        return SymBlockMat._new(
-            self.structure,
-            [a + b for a, b in zip(self.blocks, other.blocks)],
-            self.nonneg + other.nonneg,
-            self.free + other.free,
-        )
+        return SymBlockMat._new(self.structure, self._v + other._v)
 
     def __sub__(self, other: "SymBlockMat") -> "SymBlockMat":
         self._check(other)
-        return SymBlockMat._new(
-            self.structure,
-            [a - b for a, b in zip(self.blocks, other.blocks)],
-            self.nonneg - other.nonneg,
-            self.free - other.free,
-        )
+        return SymBlockMat._new(self.structure, self._v - other._v)
 
     def __mul__(self, t: float) -> "SymBlockMat":
-        t = float(t)
-        return SymBlockMat._new(self.structure, [t * b for b in self.blocks], t * self.nonneg, t * self.free)
+        return SymBlockMat._new(self.structure, float(t) * self._v)
 
     __rmul__ = __mul__
 
@@ -153,22 +147,21 @@ class SymBlockMat:
         return self * -1.0
 
     def flat(self) -> np.ndarray:
-        """Blocks row-major in full, then the nonnegative and the free entries."""
-        return np.concatenate([b.reshape(-1) for b in self.blocks] + [self.nonneg, self.free])
+        """Blocks row-major in full, then the nonnegative and the free entries,
+        as a read-only view of the element."""
+        v = self._v.view()
+        v.flags.writeable = False
+        return v
 
     def copy(self) -> "SymBlockMat":
-        return SymBlockMat(self.structure, [b.copy() for b in self.blocks], self.nonneg, self.free)
+        return SymBlockMat(self.structure, self.blocks, self.nonneg, self.free)
 
     def norm(self) -> float:
         """Frobenius norm over all parts."""
         return float(np.sqrt(frobenius_inner(self, self)))
 
     def max_abs(self) -> float:
-        vals = [np.max(np.abs(b)) if b.size else 0.0 for b in self.blocks]
-        for v in (self.nonneg, self.free):
-            if v.size:
-                vals.append(np.max(np.abs(v)))
-        return max(vals, default=0.0)
+        return float(np.max(np.abs(self._v))) if self._v.size else 0.0
 
     def trace(self) -> float:
         return float(sum(np.trace(b) for b in self.blocks) + self.nonneg.sum())

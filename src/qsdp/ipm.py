@@ -93,26 +93,13 @@ class IterationRecord:
     seconds: float
 
 
-class IterationLog:
-    """Per-iteration history, serializable as a fixed-width text table."""
-
-    COLUMNS = ("it", "pstep", "dstep", "p_inf", "d_inf", "gap", "mean_obj", "time")
-
-    def __init__(self):
-        self.records: list[IterationRecord] = []
-
-    def append(self, rec: IterationRecord):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+class IterationLog(list):
+    """Per-iteration history, a list of :class:`IterationRecord`, serializable
+    as a fixed-width text table."""
 
     def to_text(self) -> str:
         lines = [" it  pstep     dstep     p_inf     d_inf     gap       mean_obj      time"]
-        for r in self.records:
+        for r in self:
             lines.append(
                 f"{r.it:3d}  {r.pstep:8.3f}  {r.dstep:8.3f}  {r.p_inf:8.2e}  {r.d_inf:8.2e}  "
                 f"{r.gap:8.2e}  {r.mean_obj:12.8f}  {r.seconds:7.3f}"
@@ -348,7 +335,10 @@ class _DirectionContext:
         if a_nn.shape[1]:
             scaled = a_nn.copy()
             scaled.data *= (it.x.nonneg / it.z.nonneg)[a_nn.indices]
-            b += (scaled @ a_nn.T).toarray()
+            # added where it is nonzero, so no second m x m array is made;
+            # its entries are unique, so each is added once, as a dense sum would
+            nn = (scaled @ a_nn.T).tocoo()
+            b[nn.row, nn.col] += nn.data
         # (B + B^T) / 2 by bands of rows, so no m x m transpose is copied
         band = max(1, _SCHUR_CHUNK_FLOATS // max(m, 1))
         for lo in range(0, m, band):
@@ -451,18 +441,22 @@ def split_free(p: ConeProblem) -> ConeProblem:
         return p
     st2 = BlockStructure(st.sdp_blocks, st.nonneg_dim + 2 * st.free_dim, 0)
 
-    c = p.c_obj
-    c_obj = SymBlockMat(st2, [blk.copy() for blk in c.blocks], np.concatenate([c.nonneg, c.free, -c.free]), np.zeros(0))
     # the free columns come last, so their negated copies extend the nonnegative part
+    c_obj = SymBlockMat._new(st2, np.concatenate([p.c_obj.flat(), -p.c_obj.free]))
     a = sp.hstack([p.a, -p.a[:, st.flat_dim - st.free_dim :]], format="csr")
     return ConeProblem(c_obj, a, p.rhs.copy(), dict(p.meta))
 
 
 def _merge_free(st: BlockStructure, internal: SymBlockMat, zero_free=False) -> SymBlockMat:
-    nl = st.nonneg_dim
-    nf = st.free_dim
-    free = np.zeros(nf) if zero_free else internal.nonneg[nl : nl + nf] - internal.nonneg[nl + nf :]
-    return SymBlockMat(st, [b.copy() for b in internal.blocks], internal.nonneg[:nl], free)
+    """An element of split_free's space in the original structure st: each
+    free entry is its pair's difference, or 0 with ``zero_free``."""
+    v = internal.flat()[: st.flat_dim].copy()
+    free = v[st.flat_dim - st.free_dim :]
+    if zero_free:
+        free[:] = 0.0
+    else:
+        free -= internal.nonneg[st.nonneg_dim + st.free_dim :]
+    return SymBlockMat._new(st, v)
 
 
 # ---------------------------------------------------------------------------
@@ -569,37 +563,44 @@ def solve(p: ConeProblem, cfg: SolverConfig | None = None, iterate_hook=None):
 
 def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
     require_independent(p)
-    orig = p
     q = split_free(p)
     plan = _SchurPlan(q)
     log = IterationLog()
     t0 = time.perf_counter()
-    status = STATUS_ITERATION_LIMIT
     merit_hist: list[float] = []
-
-    def measure(iterate):
-        """Residuals of an iterate, once, and the iterate with its residual
-        norms in the original problem's variables."""
-        res = residuals(q, iterate)
-        if q is orig:
-            return res, (iterate, *res[2])
-        x0 = _merge_free(orig.structure, iterate.x)
-        z0 = _merge_free(orig.structure, iterate.z, zero_free=True)
-        it0 = Iterate(x=x0, y=iterate.y, z=z0, iteration=iterate.iteration)
-        _, _, (pi, di) = residuals(orig, it0)
-        return res, (it0, pi, di)
-
-    it = cold_start(q)
-    res, (it0, pinf, dinf) = measure(it)
     failure = None
-    for k in range(1, cfg.max_iterations + 1):
-        _, _, (pinf_i, dinf_i) = res
+    it = cold_start(q)
+    while True:
+        # each iterate is measured once.  q's residuals drive the Newton
+        # system and the progress test; convergence, the log and the result
+        # read those of (x0, y, z0), the iterate in p's variables
+        res = residuals(q, it)
+        if q is p:
+            x0, z0, (pinf, dinf) = it.x, it.z, res[2]
+        else:
+            x0 = _merge_free(p.structure, it.x)
+            z0 = _merge_free(p.structure, it.z, zero_free=True)
+            _, _, (pinf, dinf) = residuals(p, Iterate(x=x0, y=it.y, z=z0, iteration=it.iteration))
         gap = it.gap()
+        pobj = frobenius_inner(p.c_obj, x0)
+        dobj = float(p.rhs @ it.y)
+        if it.iteration:
+            if not np.isfinite(gap):
+                status, failure = STATUS_NUMERICAL_FAILURE, "non-finite iterate"
+                break
+            # the record describes the iterate the step produced
+            seconds = time.perf_counter() - t0
+            log.append(IterationRecord(it.iteration, alpha, beta, pinf, dinf, gap, (pobj + dobj) / 2.0, seconds))
+            if iterate_hook is not None:
+                iterate_hook(it)
+
         if pinf <= cfg.tol_primal and dinf <= cfg.tol_dual and abs(gap) <= cfg.tol_gap:
             status = STATUS_SUCCESS
             break
-
-        merit = max(pinf_i, dinf_i, abs(gap))
+        if it.iteration == cfg.max_iterations:
+            status = STATUS_ITERATION_LIMIT
+            break
+        merit = max(*res[2], abs(gap))
         merit_hist.append(merit)
         if len(merit_hist) > 5:
             prev = merit_hist[-6]
@@ -617,40 +618,10 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
             alpha = min(1.0, GAMMA_STEP * _cone_step(it.x, dx))
             beta = min(1.0, GAMMA_STEP * _cone_step(it.z, dz))
         except (NewtonSystemError, scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            status = STATUS_NUMERICAL_FAILURE
-            failure = str(exc)
+            status, failure = STATUS_NUMERICAL_FAILURE, str(exc)
             break
+        it = Iterate(x=it.x + alpha * dx, y=it.y + beta * dy, z=it.z + beta * dz, iteration=it.iteration + 1)
 
-        it = Iterate(x=it.x + alpha * dx, y=it.y + beta * dy, z=it.z + beta * dz, iteration=k)
-        res, (it0, pinf, dinf) = measure(it)
-        if not np.isfinite(it.gap()):
-            status = STATUS_NUMERICAL_FAILURE
-            failure = "non-finite iterate"
-            break
-
-        # record describes the iterate the step produced
-        pobj = frobenius_inner(orig.c_obj, it0.x)
-        dobj = float(orig.rhs @ it.y)
-        log.append(
-            IterationRecord(
-                it=k,
-                pstep=alpha,
-                dstep=beta,
-                p_inf=res[2][0],
-                d_inf=res[2][1],
-                gap=it.gap(),
-                mean_obj=(pobj + dobj) / 2.0,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-        if iterate_hook is not None:
-            iterate_hook(it)
-
-    pobj = frobenius_inner(orig.c_obj, it0.x)
-    dobj = float(orig.rhs @ it.y)
-    gap = it.gap()
-    if status == STATUS_ITERATION_LIMIT and pinf <= cfg.tol_primal and dinf <= cfg.tol_dual and abs(gap) <= cfg.tol_gap:
-        status = STATUS_SUCCESS  # converged exactly at the final permitted step
     if status == STATUS_SUCCESS and pobj - dobj < -10.0 * cfg.tol_gap * (1.0 + abs(pobj) + abs(dobj)):
         status = STATUS_NUMERICAL_FAILURE  # weak duality violated beyond tolerance
         failure = "weak duality violated at reported solution"
@@ -667,9 +638,9 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
     if failure:
         stats["failure"] = failure
     sol = Solution(
-        x_primal=it0.x,
+        x_primal=x0,
         y_dual=it.y.copy(),
-        z_slack=it0.z,
+        z_slack=z0,
         primal_value=pobj,
         dual_value=dobj,
         status=status,

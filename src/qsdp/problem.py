@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 # frobenius_inner stays importable from here: bench/tracer.py counts calls through this name
-from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, _flat_views, frobenius_inner  # noqa: F401
+from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, frobenius_inner  # noqa: F401
 
 SPREAD_LIMIT = 1e8  # a coefficient spread max/min above this sets ValidationReport.scaling_warning
 
@@ -95,11 +95,10 @@ class ConeProblem:
         return self.a @ x.flat()
 
     def adjoint(self, y: np.ndarray) -> SymBlockMat:
-        """Adjoint map A*(y) = sum_i y_i A_i, its parts views of one vector.
+        """Adjoint map A*(y) = sum_i y_i A_i, the vector a_t @ y wrapped as is.
         Every row of ``a`` is bitwise symmetric in its SDP blocks, so the
         blocks of the product are too, and they are not averaged again."""
-        v = self.a_t @ np.asarray(y, dtype=float)
-        return SymBlockMat._new(self.structure, *_flat_views(self.structure, v))
+        return SymBlockMat._new(self.structure, self.a_t @ np.asarray(y, dtype=float))
 
 
 @dataclass
@@ -165,7 +164,11 @@ def validate_problem(p: ConeProblem) -> ValidationReport:
     dependent = np.flatnonzero((size == 1) & (norms <= tol)).tolist()
     for label in np.unique(labels[size > 1]):
         comp = np.flatnonzero(labels == label)
-        dependent += comp[_ordered_dependents(a[comp].toarray(), tol[comp])].tolist()
+        # over the columns the component's rows touch; the others are zero in all of them
+        rows = a[comp]
+        cols, at = np.unique(rows.indices, return_inverse=True)
+        packed = sp.csr_array((rows.data, at, rows.indptr), shape=(comp.size, cols.size)).toarray()
+        dependent += comp[_ordered_dependents(packed, tol[comp])].tolist()
     dependent.sort()
 
     # duplicates up to scaling, read from the off-diagonal Gram entries

@@ -82,6 +82,27 @@ class TestStructure:
         assert st_ == BlockStructure((2, 3), nonneg_dim=1, free_dim=2)
 
 
+class TestLayout:
+    def test_parts_are_views_of_one_flat_vector(self):
+        structure = BlockStructure((2, 1), nonneg_dim=2, free_dim=1)
+        a = SymBlockMat(structure, [np.array([[1.0, 2.0], [2.0, 3.0]]), [[4.0]]], [5.0, 6.0], [7.0])
+        flat = a.flat()
+        assert np.array_equal(flat, np.arange(1.0, 8.0)[[0, 1, 1, 2, 3, 4, 5, 6]])
+        assert not flat.flags.writeable
+        for part in (*a.blocks, a.nonneg, a.free):
+            assert np.shares_memory(part, flat)
+        a.blocks[1][0, 0] = 9.0
+        a.free[0] = 8.0
+        assert (flat[4], flat[-1]) == (9.0, 8.0)
+
+    def test_flat_round_trip_copies(self):
+        structure = BlockStructure((2,), nonneg_dim=1)
+        v = np.array([1.0, 2.0, 2.0, 3.0, 4.0])
+        a = SymBlockMat.from_flat(structure, v)
+        assert np.array_equal(a.flat(), v) and not np.shares_memory(a.flat(), v)
+        assert not np.shares_memory(a.copy().flat(), a.flat())
+
+
 class TestArithmetic:
     @pytest.mark.parametrize("seed", range(5))
     def test_bitwise_equal_to_symmetrizing_construction(self, seed):

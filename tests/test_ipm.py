@@ -19,6 +19,8 @@ from qsdp import (
     solve,
     step_length,
 )
+from qsdp.modeling import Model
+from qsdp.problem import STATUS_ITERATION_LIMIT, STATUS_SUCCESS
 
 
 def simple_problem(c, constraints, rhs):
@@ -26,6 +28,27 @@ def simple_problem(c, constraints, rhs):
     structure = BlockStructure((c.shape[0],))
     lift = lambda m: SymBlockMat(structure, [np.asarray(m, dtype=float)])
     return ConeProblem(lift(c), [lift(a) for a in constraints], rhs)
+
+
+def _free_variable_problem() -> ConeProblem:
+    """min <I,S> + 0*f s.t. <I,S> + f = 2 and f = 1, with S a 1x1 block and
+    f free: value 1."""
+    structure = BlockStructure((1,), 0, 1)
+    lift = lambda m, f: SymBlockMat(structure, [np.array([[float(m)]])], free=[float(f)])
+    return ConeProblem(lift(1.0, 0.0), [lift(1.0, 1.0), lift(0.0, 1.0)], [2.0, 1.0])
+
+
+def _free_split_model_problem() -> ConeProblem:
+    """max Tr(X S) s.t. S >= 0, Tr S = 1 for a seeded Hermitian X, its
+    equality compiled as a free variable."""
+    rng = np.random.default_rng(42)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = Model()
+    s = m.declare(3, structure="hermitian", field="complex", name="S")
+    m.add_lmi(s.expr())
+    m.add_equality(s.trace(), 1.0)
+    m.maximize(s.expr().frobenius_with((g + g.conj().T) / 2))
+    return m.compile(framing="dual", equality_mode="free_split").problem
 
 
 class TestColdStart:
@@ -289,17 +312,35 @@ class TestSolve:
         assert gaps[-1] <= gaps[0]
 
     def test_free_variable_split(self):
-        # min x_free s.t. x_free + s = 3, s >= 0 (as 1x1 sdp block), unbounded
-        # below unless we add x_free >= 1 via another row: use equality
-        # x_free - t = 1 with t in the block; optimum x_free = 1 at t -> 0...
-        # simpler: min <I,S> + 0*f s.t. <I,S> + f = 2 and f = 1 -> value 1.
-        structure = BlockStructure((1,), 0, 1)
-        lift = lambda m, f: SymBlockMat(structure, [np.array([[float(m)]])], free=[float(f)])
-        p = ConeProblem(lift(1.0, 0.0), [lift(1.0, 1.0), lift(0.0, 1.0)], [2.0, 1.0])
-        sol, _ = solve(p)
+        sol, _ = solve(_free_variable_problem())
         assert sol.success
         assert sol.primal_value == pytest.approx(1.0, abs=1e-6)
         assert sol.x_primal.free[0] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("build", [_free_variable_problem, _free_split_model_problem], ids=["split", "model"])
+    def test_log_reports_the_residuals_termination_tests(self, build):
+        # the split problem's residual norms differ; the log gives those of
+        # the original variables, as stats and the convergence test do
+        p = build()
+        assert p.structure.free_dim
+        sol, log = solve(p)
+        assert sol.success
+        assert (log[-1].p_inf, log[-1].d_inf) == (sol.stats["primal_residual"], sol.stats["dual_residual"])
+        assert log[-1].gap == sol.stats["gap"]
+
+    def test_iteration_limit(self):
+        p = _correlation_problem(sense=1.0)
+        want, log = solve(p)
+        n = want.stats["iterations"]
+        assert want.success and len(log) == n
+        # converged exactly at the last permitted step
+        sol, log = solve(p, SolverConfig(max_iterations=n))
+        assert sol.status == STATUS_SUCCESS
+        assert sol.stats["iterations"] == len(log) == n
+        assert (sol.primal_value, sol.dual_value) == (want.primal_value, want.dual_value)
+        sol, log = solve(p, SolverConfig(max_iterations=n - 1))
+        assert sol.status == STATUS_ITERATION_LIMIT
+        assert sol.stats["iterations"] == len(log) == n - 1
 
     def test_hkm_nt_agree(self):
         p = _correlation_problem(sense=1.0)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from conftest import orthogonal_mix
 
 from qsdp import BlockStructure, ConeProblem, SymBlockMat, validate_problem
+import qsdp.problem as problem_mod
 from qsdp.problem import require_independent
 
 
@@ -113,6 +114,23 @@ def test_separate_components():
     assert rep.dependent_indices == [2]
     assert rep.rank == 4
     assert rep.duplicate_pairs == [(1, 2)]
+
+
+def test_each_component_is_factored_over_its_own_columns(monkeypatch):
+    # the rows of test_separate_components in a 20 x 20 block: component
+    # {0, 3} touches E11, E13 and E31, component {1, 2} only E22
+    factored = []
+    ordered = problem_mod._ordered_dependents
+
+    def record(rows, tol):
+        factored.append(rows)
+        return ordered(rows, tol)
+
+    monkeypatch.setattr(problem_mod, "_ordered_dependents", record)
+    rep = validate_rows(unit(0, 0, 20), unit(1, 1, 20), -3 * unit(1, 1, 20), unit(0, 0, 20) + unit(0, 2, 20), unit(2, 2, 20))
+    assert rep.dependent_indices == [2]
+    assert rep.rank == 4
+    assert [rows.shape for rows in factored] == [(2, 3), (2, 1)]
 
 
 def test_negatively_scaled_duplicate_reported():

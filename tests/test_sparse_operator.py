@@ -424,6 +424,45 @@ def test_schur_symmetrization_copies_no_transpose():
     assert np.array_equal(b, b.T)
 
 
+def dense_add_schur(ctx, it):
+    """The HKM ctx.schur(it) with its nonnegative part added as a dense m x m
+    array: the chunks of the plan, then A_nn diag(x / z) A_nn^T made dense,
+    then (B + B^T) / 2."""
+    m = ctx.p.num_constraints
+    b = np.zeros((m, m))
+    for k, (a_k, chunks) in enumerate(ctx.plan.blocks):
+        for js, sup, a_sub in chunks:
+            u = (it.x.blocks[k][:, sup].transpose(1, 0, 2) @ a_sub @ ctx.zinv[k][sup]).reshape(js.size, -1)
+            b[js] += (a_k @ u.T).T
+    scaled = ctx.plan.a_nn.copy()
+    scaled.data *= (it.x.nonneg / it.z.nonneg)[scaled.indices]
+    b += (scaled @ ctx.plan.a_nn.T).toarray()
+    return (b + b.T) / 2.0
+
+
+def test_schur_adds_the_nonnegative_part_in_place():
+    # a split problem: 200 free entries give 400 of its 600 nonnegative ones.
+    # A dense A_nn diag(x / z) A_nn^T would be a second m x m array (a peak
+    # of about 2.1 m^2 floats here)
+    rng = np.random.default_rng(53)
+    m, n, nf, nnz = 1500, 40, 200, 20000
+    st = BlockStructure((n,), nonneg_dim=nf, free_dim=nf)
+    cols = np.concatenate([rng.integers(0, n * n, nnz), n * n + rng.integers(0, 2 * nf, nnz // 4)])
+    a = sp.csr_array((rng.normal(size=cols.size), (rng.integers(0, m, cols.size), cols)), shape=(m, st.flat_dim))
+    q = split_free(ConeProblem(sparse_elem(rng, st, 1.0), a, rng.normal(size=m)))
+    assert q.structure.nonneg_dim == 600
+    it = interior_iterate(rng, q)
+    ctx = _DirectionContext(q, it, "hkm")
+    tracemalloc.start()
+    try:
+        b = ctx.schur(it)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * m * m * 8
+    assert np.array_equal(b, dense_add_schur(ctx, it))
+
+
 @pytest.mark.parametrize("direction", ["hkm", "nt"])
 def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
     rng = np.random.default_rng(31)
