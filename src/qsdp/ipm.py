@@ -36,6 +36,9 @@ EXPON = 3.0  # cap for the corrector exponent
 # Floats in one chunk's g x n^2 work array of the Schur assembly, and in one
 # band of rows of its symmetrization (2 MB)
 _SCHUR_CHUNK_FLOATS = 1 << 18
+# _cone_step screens a block by Cholesky at this factor above the running
+# step, so a block whose step ties the minimum to rounding is not skipped
+_SCREEN_MARGIN = 1.0 + 1e-6
 # LAPACK routines of the per-block kernels and of the Schur factorization,
 # called without the scipy.linalg wrappers, whose checks cost more than the
 # work on small blocks and small m
@@ -147,14 +150,19 @@ def cold_start(p: ConeProblem) -> Iterate:
     return Iterate(x=x, y=np.zeros(p.num_constraints), z=z, iteration=0)
 
 
-def residuals(p: ConeProblem, it: Iterate):
+def residual_scales(p: ConeProblem) -> tuple[float, float]:
+    """The denominators 1 + |b| and 1 + |C|_F of the normalized residual norms."""
+    return 1.0 + float(np.linalg.norm(p.rhs)), 1.0 + p.c_obj.norm()
+
+
+def residuals(p: ConeProblem, it: Iterate, scales: tuple[float, float] | None = None):
     """Primal/dual residuals r_p = b - A(x), r_d = C - A*(y) - Z and their
-    normalized norms |r_p|/(1+|b|) and |r_d|/(1+|C|_F)."""
+    normalized norms |r_p|/(1+|b|) and |r_d|/(1+|C|_F).  ``scales``, p's
+    residual_scales, spares recomputing the two constant norms."""
     r_p = p.rhs - p.apply(it.x)
     r_d = p.c_obj - p.adjoint(it.y) - it.z
-    pinf = np.linalg.norm(r_p) / (1.0 + np.linalg.norm(p.rhs))
-    dinf = r_d.norm() / (1.0 + p.c_obj.norm())
-    return r_p, r_d, (float(pinf), float(dinf))
+    scale_p, scale_d = scales or residual_scales(p)
+    return r_p, r_d, (float(np.linalg.norm(r_p) / scale_p), r_d.norm() / scale_d)
 
 
 def step_length(m: np.ndarray, dm: np.ndarray) -> float:
@@ -182,24 +190,42 @@ def step_length(m: np.ndarray, dm: np.ndarray) -> float:
 
 
 def _cone_step(m: SymBlockMat, dm: SymBlockMat) -> float:
-    """Step to the cone boundary over all blocks and nonnegative entries."""
+    """Step to the cone boundary over all blocks and nonnegative entries:
+    min(1, min_k step_length(M_k, dM_k), the nonnegative entries' ratio).
+
+    The nonnegative ratio is taken first, and each block is then screened
+    by a Cholesky factorization (potrf) of M_k + s dM_k, at s just above the
+    running minimum t (t * _SCREEN_MARGIN): when it succeeds, M_k + r dM_k
+    is positive definite for every r in [0, s] (M_k is), so the block's
+    step exceeds t and its eigenvalue solve is skipped.  Only the blocks
+    whose factorization fails run step_length: those that lower t, and
+    those whose step ties t to within the margin, so t is bitwise the
+    minimum of every block's step_length.  M's blocks must be positive
+    definite; step_length checks that only on the blocks it is run on.
+    """
     t = 1.0
-    for b, db in zip(m.blocks, dm.blocks):
-        t = min(t, step_length(b, db))
     neg = dm.nonneg < 0
     if np.any(neg):
         t = min(t, float(np.min(-m.nonneg[neg] / dm.nonneg[neg])))
+    for b, db in zip(m.blocks, dm.blocks):
+        if not b.size:
+            continue
+        # the trial point is symmetric, so its transpose, in Fortran order, is factored in place
+        if _POTRF((b + (t * _SCREEN_MARGIN) * db).T, lower=1, overwrite_a=1, clean=0)[1] == 0:
+            continue
+        t = min(t, step_length(b, db))
     return t
 
 
-def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float) -> float:
+def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float, gap: float | None = None) -> float:
     """Mehrotra target (Tr(XZ)/n) * (Tr((X+a dX)(Z+b dZ))/Tr(XZ))^e.
 
     The exponent e is 1 while the gap exceeds 1e-3, then grows with the decimal
-    digits gained, capped by EXPON.
+    digits gained, capped by EXPON.  ``gap`` is Tr(XZ) when the caller has it.
     """
     dx, _, dz = predictor
-    gap = it.gap()
+    if gap is None:
+        gap = it.gap()
     n = max(it.x.structure.cone_dim, 1)
     if gap <= 0:
         return 0.0
@@ -268,6 +294,9 @@ class _SchurPlan:
     the chunks, and so the batched products per Schur build, few when the
     support sizes vary.  A chunk holds at most _SCHUR_CHUNK_FLOATS / n^2
     constraints.  ``a_nn`` is A's column slice over the nonnegative entries.
+    ``work`` holds two arrays of the largest chunk's g x n^2 floats, which
+    every Schur build of the solve reuses for each chunk's products, so no
+    build maps fresh memory for them.
     """
 
     def __init__(self, p: ConeProblem):
@@ -278,6 +307,8 @@ class _SchurPlan:
             a_k = p.a[:, offsets[k] : offsets[k + 1]]
             self.blocks.append((a_k, _support_chunks(a_k, n)))
         self.a_nn = p.a[:, offsets[-3] : offsets[-2]]
+        sizes = [js.size * n * n for (_, chunks), n in zip(self.blocks, st.sdp_blocks) for js, _, _ in chunks]
+        self.work = (np.empty(max(sizes, default=0)), np.empty(max(sizes, default=0)))
 
 
 class _DirectionContext:
@@ -320,17 +351,25 @@ class _DirectionContext:
 
         For a chunk's constraints js in SDP block k, one batched product
         builds every K(A_j) = L[:, sup] A_j[sup, sup] R[sup, :], with
-        (L, R) = (X_k, Z_k^-1) for HKM or (W_k, W_k) for NT, and A_k applied
-        to them adds rows js of B.  The nonnegative entries add
+        (L, R) = (X_k, Z_k^-1) for HKM or (W_k, W_k) for NT, into the plan's
+        first work array; its transpose, copied into the second, is the
+        C-ordered n^2 x g operand that A_k's product reads, and that product
+        adds rows js of B.  The nonnegative entries add
         A_nn diag(x / z) A_nn^T (both scalings coincide there).
         """
         m = self.p.num_constraints
         b = np.zeros((m, m))
+        work, work_t = self.plan.work
         for k, (a_k, chunks) in enumerate(self.plan.blocks):
             lft, rgt = (it.x.blocks[k], self.zinv[k]) if self.direction == "hkm" else (self.w_nt[k],) * 2
+            n = lft.shape[0]
             for js, sup, a_sub in chunks:
-                u = (lft[:, sup].transpose(1, 0, 2) @ a_sub @ rgt[sup]).reshape(js.size, -1)
-                b[js] += (a_k @ u.T).T
+                size = js.size * n * n
+                u = work[:size].reshape(js.size, n, n)
+                np.matmul(lft[:, sup].transpose(1, 0, 2) @ a_sub, rgt[sup], out=u)
+                u_t = work_t[:size].reshape(n * n, js.size)
+                np.copyto(u_t, u.reshape(js.size, -1).T)
+                b[js] += (a_k @ u_t).T
         a_nn = self.plan.a_nn
         if a_nn.shape[1]:
             scaled = a_nn.copy()
@@ -565,6 +604,9 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
     require_independent(p)
     q = split_free(p)
     plan = _SchurPlan(q)
+    # the constant norms of the residuals' normalization, once per problem
+    scales_q = residual_scales(q)
+    scales_p = scales_q if q is p else residual_scales(p)
     log = IterationLog()
     t0 = time.perf_counter()
     merit_hist: list[float] = []
@@ -574,13 +616,13 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
         # each iterate is measured once.  q's residuals drive the Newton
         # system and the progress test; convergence, the log and the result
         # read those of (x0, y, z0), the iterate in p's variables
-        res = residuals(q, it)
+        res = residuals(q, it, scales_q)
         if q is p:
             x0, z0, (pinf, dinf) = it.x, it.z, res[2]
         else:
             x0 = _merge_free(p.structure, it.x)
             z0 = _merge_free(p.structure, it.z, zero_free=True)
-            _, _, (pinf, dinf) = residuals(p, Iterate(x=x0, y=it.y, z=z0, iteration=it.iteration))
+            _, _, (pinf, dinf) = residuals(p, Iterate(x=x0, y=it.y, z=z0, iteration=it.iteration), scales_p)
         gap = it.gap()
         pobj = frobenius_inner(p.c_obj, x0)
         dobj = float(p.rhs @ it.y)
@@ -613,7 +655,7 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
             pred = newton_direction(q, it, 0.0, cfg.direction, _ctx=ctx, _res=res)
             alpha_p = min(1.0, GAMMA_STEP * _cone_step(it.x, pred[0]))
             beta_p = min(1.0, GAMMA_STEP * _cone_step(it.z, pred[2]))
-            nu_c = corrector_nu(it, pred, alpha_p, beta_p)
+            nu_c = corrector_nu(it, pred, alpha_p, beta_p, gap)
             dx, dy, dz = newton_direction(q, it, nu_c, cfg.direction, corrector=(pred[0], pred[2]), _ctx=ctx, _res=res)
             alpha = min(1.0, GAMMA_STEP * _cone_step(it.x, dx))
             beta = min(1.0, GAMMA_STEP * _cone_step(it.z, dz))

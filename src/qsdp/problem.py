@@ -162,12 +162,20 @@ def validate_problem(p: ConeProblem) -> ValidationReport:
     labels = _components(gram)
     size = np.bincount(labels, minlength=m)[labels]
     dependent = np.flatnonzero((size == 1) & (norms <= tol)).tolist()
-    for label in np.unique(labels[size > 1]):
-        comp = np.flatnonzero(labels == label)
+    # the rows of every multi-row component, grouped by label in one slice
+    # (a stable sort keeps each component's rows in order)
+    multi = np.flatnonzero(size > 1)
+    order = multi[np.argsort(labels[multi], kind="stable")]
+    rows = a[order]
+    row_of = np.repeat(np.arange(order.size), np.diff(rows.indptr))
+    bounds = np.flatnonzero(np.diff(labels[order], prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        comp = order[lo:hi]
         # over the columns the component's rows touch; the others are zero in all of them
-        rows = a[comp]
-        cols, at = np.unique(rows.indices, return_inverse=True)
-        packed = sp.csr_array((rows.data, at, rows.indptr), shape=(comp.size, cols.size)).toarray()
+        span = slice(rows.indptr[lo], rows.indptr[hi])
+        cols, at = np.unique(rows.indices[span], return_inverse=True)
+        packed = np.zeros((comp.size, cols.size))
+        packed[row_of[span] - lo, at] = rows.data[span]
         dependent += comp[_ordered_dependents(packed, tol[comp])].tolist()
     dependent.sort()
 

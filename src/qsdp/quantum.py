@@ -74,10 +74,6 @@ class ChoiMatrix:
             raise ValueError("Choi matrix has the wrong shape")
 
     @property
-    def is_completely_positive(self) -> bool:
-        return bool(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0] >= -1e-9)
-
-    @property
     def is_trace_preserving(self) -> bool:
         red = partial_trace(self.matrix, (self.dim_out, self.dim_in), keep=[1])
         return bool(np.max(np.abs(red - np.eye(self.dim_in))) <= 1e-8)

@@ -102,6 +102,23 @@ class TestResiduals:
         r2, _, _ = residuals(p2, it)
         assert r2[0] - r1[0] == pytest.approx(1.5)
 
+    def test_given_scales_give_the_same_norms(self):
+        p = _free_variable_problem()
+        it = Iterate(x=SymBlockMat(p.structure, [[[2.0]]], free=[0.5]), y=np.array([0.3, -1.0]), z=SymBlockMat.zeros(p.structure))
+        assert ipm.residual_scales(p) == (1.0 + np.sqrt(5.0), 1.0 + 1.0)
+        assert residuals(p, it, ipm.residual_scales(p))[2] == residuals(p, it)[2]
+
+    @pytest.mark.parametrize("build", [_free_variable_problem, lambda: simple_problem(np.eye(2), [np.eye(2)], [1.5])])
+    def test_solve_takes_the_scales_once_per_problem(self, monkeypatch, build):
+        calls = []
+        scales = ipm.residual_scales
+        monkeypatch.setattr(ipm, "residual_scales", lambda p: calls.append(p) or scales(p))
+        p = build()
+        sol, _ = solve(p)
+        assert sol.success and sol.stats["iterations"] > 1
+        # the split problem's and, with free variables, the original's
+        assert len(calls) == (2 if p.structure.free_dim else 1)
+
 
 class TestNewtonDirection:
     def test_zero_on_central_path(self):
@@ -221,6 +238,87 @@ class TestStepLength:
             step_length(m, np.eye(m.shape[0]))
 
 
+class TestConeStep:
+    """The Cholesky-screened _cone_step against its definition,
+    min(1, min_k step_length(M_k, dM_k), the nonnegative entries' ratio)."""
+
+    STRUCTURE = BlockStructure((4, 7, 5), nonneg_dim=6)
+
+    @staticmethod
+    def _block_with_step(rng, n, step):
+        """(M, dM) with M positive definite and step_length(M, dM) = step
+        (up to rounding): the pencil's top eigenvalue is 1 / step."""
+        g = rng.normal(size=(n, n))
+        m = g @ g.T + np.eye(n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.concatenate([[1.0 / step], rng.uniform(-2.0, 0.9 / step, size=n - 1)])
+        low = np.linalg.cholesky(m) @ q
+        dm = -low @ np.diag(lam) @ low.T
+        return m, (dm + dm.T) / 2.0
+
+    def _pair(self, steps, nonneg_step=None, seed=0):
+        rng = np.random.default_rng(seed)
+        pairs = [self._block_with_step(rng, n, s) for n, s in zip(self.STRUCTURE.sdp_blocks, steps)]
+        x_nn = rng.uniform(0.5, 2.0, size=self.STRUCTURE.nonneg_dim)
+        dx_nn = rng.uniform(-0.2, 1.0, size=x_nn.size)  # every ratio above 2
+        if nonneg_step is not None:
+            dx_nn[2] = -x_nn[2] / nonneg_step
+        m = SymBlockMat(self.STRUCTURE, [a for a, _ in pairs], x_nn)
+        dm = SymBlockMat(self.STRUCTURE, [d for _, d in pairs], dx_nn)
+        return m, dm
+
+    @staticmethod
+    def _definition(m, dm):
+        neg = dm.nonneg < 0
+        ratio = float(np.min(-m.nonneg[neg] / dm.nonneg[neg])) if np.any(neg) else 1.0
+        return min(1.0, ratio, *(step_length(b, db) for b, db in zip(m.blocks, dm.blocks)))
+
+    def _screened(self, monkeypatch, m, dm):
+        calls = []
+        monkeypatch.setattr(ipm, "step_length", lambda b, db: calls.append(b.shape[0]) or step_length(b, db))
+        return ipm._cone_step(m, dm), calls
+
+    def test_no_block_limits(self, monkeypatch):
+        m, dm = self._pair([1.5, 3.0, 1.2])
+        got, calls = self._screened(monkeypatch, m, dm)
+        assert got == self._definition(m, dm) == 1.0
+        assert calls == []  # every block passes the Cholesky screen at t = 1
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_each_block_limits_in_turn(self, monkeypatch, k):
+        steps = [0.9] * 3
+        steps[k] = 0.4
+        m, dm = self._pair(steps, seed=k)
+        got, calls = self._screened(monkeypatch, m, dm)
+        want = self._definition(m, dm)
+        assert want == pytest.approx(0.4, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        # blocks before k lower t to 0.9 or tie it, so they run step_length,
+        # as block k does; the blocks after it pass the screen at 0.4
+        assert calls == list(self.STRUCTURE.sdp_blocks[: k + 1])
+
+    def test_nonnegative_part_limits(self, monkeypatch):
+        m, dm = self._pair([0.8, 0.6, 0.9], nonneg_step=0.3)
+        got, calls = self._screened(monkeypatch, m, dm)
+        want = self._definition(m, dm)
+        assert want == pytest.approx(0.3, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert calls == []  # the ratio is taken first, and every block exceeds it
+
+    def test_tied_blocks_give_the_minimum_bitwise(self, monkeypatch):
+        # two copies of one block, the second's direction longer by 1e-15:
+        # its step is below the first's by rounding, and a Cholesky screen at
+        # exactly t passes it here; the screen's margin sends it to
+        # step_length, so t is the minimum of both steps exactly
+        m, dm = self._block_with_step(np.random.default_rng(0), 4, 0.7)
+        st = BlockStructure((4, 4))
+        m2 = SymBlockMat(st, [m, m])
+        dm2 = SymBlockMat(st, [dm, dm * (1.0 + 1e-15)])
+        got, calls = self._screened(monkeypatch, m2, dm2)
+        assert got == self._definition(m2, dm2) < step_length(m, dm)
+        assert calls == [4, 4]
+
+
 class TestSpdInverse:
     def test_bitwise_equal_to_cholesky_and_cho_solve(self):
         rng = np.random.default_rng(22)
@@ -263,6 +361,14 @@ class TestCorrectorNu:
         # gap 2 > 1e-3 so e = 1: (2/2) * (2*(1/4)/2)^1 = 0.25
         got = corrector_nu(it, (d, np.zeros(0), d), 1.0, 1.0)
         assert got == pytest.approx(0.25)
+
+    def test_given_gap_is_the_iterates_own(self):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(2, 2))
+        it = self._iterate(g @ g.T + np.eye(2), np.diag([1.0, 3.0]))
+        d = SymBlockMat(it.x.structure, [-0.3 * np.eye(2)])
+        pred = (d, np.zeros(0), d)
+        assert corrector_nu(it, pred, 0.9, 0.8, it.gap()) == corrector_nu(it, pred, 0.9, 0.8)
 
 
 class TestSolve:

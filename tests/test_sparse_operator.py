@@ -464,6 +464,32 @@ def test_schur_adds_the_nonnegative_part_in_place():
 
 
 @pytest.mark.parametrize("direction", ["hkm", "nt"])
+def test_schur_reuses_the_plans_work_arrays(monkeypatch, direction):
+    # each chunk's products go into the two work arrays the plan holds for
+    # the solve: a later build gives the same B bit for bit, and maps no
+    # fresh g x n^2 arrays (a fresh product and its C-ordered transpose
+    # would take twice the largest chunk beside B)
+    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["channel"]))
+    plan = ipm._SchurPlan(q)
+    largest = max(js.size * n * n for (_, chunks), n in zip(plan.blocks, q.structure.sdp_blocks) for js, _, _ in chunks)
+    it = interior_iterate(np.random.default_rng(37), q)
+    ctx = _DirectionContext(q, it, direction, plan)
+    first = ctx.schur(it)
+    tracemalloc.start()
+    try:
+        second = ctx.schur(it)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = q.num_constraints
+    assert np.array_equal(second, first)
+    assert peak <= (m * m + largest) * 8
+    assert all(w.size == largest for w in plan.work)
+    if direction == "hkm":  # the products' arithmetic is the fresh arrays'
+        assert np.array_equal(second, dense_add_schur(ctx, it))
+
+
+@pytest.mark.parametrize("direction", ["hkm", "nt"])
 def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
     rng = np.random.default_rng(31)
     st = BlockStructure((5, 3), nonneg_dim=2, free_dim=1)
