@@ -193,23 +193,19 @@ def _cone_step(m: SymBlockMat, dm: SymBlockMat) -> float:
     """Step to the cone boundary over all blocks and nonnegative entries:
     min(1, min_k step_length(M_k, dM_k), the nonnegative entries' ratio).
 
-    The nonnegative ratio is taken first, and each block is then screened
-    by a Cholesky factorization (potrf) of M_k + s dM_k, at s just above the
-    running minimum t (t * _SCREEN_MARGIN): when it succeeds, M_k + r dM_k
-    is positive definite for every r in [0, s] (M_k is), so the block's
-    step exceeds t and its eigenvalue solve is skipped.  Only the blocks
-    whose factorization fails run step_length: those that lower t, and
-    those whose step ties t to within the margin, so t is bitwise the
-    minimum of every block's step_length.  M's blocks must be positive
-    definite; step_length checks that only on the blocks it is run on.
+    The nonnegative ratio is taken first.  Each block is then screened by
+    potrf on M_k + s dM_k at s = t * _SCREEN_MARGIN, just above the running
+    minimum t: when that factorization succeeds, the block's step exceeds
+    t (M_k is positive definite), and its eigenvalue solve is skipped.  The
+    blocks that lower t, or tie it to within the margin, run step_length,
+    so t is bitwise the minimum over every block.  M's blocks must be
+    positive definite; only the blocks that run step_length are checked.
     """
     t = 1.0
     neg = dm.nonneg < 0
     if np.any(neg):
         t = min(t, float(np.min(-m.nonneg[neg] / dm.nonneg[neg])))
     for b, db in zip(m.blocks, dm.blocks):
-        if not b.size:
-            continue
         # the trial point is symmetric, so its transpose, in Fortran order, is factored in place
         if _POTRF((b + (t * _SCREEN_MARGIN) * db).T, lower=1, overwrite_a=1, clean=0)[1] == 0:
             continue
@@ -307,8 +303,8 @@ class _SchurPlan:
             a_k = p.a[:, offsets[k] : offsets[k + 1]]
             self.blocks.append((a_k, _support_chunks(a_k, n)))
         self.a_nn = p.a[:, offsets[-3] : offsets[-2]]
-        sizes = [js.size * n * n for (_, chunks), n in zip(self.blocks, st.sdp_blocks) for js, _, _ in chunks]
-        self.work = (np.empty(max(sizes, default=0)), np.empty(max(sizes, default=0)))
+        size = max((js.size * n * n for (_, chunks), n in zip(self.blocks, st.sdp_blocks) for js, _, _ in chunks), default=0)
+        self.work = (np.empty(size), np.empty(size))
 
 
 class _DirectionContext:
