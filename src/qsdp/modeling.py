@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat
-from .problem import ConeProblem, Solution, _components
+from .problem import ConeProblem, Solution, null_space_by_component
 
 _STRUCTURES = ("full", "symmetric", "hermitian", "diagonal", "skew")
 
@@ -633,56 +633,6 @@ def _equality_system(model: Model, nparams: int):
             e[j, k] = v.real
         f[j] = -eq.const.real
     return e, f
-
-
-def null_space_by_component(e_mat: np.ndarray, f_vec: np.ndarray):
-    """y0 = pinv(E) f and an orthonormal basis N of the null space of E, from
-    one SVD per connected component of E's row-column graph.
-
-    Up to a permutation E is block-diagonal over those components, so the
-    rank threshold 1e-12 * sigma_max(E) takes sigma_max as the largest over
-    the components, and no SVD of the whole E is taken.  N is a sparse
-    nparams x (nparams - rank) CSC matrix: a parameter in no equality keeps
-    its unit vector, and each component adds its null-space vectors,
-    supported on its own parameters.  Columns come in order of each
-    component's first parameter.
-    """
-    n_eq, nparams = e_mat.shape
-    # nodes 0 .. nparams - 1 are the parameters, then the equalities, with an
-    # edge both ways for each nonzero of E; a component's label is its
-    # smallest node
-    eq, par = np.nonzero(e_mat)
-    edges = (np.concatenate([par, nparams + eq]), np.concatenate([nparams + eq, par]))
-    labels = _components(sp.csr_array((np.ones(2 * eq.size, bool), edges), shape=(nparams + n_eq,) * 2))
-    param_label, row_label = labels[:nparams], labels[nparams:]
-    factors, smax = [], 0.0
-    for label in np.unique(row_label[row_label < nparams]):  # an empty equality touches no parameter
-        rows, cols = np.flatnonzero(row_label == label), np.flatnonzero(param_label == label)
-        # all of V, but no square U: the reduced SVD already has V square when rows >= cols
-        u, s, vt = np.linalg.svd(e_mat[np.ix_(rows, cols)], full_matrices=rows.size < cols.size)
-        factors.append((label, rows, cols, u, s, vt))
-        smax = max(smax, s[0])
-    tol = max(1e-12 * smax, 1e-300)
-
-    y0 = np.zeros(nparams)
-    unit = np.flatnonzero(~np.isin(param_label, row_label))
-    # triplets of N with its columns in the order built, each keyed by its component's label
-    keys, rows_n, cols_n, vals_n = [unit], [unit], [np.arange(unit.size)], [np.ones(unit.size)]
-    width = unit.size
-    for label, rows, cols, u, s, vt in factors:
-        rank = int(np.sum(s > tol))
-        y0[cols] = vt[:rank].T @ ((u[:, :rank].T @ f_vec[rows]) / s[:rank])  # pinv from the same factors
-        null = vt[rank:].T
-        r, c = np.nonzero(null)
-        keys.append(np.full(null.shape[1], label))
-        rows_n.append(cols[r])
-        cols_n.append(width + c)
-        vals_n.append(null[r, c])
-        width += null.shape[1]
-    position = np.empty(width, np.int64)
-    position[np.argsort(np.concatenate(keys), kind="stable")] = np.arange(width)
-    triplets = (np.concatenate(vals_n), (np.concatenate(rows_n), position[np.concatenate(cols_n)]))
-    return y0, sp.csc_array(triplets, shape=(nparams, width))
 
 
 def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel:

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat
-from .ipm import split_free
 from .problem import ConeProblem
 
 
@@ -157,6 +156,18 @@ def parse_sdpa(text: str) -> ConeProblem:
     return ConeProblem(c_obj, f[1:], b, meta={"source": "sdpa"})
 
 
+def _split_pairs(p: ConeProblem) -> ConeProblem:
+    """p with each free scalar the difference of a nonnegative pair, whose
+    negated copies of the free columns extend the nonnegative part."""
+    st = p.structure
+    if st.free_dim == 0:
+        return p
+    c_obj = np.concatenate([p.c_obj.flat(), -p.c_obj.free])
+    a = sp.hstack([p.a, -p.a[:, st.flat_dim - st.free_dim :]], format="csr")
+    st2 = BlockStructure(st.sdp_blocks, st.nonneg_dim + 2 * st.free_dim)
+    return ConeProblem(SymBlockMat._new(st2, c_obj), a, p.rhs.copy(), dict(p.meta))
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -164,7 +175,7 @@ def _fmt(x: float) -> str:
 def write_sdpa(p: ConeProblem, comment: str | None = None) -> str:
     """Serialize to SDPA sparse text; the inverse of :func:`parse_sdpa` up to
     the free-variable split."""
-    q = split_free(p)  # the format has no free cone
+    q = _split_pairs(p)  # the format has no free cone
     st = q.structure
     lines = [f"* {ln}" for ln in (comment or "").splitlines()]
     lines.append(str(q.num_constraints))

@@ -9,8 +9,9 @@ from math import comb
 
 import numpy as np
 
-from .modeling import Model, ScalarExpr, _symmetric_expr, null_space_by_component
+from .modeling import Model, ScalarExpr, _symmetric_expr
 from .npa import Scenario, generate_words, reduce_word, word_adjoint
+from .problem import null_space_by_component
 
 
 def monomials(n_vars: int, degree: int):

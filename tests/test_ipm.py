@@ -20,7 +20,7 @@ from qsdp import (
     step_length,
 )
 from qsdp.modeling import Model
-from qsdp.problem import STATUS_ITERATION_LIMIT, STATUS_SUCCESS
+from qsdp.problem import STATUS_ITERATION_LIMIT, STATUS_LACK_OF_PROGRESS, STATUS_SUCCESS
 
 
 def simple_problem(c, constraints, rhs):
@@ -116,8 +116,9 @@ class TestResiduals:
         p = build()
         sol, _ = solve(p)
         assert sol.success and sol.stats["iterations"] > 1
-        # the split problem's and, with free variables, the original's
-        assert len(calls) == (2 if p.structure.free_dim else 1)
+        # the original problem's, with free variables too: the reduced
+        # problem's residuals are normalized by them
+        assert calls == [p]
 
 
 class TestNewtonDirection:
@@ -425,14 +426,31 @@ class TestSolve:
 
     @pytest.mark.parametrize("build", [_free_variable_problem, _free_split_model_problem], ids=["split", "model"])
     def test_log_reports_the_residuals_termination_tests(self, build):
-        # the split problem's residual norms differ; the log gives those of
-        # the original variables, as stats and the convergence test do
+        # the log, stats and the convergence test read the reduced problem's
+        # residual norms, which are the original's at the recovered solution
         p = build()
         assert p.structure.free_dim
         sol, log = solve(p)
         assert sol.success
         assert (log[-1].p_inf, log[-1].d_inf) == (sol.stats["primal_residual"], sol.stats["dual_residual"])
         assert log[-1].gap == sol.stats["gap"]
+        recovered = Iterate(x=sol.x_primal, y=sol.y_dual, z=sol.z_slack)
+        pinf, dinf = residuals(p, recovered, ipm.residual_scales(p))[2]
+        assert pinf == pytest.approx(sol.stats["primal_residual"], rel=1e-6, abs=1e-14)
+        assert dinf == pytest.approx(sol.stats["dual_residual"], rel=1e-6, abs=1e-14)
+        assert recovered.gap() == pytest.approx(sol.stats["gap"], rel=1e-12)
+        assert not np.any(sol.z_slack.free)
+
+    def test_inconsistent_free_columns_end_without_an_iteration(self):
+        # min <I, X> + x_f s.t. X_11 = 1: x_f is in no row, so the dual's
+        # equality 0'y = 1 has no solution and the primal is unbounded
+        structure = BlockStructure((2,), free_dim=1)
+        c = SymBlockMat(structure, [np.eye(2)], free=[1.0])
+        p = ConeProblem(c, [SymBlockMat(structure, [np.diag([1.0, 0.0])])], [1.0])
+        sol, log = solve(p)
+        assert sol.status == STATUS_LACK_OF_PROGRESS and not sol.success
+        assert sol.stats["iterations"] == 0 and len(log) == 0
+        assert "inconsistent" in sol.stats["failure"]
 
     def test_iteration_limit(self):
         p = _correlation_problem(sense=1.0)
@@ -459,7 +477,7 @@ class TestSolve:
         p = _correlation_problem(sense=1.0)
         from qsdp.ipm import split_free
 
-        q = split_free(p)
+        q = split_free(p).problem
         it = cold_start(q)
         r_p, r_d, _ = residuals(q, it)
         for direction in ("hkm", "nt"):

@@ -238,6 +238,20 @@ class TestBell:
         assert np.linalg.eigvalsh(res.gamma)[0] > -1e-7
         assert res.gamma[0, 0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_i3322_primal_framing_matches_the_dual_one(self):
+        # the moment model framed primal has 23 free columns; with them
+        # eliminated before the IPM it solves in the dual framing's steps
+        doc = json.loads((Path(__file__).resolve().parents[1] / "demos" / "data" / "i3322.json").read_text())
+        bell = {(e["a"], e["b"], e["x"], e["y"]): e["coeff"] for e in doc["bell"]}
+        model = solve_bell(_scenario_from_doc(doc), 2, bell).model_result.compiled.model
+        dual = model.compile(framing="dual").solve()
+        primal = model.compile(framing="primal")
+        assert primal.problem.structure.free_dim
+        res = primal.solve()
+        assert dual.success and res.success
+        assert res.value == pytest.approx(dual.value, abs=1e-7)
+        assert res.solution.stats["iterations"] <= dual.solution.stats["iterations"]
+
     def test_deterministic_point_gives_classical_value(self):
         # pin the full distribution to the deterministic a = b = 0 strategy
         extra = []

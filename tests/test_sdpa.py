@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qsdp import BlockStructure, ConeProblem, SymBlockMat, solve
-from qsdp.sdpa import SdpaFormatError, parse_sdpa, write_sdpa
+from qsdp import BlockStructure, ConeProblem, SolverConfig, SymBlockMat, solve
+from qsdp.sdpa import SdpaFormatError, _split_pairs, parse_sdpa, write_sdpa
 
 SIMPLE = """\
 * one block, one constraint
@@ -98,11 +98,22 @@ class TestRoundTrip:
         a2 = elem([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0], [0.0])
         return ConeProblem(c, [a1, a2], [1.0, 0.3])
 
+    def test_split_pairs_extend_the_nonnegative_part(self):
+        p = self._mixed_problem()
+        q = _split_pairs(p)
+        assert q.structure == BlockStructure((2,), nonneg_dim=4)
+        for a, b in zip([p.c_obj, *p.constraints], [q.c_obj, *q.constraints]):
+            assert np.array_equal(b.nonneg, np.concatenate([a.nonneg, a.free, -a.free]))
+            assert np.array_equal(b.blocks[0], a.blocks[0])
+
     def test_write_parse_semantic_identity(self):
+        # p's free column is eliminated before the IPM, the file's pair is
+        # not: the two solves take different paths, so both run to 1e-10
         p = self._mixed_problem()
         q = parse_sdpa(write_sdpa(p, comment="round trip"))
-        sol_p, _ = solve(p)
-        sol_q, _ = solve(q)
+        cfg = SolverConfig(tol_gap=1e-10, tol_primal=1e-10, tol_dual=1e-10)
+        sol_p, _ = solve(p, cfg)
+        sol_q, _ = solve(q, cfg)
         assert sol_p.success and sol_q.success
         assert sol_p.dual_value == pytest.approx(sol_q.dual_value, abs=1e-9)
         assert sol_p.primal_value == pytest.approx(sol_q.primal_value, abs=1e-7)

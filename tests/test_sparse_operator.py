@@ -15,6 +15,7 @@ from conftest import orthogonal_mix
 import qsdp.ipm as ipm
 from qsdp import BlockStructure, ConeProblem, SolverConfig, SymBlockMat, frobenius_inner, solve
 from qsdp.ipm import Iterate, _DirectionContext, split_free
+from qsdp.sdpa import _split_pairs
 from qsdp.npa import Scenario, chsh_functional, solve_bell
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
 
@@ -79,7 +80,7 @@ def rel_err(got, want):
 @pytest.mark.parametrize("st", STRUCTURES, ids=str)
 def test_apply_and_adjoint_match_dense_rows(st):
     rng = np.random.default_rng(7)
-    for p in (random_problem(rng, st), split_free(random_problem(rng, st))):
+    for p in (random_problem(rng, st), split_free(random_problem(rng, st)).problem):
         rows = p.constraints
         x = sparse_elem(rng, p.structure, 1.0)
         y = rng.normal(size=len(rows))
@@ -114,7 +115,7 @@ def test_schur_matches_dense_reference(request, source, direction, density):
         q = orthogonal_mix(q, 1) if source == "dps-k3-mixed" else q
     else:
         rng = np.random.default_rng(11)
-        q = split_free(random_problem(rng, source, density=density))
+        q = split_free(random_problem(rng, source, density=density)).problem
     want, got = dense_schur(q, interior_iterate(rng, q), direction)
     assert rel_err(got, want) <= 1e-12
 
@@ -178,15 +179,6 @@ def test_schur_stats_give_the_order(dps_k3):
     assert chsh.solution.stats["schur"] == {"m": chsh.compiled.problem.num_constraints}
 
 
-def test_split_free_rows_extend_the_nonnegative_part():
-    rng = np.random.default_rng(3)
-    p = random_problem(rng, BlockStructure((2,), nonneg_dim=1, free_dim=2))
-    q = split_free(p)
-    for a, b in zip(p.constraints, q.constraints):
-        assert np.array_equal(b.nonneg, np.concatenate([a.nonneg, a.free, -a.free]))
-        assert np.array_equal(b.blocks[0], a.blocks[0])
-
-
 def _counting(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
@@ -218,9 +210,9 @@ def test_one_schur_per_iteration_and_one_residual_per_iterate(monkeypatch, free_
     assert its == len(log) > 0
     assert len(plans) == 1
     assert len(schur) == its
-    # the cold start and every step's iterate; free variables add one pass in
-    # the original problem's variables per iterate
-    assert len(res) == (its + 1) * (2 if free_dim else 1)
+    # the cold start and every step's iterate, with free variables too: the
+    # reduced problem's residual norms are the original problem's
+    assert len(res) == its + 1
 
 
 def reference_support_chunks(a_k, n):
@@ -327,7 +319,7 @@ def test_support_chunks_match_the_unique_construction(monkeypatch, name):
         problems = [several_chunk_problem(np.random.default_rng(5))]
     seen = unsorted = 0
     for p in problems:
-        for a_k, n in block_slices(split_free(p)):
+        for a_k, n in block_slices(split_free(p).problem):
             seen += a_k.nnz > 0
             want = reference_support_chunks(a_k, n)
             assert_same_chunks(ipm._support_chunks(a_k, n), want)
@@ -343,7 +335,7 @@ def test_support_chunks_match_the_unique_construction(monkeypatch, name):
 @pytest.mark.parametrize("name", CHUNK_PROBLEMS)
 def test_bucketed_chunks_hold_each_constraint_once_padded_with_zeros(monkeypatch, name):
     p = compiled_problem(monkeypatch, CHUNK_PROBLEMS[name])
-    q = split_free(p)
+    q = split_free(p).problem
     plan = ipm._SchurPlan(q)
     for (a_k, chunks), n in zip(plan.blocks, q.structure.sdp_blocks):
         rows = np.repeat(np.arange(a_k.shape[0]), np.diff(a_k.indptr))
@@ -367,7 +359,7 @@ def test_bucketed_chunks_hold_each_constraint_once_padded_with_zeros(monkeypatch
 def test_adjoint_reads_the_stored_transpose():
     rng = np.random.default_rng(23)
     for st in STRUCTURES:
-        p = split_free(random_problem(rng, st, m=9))
+        p = split_free(random_problem(rng, st, m=9)).problem
         y = rng.normal(size=p.num_constraints)
         assert p.a_t.format == "csr" and p.a_t.shape == p.a.T.shape
         assert np.array_equal(p.adjoint(y).flat(), p.a.T @ y)
@@ -390,7 +382,7 @@ def test_adjoint_blocks_need_no_average():
 def test_direction_context_keeps_one_schur_matrix(monkeypatch):
     # B is symmetrized and Cholesky-factored in place; only the scalings and
     # small per-block arrays are kept beside it
-    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["i3322-l3"]))
+    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["i3322-l3"])).problem
     plan = ipm._SchurPlan(q)
     it = interior_iterate(np.random.default_rng(29), q)
     m = q.num_constraints
@@ -441,7 +433,8 @@ def dense_add_schur(ctx, it):
 
 
 def test_schur_adds_the_nonnegative_part_in_place():
-    # a split problem: 200 free entries give 400 of its 600 nonnegative ones.
+    # a problem split into pairs, as for SDPA: 200 free entries give 400 of
+    # its 600 nonnegative ones.
     # A dense A_nn diag(x / z) A_nn^T would be a second m x m array (a peak
     # of about 2.1 m^2 floats here)
     rng = np.random.default_rng(53)
@@ -449,7 +442,7 @@ def test_schur_adds_the_nonnegative_part_in_place():
     st = BlockStructure((n,), nonneg_dim=nf, free_dim=nf)
     cols = np.concatenate([rng.integers(0, n * n, nnz), n * n + rng.integers(0, 2 * nf, nnz // 4)])
     a = sp.csr_array((rng.normal(size=cols.size), (rng.integers(0, m, cols.size), cols)), shape=(m, st.flat_dim))
-    q = split_free(ConeProblem(sparse_elem(rng, st, 1.0), a, rng.normal(size=m)))
+    q = _split_pairs(ConeProblem(sparse_elem(rng, st, 1.0), a, rng.normal(size=m)))
     assert q.structure.nonneg_dim == 600
     it = interior_iterate(rng, q)
     ctx = _DirectionContext(q, it, "hkm")
@@ -469,7 +462,7 @@ def test_schur_reuses_the_plans_work_arrays(monkeypatch, direction):
     # the solve: a later build gives the same B bit for bit, and maps no
     # fresh g x n^2 arrays (a fresh product and its C-ordered transpose
     # would take twice the largest chunk beside B)
-    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["channel"]))
+    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["channel"])).problem
     plan = ipm._SchurPlan(q)
     largest = max(js.size * n * n for (_, chunks), n in zip(plan.blocks, q.structure.sdp_blocks) for js, _, _ in chunks)
     it = interior_iterate(np.random.default_rng(37), q)
@@ -494,7 +487,7 @@ def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
     rng = np.random.default_rng(31)
     st = BlockStructure((5, 3), nonneg_dim=2, free_dim=1)
     rows = [sparse_elem(rng, st, 0.5) for _ in range(8)]
-    p = split_free(ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows))))
+    p = split_free(ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows)))).problem
     it = interior_iterate(rng, p)
     want_b, _ = dense_schur(p, it, direction)
 
