@@ -20,15 +20,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .blockmat import BlockStructure, SymBlockMat, frobenius_inner
+from .blockmat import SymBlockMat, frobenius_inner
 from .problem import (
     ConeProblem,
+    FreeElimination,
     Solution,
     STATUS_SUCCESS,
     STATUS_LACK_OF_PROGRESS,
     STATUS_NUMERICAL_FAILURE,
     STATUS_ITERATION_LIMIT,
-    null_space_by_component,
     require_independent,
 )
 
@@ -467,47 +467,6 @@ def newton_direction(
 
 # ---------------------------------------------------------------------------
 # free variables
-
-
-class FreeElimination:
-    """The cone-only problem the IPM solves for p, and the map back to p.
-
-    With A = [A_c A_f] and C = (C_c, c_f), p's free columns make the dual
-    equalities A_f'y = c_f, solved by y = y0 + N w with y0 and the
-    orthonormal N of null_space_by_component(A_f', c_f).  ``problem`` has
-    rows N'A_c, right-hand side N'b and cost C_c - A_c'y0; p's objectives
-    are its own plus ``offset`` = b'y0, and as N is orthonormal and x_f is
-    recovered by least squares, p's residual norms are its own.
-    ``consistent`` is False when A_f'y = c_f has no solution, so the dual
-    is infeasible.
-    """
-
-    def __init__(self, p: ConeProblem):
-        self.source = self.problem = p
-        self.null, self.offset, self.consistent = None, 0.0, True
-        st = p.structure
-        if st.free_dim == 0:
-            return
-        n_c = st.flat_dim - st.free_dim
-        a_f, c_f = p.a[:, n_c:], p.c_obj.free
-        self.y0, self.null = null_space_by_component(a_f.T.toarray(), c_f)
-        self.consistent = bool(np.linalg.norm(a_f.T @ self.y0 - c_f) <= 1e-8 * (1.0 + np.linalg.norm(c_f)))
-        c_obj = SymBlockMat._new(BlockStructure(st.sdp_blocks, st.nonneg_dim), p.c_obj.flat()[:n_c] - p.a_t[:n_c] @ self.y0)
-        n_t = sp.csr_array(self.null.T)
-        self.problem = ConeProblem(c_obj, n_t @ p.a[:, :n_c], n_t @ p.rhs, dict(p.meta))
-        self.offset = float(p.rhs @ self.y0)
-
-    def recover(self, it: Iterate) -> tuple[SymBlockMat, np.ndarray, SymBlockMat]:
-        """(X, y, Z) of p at an iterate of ``problem``: y = y0 + N w, x_f the
-        least-squares solution of A_f x_f = b - A_c(X), Z's free part 0."""
-        if self.null is None:
-            return it.x, it.y.copy(), it.z
-        p, n_c = self.source, it.x.structure.flat_dim
-        # rcond is the rank threshold of null_space_by_component
-        x_f = np.linalg.lstsq(p.a[:, n_c:].toarray(), p.rhs - p.a[:, :n_c] @ it.x.flat(), rcond=1e-12)[0]
-        x = SymBlockMat._new(p.structure, np.concatenate([it.x.flat(), x_f]))
-        z = SymBlockMat._new(p.structure, np.concatenate([it.z.flat(), np.zeros(x_f.size)]))
-        return x, self.y0 + self.null @ it.y, z
 
 
 # the name stays: bench/tracer.py records its calls, and bench/run.py requires one per traced run

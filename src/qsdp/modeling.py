@@ -7,8 +7,9 @@ complex data to the doubled real representation and emits a
 
 * dual framing (default): model scalars become the canonical dual vector y,
   each LMI becomes a slack block of Z, and equalities are handled by one of
-  three strategies (primal free variables, elimination by orthogonal
-  factorization, or a pair of eps-inequalities);
+  three strategies (primal free variables, those free variables eliminated
+  at compile time by the solver's own presolve, or a pair of
+  eps-inequalities);
 * primal framing: PSD-constrained matrix variables become primal blocks,
   remaining scalars become free variables, and every equality is one
   constraint row.
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat
-from .problem import ConeProblem, Solution, null_space_by_component
+from .problem import ConeProblem, FreeElimination, Solution
 
 _STRUCTURES = ("full", "symmetric", "hermitian", "diagonal", "skew")
 
@@ -457,11 +458,14 @@ class Model:
 
     # -- compilation ------------------------------------------------------
     def compile(self, framing="dual", equality_mode="free_split", eps=1e-8) -> "CompiledModel":
-        """Lower to a canonical ConeProblem."""
+        """Lower to a canonical ConeProblem; ``equality_mode`` and ``eps`` apply
+        to the dual framing only (the primal one keeps each equality as a row)."""
         if framing not in ("dual", "primal"):
             raise ModelError("framing must be 'dual' or 'primal'")
         if equality_mode not in ("free_split", "eliminate", "two_inequalities"):
             raise ModelError("equality_mode must be free_split, eliminate or two_inequalities")
+        if framing == "primal" and equality_mode != "free_split":
+            raise ModelError("equality_mode applies to the dual framing only")
         if not self.lmis:
             raise ModelError("model has no LMI constraints; nothing to optimize over")
         self._check_all_params_used()
@@ -621,7 +625,8 @@ def _objective_vector(model: Model, nparams: int):
     c0 = model.objective.const
     if abs(c0.imag) > 1e-12 * max(1.0, abs(c0)):
         raise ModelError("objective must be real-valued")
-    return c if model.sense == "min" else -c
+    # zero entries come out +0.0 under either sense, so those of b = -c are -0.0
+    return c + 0.0 if model.sense == "min" else 0.0 - c
 
 
 def _equality_system(model: Model, nparams: int):
@@ -636,8 +641,10 @@ def _equality_system(model: Model, nparams: int):
 
 
 def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel:
-    """Z(p) = F0 + sum_k p_k F_k is the dual slack; with the parameters
-    p = y0 + N y, A = -N'F, C = F0 + F'y0 and b = -N'c."""
+    """Z(p) = F0 + sum_k p_k F_k is the dual slack and y = p, so A = -F,
+    C = F0 and b = -c.  ``eliminate`` is the ``free_split`` problem with its
+    free variables eliminated (FreeElimination) at compile time; its
+    parameters are y0 + N y."""
     nparams = model.nparams
     sizes = _lmi_sizes(model.lmis)
     block_sizes = [size for size in sizes if size > 1]
@@ -646,14 +653,7 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
     c_vec = _objective_vector(model, nparams)
 
     n_eq = len(model.equalities)
-    if equality_mode == "eliminate" and n_eq:
-        y0, nmat = null_space_by_component(e_mat, f_vec)
-        if np.linalg.norm(e_mat @ y0 - f_vec) > 1e-8 * (1.0 + np.linalg.norm(f_vec)):
-            raise ModelError("equality constraints are inconsistent")
-    else:
-        y0, nmat = np.zeros(nparams), sp.identity(nparams, format="csr")
-
-    n_free = n_eq if equality_mode == "free_split" else 0
+    n_free = 0 if equality_mode == "two_inequalities" else n_eq
     n_ineq = 2 * n_eq if equality_mode == "two_inequalities" else 0
     structure = BlockStructure(tuple(block_sizes), nonneg_slots + n_ineq, n_free)
     offsets = structure.flat_offsets()
@@ -669,21 +669,14 @@ def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel
         slots.append((offsets[-3] + nonneg_slots, pairs))
     lmis = _lowered(model.lmis, sizes, _lmi_starts(sizes, offsets, 0))
     f0, f = _affine_map([*lmis, *slots], structure.flat_dim, nparams)
-
-    c_obj = SymBlockMat.from_flat(structure, f0 + f.T @ y0)
-    b = -(nmat.T @ c_vec)
-    neg_nt = -sp.csr_array(nmat.T)  # the only copy of N the compiled model keeps
-    a = neg_nt @ f
-    problem = ConeProblem(c_obj, a, b, meta={"framing": "dual", "equality_mode": equality_mode})
-
-    def recover_params(sol: Solution):
-        return y0 - neg_nt.T @ sol.y_dual
-
-    return CompiledModel(
-        problem=problem,
-        _recover_params=recover_params,
-        model=model,
-    )
+    meta = {"framing": "dual", "equality_mode": equality_mode}
+    problem = ConeProblem(SymBlockMat.from_flat(structure, f0), -f, -c_vec, meta)
+    if equality_mode != "eliminate":
+        return CompiledModel(problem, lambda sol: sol.y_dual.copy(), model)
+    free = FreeElimination(problem)
+    if not free.consistent:
+        raise ModelError("equality constraints are inconsistent")
+    return CompiledModel(free.problem, lambda sol: free.dual(sol.y_dual), model)
 
 
 def _selection_matrices(decl: VarDecl):

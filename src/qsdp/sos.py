@@ -80,12 +80,12 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
     target = np.zeros(len(prods))
     for e, c in h.items():
         target[prods.index(e)] = float(c)
-    cell_vec, *_ = np.linalg.lstsq(p, target, rcond=None)
+    # each column of P pairs to one product monomial, so the null space
+    # splits by monomial: one small SVD each, which also gives H = pinv(P) h
+    cell_vec, kernel = null_space_by_component(p, target)
     if np.linalg.norm(p @ cell_vec - target) > 1e-9 * max(1.0, np.linalg.norm(target)):
         raise ValueError("polynomial cannot be represented over the monomial basis")
-    # each column of P pairs to one product monomial, so the null space
-    # splits by monomial: one small SVD each
-    kernel = null_space_by_component(p, target)[1].tocoo()
+    kernel = kernel.tocoo()
     n_null = kernel.shape[1]
 
     # H - t I + sum_k y_k N_k, from the nonzeros of H's cell vector and of the kernel

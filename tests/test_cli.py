@@ -270,6 +270,15 @@ class TestErrors:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("mode", ["eliminate", "ineq"])
+    def test_equality_modes_need_the_dual_framing(self, tmp_path, capsys, mode):
+        path = tmp_path / "appb.json"
+        path.write_text(eigenvalue_model_json()[0])
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "--framing", "primal", "--equalities", mode, "--json-out", str(out)]) == EXIT_USAGE
+        assert "dual framing only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_distinct_from_solver_codes(self):
         assert EXIT_USAGE not in (0, 11, 12, 21, 23, 26)
 

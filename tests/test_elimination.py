@@ -10,11 +10,14 @@ counts and values are those of the whole-system elimination.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import assert_same_problem
 from scipy.sparse.csgraph import connected_components
+from test_modeling import MODELS
 from test_sos import random_sos
 
-from qsdp.modeling import Model, ModelError, ScalarExpr, _equality_system, null_space_by_component
+from qsdp.modeling import Model, ModelError, ScalarExpr, _equality_system
 from qsdp.npa import Scenario, mlp_bound, qrac_witness
+from qsdp.problem import FreeElimination, Solution, null_space_by_component
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
 from qsdp.sos import motzkin_polynomial, sos_certificate, tsirelson_sos_chsh
 
@@ -123,3 +126,42 @@ def test_inconsistent_equalities_raise(case):
     model.minimize(v.trace())
     with pytest.raises(ModelError, match="inconsistent"):
         model.compile("dual", "eliminate")
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_model(monkeypatch, build) -> Model:
+    """The model that ``build`` compiles first, caught before it compiles."""
+
+    def stop(self, *args, **kwargs):
+        raise _Captured(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "compile", stop)
+        with pytest.raises(_Captured) as caught:
+            build()
+    return caught.value.args[0]
+
+
+PRESOLVED = {
+    **{name: build for name, build in MODELS.items() if build().equalities},
+    "dps-p025-k3": lambda: dps_test(werner_state(0.25), (2, 2), 3),
+    "channel-ppt-ns": lambda: channel_feasibility(4, 4, ppt_preserving_dims=(2, 2, 2, 2), nonsignaling_b_to_a_dims=(2, 2, 2, 2)),
+    "mlp-d2-l2": lambda: mlp_bound(Scenario.prepare_measure(4, 2), 2, qrac_witness(2), level=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESOLVED))
+def test_eliminate_is_the_free_split_problem_presolved(monkeypatch, name):
+    # the compile eliminates equalities with the IPM's own presolve
+    model = PRESOLVED[name]() if name in MODELS else captured_model(monkeypatch, PRESOLVED[name])
+    assert model.equalities
+    got = model.compile("dual", "eliminate")
+    free = FreeElimination(model.compile("dual", "free_split").problem)
+    free.problem.meta["equality_mode"] = "eliminate"
+    assert_same_problem(got.problem, free.problem)
+    y = np.random.default_rng(3).normal(size=got.problem.num_constraints)
+    params = got.params_from(Solution(None, y, None, 0.0, 0.0, 0))
+    assert params.tobytes() == free.dual(y).tobytes()

@@ -18,12 +18,12 @@ from qsdp.modeling import (
     clean,
     model_from_json,
     model_to_json,
-    null_space_by_component,
     partial_trace,
     partial_transpose,
     scalar_nonneg,
 )
 from qsdp.npa import Scenario, build_moment_model
+from qsdp.problem import null_space_by_component
 
 
 def random_hermitian(n, seed=0):
@@ -332,9 +332,14 @@ def reference_dual(model, mode, eps=1e-8):
     c_vec = _objective_vector(model, nparams)
     n_eq = len(model.equalities)
     y0, nmat = np.zeros(nparams), np.eye(nparams)
+    # b = -c, each entry negated after a sum from 0, so its zeros are -0.0
+    rhs = [-sum(col[k] * c_vec[k] for k in np.flatnonzero(col)) for col in nmat.T]
     if mode == "eliminate" and n_eq:
         y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec
         nmat = null_space_by_component(e_mat, f_vec)[1].toarray()
+        # N' applied to the free_split problem's b, summed in parameter order
+        # as the sparse product does
+        rhs = [sum(col[k] * rhs[k] for k in np.flatnonzero(col)) for col in nmat.T]
     n_free = n_eq if mode == "free_split" else 0
     n_ineq = 2 * n_eq if mode == "two_inequalities" else 0
     st = BlockStructure(tuple(sizes), n_nn + n_ineq, n_free)
@@ -358,10 +363,8 @@ def reference_dual(model, mode, eps=1e-8):
     nonneg[n_nn::2] = f_vec[: n_ineq // 2] + eps - e_mat[: n_ineq // 2] @ y0
     nonneg[n_nn + 1 :: 2] = -(f_vec[: n_ineq // 2] - eps) + e_mat[: n_ineq // 2] @ y0
     c_obj = SymBlockMat(st, blocks, nonneg, f_vec if n_free else None)
-    rows, rhs = [], []
+    rows = []
     for col in nmat.T:
-        # b_t = -sum_k N[k, t] c_k, summed in parameter order as the sparse product does
-        rhs.append(-sum(col[k] * c_vec[k] for k in np.flatnonzero(col)))
         blocks, nonneg = assemble(col, 0.0)
         nonneg = -nonneg
         ex = e_mat @ col
@@ -568,6 +571,11 @@ class TestCompileMatchesReference:
         e_mat, f_vec = _equality_system(model, model.nparams)
         y0 = cm.params_from(Solution(None, np.zeros(cm.problem.num_constraints), None, 0.0, 0.0, 0))
         assert np.max(np.abs(y0 - np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["eliminate", "two_inequalities"])
+    def test_primal_framing_rejects_equality_modes(self, mode):
+        with pytest.raises(ModelError, match="dual framing only"):
+            MODELS["primal_slack"]().compile("primal", mode)
 
     def test_pinned_model_has_no_constraints(self):
         assert pinned_model().compile("dual", "eliminate").problem.num_constraints == 0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from conftest import assert_same_problem
 
-from qsdp.modeling import MatExpr, Model, null_space_by_component
+from qsdp.modeling import MatExpr, Model
 from qsdp.npa import Scenario, chsh_functional, solve_bell
+from qsdp.problem import null_space_by_component
 from qsdp.sos import (
     chsh_operator_coefficients,
     gram_polynomial,
@@ -40,11 +41,11 @@ def dense_sos_model(h: dict, n_vars: int) -> Model:
     target = np.zeros(len(prods))
     for e, c in h.items():
         target[prods.index(e)] = float(c)
-    cell_vec, *_ = np.linalg.lstsq(p, target, rcond=None)
+    cell_vec, kernel = null_space_by_component(p, target)
+    kernel = kernel.toarray()
     h_mat = np.zeros((d, d))
     for c, (i, j) in enumerate(cells):
         h_mat[i, j] = h_mat[j, i] = cell_vec[c]
-    kernel = null_space_by_component(p, target)[1].toarray()
     model = Model()
     t = model.declare(1, structure="symmetric", name="t")
     gram_expr = MatExpr((d, d), h_mat, {t.decl.offset: -np.eye(d)})
