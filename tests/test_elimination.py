@@ -128,35 +128,12 @@ def test_inconsistent_equalities_raise(case):
         model.compile("dual", "eliminate")
 
 
-class _Captured(Exception):
-    pass
-
-
-def captured_model(monkeypatch, build) -> Model:
-    """The model that ``build`` compiles first, caught before it compiles."""
-
-    def stop(self, *args, **kwargs):
-        raise _Captured(self)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Model, "compile", stop)
-        with pytest.raises(_Captured) as caught:
-            build()
-    return caught.value.args[0]
-
-
-PRESOLVED = {
-    **{name: build for name, build in MODELS.items() if build().equalities},
-    "dps-p025-k3": lambda: dps_test(werner_state(0.25), (2, 2), 3),
-    "channel-ppt-ns": lambda: channel_feasibility(4, 4, ppt_preserving_dims=(2, 2, 2, 2), nonsignaling_b_to_a_dims=(2, 2, 2, 2)),
-    "mlp-d2-l2": lambda: mlp_bound(Scenario.prepare_measure(4, 2), 2, qrac_witness(2), level=2),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PRESOLVED))
-def test_eliminate_is_the_free_split_problem_presolved(monkeypatch, name):
+@pytest.mark.parametrize(
+    "name", sorted(name for name in MODELS if MODELS[name]().equalities) + ["channel-ppt-ns", "dps-p025-k3", "mlp-d2-l2"]
+)
+def test_eliminate_is_the_free_split_problem_presolved(name):
     # the compile eliminates equalities with the IPM's own presolve
-    model = PRESOLVED[name]() if name in MODELS else captured_model(monkeypatch, PRESOLVED[name])
+    model = MODELS[name]() if name in MODELS else BATTERY[name][0]()[0].compiled.model
     assert model.equalities
     got = model.compile("dual", "eliminate")
     free = FreeElimination(model.compile("dual", "free_split").problem)
