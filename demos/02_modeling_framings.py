@@ -2,13 +2,15 @@
 
 A 3x3 Hermitian density matrix S maximizing Tr(X S) is lowered to a real
 SDP of twice the size.  The same model compiles to visibly different
-canonical problems depending on the framing and the equality strategy,
-while every route returns the same optimum: the largest eigenvalue of X.
+canonical problems in the dual and the primal framing, and the dual one
+loses its free variable (the equality) to the solver's presolve; every
+route returns the same optimum: the largest eigenvalue of X.
 """
 
 import numpy as np
 
 from qsdp import Model
+from qsdp.ipm import split_free
 
 rng = np.random.default_rng(7)
 g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -27,20 +29,19 @@ def build():
 
 
 print("\ncompilation routes:")
-for framing, mode in [
-    ("dual", "free_split"),
-    ("dual", "eliminate"),
-    ("dual", "two_inequalities"),
-    ("primal", "free_split"),
-]:
-    compiled = build().compile(framing=framing, equality_mode=mode)
+for framing in ("dual", "primal"):
+    compiled = build().compile(framing=framing)
     st = compiled.problem.structure
     res = compiled.solve()
     print(
-        f"  {framing:<6} / {mode:<16}: blocks={list(st.sdp_blocks)}  m={compiled.problem.num_constraints}"
+        f"  {framing:<6}: blocks={list(st.sdp_blocks)}  m={compiled.problem.num_constraints}"
         f"  nonneg={st.nonneg_dim}  free={st.free_dim}  ->  value {res.value:.9f}"
     )
 
+# the dual framing keeps Tr S = 1 as a free variable; the solver eliminates
+# it before its first iteration, and this is the problem it then solves
+q = split_free(build().compile().problem).problem
+print(f"  dual after split_free: blocks={list(q.structure.sdp_blocks)}  m={q.num_constraints}  free={q.structure.free_dim}")
 print(f"\neigenvalue oracle: {np.linalg.eigvalsh(x_data)[-1]:.9f}")
 
 res = build().solve(framing="primal")

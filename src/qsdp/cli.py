@@ -66,10 +66,6 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _equality_mode(args) -> str:
-    return {"split": "free_split", "eliminate": "eliminate", "ineq": "two_inequalities"}[args.equalities]
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -108,7 +104,7 @@ def _cmd_solve(args) -> tuple:
     cfg = _solver_config(args)
     if args.input.endswith(".json"):
         model = model_from_json(text)
-        compiled = model.compile(framing=args.framing, equality_mode=_equality_mode(args))
+        compiled = model.compile(framing=args.framing)
         res = compiled.solve(cfg)
         result = {"model_value": res.value, "framing": args.framing}
         return RunReport.from_solution("solve", compiled.problem, res.solution, result=result), res.log
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an SDPA sparse file or a model JSON file")
     p.add_argument("input")
     p.add_argument("--framing", choices=("dual", "primal"), default="dual")
-    p.add_argument("--equalities", choices=("split", "eliminate", "ineq"), default="split")
     solver_flags(p)
     output_flags(p)
     p.set_defaults(handler=_cmd_solve)

@@ -120,7 +120,7 @@ def lovasz_theta(g: GraphSpec, cfg=None):
         # keep the dummy variable constrained
         model.add_equality(t.expr().entry(0, 0), 0.0)
     model.minimize(lam.entry(0, 0))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
     return res.value, x_expr.value(res.compiled.params_from(res.solution)).real, res
 
 
@@ -137,7 +137,7 @@ def weighted_theta(g: GraphSpec, cfg=None):
     model.add_lmi(b_expr)
     model.add_equality(b_expr.trace(), 1.0)
     model.maximize(b_expr.frobenius_with(np.outer(np.sqrt(w), np.sqrt(w))))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
     return res.value, res
 
 

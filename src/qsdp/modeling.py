@@ -6,10 +6,9 @@ complex data to the doubled real representation and emits a
 :class:`ConeProblem` in either framing:
 
 * dual framing (default): model scalars become the canonical dual vector y,
-  each LMI becomes a slack block of Z, and equalities are handled by one of
-  three strategies (primal free variables, those free variables eliminated
-  at compile time by the solver's own presolve, or a pair of
-  eps-inequalities);
+  each LMI becomes a slack block of Z, and each equality becomes a free
+  entry of Z (a free primal variable), which the solver's presolve
+  eliminates before the IPM starts (ipm.split_free);
 * primal framing: PSD-constrained matrix variables become primal blocks,
   remaining scalars become free variables, and every equality is one
   constraint row.
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blockmat import BlockStructure, SymBlockMat
-from .problem import ConeProblem, FreeElimination, Solution
+from .problem import ConeProblem, Solution
 
 _STRUCTURES = ("full", "symmetric", "hermitian", "diagonal", "skew")
 
@@ -457,24 +456,19 @@ class Model:
         self.sense = "max"
 
     # -- compilation ------------------------------------------------------
-    def compile(self, framing="dual", equality_mode="free_split", eps=1e-8) -> "CompiledModel":
-        """Lower to a canonical ConeProblem; ``equality_mode`` and ``eps`` apply
-        to the dual framing only (the primal one keeps each equality as a row)."""
+    def compile(self, framing="dual") -> "CompiledModel":
+        """Lower to a canonical ConeProblem in the dual or the primal framing."""
         if framing not in ("dual", "primal"):
             raise ModelError("framing must be 'dual' or 'primal'")
-        if equality_mode not in ("free_split", "eliminate", "two_inequalities"):
-            raise ModelError("equality_mode must be free_split, eliminate or two_inequalities")
-        if framing == "primal" and equality_mode != "free_split":
-            raise ModelError("equality_mode applies to the dual framing only")
         if not self.lmis:
             raise ModelError("model has no LMI constraints; nothing to optimize over")
         self._check_all_params_used()
         if framing == "dual":
-            return _compile_dual(self, equality_mode, eps)
+            return _compile_dual(self)
         return _compile_primal(self)
 
-    def solve(self, framing="dual", equality_mode="free_split", eps=1e-8, cfg=None):
-        return self.compile(framing, equality_mode, eps).solve(cfg)
+    def solve(self, framing="dual", cfg=None):
+        return self.compile(framing).solve(cfg)
 
     def _check_all_params_used(self):
         used = set()
@@ -640,43 +634,23 @@ def _equality_system(model: Model, nparams: int):
     return e, f
 
 
-def _compile_dual(model: Model, equality_mode: str, eps: float) -> CompiledModel:
+def _compile_dual(model: Model) -> CompiledModel:
     """Z(p) = F0 + sum_k p_k F_k is the dual slack and y = p, so A = -F,
-    C = F0 and b = -c.  ``eliminate`` is the ``free_split`` problem with its
-    free variables eliminated (FreeElimination) at compile time; its
-    parameters are y0 + N y."""
+    C = F0 and b = -c.  Each equality f - E p = 0 is a free entry of Z; the
+    IPM eliminates those free variables before it starts (ipm.split_free)."""
     nparams = model.nparams
     sizes = _lmi_sizes(model.lmis)
     block_sizes = [size for size in sizes if size > 1]
-    nonneg_slots = len(sizes) - len(block_sizes)
     e_mat, f_vec = _equality_system(model, nparams)
     c_vec = _objective_vector(model, nparams)
 
-    n_eq = len(model.equalities)
-    n_free = 0 if equality_mode == "two_inequalities" else n_eq
-    n_ineq = 2 * n_eq if equality_mode == "two_inequalities" else 0
-    structure = BlockStructure(tuple(block_sizes), nonneg_slots + n_ineq, n_free)
+    structure = BlockStructure(tuple(block_sizes), len(sizes) - len(block_sizes), len(model.equalities))
     offsets = structure.flat_offsets()
-    # equality slots: f - E p = 0 in the free part, or the pair
-    # f + eps - E p >= 0 and -f + eps + E p >= 0 after the 1x1 LMIs
-    slots = []
-    f_map = np.vstack([f_vec, -e_mat.T])  # the coefficient matrix of f - E p
-    if n_free:
-        slots.append((offsets[-2], f_map))
-    if n_ineq:
-        pairs = np.stack([f_map, -f_map], axis=2).reshape(1 + nparams, 2 * n_eq)
-        pairs[0] += eps
-        slots.append((offsets[-3] + nonneg_slots, pairs))
     lmis = _lowered(model.lmis, sizes, _lmi_starts(sizes, offsets, 0))
-    f0, f = _affine_map([*lmis, *slots], structure.flat_dim, nparams)
-    meta = {"framing": "dual", "equality_mode": equality_mode}
-    problem = ConeProblem(SymBlockMat.from_flat(structure, f0), -f, -c_vec, meta)
-    if equality_mode != "eliminate":
-        return CompiledModel(problem, lambda sol: sol.y_dual.copy(), model)
-    free = FreeElimination(problem)
-    if not free.consistent:
-        raise ModelError("equality constraints are inconsistent")
-    return CompiledModel(free.problem, lambda sol: free.dual(sol.y_dual), model)
+    equalities = (offsets[-2], np.vstack([f_vec, -e_mat.T]))  # the coefficient matrix of f - E p
+    f0, f = _affine_map([*lmis, equalities], structure.flat_dim, nparams)
+    problem = ConeProblem(SymBlockMat.from_flat(structure, f0), -f, -c_vec, {"framing": "dual"})
+    return CompiledModel(problem, lambda sol: sol.y_dual.copy(), model)
 
 
 def _selection_matrices(decl: VarDecl):
@@ -827,11 +801,11 @@ def model_from_json(text: str) -> Model:
     if version not in (1, 2):
         raise ModelError(f"unknown qsdp model format version {version!r}")
 
-    def scalar(d):
-        return ScalarExpr(
-            {int(k): complex(v[0], v[1]) for k, v in d["coeffs"].items()},
-            complex(d["const"][0], d["const"][1]),
-        )
+    def scalar(d, nparams: int):
+        coeffs = {int(k): complex(v[0], v[1]) for k, v in d["coeffs"].items()}
+        if any(not 0 <= k < nparams for k in coeffs):  # a negative key would count from the end
+            raise ModelError(f"coefficient key outside 0..{nparams - 1}")
+        return ScalarExpr(coeffs, complex(d["const"][0], d["const"][1]))
 
     try:
         model = Model()
@@ -847,9 +821,13 @@ def model_from_json(text: str) -> Model:
                 expr = MatExpr.from_coef(shape, coef)
             model.add_lmi(expr)
         for e in doc["equalities"]:
-            model.equalities.append(scalar(e))
-        model.objective = scalar(doc["objective"])
+            model.equalities.append(scalar(e, model.nparams))
+        model.objective = scalar(doc["objective"], model.nparams)
+        if doc["sense"] not in ("min", "max"):
+            raise ModelError(f"sense must be 'min' or 'max', not {doc['sense']!r}")
         model.sense = doc["sense"]
     except KeyError as exc:
         raise ModelError(f"qsdp model document lacks {exc}") from exc
+    except (IndexError, TypeError) as exc:
+        raise ModelError(f"malformed qsdp model document: {exc}") from exc
     return model

@@ -730,7 +730,7 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
         if expr.coeffs or abs(expr.const) > _SYM_TOL * max(1.0, np.abs(row).max()):
             model.add_equality(expr, 0.0)
 
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
     res.solution.stats["symmetry"] = {
         "order": len(group),
         "classes": obs.num_unknowns - 1,
@@ -871,7 +871,7 @@ def nv_solve(basis, game: np.ndarray, cfg=None):
     model.add_lmi(gamma)
     model.add_equality(gamma.entry(0, 0), 1.0)
     model.maximize(gamma.frobenius_with(np.asarray(game, dtype=float)))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
     return res.value, gamma.value(res.compiled.params_from(res.solution)).real, res
 
 

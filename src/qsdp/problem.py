@@ -190,7 +190,7 @@ class FreeElimination:
     are its own plus ``offset`` = b'y0, and as N is orthonormal and x_f is
     recovered by least squares, p's residual norms are its own.
     ``consistent`` is False when A_f'y = c_f has no solution, so the dual
-    is infeasible.  ipm.split_free and Model.compile's ``eliminate`` run it.
+    is infeasible.  ipm.split_free runs it before every solve.
     """
 
     def __init__(self, p: ConeProblem):
@@ -208,21 +208,17 @@ class FreeElimination:
         self.problem = ConeProblem(c_obj, n_t @ p.a[:, :n_c], n_t @ p.rhs, dict(p.meta))
         self.offset = float(p.rhs @ self.y0)
 
-    def dual(self, w: np.ndarray) -> np.ndarray:
-        """p's y at ``problem``'s y = w: y0 + N w (a copy of w without free columns)."""
-        return w.copy() if self.null is None else self.y0 + self.null @ w
-
     def recover(self, it) -> tuple[SymBlockMat, np.ndarray, SymBlockMat]:
         """(X, y, Z) of p at an ipm.Iterate of ``problem``: y = y0 + N w, x_f the
         least-squares solution of A_f x_f = b - A_c(X), Z's free part 0."""
         if self.null is None:
-            return it.x, self.dual(it.y), it.z
+            return it.x, it.y.copy(), it.z
         p, n_c = self.source, it.x.structure.flat_dim
         # rcond is the rank threshold of null_space_by_component
         x_f = np.linalg.lstsq(p.a[:, n_c:].toarray(), p.rhs - p.a[:, :n_c] @ it.x.flat(), rcond=1e-12)[0]
         x = SymBlockMat._new(p.structure, np.concatenate([it.x.flat(), x_f]))
         z = SymBlockMat._new(p.structure, np.concatenate([it.z.flat(), np.zeros(x_f.size)]))
-        return x, self.dual(it.y), z
+        return x, self.y0 + self.null @ it.y, z
 
 
 def _ordered_dependents(rows: np.ndarray, tol: np.ndarray) -> list[int]:

@@ -189,7 +189,7 @@ def channel_feasibility(
     if fixed_choi is not None:
         _add_hermitian_equality(model, j_expr, np.asarray(fixed_choi, dtype=complex))
 
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
     j_val = res.values["J"]
     out = {
         "value": res.value,
@@ -275,7 +275,7 @@ def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = 
     _add_hermitian_equality(model, expr.partial_trace(dims_ext, keep=[0, 1]), rho.matrix)
 
     model.maximize(t.entry(0, 0))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
     slack = res.value
     feasible = bool(res.success and slack >= -1e-7)
     return DpsResult(
@@ -366,7 +366,7 @@ def qsd_optimal(states, priors=None, cfg=None):
         objective = objective + v.expr().frobenius_with(priors[i] * states[i].matrix)
     model.maximize(objective.real())
 
-    res = model.compile(framing="dual", equality_mode="free_split").solve(cfg)
+    res = model.solve(cfg=cfg)
     povm = [res.values[f"M{i}"] for i in range(n - 1)]
     povm.append(np.eye(d) - sum(povm))
     return res.value, povm, res

@@ -105,7 +105,7 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
     )
     model.add_lmi(gram_expr)
     model.maximize(t.entry(0, 0))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
 
     margin = res.value
     params = res.compiled.params_from(res.solution)
@@ -183,7 +183,7 @@ def tsirelson_sos_chsh(cfg=None):
     for w, expr in lhs.items():
         model.add_equality(expr, -chsh.get(w, 0.0))
     model.minimize(q.entry(0, 0))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve(cfg)
+    res = model.solve(cfg=cfg)
 
     gram = res.values["M"]
     q1 = res.value

@@ -45,7 +45,7 @@ def dps_reference(rho, dims, k):
         for jcol in range(i, d_a * d_b):
             model.add_equality(reduced.entry(i, jcol), rho.matrix[i, jcol])
     model.maximize(t.entry(0, 0))
-    return model.compile(framing="dual", equality_mode="eliminate").solve()
+    return model.solve()
 
 
 def assert_same_problem(got, want):

@@ -12,6 +12,7 @@ from conftest import probability_expr, untied_model
 
 from qsdp import SolverConfig, solve
 from qsdp.graphs import chsh_exclusivity_events, cycle_graph, exclusivity_graph, lovasz_theta
+from qsdp.ipm import split_free
 from qsdp.modeling import Model, scalar_nonneg
 from qsdp.npa import (
     Scenario,
@@ -113,12 +114,12 @@ def test_criterion_03_correlation_interval():
 def test_criterion_04_compile_sizes():
     with criterion(4, "Hermitian model compiles to (6, m=9, 1 free) / (m=8) / (6, m=1)", 1.0):
         model, _ = hermitian_eigen_model()
-        c1 = model.compile(framing="dual", equality_mode="free_split")
+        c1 = model.compile(framing="dual")
         assert c1.problem.structure.sdp_blocks == (6,)
         assert c1.problem.num_constraints == 9
         assert c1.problem.structure.free_dim == 1
         model2, _ = hermitian_eigen_model()
-        c2 = model2.compile(framing="dual", equality_mode="eliminate")
+        c2 = split_free(model2.compile(framing="dual").problem)  # what the IPM solves
         assert c2.problem.num_constraints == 8
         assert c2.problem.structure.free_dim == 0
         model3, _ = hermitian_eigen_model()
@@ -200,15 +201,15 @@ def test_criterion_09_pincer():
 def test_criterion_10_solver_quality_gates():
     with criterion(10, "gap/residuals <= 1e-7 at success, gap >= 0 at every iterate, HKM = NT to 1e-6", 60.0):
         problems = {
-            "correlation_max": correlation_model(+1.0).compile(equality_mode="eliminate").problem,
-            "eigen_dual": hermitian_eigen_model()[0].compile(equality_mode="free_split").problem,
+            "correlation_max": correlation_model(+1.0).compile().problem,
+            "eigen_dual": hermitian_eigen_model()[0].compile().problem,
             "eigen_primal": hermitian_eigen_model()[0].compile(framing="primal").problem,
         }
         chsh = build_moment_model(Scenario.chsh(), 1)
         model, _ = untied_model(chsh)
         coords = coordinates(chsh.scenario, {("joint", *k): c for k, c in chsh_functional().items()})
         model.maximize(probability_expr(chsh, model.vars[0].offset, coords))
-        problems["chsh_l1"] = model.compile(equality_mode="eliminate").problem
+        problems["chsh_l1"] = model.compile().problem
 
         values = {}
         for name, problem in problems.items():

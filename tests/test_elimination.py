@@ -10,14 +10,13 @@ counts and values are those of the whole-system elimination.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import assert_same_problem
 from scipy.sparse.csgraph import connected_components
-from test_modeling import MODELS
 from test_sos import random_sos
 
-from qsdp.modeling import Model, ModelError, ScalarExpr, _equality_system
+from qsdp.cli import main
+from qsdp.modeling import Model, ScalarExpr, _equality_system, model_to_json
 from qsdp.npa import Scenario, mlp_bound, qrac_witness
-from qsdp.problem import FreeElimination, Solution, null_space_by_component
+from qsdp.problem import STATUS_LACK_OF_PROGRESS, null_space_by_component
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
 from qsdp.sos import motzkin_polynomial, sos_certificate, tsirelson_sos_chsh
 
@@ -114,7 +113,9 @@ def test_null_space_is_orthonormal_and_stays_in_one_component(name):
 
 
 @pytest.mark.parametrize("case", ["within-a-component", "empty-equality"])
-def test_inconsistent_equalities_raise(case):
+def test_inconsistent_equalities_end_the_solve(case, tmp_path):
+    # the compile keeps them as free entries; the solver's presolve finds
+    # A_f'y = c_f inconsistent and stops before the first iteration
     model = Model()
     v = model.declare(2, structure="symmetric", name="V")
     model.add_lmi(v.expr())
@@ -124,21 +125,17 @@ def test_inconsistent_equalities_raise(case):
     else:  # real part 0 * V00 = 1, an equality that touches no parameter
         model.add_equality(ScalarExpr({v.decl.offset + 1: 1j}), 1.0)
     model.minimize(v.trace())
-    with pytest.raises(ModelError, match="inconsistent"):
-        model.compile("dual", "eliminate")
+    sol = model.solve().solution
+    assert sol.status == STATUS_LACK_OF_PROGRESS
+    assert sol.stats["iterations"] == 0
+    assert "inconsistent" in sol.stats["failure"]
+    path = tmp_path / "model.json"
+    path.write_text(model_to_json(model))
+    assert main(["solve", str(path), "--json-out", str(tmp_path / "report.json")]) == 21
 
 
-@pytest.mark.parametrize(
-    "name", sorted(name for name in MODELS if MODELS[name]().equalities) + ["channel-ppt-ns", "dps-p025-k3", "mlp-d2-l2"]
-)
-def test_eliminate_is_the_free_split_problem_presolved(name):
-    # the compile eliminates equalities with the IPM's own presolve
-    model = MODELS[name]() if name in MODELS else BATTERY[name][0]()[0].compiled.model
-    assert model.equalities
-    got = model.compile("dual", "eliminate")
-    free = FreeElimination(model.compile("dual", "free_split").problem)
-    free.problem.meta["equality_mode"] = "eliminate"
-    assert_same_problem(got.problem, free.problem)
-    y = np.random.default_rng(3).normal(size=got.problem.num_constraints)
-    params = got.params_from(Solution(None, y, None, 0.0, 0.0, 0))
-    assert params.tobytes() == free.dual(y).tobytes()
+@pytest.mark.parametrize("name, schur_m", [("dps-p025-k3", 65), ("channel-ppt-ns", 205), ("mlp-d2-l2", 29)])
+def test_equalities_are_free_entries_the_solver_eliminates(name, schur_m):
+    result = BATTERY[name][0]()[0]
+    assert result.compiled.problem.structure.free_dim == len(result.compiled.model.equalities)
+    assert result.solution.stats["schur"]["m"] == schur_m  # the m of the parameters y0 + N w

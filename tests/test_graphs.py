@@ -91,14 +91,14 @@ class TestSparseBuild:
     @pytest.mark.parametrize("name", sorted(SPARSE_BUILD_GRAPHS))
     def test_theta(self, name):
         g = SPARSE_BUILD_GRAPHS[name]
-        want = dense_theta_model(g).compile(framing="dual", equality_mode="eliminate").problem
+        want = dense_theta_model(g).compile().problem
         assert_same_problem(lovasz_theta(g)[2].compiled.problem, want)
 
     @pytest.mark.parametrize("name", sorted(SPARSE_BUILD_GRAPHS))
     def test_weighted_theta(self, name):
         g = SPARSE_BUILD_GRAPHS[name]
         g = GraphSpec(g.n, g.edges, tuple(np.random.default_rng(g.n).uniform(0.5, 2.0, g.n)))
-        want = dense_weighted_theta_model(g).compile(framing="dual", equality_mode="eliminate").problem
+        want = dense_weighted_theta_model(g).compile().problem
         assert_same_problem(weighted_theta(g)[1].compiled.problem, want)
 
     def test_theta_returns_x_at_the_solution(self):

@@ -48,7 +48,7 @@ def _free_split_model_problem() -> ConeProblem:
     m.add_lmi(s.expr())
     m.add_equality(s.trace(), 1.0)
     m.maximize(s.expr().frobenius_with((g + g.conj().T) / 2))
-    return m.compile(framing="dual", equality_mode="free_split").problem
+    return m.compile(framing="dual").problem
 
 
 class TestColdStart:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import assert_same_problem, untied_model
 
-from qsdp import BlockStructure, ConeProblem, Solution, SymBlockMat
+from qsdp import BlockStructure, ConeProblem, SymBlockMat
 from qsdp.blockmat import embed_hermitian
 from qsdp.modeling import (
     MatExpr,
@@ -23,7 +23,7 @@ from qsdp.modeling import (
     scalar_nonneg,
 )
 from qsdp.npa import Scenario, build_moment_model
-from qsdp.problem import null_space_by_component
+from qsdp.problem import FreeElimination
 
 
 def random_hermitian(n, seed=0):
@@ -92,9 +92,9 @@ class TestCompileSizes:
     def setup_method(self):
         self.x = random_hermitian(3, seed=42)
 
-    def test_dual_free_split(self):
+    def test_dual(self):
         m, _ = eigenvalue_model(self.x)
-        c = m.compile(framing="dual", equality_mode="free_split")
+        c = m.compile(framing="dual")
         st = c.problem.structure
         assert st.sdp_blocks == (6,)
         assert c.problem.num_constraints == 9
@@ -102,11 +102,12 @@ class TestCompileSizes:
         assert st.nonneg_dim == 0
 
     def test_dual_eliminate(self):
+        # the problem the IPM solves once the free entry is eliminated
         m, _ = eigenvalue_model(self.x)
-        c = m.compile(framing="dual", equality_mode="eliminate")
-        assert c.problem.structure.sdp_blocks == (6,)
-        assert c.problem.num_constraints == 8
-        assert c.problem.structure.free_dim == 0
+        q = FreeElimination(m.compile(framing="dual").problem).problem
+        assert q.structure.sdp_blocks == (6,)
+        assert q.num_constraints == 8
+        assert q.structure.free_dim == 0
 
     def test_primal(self):
         m, _ = eigenvalue_model(self.x)
@@ -117,20 +118,15 @@ class TestCompileSizes:
 
 
 class TestFramingInvariance:
-    def test_all_modes_agree_with_eigenvalue_oracle(self):
+    def test_both_framings_agree_with_eigenvalue_oracle(self):
         x = random_hermitian(3, seed=7)
         target = float(np.linalg.eigvalsh(x)[-1])
         values = {}
-        for framing, mode in [
-            ("dual", "free_split"),
-            ("dual", "eliminate"),
-            ("dual", "two_inequalities"),
-            ("primal", "free_split"),
-        ]:
+        for framing in ("dual", "primal"):
             m, _ = eigenvalue_model(x)
-            res = m.solve(framing=framing, equality_mode=mode)
-            assert res.success, (framing, mode, res.solution.status_label)
-            values[(framing, mode)] = res.value
+            res = m.solve(framing=framing)
+            assert res.success, (framing, res.solution.status_label)
+            values[framing] = res.value
             assert res.value == pytest.approx(target, abs=1e-6)
         vals = list(values.values())
         assert max(vals) - min(vals) < 1e-6
@@ -145,17 +141,6 @@ class TestFramingInvariance:
         assert np.linalg.eigvalsh(s)[0] > -1e-8
         # the recovered matrix reproduces the reported objective
         assert np.trace(x @ s).real == pytest.approx(res.value, abs=1e-7)
-
-    def test_two_inequalities_close_to_eliminate(self):
-        x = random_hermitian(3, seed=21)
-        eps = 1e-6
-        m1, _ = eigenvalue_model(x)
-        v_elim = m1.solve(framing="dual", equality_mode="eliminate").value
-        m2, _ = eigenvalue_model(x)
-        v_ineq = m2.solve(framing="dual", equality_mode="two_inequalities", eps=eps).value
-        n_eq = 1
-        constraint_scale = max(1.0, float(np.max(np.abs(x))))
-        assert abs(v_ineq - v_elim) <= eps * n_eq * constraint_scale * 10 + 1e-6
 
 
 class TestAffinity:
@@ -234,8 +219,8 @@ JSON_MODEL_V1 = (
 
 
 def assert_same_compiles(got: Model, want: Model):
-    for framing, mode in [("dual", "free_split"), ("dual", "eliminate"), ("primal", "free_split")]:
-        assert_same_problem(got.compile(framing, mode).problem, want.compile(framing, mode).problem)
+    for framing in ("dual", "primal"):
+        assert_same_problem(got.compile(framing).problem, want.compile(framing).problem)
 
 
 class TestJson:
@@ -267,6 +252,15 @@ class TestJson:
         assert json.loads(again)["version"] == 2
         assert_same_compiles(model_from_json(again), json_model())
 
+    @pytest.mark.parametrize(
+        "change", [{"sense": "minimize"}, {"objective": {"coeffs": {"-1": [1.0, 0.0]}, "const": [0.0, 0.0]}}], ids=["sense", "key"]
+    )
+    def test_rejects_what_it_would_misread(self, change):
+        # "minimize" read as not "min" maximized, and key -1 was the last parameter
+        doc = {**json.loads(model_to_json(json_model())), **change}
+        with pytest.raises(ModelError, match="sense must be|outside"):
+            model_from_json(json.dumps(doc))
+
     def test_unknown_version_rejected(self):
         doc = json.loads(JSON_MODEL_V1)
         doc["version"] = 3
@@ -279,7 +273,7 @@ class TestJson:
         text = model_to_json(model)
         assert len(text) <= 100_000
         back = model_from_json(text)
-        assert_same_problem(back.compile(equality_mode="eliminate").problem, model.compile(equality_mode="eliminate").problem)
+        assert_same_problem(back.compile().problem, model.compile().problem)
 
 
 class TestTensorHelpers:
@@ -321,57 +315,28 @@ def lower(expr):
     return const.shape[0], const, {k: f(v) for k, v in expr.terms.items()}
 
 
-def reference_dual(model, mode, eps=1e-8):
-    """One dense block matrix per column of the null-space basis N, stacked by
-    ConeProblem: A_t = -sym(sum_k N[k, t] F_k), C = sym(F0 + sum_k y0[k] F_k)."""
+def reference_dual(model):
+    """One dense block matrix per parameter k, stacked by ConeProblem:
+    A_k = -sym(F_k) with E's column k as its free part, C = sym(F0) with f."""
     nparams = model.nparams
     lowered = [lower(expr) for expr in model.lmis]
     sizes = [size for size, _, _ in lowered if size > 1]
-    n_nn = len(lowered) - len(sizes)
     e_mat, f_vec = _equality_system(model, nparams)
-    c_vec = _objective_vector(model, nparams)
-    n_eq = len(model.equalities)
-    y0, nmat = np.zeros(nparams), np.eye(nparams)
-    # b = -c, each entry negated after a sum from 0, so its zeros are -0.0
-    rhs = [-sum(col[k] * c_vec[k] for k in np.flatnonzero(col)) for col in nmat.T]
-    if mode == "eliminate" and n_eq:
-        y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec
-        nmat = null_space_by_component(e_mat, f_vec)[1].toarray()
-        # N' applied to the free_split problem's b, summed in parameter order
-        # as the sparse product does
-        rhs = [sum(col[k] * rhs[k] for k in np.flatnonzero(col)) for col in nmat.T]
-    n_free = n_eq if mode == "free_split" else 0
-    n_ineq = 2 * n_eq if mode == "two_inequalities" else 0
-    st = BlockStructure(tuple(sizes), n_nn + n_ineq, n_free)
+    st = BlockStructure(tuple(sizes), len(lowered) - len(sizes), len(model.equalities))
 
-    def assemble(vec, const_scale):
-        blocks, nonneg = [], np.zeros(n_nn + n_ineq)
-        ni = 0
-        for size, const, terms in lowered:
-            acc = const_scale * const.copy() if const_scale else np.zeros_like(const)
-            for k, mat in terms.items():
-                if vec[k]:
-                    acc = acc + vec[k] * mat
-            if size == 1:
-                nonneg[ni] = acc[0, 0]
-                ni += 1
-            else:
-                blocks.append(acc)
-        return blocks, nonneg
+    def assemble(pick):
+        """Blocks and 1x1 entries of pick(const, terms), one matrix per LMI."""
+        mats = [pick(const, terms) for _, const, terms in lowered]
+        return [m for m in mats if m.shape[0] > 1], np.array([m[0, 0] for m in mats if m.shape[0] == 1])
 
-    blocks, nonneg = assemble(y0, 1.0)
-    nonneg[n_nn::2] = f_vec[: n_ineq // 2] + eps - e_mat[: n_ineq // 2] @ y0
-    nonneg[n_nn + 1 :: 2] = -(f_vec[: n_ineq // 2] - eps) + e_mat[: n_ineq // 2] @ y0
-    c_obj = SymBlockMat(st, blocks, nonneg, f_vec if n_free else None)
+    c_obj = SymBlockMat(st, *assemble(lambda const, terms: const), f_vec)
     rows = []
-    for col in nmat.T:
-        blocks, nonneg = assemble(col, 0.0)
-        nonneg = -nonneg
-        ex = e_mat @ col
-        if n_ineq:
-            nonneg[n_nn::2], nonneg[n_nn + 1 :: 2] = ex, -ex
-        rows.append(SymBlockMat(st, [-b for b in blocks], nonneg, ex if n_free else None))
-    return ConeProblem(c_obj, rows, np.array(rhs, dtype=float), meta={"framing": "dual", "equality_mode": mode})
+    for k, col in enumerate(np.eye(nparams)):
+        blocks, nonneg = assemble(lambda const, terms: np.zeros_like(const) + terms.get(k, 0.0))
+        rows.append(SymBlockMat(st, [-b for b in blocks], -nonneg, e_mat @ col))
+    # b = -c, each entry negated after a sum from 0, so its zeros are -0.0
+    rhs = -(0.0 + _objective_vector(model, nparams))
+    return ConeProblem(c_obj, rows, rhs, meta={"framing": "dual"})
 
 
 def dense_selection_matrices(decl):
@@ -552,11 +517,10 @@ MODELS = {
 class TestCompileMatchesReference:
     """compile emits the same bits as the per-constraint construction."""
 
-    @pytest.mark.parametrize("mode", ["free_split", "eliminate", "two_inequalities"])
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_dual(self, name, mode):
+    def test_dual(self, name):
         model = MODELS[name]()
-        assert_same_problem(model.compile("dual", mode).problem, reference_dual(model, mode))
+        assert_same_problem(model.compile("dual").problem, reference_dual(model))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_primal(self, name):
@@ -567,22 +531,17 @@ class TestCompileMatchesReference:
     def test_eliminate_offset_is_pinv_solution(self, name):
         # y0, read from the elimination's own SVD, is pinv(E) f
         model = {**MODELS, "redundant": redundant_model}[name]()
-        cm = model.compile("dual", "eliminate")
+        free = FreeElimination(model.compile("dual").problem)
         e_mat, f_vec = _equality_system(model, model.nparams)
-        y0 = cm.params_from(Solution(None, np.zeros(cm.problem.num_constraints), None, 0.0, 0.0, 0))
+        y0 = free.y0 if model.equalities else np.zeros(model.nparams)
         assert np.max(np.abs(y0 - np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec), initial=0.0) <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["eliminate", "two_inequalities"])
-    def test_primal_framing_rejects_equality_modes(self, mode):
-        with pytest.raises(ModelError, match="dual framing only"):
-            MODELS["primal_slack"]().compile("primal", mode)
-
     def test_pinned_model_has_no_constraints(self):
-        assert pinned_model().compile("dual", "eliminate").problem.num_constraints == 0
+        assert FreeElimination(pinned_model().compile("dual").problem).problem.num_constraints == 0
 
     def test_mixed_slot_order(self):
-        st = mixed_model().compile("dual", "two_inequalities").problem.structure
-        assert st.sdp_blocks == (2, 3) and st.nonneg_dim == 2 + 4 and st.free_dim == 0
+        st = mixed_model().compile("dual").problem.structure
+        assert st.sdp_blocks == (2, 3) and st.nonneg_dim == 2 and st.free_dim == 2
 
     @pytest.mark.parametrize("framing", ["dual", "primal"])
     def test_near_hermitian_term_solves(self, framing):
@@ -590,11 +549,8 @@ class TestCompileMatchesReference:
         assert res.success
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "framing, mode",
-        [("dual", "free_split"), ("dual", "eliminate"), ("dual", "two_inequalities"), ("primal", "free_split")],
-    )
-    def test_one_block_matrix_per_compile(self, monkeypatch, framing, mode):
+    @pytest.mark.parametrize("framing", ["dual", "primal"])
+    def test_one_block_matrix_per_compile(self, monkeypatch, framing):
         model = MODELS["primal_slack"]()
         built = []
         init = SymBlockMat.__init__
@@ -604,7 +560,7 @@ class TestCompileMatchesReference:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(SymBlockMat, "__init__", counting)
-        model.compile(framing, mode)
+        model.compile(framing)
         assert len(built) == 1
 
 
@@ -615,6 +571,6 @@ class TestLowering:
         reads = []
         const = MatExpr.const
         monkeypatch.setattr(MatExpr, "const", property(lambda self: reads.append(1) or const.fget(self)))
-        for framing, mode in [("primal", "free_split")] + [("dual", m) for m in ("free_split", "eliminate", "two_inequalities")]:
-            MODELS[name]().compile(framing, mode)
+        for framing in ("primal", "dual"):
+            MODELS[name]().compile(framing)
         assert reads == []

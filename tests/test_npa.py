@@ -351,7 +351,7 @@ class TestMomentModelExport:
         model, _ = untied_model(mm)
         model.minimize(ScalarExpr({model.vars[0].offset: 1.0}))
         restored = model_from_json(model_to_json(model))
-        assert_same_problem(restored.compile(equality_mode="eliminate").problem, model.compile(equality_mode="eliminate").problem)
+        assert_same_problem(restored.compile().problem, model.compile().problem)
 
 
 class TestGeneralOutcomes:
@@ -391,7 +391,7 @@ def reference_bell(scenario, level, bell, extra_constraints=()):
     model.maximize(probability_expr(mm, off, coordinates(scenario, {("joint", *k): c for k, c in bell.items()})))
     for atoms, rhs in extra_constraints:
         model.add_equality(probability_expr(mm, off, coordinates(scenario, atoms)), rhs)
-    return model.compile(framing="dual", equality_mode="eliminate").solve()
+    return model.solve()
 
 
 I3322 = Scenario((3, 3), ((2, 2, 2), (2, 2, 2)))

@@ -159,7 +159,7 @@ class TestRoundTrip:
         m.add_lmi(s.expr())
         m.add_equality(s.trace(), 1.0)
         m.maximize(s.expr().frobenius_with(x))
-        compiled = m.compile(framing="dual", equality_mode="free_split")
+        compiled = m.compile(framing="dual")
         p = compiled.problem
         q = parse_sdpa(write_sdpa(p))
         sol_p, _ = solve(p)

@@ -29,7 +29,7 @@ def sdp_max_density(op):
     model.add_lmi(rho.expr())
     model.add_equality(rho.trace(), 1.0)
     model.maximize(rho.expr().frobenius_with(op.conj().T))
-    res = model.compile(framing="dual", equality_mode="eliminate").solve()
+    res = model.solve()
     assert res.success
     return res.value, res.values["rho"]
 
@@ -42,7 +42,7 @@ def sdp_max_effect(op):
     model.add_lmi(m.expr())
     model.add_lmi(MatExpr((d, d), np.eye(d)) - m.expr())
     model.maximize(m.expr().frobenius_with(op.conj().T))
-    res = model.compile(framing="dual", equality_mode="free_split").solve()
+    res = model.solve()
     assert res.success
     return res.value, res.values["M"]
 

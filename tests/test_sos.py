@@ -71,7 +71,7 @@ class TestSparseBuild:
     @pytest.mark.parametrize("name", ["motzkin", "random"])
     def test_compiles_like_the_dense_build(self, name):
         h, n = motzkin_polynomial() if name == "motzkin" else (random_sos(3, 2, seed=7), 3)
-        want = dense_sos_model(h, n).compile(framing="dual", equality_mode="eliminate").problem
+        want = dense_sos_model(h, n).compile().problem
         assert_same_problem(sos_certificate(h, n).model_result.compiled.problem, want)
 
     def test_no_addition_per_null_vector(self, monkeypatch):
