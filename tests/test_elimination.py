@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from test_modeling import MODELS, redundant_model
 from test_sos import random_sos
 
 from qsdp.cli import main
 from qsdp.modeling import Model, ScalarExpr, _equality_system, model_to_json
 from qsdp.npa import Scenario, mlp_bound, qrac_witness
-from qsdp.problem import STATUS_LACK_OF_PROGRESS, null_space_by_component
+from qsdp.problem import STATUS_LACK_OF_PROGRESS, FreeElimination, null_space_by_component
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
 from qsdp.sos import motzkin_polynomial, sos_certificate, tsirelson_sos_chsh
 
@@ -139,3 +140,25 @@ def test_equalities_are_free_entries_the_solver_eliminates(name, schur_m):
     result = BATTERY[name][0]()[0]
     assert result.compiled.problem.structure.free_dim == len(result.compiled.model.equalities)
     assert result.solution.stats["schur"]["m"] == schur_m  # the m of the parameters y0 + N w
+
+
+# the small models with equalities, by name
+EQUALITY_MODELS = {**{name: make for name, make in MODELS.items() if make().equalities}, "redundant": redundant_model}
+
+
+@pytest.mark.parametrize("name", sorted(EQUALITY_MODELS) + ["channel-ppt-ns", "dps-p025-k3", "mlp-d2-l2"])
+def test_presolve_keeps_the_dual_of_the_compile(name):
+    # each w of the presolved problem is the dual y = y0 + N w of the
+    # compile: y meets the model's equalities, and slack and objective agree
+    model = EQUALITY_MODELS[name]() if name in EQUALITY_MODELS else BATTERY[name][0]()[0].compiled.model
+    p = model.compile("dual").problem
+    free = FreeElimination(p)
+    q = free.problem
+    e_mat, f_vec = _equality_system(model, model.nparams)
+    w = np.random.default_rng(3).normal(size=q.num_constraints)
+    y = free.y0 + free.null @ w
+    assert np.linalg.norm(e_mat @ y - f_vec) <= 1e-10 * (1.0 + np.linalg.norm(f_vec))
+    n_c = q.structure.flat_dim
+    slack = p.c_obj.flat()[:n_c] - p.a_t[:n_c] @ y
+    assert np.max(np.abs(q.c_obj.flat() - q.a_t @ w - slack)) <= 1e-10 * (1.0 + np.max(np.abs(slack)))
+    assert q.rhs @ w + free.offset == pytest.approx(p.rhs @ y, abs=1e-10 * (1.0 + abs(p.rhs @ y)))

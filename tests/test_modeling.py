@@ -23,7 +23,7 @@ from qsdp.modeling import (
     scalar_nonneg,
 )
 from qsdp.npa import Scenario, build_moment_model
-from qsdp.problem import FreeElimination
+from qsdp.problem import FreeElimination, null_space_by_component
 
 
 def random_hermitian(n, seed=0):
@@ -339,6 +339,44 @@ def reference_dual(model):
     return ConeProblem(c_obj, rows, rhs, meta={"framing": "dual"})
 
 
+def reference_presolved(model):
+    """The problem the IPM solves for the dual compile, one dense block matrix
+    per column t of the null-space basis N of E p = f, stacked by ConeProblem:
+    A_t = -sym(sum_k N[k, t] F_k), C = sym(F0 + sum_k y0[k] F_k), b = N'(-c)."""
+    nparams = model.nparams
+    lowered = [lower(expr) for expr in model.lmis]
+    sizes = [size for size, _, _ in lowered if size > 1]
+    e_mat, f_vec = _equality_system(model, nparams)
+    y0, nmat = np.zeros(nparams), np.eye(nparams)
+    # b = -c, each entry negated after a sum from 0, so its zeros are -0.0
+    rhs = -(0.0 + _objective_vector(model, nparams))
+    if model.equalities:
+        y0 = np.linalg.pinv(e_mat, rcond=1e-12) @ f_vec
+        nmat = null_space_by_component(e_mat, f_vec)[1].toarray()
+        # N' applied to the dual compile's b, summed in parameter order as
+        # the sparse product does
+        rhs = np.array([sum(col[k] * rhs[k] for k in np.flatnonzero(col)) for col in nmat.T], dtype=float)
+    st = BlockStructure(tuple(sizes), len(lowered) - len(sizes))
+
+    def assemble(const_scale, vec):
+        """Blocks and 1x1 entries of const_scale F0 + sum_k vec[k] F_k."""
+        mats = []
+        for _, const, terms in lowered:
+            acc = const.copy() if const_scale else np.zeros_like(const)
+            for k, mat in terms.items():
+                if vec[k]:
+                    acc = acc + vec[k] * mat
+            mats.append(acc)
+        return [m for m in mats if m.shape[0] > 1], np.array([m[0, 0] for m in mats if m.shape[0] == 1])
+
+    c_obj = SymBlockMat(st, *assemble(1.0, y0))
+    rows = []
+    for col in nmat.T:
+        blocks, nonneg = assemble(0.0, col)
+        rows.append(SymBlockMat(st, [-b for b in blocks], -nonneg))
+    return ConeProblem(c_obj, rows, rhs, meta={"framing": "dual"})
+
+
 def dense_selection_matrices(decl):
     """Dual-basis matrices S_k with <S_k, X_block> = parameter k, one dense
     matrix per parameter."""
@@ -521,6 +559,12 @@ class TestCompileMatchesReference:
     def test_dual(self, name):
         model = MODELS[name]()
         assert_same_problem(model.compile("dual").problem, reference_dual(model))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_presolved(self, name):
+        # the IPM's presolve of the dual compile, against the dense elimination
+        model = MODELS[name]()
+        assert_same_problem(FreeElimination(model.compile("dual").problem).problem, reference_presolved(model))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_primal(self, name):
