@@ -258,13 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def output_flags(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json-out", default=None, help="write the report as JSON ('-' for stdout)")
 
     def solver_flags(p):
-        p.add_argument("--tol", type=float, default=1e-7, help="gap and residual tolerance")
-        p.add_argument("--maxit", type=int, default=100, help="iteration limit")
-        p.add_argument("--direction", choices=("hkm", "nt"), default="hkm")
+        p.add_argument("--tol", type=float, default=SolverConfig.tol_gap, help="gap and residual tolerance")
+        p.add_argument("--maxit", type=int, default=SolverConfig.max_iterations, help="iteration limit")
+        p.add_argument("--direction", choices=("hkm", "nt"), default=SolverConfig.direction)
         p.add_argument("--verbose", action="store_true", help="print the per-iteration table")
 
     p = sub.add_parser("solve", help="solve an SDPA sparse file or a model JSON file")
@@ -290,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nv", help="randomized fixed-dimension moment-matrix bound")
     p.add_argument("--scenario", required=True)
+    p.add_argument("--seed", type=int, default=0)
     solver_flags(p)
     output_flags(p)
     p.set_defaults(handler=_cmd_nv)
@@ -320,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     output_flags(p)
     p.set_defaults(handler=_cmd_seesaw)
 

@@ -213,15 +213,13 @@ def _cone_step(m: SymBlockMat, dm: SymBlockMat) -> float:
     return t
 
 
-def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float, gap: float | None = None) -> float:
+def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float, gap: float) -> float:
     """Mehrotra target (Tr(XZ)/n) * (Tr((X+a dX)(Z+b dZ))/Tr(XZ))^e.
 
     The exponent e is 1 while the gap exceeds 1e-3, then grows with the decimal
-    digits gained, capped by EXPON.  ``gap`` is Tr(XZ) when the caller has it.
+    digits gained, capped by EXPON.  ``gap`` is the iterate's Tr(XZ).
     """
     dx, _, dz = predictor
-    if gap is None:
-        gap = it.gap()
     n = max(it.x.structure.cone_dim, 1)
     if gap <= 0:
         return 0.0
@@ -309,12 +307,14 @@ class _SchurPlan:
 
 class _DirectionContext:
     """Scalings and the Schur matrix B at one iterate, shared by the predictor
-    and the corrector solve of an iteration.  B is held once, as its Cholesky
-    factor; only when that fails is B built again, for an indefinite solve."""
+    and the corrector solve of an iteration.  ``direction`` ("hkm" or "nt")
+    picks the scaling, and ``plan`` is the solve's _SchurPlan of p.  B is
+    held once, as its Cholesky factor; only when that fails is B built
+    again, for an indefinite solve."""
 
-    def __init__(self, p: ConeProblem, it: Iterate, direction: str, plan: _SchurPlan | None = None):
+    def __init__(self, p: ConeProblem, it: Iterate, direction: str, plan: _SchurPlan):
         self.p = p
-        self.plan = plan or _SchurPlan(p)
+        self.plan = plan
         self.zinv = []
         self.w_nt = []
         for zb, xb in zip(it.z.blocks, it.x.blocks):
@@ -431,25 +431,19 @@ class NewtonSystemError(RuntimeError):
     Schur matrix becomes ill-conditioned."""
 
 
-def newton_direction(
-    p: ConeProblem,
-    it: Iterate,
-    target_nu: float,
-    direction: str = "hkm",
-    corrector=None,
-    _ctx: _DirectionContext | None = None,
-    _res=None,
-):
+def newton_direction(ctx: _DirectionContext, it: Iterate, res, target_nu: float, corrector=None):
     """One Newton step (dX, dy, dZ) for the symmetrized central-path system.
 
     Solves A(dX) = r_p, A*(dy) + dZ = r_d together with the linearized
-    centering condition at the given target nu.  ``corrector`` may carry a
-    predictor pair (dX_pred, dZ_pred) whose symmetrized second-order product
-    is subtracted from the centering right-hand side.  dX and dZ are exactly
-    symmetric on return.
+    centering condition at the given target nu.  The problem, the scaling
+    and B are those of ``ctx``, the context of the iterate ``it``, and
+    ``res`` is the iterate's ``residuals`` triple, so the predictor and the
+    corrector share both.  ``corrector`` may carry a predictor pair
+    (dX_pred, dZ_pred) whose symmetrized second-order product is subtracted
+    from the centering right-hand side.  dX and dZ are exactly symmetric on
+    return.
     """
-    ctx = _ctx or _DirectionContext(p, it, direction)
-    r_p, r_d, _ = _res or residuals(p, it)
+    r_p, r_d, _ = res
 
     # centering RHS matrix G with dX + K(dZ) = G
     st = it.x.structure
@@ -459,8 +453,8 @@ def newton_direction(
         prods = [dxb @ dzb @ zi for dxb, dzb, zi in zip(dxp.blocks, dzp.blocks, ctx.zinv)]
         g = g - SymBlockMat(st, prods, dxp.nonneg * dzp.nonneg / it.z.nonneg)
 
-    dy = ctx.solve(r_p - p.apply(g - ctx.kappa(it, r_d)))
-    dz = r_d - p.adjoint(dy)
+    dy = ctx.solve(r_p - ctx.p.apply(g - ctx.kappa(it, r_d)))
+    dz = r_d - ctx.p.adjoint(dy)
     dx = g - ctx.kappa(it, dz)
     return dx, dy, dz
 
@@ -630,11 +624,11 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
 
         try:
             ctx = _DirectionContext(q, it, cfg.direction, plan)
-            pred = newton_direction(q, it, 0.0, cfg.direction, _ctx=ctx, _res=res)
+            pred = newton_direction(ctx, it, res, 0.0)
             alpha_p = min(1.0, GAMMA_STEP * _cone_step(it.x, pred[0]))
             beta_p = min(1.0, GAMMA_STEP * _cone_step(it.z, pred[2]))
             nu_c = corrector_nu(it, pred, alpha_p, beta_p, gap)
-            dx, dy, dz = newton_direction(q, it, nu_c, cfg.direction, corrector=(pred[0], pred[2]), _ctx=ctx, _res=res)
+            dx, dy, dz = newton_direction(ctx, it, res, nu_c, corrector=(pred[0], pred[2]))
             alpha = min(1.0, GAMMA_STEP * _cone_step(it.x, dx))
             beta = min(1.0, GAMMA_STEP * _cone_step(it.z, dz))
         except (NewtonSystemError, scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:

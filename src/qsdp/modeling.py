@@ -139,6 +139,8 @@ class MatExpr:
 
     def __init__(self, shape, const=None, terms=None):
         shape, terms = tuple(shape), dict(terms or {})
+        if terms and min(terms) < 0:  # row 1 + k would be the constant's, or count from the end
+            raise ValueError(f"term key {min(terms)} is negative")
         mats = [np.zeros(shape) if const is None else const, *terms.values()]
         if np.shape(mats[0]) != shape:
             raise ValueError("constant term has the wrong shape")
@@ -826,8 +828,10 @@ def model_from_json(text: str) -> Model:
         if doc["sense"] not in ("min", "max"):
             raise ModelError(f"sense must be 'min' or 'max', not {doc['sense']!r}")
         model.sense = doc["sense"]
+    except ModelError:
+        raise
     except KeyError as exc:
         raise ModelError(f"qsdp model document lacks {exc}") from exc
-    except (IndexError, TypeError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed qsdp model document: {exc}") from exc
     return model

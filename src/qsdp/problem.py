@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .blockmat import BlockStructure, StructureMismatchError, SymBlockMat, frobenius_inner  # noqa: F401
 
 SPREAD_LIMIT = 1e8  # a coefficient spread max/min above this sets ValidationReport.scaling_warning
+_RANK_RCOND = 1e-12  # relative rank threshold of null_space_by_component and FreeElimination.recover
 
 
 def _stack_rows(structure: BlockStructure, constraints) -> sp.csr_array:
@@ -135,7 +136,7 @@ def null_space_by_component(e_mat: np.ndarray, f_vec: np.ndarray):
     one SVD per connected component of E's row-column graph.
 
     Up to a permutation E is block-diagonal over those components, so the
-    rank threshold 1e-12 * sigma_max(E) takes sigma_max as the largest over
+    rank threshold _RANK_RCOND * sigma_max(E) takes sigma_max as the largest over
     the components, and no SVD of the whole E is taken.  N is a sparse
     nparams x (nparams - rank) CSC matrix: a parameter in no equality keeps
     its unit vector, and each component adds its null-space vectors,
@@ -157,7 +158,7 @@ def null_space_by_component(e_mat: np.ndarray, f_vec: np.ndarray):
         u, s, vt = np.linalg.svd(e_mat[np.ix_(rows, cols)], full_matrices=rows.size < cols.size)
         factors.append((label, rows, cols, u, s, vt))
         smax = max(smax, s[0])
-    tol = max(1e-12 * smax, 1e-300)
+    tol = max(_RANK_RCOND * smax, 1e-300)
 
     y0 = np.zeros(nparams)
     unit = np.flatnonzero(~np.isin(param_label, row_label))
@@ -214,8 +215,7 @@ class FreeElimination:
         if self.null is None:
             return it.x, it.y.copy(), it.z
         p, n_c = self.source, it.x.structure.flat_dim
-        # rcond is the rank threshold of null_space_by_component
-        x_f = np.linalg.lstsq(p.a[:, n_c:].toarray(), p.rhs - p.a[:, :n_c] @ it.x.flat(), rcond=1e-12)[0]
+        x_f = np.linalg.lstsq(p.a[:, n_c:].toarray(), p.rhs - p.a[:, :n_c] @ it.x.flat(), rcond=_RANK_RCOND)[0]
         x = SymBlockMat._new(p.structure, np.concatenate([it.x.flat(), x_f]))
         z = SymBlockMat._new(p.structure, np.concatenate([it.z.flat(), np.zeros(x_f.size)]))
         return x, self.y0 + self.null @ it.y, z

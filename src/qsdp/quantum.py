@@ -128,13 +128,13 @@ def channel_feasibility(
     dim_in: int,
     dim_out: int | None = None,
     objective: np.ndarray | None = None,
-    trace_preserving: bool = True,
     ppt_preserving_dims: tuple | None = None,
     nonsignaling_b_to_a_dims: tuple | None = None,
     fixed_choi: np.ndarray | None = None,
     cfg=None,
 ):
-    """Optimize a linear functional over Choi matrices of channels.
+    """Optimize a linear functional over Choi matrices of channels (CP and
+    trace preserving: J >= 0 and Tr_out J = I).
 
     With ``objective`` J maximizes Tr(J K).  Without one, the routine solves a
     robust feasibility problem (maximize the smallest eigenvalue slack) and
@@ -159,8 +159,7 @@ def channel_feasibility(
         model.add_lmi(j_expr)
         model.maximize(j_expr.frobenius_with(np.asarray(objective, dtype=complex)))
 
-    if trace_preserving:
-        _add_hermitian_equality(model, j_expr.partial_trace((dim_out, dim_in), keep=[1]), np.eye(dim_in))
+    _add_hermitian_equality(model, j_expr.partial_trace((dim_out, dim_in), keep=[1]), np.eye(dim_in))
 
     if ppt_preserving_dims is not None:
         dims = tuple(ppt_preserving_dims)

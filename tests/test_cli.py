@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsdp.cli import EXIT_USAGE, main
-from qsdp.modeling import Model, model_to_json
+from qsdp.modeling import Model, model_from_json, model_to_json
 
 ROOT2 = np.sqrt(2.0)
 
@@ -41,6 +41,16 @@ def model_doc(**changes) -> str:
     return json.dumps({**EIGEN_DOC, **changes})
 
 
+EIGEN_LMI = model_from_json(eigenvalue_model_json()[0]).lmis[0]
+
+
+def v1_lmi(expr, extra_terms) -> dict:
+    """expr as a version-1 LMI entry, the constant and each term dense, with extra {key: matrix} terms."""
+    cplx = lambda m: {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+    terms = {str(k): cplx(f) for k, f in {**expr.terms, **extra_terms}.items()}
+    return {"shape": list(expr.shape), "const": cplx(expr.const), "terms": terms}
+
+
 def one_term(key: str) -> dict:
     """A scalar document with coefficient 1 at parameter ``key``."""
     return {"coeffs": {key: [1.0, 0.0]}, "const": [0.0, 0.0]}
@@ -65,6 +75,7 @@ MALFORMED = {
     "model_short_const.json": ("solve", model_doc(equalities=[{**one_term("0"), "const": [-1.0]}])),
     "model_one_entry_shape.json": ("solve", model_doc(lmis=[{**EIGEN_DOC["lmis"][0], "shape": [9]}])),
     "model_lmis_not_list.json": ("solve", model_doc(lmis=5)),
+    "model_v1_term_key_minus_1.json": ("solve", model_doc(version=1, lmis=[v1_lmi(EIGEN_LMI, {-1: np.eye(3)})])),
 }
 
 
@@ -259,6 +270,24 @@ class TestErrors:
 
     def test_seesaw_rejects_solver_flags(self, capsys):
         assert main(["seesaw", "--tol", "1e-6"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "m.json"],
+            ["npa", "--scenario", "s.json"],
+            ["mlp", "--scenario", "s.json"],
+            ["theta", "--graph", "g.edges"],
+            ["dps", "--state", "s.json", "--dims", "2", "2"],
+            ["qsd", "--states", "s.json"],
+            ["sos", "--chsh"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_only_where_it_is_read(self, capsys, argv):
+        # only nv and seesaw draw random numbers
+        assert main([*argv, "--seed", "1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -193,6 +193,12 @@ def test_value_and_clean(kind):
     assert np.array_equal(out.const, expr.const)
 
 
+def test_constructor_rejects_a_negative_term_key():
+    # row 1 + k of key -1 is the constant's: I would have become the constant
+    with pytest.raises(ValueError, match="term key -1"):
+        MatExpr((2, 2), np.zeros((2, 2)), {0: np.eye(2), -1: np.eye(2)})
+
+
 def test_json_round_trip_keeps_the_coefficients():
     m = Model()
     h = m.declare(3, structure="hermitian", field="complex", name="H")

@@ -253,13 +253,30 @@ class TestJson:
         assert_same_compiles(model_from_json(again), json_model())
 
     @pytest.mark.parametrize(
-        "change", [{"sense": "minimize"}, {"objective": {"coeffs": {"-1": [1.0, 0.0]}, "const": [0.0, 0.0]}}], ids=["sense", "key"]
+        "change",
+        [
+            {"sense": "minimize"},
+            {"objective": {"coeffs": {"-1": [1.0, 0.0]}, "const": [0.0, 0.0]}},
+            {"version": 1, "lmis": [{"shape": [2, 2], "const": {"re": np.zeros((2, 2)).tolist()}, "terms": {"-1": {"re": np.eye(2).tolist()}}}]},
+        ],
+        ids=["sense", "key", "v1-term-key"],
     )
     def test_rejects_what_it_would_misread(self, change):
-        # "minimize" read as not "min" maximized, and key -1 was the last parameter
+        # "minimize" read as not "min" maximized, objective key -1 was the last
+        # parameter, and a version-1 term key -1 was added to the constant
         doc = {**json.loads(model_to_json(json_model())), **change}
-        with pytest.raises(ModelError, match="sense must be|outside"):
+        with pytest.raises(ModelError, match="sense must be|outside|negative"):
             model_from_json(json.dumps(doc))
+
+    def test_a_matrix_without_re_is_a_model_error(self):
+        # the complex reader's ValueError, in a version-2 LMI and a version-1 constant
+        v2 = json.loads(model_to_json(json_model()))
+        del v2["lmis"][0]["re"]
+        v1 = json.loads(JSON_MODEL_V1)
+        del v1["lmis"][0]["const"]["re"]
+        for doc in (v2, v1):
+            with pytest.raises(ModelError, match="'re' entry"):
+                model_from_json(json.dumps(doc))
 
     def test_unknown_version_rejected(self):
         doc = json.loads(JSON_MODEL_V1)

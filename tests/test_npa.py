@@ -284,7 +284,7 @@ class TestMlp:
         res = mlp_bound(s, 1, qrac_witness(2), level=1)
         assert res.value == pytest.approx(0.5, abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="the d = 1 solve stalls at status -1 (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="the d = 1 solve stalls at status -1 (ROADMAP item 6)")
     def test_dimension_one_succeeds(self):
         assert mlp_bound(Scenario.prepare_measure(4, 2), 1, qrac_witness(2), level=1).success
 

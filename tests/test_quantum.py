@@ -146,6 +146,21 @@ class TestDps:
         with pytest.raises(MemoryError):
             dps_test(werner_state(0.1), (2, 2), k=6)
 
+    def test_k1_slack_without_ppt_is_the_smallest_eigenvalue(self):
+        # without the partial transposes the only k = 1 extension is rho itself
+        for p, want in ((0.25, 0.1875), (0.5, 0.125)):
+            res = dps_test(werner_state(p), (2, 2), k=1, ppt=False)
+            assert res.slack == pytest.approx(want, abs=1e-6)
+            assert res.slack == pytest.approx(np.linalg.eigvalsh(werner_state(p).matrix)[0], abs=1e-6)
+            assert res.feasible
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ppt_conditions_only_lower_the_slack(self, k):
+        for p in (0.25, 0.5):
+            free = dps_test(werner_state(p), (2, 2), k=k, ppt=False)
+            assert free.feasible
+            assert free.slack >= dps_test(werner_state(p), (2, 2), k=k, ppt=True).slack
+
 
 def locally_rotated_werner(p, seed):
     """A Werner state under a random local unitary: complex, same spectra."""

@@ -62,7 +62,7 @@ def interior_iterate(rng, p):
 def dense_schur(p, it, direction):
     """B_ij = <A_i, K(A_j)> from the materialized rows, block by block."""
     rows = p.constraints
-    ctx = _DirectionContext(p, it, direction)  # only for Z^-1 and W
+    ctx = _DirectionContext(p, it, direction, ipm._SchurPlan(p))  # only for Z^-1 and W
     b = np.zeros((len(rows), len(rows)))
     for k in range(len(p.structure.sdp_blocks)):
         a = np.array([r.blocks[k] for r in rows])  # A_1 .. A_m restricted to block k
@@ -405,7 +405,7 @@ def test_schur_symmetrization_copies_no_transpose():
     a = sp.csr_array((rng.normal(size=nnz), (rng.integers(0, m, nnz), rng.integers(0, n * n, nnz))), shape=(m, n * n))
     p = ConeProblem(sparse_elem(rng, BlockStructure((n,)), 1.0), a, rng.normal(size=m))
     it = interior_iterate(rng, p)
-    ctx = _DirectionContext(p, it, "hkm")
+    ctx = _DirectionContext(p, it, "hkm", ipm._SchurPlan(p))
     tracemalloc.start()
     try:
         b = ctx.schur(it)
@@ -445,7 +445,7 @@ def test_schur_adds_the_nonnegative_part_in_place():
     q = _split_pairs(ConeProblem(sparse_elem(rng, st, 1.0), a, rng.normal(size=m)))
     assert q.structure.nonneg_dim == 600
     it = interior_iterate(rng, q)
-    ctx = _DirectionContext(q, it, "hkm")
+    ctx = _DirectionContext(q, it, "hkm", ipm._SchurPlan(q))
     tracemalloc.start()
     try:
         b = ctx.schur(it)
@@ -500,7 +500,7 @@ def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
         return a, 1  # info > 0: B is not positive definite
 
     monkeypatch.setattr(ipm, "_POTRF", fail)
-    ctx = _DirectionContext(p, it, direction)
+    ctx = _DirectionContext(p, it, direction, ipm._SchurPlan(p))
     assert ctx.cho is None
     h = rng.normal(size=p.num_constraints)
     assert rel_err(ctx.solve(h), np.linalg.solve(want_b, h)) <= 1e-10
