@@ -796,13 +796,6 @@ def model_to_json(model: Model) -> str:
 
 
 def model_from_json(text: str) -> Model:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != "qsdp-model":
-        raise ModelError("not a qsdp model document")
-    version = doc.get("version")
-    if version not in (1, 2):
-        raise ModelError(f"unknown qsdp model format version {version!r}")
-
     def scalar(d, nparams: int):
         coeffs = {int(k): complex(v[0], v[1]) for k, v in d["coeffs"].items()}
         if any(not 0 <= k < nparams for k in coeffs):  # a negative key would count from the end
@@ -810,6 +803,12 @@ def model_from_json(text: str) -> Model:
         return ScalarExpr(coeffs, complex(d["const"][0], d["const"][1]))
 
     try:
+        doc = json.loads(text)  # a json.JSONDecodeError is a ValueError
+        if not isinstance(doc, dict) or doc.get("format") != "qsdp-model":
+            raise ModelError("not a qsdp model document")
+        version = doc.get("version")
+        if version not in (1, 2):
+            raise ModelError(f"unknown qsdp model format version {version!r}")
         model = Model()
         for v in doc["variables"]:
             model.declare(v["rows"], v["cols"], structure=v["structure"], field=v["field"], name=v["name"])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .modeling import MatExpr, Model, _cplx_from_json, partial_trace
+from .modeling import MatExpr, Model, _cell_grid, _cplx_from_json, partial_trace, partial_transpose
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,31 @@ def channel_feasibility(
     of J, which turns it into a membership test for the channel set.
     ``ppt_preserving_dims`` / ``nonsignaling_b_to_a_dims`` give the subsystem
     dimensions (a_out, b_out, a_in, b_in) of a bipartite channel.
+
+    The constraints are fixed by J -> conj(J) = J^T and, with the PPT LMI, by
+    J -> J^{T_B}; so by convexity an optimum is too when the data are.  Real
+    symmetric data give a real symmetric J.  Data that are also their own
+    partial transpose tie J's cells over {id, T, T_B, T T_B}: J^{T_B} is
+    then J, so the PPT LMI is J's own.  Other data keep a Hermitian J.
     """
     dim_out = dim_out or dim_in
     d = dim_in * dim_out
+    dims = None if ppt_preserving_dims is None else tuple(ppt_preserving_dims)
+    if dims is not None and int(np.prod(dims)) != d:
+        raise ValueError("ppt_preserving_dims do not match the Choi dimension")
     model = Model()
-    j_var = model.declare(d, structure="hermitian", field="complex", name="J")
-    j_expr = j_var.expr()
+    data = [np.asarray(x) for x in (objective, fixed_choi) if x is not None]
+    tied = False
+    if any(np.any(np.imag(x)) or not np.array_equal(x, x.T) for x in data):
+        j_expr = model.declare(d, structure="hermitian", field="complex", name="J").expr()
+    else:
+        cells = _cell_grid((d, d))
+        orbit = np.minimum(cells, cells.T)
+        # transpose Bob's output and input subsystems (order: a_out, b_out, a_in, b_in)
+        tied = dims is not None and all(np.array_equal(partial_transpose(x, dims, [1, 3]), x) for x in data)
+        if tied:
+            orbit = np.minimum(orbit, orbit.ravel()[partial_transpose(cells, dims, [1, 3])])
+        j_expr = _hermitian_on_orbits(model, orbit, "J")
 
     feasibility = objective is None
     if feasibility:
@@ -161,11 +180,7 @@ def channel_feasibility(
 
     _add_hermitian_equality(model, j_expr.partial_trace((dim_out, dim_in), keep=[1]), np.eye(dim_in))
 
-    if ppt_preserving_dims is not None:
-        dims = tuple(ppt_preserving_dims)
-        if int(np.prod(dims)) != d:
-            raise ValueError("ppt_preserving_dims do not match the Choi dimension")
-        # transpose Bob's output and input subsystems (order: a_out, b_out, a_in, b_in)
+    if dims is not None and not tied:
         pt = j_expr.partial_transpose(dims, [1, 3])
         if feasibility:
             model.add_lmi(pt - t_eye)
@@ -189,10 +204,9 @@ def channel_feasibility(
         _add_hermitian_equality(model, j_expr, np.asarray(fixed_choi, dtype=complex))
 
     res = model.solve(cfg=cfg)
-    j_val = res.values["J"]
     out = {
         "value": res.value,
-        "choi": ChoiMatrix(j_val, dim_in, dim_out),
+        "choi": ChoiMatrix(j_expr.value(res.compiled.params_from(res.solution)), dim_in, dim_out),
         "result": res,
     }
     if feasibility:
@@ -214,14 +228,33 @@ class DpsResult:
     model_result: object
 
 
+def _hermitian_on_orbits(model: Model, orbit: np.ndarray, name: str) -> MatExpr:
+    """Declare an n x n Hermitian matrix that is constant on the cell orbits
+    labelled by the n x n array ``orbit``, as the image of one real parameter
+    vector named ``name``.
+
+    Each pair {O, O^T} of transposed orbits takes one real parameter, and,
+    when O != O^T, one imaginary parameter with +1j on the lower-labelled
+    orbit and -1j on the other.  Orbits closed under transposition give a
+    real symmetric matrix.
+    """
+    n = orbit.shape[0]
+    orbit, orbit_t = orbit.ravel(), orbit.T.ravel()
+    off = orbit != orbit_t
+    re_keys, re_par = np.unique(np.minimum(orbit, orbit_t), return_inverse=True)
+    im_keys, im_par = np.unique(np.minimum(orbit, orbit_t)[off], return_inverse=True)
+    var = model.declare(re_keys.size + im_keys.size, 1, structure="full", name=name)
+    rows = 1 + var.decl.offset + np.concatenate([re_par, re_keys.size + im_par])
+    cells = np.concatenate([np.arange(n * n), np.flatnonzero(off)])
+    vals = np.concatenate([np.ones(n * n), np.where(orbit < orbit_t, 1j, -1j)[off]])
+    return MatExpr.from_coef((n, n), sp.coo_array((vals, (rows, cells)), shape=(rows.max() + 1, n * n)))
+
+
 def _symmetric_extension(model: Model, dims_ext) -> MatExpr:
     """Declare a Hermitian matrix on A (x) B^k that is invariant under every
-    permutation of the B copies, as the image of one real parameter vector.
-
-    Cell (i, j) lies in the orbit keyed by a_i, a_j and the sorted pairs
-    (b_t(i), b_t(j)) of the k copies.  Each pair {O, O^T} of transposed
-    orbits takes one real parameter, and, when O != O^T, one imaginary
-    parameter with +1j on the lower-numbered orbit and -1j on the other.
+    permutation of the B copies (``_hermitian_on_orbits``): cell (i, j) lies
+    in the orbit keyed by a_i, a_j and the sorted pairs (b_t(i), b_t(j)) of
+    the k copies.
     """
     d, d_b = int(np.prod(dims_ext)), dims_ext[1]
     i, j = np.divmod(np.arange(d * d), d)
@@ -229,16 +262,7 @@ def _symmetric_extension(model: Model, dims_ext) -> MatExpr:
     a_j, *b_j = np.unravel_index(j, dims_ext)
     pairs = np.sort(np.multiply(b_i, d_b) + b_j, axis=0)
     _, orbit = np.unique(np.vstack([a_i, a_j, pairs]), axis=1, return_inverse=True)
-    orbit = orbit.ravel()
-    orbit_t = orbit[j * d + i]  # the orbit of the transposed cell
-    off = orbit != orbit_t
-    re_keys, re_par = np.unique(np.minimum(orbit, orbit_t), return_inverse=True)
-    im_keys, im_par = np.unique(np.minimum(orbit, orbit_t)[off], return_inverse=True)
-    var = model.declare(re_keys.size + im_keys.size, 1, structure="full", name="ext")
-    rows = 1 + var.decl.offset + np.concatenate([re_par, re_keys.size + im_par])
-    cells = np.concatenate([np.arange(d * d), np.flatnonzero(off)])
-    vals = np.concatenate([np.ones(d * d), np.where(orbit < orbit_t, 1j, -1j)[off]])
-    return MatExpr.from_coef((d, d), sp.coo_array((vals, (rows, cells)), shape=(rows.max() + 1, d * d)))
+    return _hermitian_on_orbits(model, orbit.reshape(d, d), "ext")
 
 
 def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = True, cfg=None) -> DpsResult:
@@ -320,18 +344,6 @@ def swap_probability_extract(w: np.ndarray, dims: tuple[int, int], targets: str 
     if targets not in ("both", "A", "B"):
         raise ValueError("targets must be 'both', 'A' or 'B'")
     return float(np.real(np.trace(w @ op)))
-
-
-def ensemble_operator(weights, joint_states, a_states, b_states) -> np.ndarray:
-    """W = sum_l p_l |Phi_l><Phi_l| (x) |u_l><u_l| (x) |v_l><v_l| on (A,B,A',B')."""
-    total = None
-    for p, phi, u, v in zip(weights, joint_states, a_states, b_states):
-        phi = np.asarray(phi, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        term = p * np.kron(np.kron(np.outer(phi, phi.conj()), np.outer(u, u.conj())), np.outer(v, v.conj()))
-        total = term if total is None else total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ def _permutation_matrix(dims, perm) -> np.ndarray:
     return p.transpose(axes).reshape(d, d)
 
 
+def seeded_hermitian(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (h + h.conj().T) / 2.0
+
+
 def dps_reference(rho, dims, k):
     """The PPT symmetric-extension test in its direct form, solved: a full
     Hermitian extension on A (x) B^k whose B-copy symmetry is one equality

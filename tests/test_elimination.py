@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from conftest import seeded_hermitian
 from test_modeling import MODELS, redundant_model
 from test_sos import random_sos
 
@@ -20,12 +21,6 @@ from qsdp.npa import Scenario, mlp_bound, qrac_witness
 from qsdp.problem import STATUS_LACK_OF_PROGRESS, FreeElimination, null_space_by_component
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
 from qsdp.sos import motzkin_polynomial, sos_certificate, tsirelson_sos_chsh
-
-
-def seeded_hermitian(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (h + h.conj().T) / 2.0
 
 
 def dps(p, k):
@@ -135,7 +130,7 @@ def test_inconsistent_equalities_end_the_solve(case, tmp_path):
     assert main(["solve", str(path), "--json-out", str(tmp_path / "report.json")]) == 21
 
 
-@pytest.mark.parametrize("name, schur_m", [("dps-p025-k3", 65), ("channel-ppt-ns", 205), ("mlp-d2-l2", 29)])
+@pytest.mark.parametrize("name, schur_m", [("dps-p025-k3", 65), ("channel-ppt-ns", 78), ("mlp-d2-l2", 29)])
 def test_equalities_are_free_entries_the_solver_eliminates(name, schur_m):
     result = BATTERY[name][0]()[0]
     assert result.compiled.problem.structure.free_dim == len(result.compiled.model.equalities)

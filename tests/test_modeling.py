@@ -278,6 +278,11 @@ class TestJson:
             with pytest.raises(ModelError, match="'re' entry"):
                 model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ["{not json", "", "[1,"])
+    def test_text_that_is_not_json_is_a_model_error(self, text):
+        with pytest.raises(ModelError, match="malformed"):
+            model_from_json(text)
+
     def test_unknown_version_rejected(self):
         doc = json.loads(JSON_MODEL_V1)
         doc["version"] = 3

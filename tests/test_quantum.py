@@ -2,9 +2,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import dps_reference
+from conftest import assert_same_problem, dps_reference, seeded_hermitian
 
-from qsdp.modeling import partial_trace
+from qsdp.modeling import MatExpr, Model, partial_trace, partial_transpose
 from qsdp.quantum import (
     ChoiMatrix,
     DensityMatrix,
@@ -12,7 +12,6 @@ from qsdp.quantum import (
     channel_feasibility,
     choi_of_channel,
     dps_test,
-    ensemble_operator,
     helstrom_bound,
     qsd_optimal,
     random_pure,
@@ -20,6 +19,18 @@ from qsdp.quantum import (
     swap_probability_extract,
     werner_state,
 )
+
+
+def ensemble_operator(weights, joint_states, a_states, b_states) -> np.ndarray:
+    """W = sum_l p_l |Phi_l><Phi_l| (x) |u_l><u_l| (x) |v_l><v_l| on (A,B,A',B')."""
+    total = None
+    for p, phi, u, v in zip(weights, joint_states, a_states, b_states):
+        phi = np.asarray(phi, dtype=complex)
+        u = np.asarray(u, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        term = p * np.kron(np.kron(np.outer(phi, phi.conj()), np.outer(u, u.conj())), np.outer(v, v.conj()))
+        total = term if total is None else total + term
+    return total
 
 
 def random_kraus_channel(rng, d, n_kraus=2):
@@ -112,6 +123,118 @@ class TestChannelFeasibility:
         marg = partial_trace(j, (2, 2, 2, 2), keep=[0, 2])
         rhs = np.kron(marg, np.eye(2)) / 2.0
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+
+def channel_reference(
+    dim_in, dim_out=None, objective=None, ppt_preserving_dims=None, nonsignaling_b_to_a_dims=None, fixed_choi=None
+):
+    """The channel SDP of ``channel_feasibility`` over a full Hermitian J,
+    with both PPT LMIs and the no-signalling map built from dense Kronecker
+    products.  Returns the ModelResult."""
+    dim_out = dim_out or dim_in
+    d = dim_in * dim_out
+    model = Model()
+    j = model.declare(d, structure="hermitian", field="complex", name="J").expr()
+    lmis = [j] + ([j.partial_transpose(ppt_preserving_dims, [1, 3])] if ppt_preserving_dims else [])
+    if objective is None:
+        t = model.declare(1, structure="symmetric", name="t")
+        lmis = [lmi - MatExpr((d, d), terms={t.decl.offset: np.eye(d)}) for lmi in lmis]
+        model.maximize(t.entry(0, 0))
+    else:
+        model.maximize(j.frobenius_with(np.asarray(objective, dtype=complex)))
+    for lmi in lmis:
+        model.add_lmi(lmi)
+    pairs = [(j.partial_trace((dim_out, dim_in), keep=[1]), np.eye(dim_in))]
+    if nonsignaling_b_to_a_dims:
+        ns = nonsignaling_b_to_a_dims
+        ao, bo, ai, bi = ns
+        n = ao * ai
+        # row c of the map is vec(kron(E_c, I) / b_in) for the unit matrix E_c on (a_out, a_in)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        kron_map = np.array([np.kron(e, np.eye(bi)).ravel() for e in units]).T / bi
+        marg = j.partial_trace(ns, keep=[0, 2]).map_linear(kron_map, (n * bi,) * 2)
+        pairs.append((j.partial_trace(ns, keep=[0, 2, 3]) - marg, np.zeros((n * bi,) * 2)))
+    if fixed_choi is not None:
+        pairs.append((j, np.asarray(fixed_choi, dtype=complex)))
+    for expr, target in pairs:
+        for r, c in zip(*np.triu_indices(expr.shape[0])):
+            model.add_equality(expr.entry(r, c), target[r, c])
+    return model.solve()
+
+
+def singlet_objective() -> np.ndarray:
+    """The output's singlet fraction on the maximally mixed two-qubit input."""
+    phi = np.zeros(4)
+    phi[0] = phi[3] = 1 / np.sqrt(2)
+    return np.kron(np.outer(phi, phi), np.eye(4) / 4.0)
+
+
+def tb_invariant_objective(seed: int) -> np.ndarray:
+    """A seeded real symmetric matrix on (a_out, b_out, a_in, b_in) that is
+    its own partial transpose on (b_out, b_in)."""
+    k = np.random.default_rng(seed).normal(size=(16, 16))
+    k = k + k.T
+    return k + partial_transpose(k, PPT_NS, [1, 3])
+
+
+PPT_NS = (2, 2, 2, 2)
+J_ID = choi_of_channel([np.eye(2)], 2).matrix
+J_ID4 = choi_of_channel([np.eye(4)], 4).matrix
+J_SWAP = choi_of_channel(lambda rho: rho.T, 2).matrix
+
+# name: keyword arguments of channel_feasibility and channel_reference
+CHANNELS = {
+    "benchmark": dict(dim_in=4, dim_out=4, ppt_preserving_dims=PPT_NS, nonsignaling_b_to_a_dims=PPT_NS),
+    "tp-2": dict(dim_in=2),
+    "fixed-identity": dict(dim_in=2, fixed_choi=J_ID),
+    "fixed-transpose": dict(dim_in=2, fixed_choi=J_SWAP),
+    "fixed-identity-ppt": dict(dim_in=4, fixed_choi=J_ID4, ppt_preserving_dims=PPT_NS),
+    "singlet": dict(dim_in=4, objective=singlet_objective(), ppt_preserving_dims=PPT_NS),
+    "tb-invariant": dict(dim_in=4, objective=tb_invariant_objective(7), ppt_preserving_dims=PPT_NS, nonsignaling_b_to_a_dims=PPT_NS),
+}
+
+
+class TestChannelSymmetry:
+    """``channel_feasibility`` declares J real for real symmetric data, and
+    ties it to its partial transpose when the data are their own; the
+    reference solves the same SDP over a full Hermitian J."""
+
+    def test_benchmark_channel_is_one_real_block(self):
+        res = channel_feasibility(**CHANNELS["benchmark"])["result"]
+        assert res.compiled.problem.structure.sdp_blocks == (16,)
+        assert res.solution.stats["schur"]["m"] == 78
+
+    def test_real_objective_without_tb_symmetry_keeps_both_lmis_real(self):
+        res = channel_feasibility(**CHANNELS["singlet"])["result"]
+        assert res.compiled.problem.structure.sdp_blocks == (16, 16)
+
+    def test_complex_objective_compiles_as_over_a_hermitian_j(self):
+        kw = dict(CHANNELS["benchmark"], objective=seeded_hermitian(16, 3))
+        res = channel_feasibility(**kw)["result"]
+        ref = channel_reference(**kw)
+        assert res.compiled.problem.structure.sdp_blocks == (32, 32)
+        assert_same_problem(res.compiled.problem, ref.compiled.problem)
+        assert res.value == ref.value
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_value_matches_the_hermitian_model(self, name):
+        out = channel_feasibility(**CHANNELS[name])
+        ref = channel_reference(**CHANNELS[name])
+        assert out["result"].success == ref.success
+        assert out["value"] == pytest.approx(ref.value, abs=1e-6)
+        assert out["result"].solution.stats["iterations"] <= ref.solution.stats["iterations"]
+
+    @pytest.mark.parametrize("name", ["benchmark", "tb-invariant"])
+    def test_choi_is_a_ppt_nonsignalling_channel(self, name):
+        j = channel_feasibility(**CHANNELS[name])["choi"]
+        m = j.matrix
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(m)[0] >= -1e-6
+        assert np.max(np.abs(partial_trace(m, (4, 4), keep=[1]) - np.eye(4))) <= 1e-6
+        assert np.linalg.eigvalsh(partial_transpose(m, PPT_NS, [1, 3]))[0] >= -1e-6
+        lhs = partial_trace(m, PPT_NS, keep=[0, 2, 3])
+        rhs = np.kron(partial_trace(m, PPT_NS, keep=[0, 2]), np.eye(2)) / 2.0
+        assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
 
 class TestDps:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import orthogonal_mix
+from conftest import orthogonal_mix, seeded_hermitian
 
 import qsdp.ipm as ipm
 from qsdp import BlockStructure, ConeProblem, SolverConfig, SymBlockMat, frobenius_inner, solve
@@ -267,8 +267,13 @@ def compiled_problem(monkeypatch, build):
 
 CHUNK_PROBLEMS = {
     "dps-k3": lambda: dps_test(werner_state(0.25), (2, 2), k=3),
+    # real data: one real 16-block, J tied to its partial transpose
     "channel": lambda: channel_feasibility(
         4, 4, ppt_preserving_dims=(2, 2, 2, 2), nonsignaling_b_to_a_dims=(2, 2, 2, 2)
+    ),
+    # a complex objective keeps J Hermitian: two real-embedded 32-blocks, m = 204
+    "channel-complex": lambda: channel_feasibility(
+        4, 4, objective=seeded_hermitian(16, 3), ppt_preserving_dims=(2, 2, 2, 2), nonsignaling_b_to_a_dims=(2, 2, 2, 2)
     ),
     # seeded coefficients on every P(a,b|x,y): no relabelling fixes them, so
     # no moments are tied and A keeps I3322's m = 867 rows (a functional with
@@ -291,7 +296,7 @@ def test_untied_i3322_keeps_every_moment(monkeypatch):
 def test_eliminated_equalities_leave_sparse_rows(monkeypatch, name, limit):
     # each null-space vector of the equalities lives on one connected
     # component of their row-column graph; one SVD of the whole system gave
-    # 14 672 and 48 832 nonzeros
+    # 14 672 nonzeros on dps-k3 and about 8 300 on the channel
     assert split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS[name])).problem.a.nnz <= limit
 
 
@@ -461,8 +466,9 @@ def test_schur_reuses_the_plans_work_arrays(monkeypatch, direction):
     # each chunk's products go into the two work arrays the plan holds for
     # the solve: a later build gives the same B bit for bit, and maps no
     # fresh g x n^2 arrays (a fresh product and its C-ordered transpose
-    # would take twice the largest chunk beside B)
-    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["channel"])).problem
+    # would take twice the largest chunk beside B).  The real channel's B is
+    # too small (m = 78) for the bound to tell the two apart
+    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["channel-complex"])).problem
     plan = ipm._SchurPlan(q)
     largest = max(js.size * n * n for (_, chunks), n in zip(plan.blocks, q.structure.sdp_blocks) for js, _, _ in chunks)
     it = interior_iterate(np.random.default_rng(37), q)
