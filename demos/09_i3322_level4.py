@@ -12,9 +12,11 @@ also permute settings, and half swap the parties.  That leaves 593 unknowns
 in place of 4491.  The same group (the dihedral group D4: four irreps of
 dimension 1, one of dimension 2) splits the tied moment matrix into
 symmetry-adapted blocks, one per copy of each irrep: 244 = 26 + 30 + 31 +
-35 + 61 + 61, so the solver factors six small matrices in place of one
-244 x 244.  The moment matrix it reports is the projector-basis one, lifted
-from the tied solution.
+35 + 61 + 61.  The two 61-blocks, the copies of the 2-dimensional irrep,
+hold one matrix up to a rotation, so they are one block of multiplicity 2,
+which the solver's barrier counts twice: it factors five small matrices in
+place of one 244 x 244.  The moment matrix it reports is the
+projector-basis one, lifted from the tied solution.
 
 The script exits non-zero when the solve does not succeed, when a DIMACS
 error exceeds 1e-6, when the value is off by more than 1e-7, when the
@@ -59,6 +61,7 @@ wall = time.perf_counter() - start
 sol = res.model_result.solution
 dimacs = dimacs_errors(res.model_result.compiled.problem, sol)
 sym = sol.stats["symmetry"]
+structure = res.model_result.compiled.problem.structure
 min_eig = float(np.linalg.eigvalsh(res.gamma)[0])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # ru_maxrss is in KiB on Linux
 
@@ -67,7 +70,8 @@ print(f"status      {sol.status} ({sol.status_label}), {sol.stats.get('iteration
 print(f"DIMACS      " + "  ".join(f"{e:.1e}" for e in dimacs))
 print(
     f"symmetry    group of order {sym['order']}: {sym['classes']} moments -> {sym['orbits']} orbits,"
-    f" {sym['pinned']} pinned to 0, blocks {list(res.model_result.compiled.problem.structure.sdp_blocks)}"
+    f" {sym['pinned']} pinned to 0, blocks {list(structure.sdp_blocks)}"
+    f" of multiplicities {list(structure.multiplicities)}"
 )
 print(f"min eig     {min_eig:.1e}   (lifted projector-basis moment matrix)")
 print(f"wall time   {wall:.1f} s")

@@ -18,16 +18,27 @@ class StructureMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Shape of the mixed cone: SDP blocks + nonnegative scalars + free scalars."""
+    """Shape of the mixed cone: SDP blocks + nonnegative scalars + free scalars.
+
+    ``multiplicities`` gives each SDP block's multiplicity w_b, 1 by default
+    (an empty tuple): a block of multiplicity w stands for w congruent copies
+    merged into one, and the IPM weights its barrier by w (see ipm).  The
+    data, the pairing <., .> and the step lengths treat it as one plain block.
+    """
 
     sdp_blocks: tuple[int, ...] = ()
     nonneg_dim: int = 0
     free_dim: int = 0
+    multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "sdp_blocks", tuple(int(s) for s in self.sdp_blocks))
         if any(s < 1 for s in self.sdp_blocks):
             raise ValueError("all SDP block sizes must be >= 1")
+        weights = tuple(int(w) for w in self.multiplicities) or (1,) * len(self.sdp_blocks)
+        if len(weights) != len(self.sdp_blocks) or any(w < 1 for w in weights):
+            raise ValueError("multiplicities must give one integer >= 1 per SDP block")
+        object.__setattr__(self, "multiplicities", weights)
         if self.nonneg_dim < 0 or self.free_dim < 0:
             raise ValueError("nonneg_dim and free_dim must be >= 0")
         sizes = [s * s for s in self.sdp_blocks] + [self.nonneg_dim, self.free_dim]
@@ -39,8 +50,8 @@ class BlockStructure:
 
     @property
     def cone_dim(self) -> int:
-        """Barrier dimension: sum of block sizes plus the nonnegative count."""
-        return sum(self.sdp_blocks) + self.nonneg_dim
+        """Barrier dimension: sum of w_b times block size n_b plus the nonnegative count."""
+        return sum(w * n for w, n in zip(self.multiplicities, self.sdp_blocks)) + self.nonneg_dim
 
     @property
     def flat_dim(self) -> int:
@@ -159,6 +170,16 @@ class SymBlockMat:
     def norm(self) -> float:
         """Frobenius norm over all parts."""
         return float(np.sqrt(frobenius_inner(self, self)))
+
+    def weighted_norm(self) -> float:
+        """sqrt(sum_b |M_b|_F^2 / w_b + |nonneg|^2 + |free|^2): the Frobenius
+        norm of the element with each block of multiplicity w_b split back
+        into its w_b copies M_b / w_b; bitwise :meth:`norm` when every w_b is 1."""
+        total = 0.0
+        for x, w in zip(self.blocks, self.structure.multiplicities):
+            total += float(np.vdot(x, x)) / w
+        total += float(self.nonneg @ self.nonneg) + float(self.free @ self.free)
+        return float(np.sqrt(total))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._v))) if self._v.size else 0.0

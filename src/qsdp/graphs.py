@@ -47,14 +47,6 @@ def cycle_graph(n: int) -> GraphSpec:
     return GraphSpec(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
-def complete_graph(n: int) -> GraphSpec:
-    return GraphSpec(n, frozenset((u, v) for u, v in combinations(range(n), 2)))
-
-
-def empty_graph(n: int) -> GraphSpec:
-    return GraphSpec(n, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # exact combinatorial references (small graphs only)
 
@@ -201,12 +193,3 @@ def parse_graph(text: str) -> GraphSpec:
         wtuple = tuple(weights.get(i, 1.0) for i in range(n))
     return GraphSpec(n, frozenset(edges), wtuple)
 
-
-def write_graph(g: GraphSpec) -> str:
-    lines = [str(g.n)]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
-    if g.weights is not None:
-        for i, w in enumerate(g.weights):
-            lines.append(f"w {i} {w}")
-    return "\n".join(lines) + "\n"

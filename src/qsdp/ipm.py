@@ -4,6 +4,16 @@ Implements a Mehrotra predictor-corrector scheme with HKM (default) or NT
 search directions, cold start and Cholesky-based step lengths.  Free
 variables are eliminated before the loop (:func:`split_free`), so the
 iterates, which ``iterate_hook`` receives, are those of a cone-only problem.
+
+An SDP block b of multiplicity w_b (``BlockStructure.multiplicities``)
+holds w_b congruent copies merged into one, its data w_b times one copy's,
+and carries the barrier -w_b log det X_b, as -log det(X (x) I_w) =
+-w log det X.  Four places read w_b: the centering target nu w_b Z_b^-1
+(newton_direction), mu over cone_dim = sum_b w_b n_b (corrector_nu), the
+cold start (cold_start) and the dual residual norm (weighted_norm, in
+residuals and residual_scales).  With the data scaled by w_b, A, C, b, the
+gap, the Schur matrix and the step lengths are those of the copies, so the
+iterates follow their central path.
 """
 
 from __future__ import annotations
@@ -120,7 +130,9 @@ def cold_start(p: ConeProblem) -> Iterate:
 
     xi = max(10, sqrt(n), n * max_i (1+|b_i|)/(1+|A_i|_F)) and
     eta = max(10, sqrt(n), |C|_F, max_i |A_i|_F), evaluated per block with the
-    nonnegative orthant treated as one diagonal block.
+    nonnegative orthant treated as one diagonal block.  A block of
+    multiplicity w takes xi and eta from its data norms divided by w (one
+    copy's) and starts at X = xi*I, Z = w*eta*I.
     """
     st = p.structure
     b_abs = np.abs(p.rhs)
@@ -138,10 +150,10 @@ def cold_start(p: ConeProblem) -> Iterate:
             eta = max(eta, np.max(a_norms))
         return xi, eta
 
-    for k, n in enumerate(st.sdp_blocks):
-        xi, eta = scales(n, np.linalg.norm(p.c_obj.blocks[k]), a_norms[k])
+    for k, (n, w) in enumerate(zip(st.sdp_blocks, st.multiplicities)):
+        xi, eta = scales(n, np.linalg.norm(p.c_obj.blocks[k]) / w, a_norms[k] / w)
         x.blocks[k][:] = xi * np.eye(n)
-        z.blocks[k][:] = eta * np.eye(n)
+        z.blocks[k][:] = (w * eta) * np.eye(n)
     if st.nonneg_dim:
         xi, eta = scales(st.nonneg_dim, np.linalg.norm(p.c_obj.nonneg), a_norms[-1])
         x.nonneg[:] = xi
@@ -150,19 +162,21 @@ def cold_start(p: ConeProblem) -> Iterate:
 
 
 def residual_scales(p: ConeProblem) -> tuple[float, float]:
-    """The denominators 1 + |b| and 1 + |C|_F of the normalized residual norms."""
-    return 1.0 + float(np.linalg.norm(p.rhs)), 1.0 + p.c_obj.norm()
+    """The denominators 1 + |b| and 1 + |C|_w of the normalized residual
+    norms, |.|_w the multiplicity-weighted Frobenius norm (weighted_norm)."""
+    return 1.0 + float(np.linalg.norm(p.rhs)), 1.0 + p.c_obj.weighted_norm()
 
 
 def residuals(p: ConeProblem, it: Iterate, scales: tuple[float, float] | None = None):
     """Primal/dual residuals r_p = b - A(x), r_d = C - A*(y) - Z and their
-    normalized norms |r_p|/(1+|b|) and |r_d|/(1+|C|_F).  ``scales`` replaces
-    p's residual_scales: _solve passes those of the problem split_free
-    reduced to p, once per solve."""
+    normalized norms |r_p|/(1+|b|) and |r_d|_w/(1+|C|_w), |.|_w the
+    Frobenius norm of the copies of each merged block (weighted_norm).
+    ``scales`` replaces p's residual_scales: _solve passes those of the
+    problem split_free reduced to p, once per solve."""
     r_p = p.rhs - p.apply(it.x)
     r_d = p.c_obj - p.adjoint(it.y) - it.z
     scale_p, scale_d = scales or residual_scales(p)
-    return r_p, r_d, (float(np.linalg.norm(r_p) / scale_p), r_d.norm() / scale_d)
+    return r_p, r_d, (float(np.linalg.norm(r_p) / scale_p), r_d.weighted_norm() / scale_d)
 
 
 def step_length(m: np.ndarray, dm: np.ndarray) -> float:
@@ -214,7 +228,8 @@ def _cone_step(m: SymBlockMat, dm: SymBlockMat) -> float:
 
 
 def corrector_nu(it: Iterate, predictor, alpha_p: float, beta_p: float, gap: float) -> float:
-    """Mehrotra target (Tr(XZ)/n) * (Tr((X+a dX)(Z+b dZ))/Tr(XZ))^e.
+    """Mehrotra target (Tr(XZ)/n) * (Tr((X+a dX)(Z+b dZ))/Tr(XZ))^e, with n
+    the weighted barrier dimension ``cone_dim``.
 
     The exponent e is 1 while the gap exceeds 1e-3, then grows with the decimal
     digits gained, capped by EXPON.  ``gap`` is the iterate's Tr(XZ).
@@ -435,7 +450,8 @@ def newton_direction(ctx: _DirectionContext, it: Iterate, res, target_nu: float,
     """One Newton step (dX, dy, dZ) for the symmetrized central-path system.
 
     Solves A(dX) = r_p, A*(dy) + dZ = r_d together with the linearized
-    centering condition at the given target nu.  The problem, the scaling
+    centering condition at the given target nu, X_b Z_b = nu w_b I in a
+    block of multiplicity w_b.  The problem, the scaling
     and B are those of ``ctx``, the context of the iterate ``it``, and
     ``res`` is the iterate's ``residuals`` triple, so the predictor and the
     corrector share both.  ``corrector`` may carry a predictor pair
@@ -447,7 +463,8 @@ def newton_direction(ctx: _DirectionContext, it: Iterate, res, target_nu: float,
 
     # centering RHS matrix G with dX + K(dZ) = G
     st = it.x.structure
-    g = SymBlockMat(st, [target_nu * zi for zi in ctx.zinv], target_nu / it.z.nonneg) - it.x
+    centers = [(target_nu * w) * zi for zi, w in zip(ctx.zinv, st.multiplicities)]
+    g = SymBlockMat(st, centers, target_nu / it.z.nonneg) - it.x
     if corrector is not None:
         dxp, dzp = corrector
         prods = [dxb @ dzb @ zi for dxb, dzb, zi in zip(dxp.blocks, dzp.blocks, ctx.zinv)]

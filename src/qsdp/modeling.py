@@ -6,12 +6,12 @@ complex data to the doubled real representation and emits a
 :class:`ConeProblem` in either framing:
 
 * dual framing (default): model scalars become the canonical dual vector y,
-  each LMI becomes a slack block of Z, and each equality becomes a free
-  entry of Z (a free primal variable), which the solver's presolve
-  eliminates before the IPM starts (ipm.split_free);
+  each LMI becomes a slack block of Z, of the LMI's multiplicity, and each
+  equality becomes a free entry of Z (a free primal variable), which the
+  solver's presolve eliminates before the IPM starts (ipm.split_free);
 * primal framing: PSD-constrained matrix variables become primal blocks,
   remaining scalars become free variables, and every equality is one
-  constraint row.
+  constraint row; an LMI of multiplicity w becomes w plain slack blocks.
 """
 
 from __future__ import annotations
@@ -208,14 +208,6 @@ class MatExpr:
         """Entry c of the result is entry source[c] of this expression."""
         return MatExpr.from_coef(out_shape, self.coef[:, np.ravel(source)])
 
-    def left_mul(self, a) -> "MatExpr":
-        a = np.asarray(a, dtype=complex)
-        return self.map_linear(sp.kron(a, sp.identity(self.shape[1])), (a.shape[0], self.shape[1]))
-
-    def right_mul(self, a) -> "MatExpr":
-        a = np.asarray(a, dtype=complex)
-        return self.map_linear(sp.kron(sp.identity(self.shape[0]), a.T), (self.shape[0], a.shape[1]))
-
     def transpose(self) -> "MatExpr":
         return self._gather(_cell_grid(self.shape).T, (self.shape[1], self.shape[0]))
 
@@ -389,10 +381,6 @@ class MatVar(MatExpr):
     def nparams(self):
         return self.decl.nparams
 
-    @property
-    def param_ids(self):
-        return list(range(self.decl.offset, self.decl.offset + self.decl.nparams))
-
     def expr(self) -> MatExpr:
         return self
 
@@ -407,6 +395,7 @@ class Model:
     def __init__(self):
         self.vars: list[VarDecl] = []
         self.lmis: list[MatExpr] = []
+        self.multiplicities: list[int] = []  # one per LMI
         self.equalities: list[ScalarExpr] = []
         self.objective: ScalarExpr = ScalarExpr()
         self.sense: str = "min"
@@ -435,12 +424,24 @@ class Model:
     def nparams(self):
         return self._nparams
 
-    def add_lmi(self, expr: MatExpr):
-        """Constrain expr (affine, Hermitian-valued) to be PSD."""
+    def add_lmi(self, expr: MatExpr, multiplicity: int = 1):
+        """Constrain expr (affine, Hermitian-valued) to be PSD.
+
+        ``multiplicity`` w > 1 declares expr as w congruent copies of one
+        LMI merged into one, its data w times one copy's: expr >= 0 is the
+        constraint either way, and its block's barrier is weighted by w
+        (BlockStructure.multiplicities), so the IPM follows the copies'
+        central path.  A 1 x 1 LMI, a nonnegative entry, has multiplicity 1.
+        """
         expr = as_matexpr(expr)
         if expr.shape[0] != expr.shape[1]:
             raise ModelError("LMI expressions must be square")
+        if isinstance(multiplicity, bool) or not isinstance(multiplicity, (int, np.integer)) or multiplicity < 1:
+            raise ModelError(f"multiplicity must be an integer >= 1, not {multiplicity!r}")
+        if multiplicity > 1 and expr.shape == (1, 1):
+            raise ModelError("a 1 x 1 LMI is a nonnegative entry and takes no multiplicity")
         self.lmis.append(expr)
+        self.multiplicities.append(int(multiplicity))
 
     def add_equality(self, expr, rhs=0.0):
         """Constrain a scalar affine expression to equal rhs."""
@@ -643,10 +644,11 @@ def _compile_dual(model: Model) -> CompiledModel:
     nparams = model.nparams
     sizes = _lmi_sizes(model.lmis)
     block_sizes = [size for size in sizes if size > 1]
+    weights = [w for size, w in zip(sizes, model.multiplicities) if size > 1]
     e_mat, f_vec = _equality_system(model, nparams)
     c_vec = _objective_vector(model, nparams)
 
-    structure = BlockStructure(tuple(block_sizes), len(sizes) - len(block_sizes), len(model.equalities))
+    structure = BlockStructure(tuple(block_sizes), len(sizes) - len(block_sizes), len(model.equalities), tuple(weights))
     offsets = structure.flat_offsets()
     lmis = _lowered(model.lmis, sizes, _lmi_starts(sizes, offsets, 0))
     equalities = (offsets[-2], np.vstack([f_vec, -e_mat.T]))  # the coefficient matrix of f - E p
@@ -680,19 +682,25 @@ def _compile_primal(model: Model) -> CompiledModel:
     """A variable whose LMI is the bare variable becomes a primal block X_b,
     the other parameters free entries; P (nparams x flat_dim) selects them,
     <P_k, X> = p_k.  Rows: E P for the equalities, then F[:, c]' P - S_c for
-    each independent cell c of the slack LMIs' map F0 + sum_k p_k F_k."""
+    each independent cell c of the slack LMIs' map F0 + sum_k p_k F_k.  An
+    LMI of multiplicity w is w slack LMIs, each a plain block."""
     nparams = model.nparams
     block_vars: list[VarDecl] = []
     bare_lmi_idx: set[int] = set()
     for decl in model.vars:
         for li, expr in enumerate(model.lmis):
-            if li in bare_lmi_idx:
+            if li in bare_lmi_idx or model.multiplicities[li] > 1:
                 continue
             if decl.structure in ("symmetric", "hermitian") and _is_bare_var_lmi(expr, decl):
                 block_vars.append(decl)
                 bare_lmi_idx.add(li)
                 break
-    slack_lmis = [expr for li, expr in enumerate(model.lmis) if li not in bare_lmi_idx]
+    slack_lmis = [
+        expr
+        for li, (expr, w) in enumerate(zip(model.lmis, model.multiplicities))
+        if li not in bare_lmi_idx
+        for _ in range(w)
+    ]
     sizes = _lmi_sizes(slack_lmis)
     free_params = [
         k for decl in model.vars if decl not in block_vars for k in range(decl.offset, decl.offset + decl.nparams)
@@ -761,18 +769,22 @@ def _cplx_from_json(d) -> np.ndarray:
     return m
 
 
-def _lmi_to_json(expr: MatExpr) -> dict:
+def _lmi_to_json(expr: MatExpr, multiplicity: int) -> dict:
     """Shape and the COO triplets of the coefficient matrix: coefficient row
-    (0 the constant, 1 + k parameter k), row-major cell, value."""
+    (0 the constant, 1 + k parameter k), row-major cell, value; then the
+    multiplicity, only when it is not 1."""
     c = expr.coef.tocoo()
     re, im = c.data.real.tolist(), c.data.imag.tolist()
-    return {"shape": list(expr.shape), "rows": c.row.tolist(), "cols": c.col.tolist(), "re": re, "im": im}
+    doc = {"shape": list(expr.shape), "rows": c.row.tolist(), "cols": c.col.tolist(), "re": re, "im": im}
+    if multiplicity != 1:
+        doc["multiplicity"] = multiplicity
+    return doc
 
 
 def model_to_json(model: Model) -> str:
-    """Format version 2: each LMI as the triplets of its coefficient matrix.
-    ``model_from_json`` also reads version 1, which wrote the constant and
-    every term as a dense matrix."""
+    """Format version 2: each LMI as the triplets of its coefficient matrix,
+    with its multiplicity when that is not 1.  ``model_from_json`` also reads
+    version 1, which wrote the constant and every term as a dense matrix."""
 
     def scalar(e: ScalarExpr):
         return {
@@ -787,7 +799,7 @@ def model_to_json(model: Model) -> str:
             {"name": v.name, "rows": v.rows, "cols": v.cols, "structure": v.structure, "field": v.field}
             for v in model.vars
         ],
-        "lmis": [_lmi_to_json(expr) for expr in model.lmis],
+        "lmis": [_lmi_to_json(expr, w) for expr, w in zip(model.lmis, model.multiplicities)],
         "equalities": [scalar(e) for e in model.equalities],
         "objective": scalar(model.objective),
         "sense": model.sense,
@@ -820,7 +832,7 @@ def model_from_json(text: str) -> Model:
                 nrows = 1 + max(l["rows"], default=0)
                 coef = sp.coo_array((_cplx_from_json(l), (l["rows"], l["cols"])), shape=(nrows, shape[0] * shape[1]))
                 expr = MatExpr.from_coef(shape, coef)
-            model.add_lmi(expr)
+            model.add_lmi(expr, l.get("multiplicity", 1))
         for e in doc["equalities"]:
             model.equalities.append(scalar(e, model.nparams))
         model.objective = scalar(doc["objective"], model.nparams)

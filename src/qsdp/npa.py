@@ -126,12 +126,6 @@ def reduce_word(w, observables=frozenset()) -> Word | str:
     return tuple(blocks)
 
 
-def canonical_order(w: Word) -> Word:
-    """Commutation step alone: sort symbols by party, keeping each party's order."""
-    parties = sorted({s[0] for s in w})
-    return tuple(s for p in parties for s in w if s[0] == p)
-
-
 def word_adjoint(w: Word) -> Word | str:
     """Adjoint (reversal) of a projector word, in canonical form.  The
     reversal of a reduced word is reduced in the observable basis too."""
@@ -547,7 +541,8 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
     and each column of each Q lies inside one orbit; the eigenvalues are
     then clustered across orbits.  [Q_1 Q_2 ...] is orthogonal, and
     Q_a^T M Q_b = 0 for a != b.  The weights have a fixed seed, so the
-    blocks are the same on every call.
+    blocks are the same on every call.  ``merge_copies`` then merges the
+    copies of each irrep into one block.
     """
     codes = np.unique(2 * np.asarray(perm) + (np.asarray(sign) < 0), axis=0)
     perm, sign = codes // 2, 1.0 - 2.0 * (codes % 2)
@@ -580,6 +575,49 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
     q = sp.csc_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
     ends = np.cumsum(np.bincount(block))
     return [q[:, lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
+def merge_copies(perm: np.ndarray, sign: np.ndarray, bases, gamma: MatExpr) -> tuple[list, list[int]]:
+    """The bases of ``symmetry_blocks`` with the copies of each irrep cut to
+    the first, and each kept basis's multiplicity, the number of its copies.
+
+    Bases a and b lie in one isotypic component when Q_a^T S' Q_b != 0 for
+    the non-symmetric group-algebra element S' = sum_g r_g P_g, with random
+    weights r_g: S' maps each component into itself, where it acts as
+    I_m (x) T'_rho, and for generic weights T'_rho couples every pair of
+    eigenvectors of S's T_rho.  In a component of real type, such as D4's
+    2-dimensional irrep, the d blocks hold one m x m matrix Q_a^T Gamma Q_a
+    up to a fixed rotation, so they merge into one block of multiplicity d
+    (-log det(X (x) I_d) = -d log det X).  That is checked by equal spectra
+    at a random point of ``gamma``, the tied moment matrix; a component
+    whose blocks differ there keeps them apart, and so does one of 1 x 1
+    blocks, which compile to nonnegative entries (Model.add_lmi).  The
+    weights and the point have a fixed seed, so the result is the same on
+    every call.
+    """
+    size, n = perm.shape
+    rng = np.random.default_rng(1)
+    s = np.zeros((n, n))  # P_g sends e_i to sign[g, i] e_perm[g, i]
+    np.add.at(s, (perm, np.broadcast_to(np.arange(n), perm.shape)), rng.uniform(1.0, 2.0, size=(size, 1)) * sign)
+    q = sp.hstack(bases, format="csc").toarray()
+    starts = np.cumsum([0] + [b.shape[1] for b in bases[:-1]])
+    columns = np.split(q, starts[1:], axis=1)
+    coupling = np.abs(q.T @ s @ q)
+    coupling = np.maximum.reduceat(np.maximum.reduceat(coupling, starts, axis=0), starts, axis=1)
+    linked = coupling > 1e-8 * 2.0 * size  # |S'| <= sum_g r_g < 2 |G|
+    linked |= linked.T | np.eye(len(bases), dtype=bool)
+    component = np.argmax(linked, axis=1)  # numbered by the first block in it
+    point = gamma.value(rng.normal(size=gamma.coef.shape[0] - 1)).real
+    multiplicity = np.ones(len(bases), dtype=np.int64)
+    for a in np.flatnonzero(np.bincount(component, minlength=len(bases)) > 1):
+        copies = np.flatnonzero(component == a)
+        first, *rest = (np.linalg.eigvalsh(columns[b].T @ point @ columns[b]) for b in copies)
+        tol = 1e-9 * max(1.0, np.abs(first).max())
+        if first.size > 1 and all(v.shape == first.shape and np.abs(v - first).max() <= tol for v in rest):
+            multiplicity[copies] = 0
+            multiplicity[a] = copies.size
+    kept = np.flatnonzero(multiplicity)
+    return [bases[k] for k in kept], multiplicity[kept].tolist()
 
 
 def _stacked_kron(bases, n: int) -> sp.csc_array:
@@ -681,14 +719,17 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     problem.  Gamma's constant term is the identity's moment, so a plain
     Bell problem has no equality row.  The same group fixes the tied Gamma,
     so from _SPLIT_MIN words on, the LMIs are the blocks Q^T Gamma Q of
-    ``symmetry_blocks``, an orthogonal congruence of Gamma.  ``gamma`` and
+    ``symmetry_blocks``, an orthogonal congruence of Gamma, with the d
+    copies of each irrep of real type merged into one LMI, d Q^T Gamma Q of
+    multiplicity d (``merge_copies``).  ``gamma`` and
     ``moments`` are read off the unsplit Gamma, in the projector basis,
     Gamma_P = T Gamma_A T^T (``projector_lift``), with ``moments[k]`` at the
     first cell of class k, which the observable and the projector builds
     share.  ``model_result.solution.stats["symmetry"]`` gives the group
     order and the number of classes besides the identity, of orbits (the
     unknowns) and of pinned classes; the LMI sizes are the compiled
-    problem's ``structure.sdp_blocks``.
+    problem's ``structure.sdp_blocks``, their multiplicities its
+    ``structure.multiplicities``.
     """
     obs = build_moment_model(scenario, level, observables=True)
     inv = obs.observables
@@ -710,9 +751,12 @@ def solve_bell(scenario: Scenario, level, bell: dict, extra_constraints=(), cfg=
     values = np.where(orbit[cls] >= 0, sign[cls], 1.0)[at]
     gamma = _symmetric_expr(obs.size, obs.cells[:, at], param_rows, values, 1 + model.nparams)
     bases = symmetry_blocks(*action) if obs.size >= _SPLIT_MIN and len(group) > 1 else []
-    lmis = _congruent(gamma, bases) if len(bases) > 1 else [gamma]
-    for lmi in lmis:
-        model.add_lmi(lmi)
+    lmis, weights = [gamma], [1]
+    if len(bases) > 1:
+        bases, weights = merge_copies(*action, bases, gamma)
+        lmis = _congruent(gamma, bases)
+    for lmi, w in zip(lmis, weights):
+        model.add_lmi(lmi * w if w > 1 else lmi, multiplicity=w)
 
     coord_cls = obs.coordinate_classes()
 

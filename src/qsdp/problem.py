@@ -204,7 +204,8 @@ class FreeElimination:
         a_f, c_f = p.a[:, n_c:], p.c_obj.free
         self.y0, self.null = null_space_by_component(a_f.T.toarray(), c_f)
         self.consistent = bool(np.linalg.norm(a_f.T @ self.y0 - c_f) <= 1e-8 * (1.0 + np.linalg.norm(c_f)))
-        c_obj = SymBlockMat._new(BlockStructure(st.sdp_blocks, st.nonneg_dim), p.c_obj.flat()[:n_c] - p.a_t[:n_c] @ self.y0)
+        cone = BlockStructure(st.sdp_blocks, st.nonneg_dim, 0, st.multiplicities)
+        c_obj = SymBlockMat._new(cone, p.c_obj.flat()[:n_c] - p.a_t[:n_c] @ self.y0)
         n_t = sp.csr_array(self.null.T)
         self.problem = ConeProblem(c_obj, n_t @ p.a[:, :n_c], n_t @ p.rhs, dict(p.meta))
         self.offset = float(p.rhs @ self.y0)

@@ -119,9 +119,16 @@ def apply_choi(j: ChoiMatrix, rho) -> np.ndarray:
 
 def _add_hermitian_equality(model: Model, expr: MatExpr, target: np.ndarray):
     """expr == target, one equality per cell of the upper triangle: the
-    Hermitian-valued expr then matches below it too."""
+    Hermitian-valued expr then matches below it too.  A cell whose equality
+    repeats an earlier cell's exactly (the same coefficients, constant and
+    target), as cells whose entries are tied to one orbit give, adds none."""
+    seen = set()
     for i, k in zip(*np.triu_indices(expr.shape[0])):
-        model.add_equality(expr.entry(i, k), target[i, k])
+        entry = expr.entry(i, k)
+        key = (tuple(sorted(entry.coeffs.items())), entry.const, complex(target[i, k]))
+        if key not in seen:
+            seen.add(key)
+            model.add_equality(entry, target[i, k])
 
 
 def channel_feasibility(

@@ -47,7 +47,8 @@ class RunReport:
     solver certifies the result, as for the see-saw lower bound.
     ``symmetry`` is the solution's ``stats["symmetry"]`` (the relabelling
     group that tied the moments of a Bell solve), None elsewhere; the LMIs
-    the moment matrix became are ``block_sizes``."""
+    the moment matrix became are ``block_sizes``, and ``block_weights`` gives
+    each block's multiplicity (the congruent copies it stands for)."""
 
     command: str
     status: int
@@ -68,6 +69,7 @@ class RunReport:
     seed: int | None = None
     result: dict = field(default_factory=dict)  # subcommand-specific payload
     symmetry: dict | None = None
+    block_weights: list[int] = field(default_factory=list)
     version: int = 5
 
     @classmethod
@@ -93,6 +95,7 @@ class RunReport:
             seed=seed,
             result=result or {},
             symmetry=sol.stats.get("symmetry"),
+            block_weights=list(st.multiplicities),
         )
 
     def to_json(self) -> str:
@@ -116,7 +119,8 @@ class RunReport:
         lines = [
             f"command        : {self.command}",
             f"status         : {self.status} ({self.status_label})",
-            f"blocks         : {self.block_sizes}  nonneg={self.nonneg_dim}  free={self.free_dim}",
+            f"blocks         : {self.block_sizes}  nonneg={self.nonneg_dim}  free={self.free_dim}"
+            + (f"  weights={self.block_weights}" if any(w > 1 for w in self.block_weights) else ""),
             f"constraints m  : {self.m}",
         ]
         if self.dimacs is not None:

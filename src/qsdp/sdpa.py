@@ -174,7 +174,10 @@ def _fmt(x: float) -> str:
 
 def write_sdpa(p: ConeProblem, comment: str | None = None) -> str:
     """Serialize to SDPA sparse text; the inverse of :func:`parse_sdpa` up to
-    the free-variable split."""
+    the free-variable split.  The format has no block weights: a block of
+    multiplicity w is written once, as a plain block of its data (w times a
+    copy's), so the file's problem has the same feasible set, optimal value
+    and y, and its solve takes the plain barrier's path."""
     q = _split_pairs(p)  # the format has no free cone
     st = q.structure
     lines = [f"* {ln}" for ln in (comment or "").splitlines()]

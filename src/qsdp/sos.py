@@ -127,11 +127,6 @@ def sos_certificate(h: dict, n_vars: int, cfg=None) -> SosResult:
     return SosResult(True, margin, cert, None, res)
 
 
-def motzkin_polynomial() -> tuple[dict, int]:
-    """x^4 y^2 + x^2 y^4 - 3 x^2 y^2 z^2 + z^6: nonnegative but not SoS."""
-    return {(4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0, (0, 0, 6): 1.0}, 3
-
-
 # ---------------------------------------------------------------------------
 # CHSH level-1 weighted sum of squares
 

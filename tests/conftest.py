@@ -9,6 +9,16 @@ from qsdp.modeling import MatExpr, Model, ScalarExpr, _symmetric_expr
 from qsdp.quantum import werner_state
 
 
+def left_mul(expr: MatExpr, a) -> MatExpr:
+    a = np.asarray(a, dtype=complex)
+    return expr.map_linear(sp.kron(a, sp.identity(expr.shape[1])), (a.shape[0], expr.shape[1]))
+
+
+def right_mul(expr: MatExpr, a) -> MatExpr:
+    a = np.asarray(a, dtype=complex)
+    return expr.map_linear(sp.kron(sp.identity(expr.shape[0]), a.T), (expr.shape[0], a.shape[1]))
+
+
 def _permutation_matrix(dims, perm) -> np.ndarray:
     """Unitary that permutes tensor factors: subsystem k moves to slot perm[k]."""
     d = int(np.prod(dims))
@@ -42,7 +52,7 @@ def dps_reference(rho, dims, k):
         if perm_b == tuple(range(k)):
             continue
         u = _permutation_matrix(dims_ext, [0] + [1 + p for p in perm_b])
-        diff = expr - expr.left_mul(u).right_mul(u.T)
+        diff = expr - right_mul(left_mul(expr, u), u.T)
         for i in range(d_ext):
             for jcol in range(i, d_ext):
                 model.add_equality(diff.entry(i, jcol), 0.0)

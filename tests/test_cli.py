@@ -99,6 +99,7 @@ class TestNpaCommand:
         assert "symmetry" not in report["result"]
         assert report["symmetry"] == {"order": 16, "classes": 10, "orbits": 1, "pinned": 6}
         assert report["block_sizes"] == [5]
+        assert report["block_weights"] == [1]
         assert report["version"] == 5
         text = capsys.readouterr().out
         assert "2.828427" in text
@@ -114,13 +115,16 @@ class TestNpaCommand:
 
     def test_shipped_i3322_is_split(self, tmp_path):
         # the canonical I3322 file; at level 3 its 88 x 88 moment matrix is
-        # past the size gate and becomes one LMI per copy of each irrep
+        # past the size gate and becomes one LMI per irrep, the two copies of
+        # the 2-dimensional one merged into a block of multiplicity 2
         path = Path(__file__).resolve().parents[1] / "demos" / "data" / "i3322.json"
         code, report = run(tmp_path, ["npa", "--scenario", str(path), "--level", "3"])
         assert code == 0
         assert abs(report["result"]["bound"] - 0.25087556) < 1e-6
         assert report["result"]["moment_size"] == 88
-        assert sorted(report["block_sizes"]) == [9, 11, 11, 13, 22, 22]
+        sizes, weights = report["block_sizes"], report["block_weights"]
+        assert sorted(zip(sizes, weights)) == [(9, 1), (11, 1), (11, 1), (13, 1), (22, 2)]
+        assert sum(w * n for n, w in zip(sizes, weights)) == 88
 
 
 class TestThetaCommand:

@@ -13,14 +13,14 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from conftest import seeded_hermitian
 from test_modeling import MODELS, redundant_model
-from test_sos import random_sos
+from test_sos import motzkin_polynomial, random_sos
 
 from qsdp.cli import main
 from qsdp.modeling import Model, ScalarExpr, _equality_system, model_to_json
 from qsdp.npa import Scenario, mlp_bound, qrac_witness
 from qsdp.problem import STATUS_LACK_OF_PROGRESS, FreeElimination, null_space_by_component
 from qsdp.quantum import channel_feasibility, dps_test, werner_state
-from qsdp.sos import motzkin_polynomial, sos_certificate, tsirelson_sos_chsh
+from qsdp.sos import sos_certificate, tsirelson_sos_chsh
 
 
 def dps(p, k):

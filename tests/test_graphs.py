@@ -9,19 +9,34 @@ from qsdp.graphs import (
     GraphSpec,
     chromatic_number,
     chsh_exclusivity_events,
-    complete_graph,
     cycle_graph,
-    empty_graph,
     exclusivity_graph,
     independence_number,
     lovasz_theta,
     parse_graph,
     weighted_theta,
-    write_graph,
 )
 from qsdp.modeling import MatExpr, Model
 
 ROOT5 = np.sqrt(5.0)
+
+
+def complete_graph(n: int) -> GraphSpec:
+    return GraphSpec(n, frozenset((u, v) for u, v in combinations(range(n), 2)))
+
+
+def empty_graph(n: int) -> GraphSpec:
+    return GraphSpec(n, frozenset())
+
+
+def write_graph(g: GraphSpec) -> str:
+    lines = [str(g.n)]
+    for u, v in sorted(g.edges):
+        lines.append(f"{u} {v}")
+    if g.weights is not None:
+        for i, w in enumerate(g.weights):
+            lines.append(f"w {i} {w}")
+    return "\n".join(lines) + "\n"
 
 
 def odd_cycle_theta(n: int) -> float:

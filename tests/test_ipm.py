@@ -622,3 +622,98 @@ class TestScipyPoolCap:
         assert set(seen) == {2}
         assert sol.stats["blas_threads"] == {}
         assert scipy_pool() == 2
+
+
+def _copies_and_merged(seed: int, n: int = 3, k: int = 2, m: int = 5, copies: int = 2):
+    """One problem with ``copies`` equal n-blocks beside a k-block and a
+    nonnegative entry, and the same problem with the copies merged into one
+    block of multiplicity ``copies``, its data ``copies`` times a copy's.  The
+    data are built from a strictly complementary pair, so both are solvable."""
+    rng = np.random.default_rng(seed)
+
+    def sym(size):
+        g = rng.normal(size=(size, size))
+        return g + g.T
+
+    def pair(size):
+        q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+        r = int(rng.integers(1, size))
+        ex = np.concatenate([rng.uniform(0.5, 2.0, r), np.zeros(size - r)])
+        ez = np.concatenate([np.zeros(r), rng.uniform(0.5, 2.0, size - r)])
+        return (q * ex) @ q.T, (q * ez) @ q.T
+
+    (xc, zc), (xo, zo) = pair(n), pair(k)
+    a_c, a_o, a_n = [sym(n) for _ in range(m)], [sym(k) for _ in range(m)], rng.normal(size=m)
+    y = rng.normal(size=m)
+    c_c = zc + sum(t * a for t, a in zip(y, a_c))
+    c_o = zo + sum(t * a for t, a in zip(y, a_o))
+    c_n = 1.0 + y @ a_n
+    rhs = np.array([copies * np.vdot(a, xc) + np.vdot(b, xo) for a, b in zip(a_c, a_o)])
+    apart = BlockStructure((n,) * copies + (k,), 1)
+    merged = BlockStructure((n, k), 1, 0, (copies, 1))
+    return (
+        ConeProblem(
+            SymBlockMat(apart, [c_c] * copies + [c_o], [c_n]),
+            [SymBlockMat(apart, [a] * copies + [b], [c]) for a, b, c in zip(a_c, a_o, a_n)],
+            rhs,
+        ),
+        ConeProblem(
+            SymBlockMat(merged, [copies * c_c, c_o], [c_n]),
+            [SymBlockMat(merged, [copies * a, b], [c]) for a, b, c in zip(a_c, a_o, a_n)],
+            rhs,
+        ),
+    )
+
+
+class TestMultiplicity:
+    """A block of multiplicity w, holding w times one copy's data, against
+    its w copies: X is a copy's, Z w times a copy's, y the same, at every
+    iterate."""
+
+    def test_structure(self):
+        st = BlockStructure((3, 2), 1, 0, (2, 1))
+        assert st.cone_dim == 2 * 3 + 2 + 1
+        assert BlockStructure((3, 2)).multiplicities == (1, 1)
+        assert BlockStructure((3, 2)) == BlockStructure((3, 2), 0, 0, (1, 1))
+        for bad in [(2,), (0, 1), (1, 1, 1)]:
+            with pytest.raises(ValueError, match="multiplicities"):
+                BlockStructure((3, 2), multiplicities=bad)
+
+    def test_weighted_norm_is_the_norm_of_the_copies(self):
+        apart, merged = _copies_and_merged(0, copies=3)
+        assert merged.c_obj.weighted_norm() == pytest.approx(apart.c_obj.norm(), rel=1e-14)
+        assert apart.c_obj.weighted_norm() == apart.c_obj.norm()
+        assert ipm.residual_scales(merged) == pytest.approx(ipm.residual_scales(apart), rel=1e-14)
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_cold_start(self, copies):
+        apart, merged = (cold_start(p) for p in _copies_and_merged(1, copies=copies))
+        assert np.array_equal(merged.x.blocks[0], apart.x.blocks[0])
+        assert np.allclose(merged.z.blocks[0], copies * apart.z.blocks[0], rtol=1e-15, atol=0)
+        for got, want in ((merged.x, apart.x), (merged.z, apart.z)):
+            assert np.array_equal(got.blocks[1], want.blocks[copies])
+            assert np.array_equal(got.nonneg, want.nonneg)
+
+    @pytest.mark.parametrize("direction", ["hkm", "nt"])
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_iterates_follow_the_copies(self, seed, direction):
+        copies = 2 + seed % 2
+        runs = []
+        for p in _copies_and_merged(seed, copies=copies):
+            its = []
+            sol, log = solve(p, SolverConfig(direction=direction), iterate_hook=its.append)
+            assert sol.success
+            runs.append((sol, log, its))
+        (sol_a, log_a, its_a), (sol_m, log_m, its_m) = runs
+        assert len(its_m) == len(its_a) and len(its_a) > 3
+        for got, want in zip(its_m, its_a):
+            scale = 1.0 + np.abs(want.y).max()
+            assert np.abs(got.y - want.y).max() <= 1e-8 * scale
+            assert np.abs(got.x.blocks[0] - want.x.blocks[0]).max() <= 1e-8 * (1.0 + np.abs(want.x.blocks[0]).max())
+            assert np.abs(got.z.blocks[0] - copies * want.z.blocks[0]).max() <= 1e-8 * scale * copies
+            assert got.gap() == pytest.approx(want.gap(), rel=1e-7, abs=1e-12)
+        for got, want in zip(log_m, log_a):
+            assert (got.p_inf, got.d_inf) == pytest.approx((want.p_inf, want.d_inf), rel=1e-6, abs=1e-11)
+        # rounding grows over the iterations: the values agree to about 1e-12 relative
+        assert sol_m.dual_value == pytest.approx(sol_a.dual_value, rel=1e-10)
+        assert sol_m.primal_value == pytest.approx(sol_a.primal_value, rel=1e-10)

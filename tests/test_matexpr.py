@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import untied_model
+from conftest import left_mul, right_mul, untied_model
 
 from qsdp.modeling import MatExpr, Model, model_from_json, model_to_json, partial_trace, partial_transpose
 from qsdp.npa import Scenario, build_moment_model
@@ -111,8 +111,8 @@ def test_products_and_transposes(kind):
     r, c = expr.shape
     a = rng.normal(size=(2, r)) + 1j * rng.normal(size=(2, r))
     b = rng.normal(size=(c, 4))
-    assert_matches(expr.left_mul(a), ref_map(ref, lambda m: a @ m))
-    assert_matches(expr.right_mul(b), ref_map(ref, lambda m: m @ b))
+    assert_matches(left_mul(expr, a), ref_map(ref, lambda m: a @ m))
+    assert_matches(right_mul(expr, b), ref_map(ref, lambda m: m @ b))
     assert_matches(expr.transpose(), ref_map(ref, lambda m: m.T))
     assert_matches(expr.T, ref_map(ref, lambda m: m.T))
     assert_matches(expr.conj(), ref_map(ref, np.conj))

@@ -298,6 +298,73 @@ class TestJson:
         assert_same_problem(back.compile().problem, model.compile().problem)
 
 
+def copies_model(copies, merged):
+    """max Tr(X S) s.t. Tr S = 1 and S + I/8 >= 0 for a seeded real X, with
+    the LMI given ``copies`` times: as one LMI of that multiplicity, its data
+    scaled by it, or as separate LMIs."""
+    x = random_hermitian(3, seed=8).real
+    m = Model()
+    s = m.declare(3, name="S")
+    lmi = s.expr() + np.eye(3) / 8
+    if merged:
+        m.add_lmi(lmi * copies, multiplicity=copies)
+    else:
+        for _ in range(copies):
+            m.add_lmi(lmi)
+    m.add_equality(s.trace(), 1.0)
+    m.maximize(s.expr().frobenius_with(x))
+    return m, x
+
+
+class TestMultiplicity:
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_dual_framing_is_one_weighted_block(self, copies):
+        merged, apart = copies_model(copies, True)[0], copies_model(copies, False)[0]
+        st = merged.compile().problem.structure
+        assert (st.sdp_blocks, st.multiplicities, st.cone_dim) == ((3,), (copies,), 3 * copies)
+        got, want = merged.solve(), apart.solve()
+        assert got.success and want.success
+        assert got.solution.stats["iterations"] == want.solution.stats["iterations"]
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+
+    def test_primal_framing_lowers_plain_copies(self):
+        model, x = copies_model(2, True)
+        st = model.compile("primal").problem.structure
+        assert (st.sdp_blocks, st.multiplicities) == ((3, 3), (1, 1))
+        dual, primal = model.solve(), model.solve(framing="primal")
+        assert dual.success and primal.success
+        # S + I/8 >= 0 with Tr S = 1: S = (1 + 3/8) v v' - I/8 at X's top eigenvector v
+        want = 1.375 * np.linalg.eigvalsh(x)[-1] - np.trace(x) / 8
+        assert dual.value == pytest.approx(want, abs=1e-7)
+        assert primal.value == pytest.approx(want, abs=1e-7)
+
+    def test_json_writes_a_multiplicity_other_than_one(self):
+        model = copies_model(2, True)[0]
+        doc = json.loads(model_to_json(model))
+        assert doc["lmis"][0]["multiplicity"] == 2
+        assert "multiplicity" not in json.loads(model_to_json(copies_model(2, False)[0]))["lmis"][0]
+        back = model_from_json(model_to_json(model))
+        assert back.multiplicities == [2]
+        assert_same_compiles(back, model)
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+    def test_bad_multiplicity_rejected(self, bad):
+        m = Model()
+        s = m.declare(2, name="S")
+        with pytest.raises(ModelError, match="multiplicity"):
+            m.add_lmi(s.expr(), multiplicity=bad)
+        doc = json.loads(model_to_json(copies_model(2, True)[0]))
+        doc["lmis"][0]["multiplicity"] = bad
+        with pytest.raises(ModelError):
+            model_from_json(json.dumps(doc))
+
+    def test_a_nonnegative_entry_takes_no_multiplicity(self):
+        m = Model()
+        t = m.declare(1, name="t")
+        with pytest.raises(ModelError, match="1 x 1"):
+            m.add_lmi(t.expr(), multiplicity=2)
+
+
 class TestTensorHelpers:
     def test_partial_trace_kron(self):
         rng = np.random.default_rng(0)
@@ -502,6 +569,10 @@ def reference_primal(model):
     return ConeProblem(c_obj, rows, np.array(rhs), meta={"framing": "primal", "constraint_names": names})
 
 
+def param_ids(var):
+    return list(range(var.decl.offset, var.decl.offset + var.decl.nparams))
+
+
 def mixed_model():
     """Blocks and 1x1 LMIs interleaved, with two equalities."""
     m = Model()
@@ -522,7 +593,7 @@ def primal_slack_model():
     m = Model()
     s = m.declare(2, structure="hermitian", field="complex", name="S")
     t = m.declare(2, structure="diagonal", name="t")
-    t0, t1 = t.param_ids
+    t0, t1 = param_ids(t)
     m.add_lmi(s.expr())
     m.add_lmi(MatExpr((2, 2), random_hermitian(2, seed=3), {t0: np.eye(2)}) - s.expr())
     m.add_lmi(scalar_nonneg(t.entry(0, 0) + t.entry(1, 1) + 1.0))
@@ -548,7 +619,7 @@ def near_hermitian_model():
     m = Model()
     y = m.declare(1, structure="diagonal", name="y")
     term = np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]])
-    m.add_lmi(MatExpr((2, 2), np.eye(2), {y.param_ids[0]: term}))
+    m.add_lmi(MatExpr((2, 2), np.eye(2), {param_ids(y)[0]: term}))
     m.maximize(y.entry(0, 0))
     return m
 

@@ -11,17 +11,18 @@ from itertools import permutations, product
 from conftest import assert_same_problem, probability_expr, untied_model
 from qsdp import npa
 from qsdp.cli import _scenario_from_doc
-from qsdp.modeling import MatExpr
+from qsdp.ipm import SolverConfig
+from qsdp.modeling import MatExpr, Model
 from qsdp.npa import (
     ZERO,
     Scenario,
     build_moment_model,
-    canonical_order,
     chsh_functional,
     chsh_nv_game,
     chsh_nv_task,
     coordinates,
     generate_words,
+    merge_copies,
     mlp_bound,
     mlp_constraints,
     nv_build_basis,
@@ -41,6 +42,12 @@ from qsdp.npa import (
 
 ROOT2 = np.sqrt(2.0)
 TSIRELSON = 2.0 * ROOT2
+
+
+def canonical_order(w):
+    """Commutation step alone: sort symbols by party, keeping each party's order."""
+    parties = sorted({s[0] for s in w})
+    return tuple(s for p in parties for s in w if s[0] == p)
 
 # CHSH alphabet: one reduced projector per binary setting
 A1, A2 = (0, 0, 0), (0, 1, 0)
@@ -459,6 +466,17 @@ def sdp_blocks(res):
     return res.model_result.compiled.problem.structure.sdp_blocks
 
 
+def weighted_blocks(res):
+    """Sorted (size, multiplicity) pairs of the compiled problem's SDP blocks."""
+    st = res.model_result.compiled.problem.structure
+    return sorted(zip(st.sdp_blocks, st.multiplicities))
+
+
+# I3322 at level 3: D4's four 1-dimensional irreps and its 2-dimensional one,
+# whose two copies are one block of multiplicity 2; sum_b w_b n_b = 88
+I3322_L3_BLOCKS = [(9, 1), (11, 1), (11, 1), (13, 1), (22, 2)]
+
+
 def cell_reference(scenario, level, observables):
     """Classes by reducing every cell on its own: {cell: key word}, zero cells."""
     inv = scenario.observables() if observables else frozenset()
@@ -644,7 +662,8 @@ class TestTiedSolveMatchesProjectorReference:
         res = solve_bell(I3322, 3, i3322_functional(seed))
         assert res.success
         assert res.value == pytest.approx(i3322_level3_reference, abs=1e-7)
-        assert sorted(sdp_blocks(res)) == [9, 11, 11, 13, 22, 22]
+        assert weighted_blocks(res) == I3322_L3_BLOCKS
+        assert sum(n * w for n, w in weighted_blocks(res)) == 88
         assert symmetry_of(res) == {"order": 8, "classes": 867, "orbits": 124, "pinned": 165}
         assert res.model_result.compiled.problem.num_constraints == 124
         assert res.model_result.solution.stats["iterations"] <= 23
@@ -939,7 +958,7 @@ class TestSymmetryBlocks:
         gamma, bases = caught.value.args
         monkeypatch.undo()
         got = npa._congruent(gamma, bases)
-        assert len(got) == len(bases) == 6
+        assert len(got) == len(bases) == 5  # the second copy of the 2-dimensional irrep is dropped
         for expr, q in zip(got, bases):
             r = q.shape[1]
             coef = gamma.coef.real @ sp.kron(q, q, format="csc")
@@ -961,7 +980,8 @@ class TestSplitSolve:
         whole = solve_bell(I3322, 3, bell)
         assert split.success and whole.success
         assert sdp_blocks(whole) == (88,)
-        assert sorted(sdp_blocks(split)) == [9, 11, 11, 13, 22, 22]
+        assert weighted_blocks(split) == I3322_L3_BLOCKS
+        assert sum(n * w for n, w in weighted_blocks(split)) == 88
         assert split.value == pytest.approx(whole.value, abs=1e-7)
         its = [r.model_result.solution.stats["iterations"] for r in (split, whole)]
         assert its[0] == its[1]
@@ -988,3 +1008,110 @@ class TestSplitSolve:
         monkeypatch.setattr(npa, "_SPLIT_MIN", 10**9)
         ref = solve()
         assert_same_problem(res.model_result.compiled.problem, ref.model_result.compiled.problem)
+
+
+def keep_copies_apart(perm, sign, bases, gamma):
+    """merge_copies that merges nothing: every copy its own block of multiplicity 1."""
+    return bases, [1] * len(bases)
+
+
+def invariant_model(perm, sign, split):
+    """max <W, Gamma> s.t. Tr Gamma = 1, Gamma >= 0 over the symmetric
+    matrices a group of permutations fixes, W a seeded invariant matrix (the
+    value is its largest eigenvalue).  Gamma's entries are tied to the
+    orbits of index pairs; its LMIs are the blocks of ``symmetry_blocks``,
+    their copies merged by ``split``, as solve_bell adds them.  Returns the
+    model and W."""
+    assert np.all(sign == 1)
+    n = perm.shape[1]
+    i, j = np.triu_indices(n)
+    orbit = np.unique(np.minimum(perm[:, i] * n + perm[:, j], perm[:, j] * n + perm[:, i]).min(axis=0), return_inverse=True)[1]
+    terms = {}
+    for o in range(orbit.max() + 1):
+        e = np.zeros((n, n))
+        e[i[orbit == o], j[orbit == o]] = e[j[orbit == o], i[orbit == o]] = 1.0
+        terms[o] = e
+    m = Model()
+    m.declare(len(terms), 1, structure="full")
+    gamma = MatExpr((n, n), None, terms)
+    w = np.random.default_rng(5).normal(size=(n, n))
+    w = sum(np.add(w, w.T)[np.ix_(p, p)] for p in perm) / len(perm)
+    bases, weights = split(perm, sign, symmetry_blocks(perm, sign), gamma)
+    for lmi, mult in zip(npa._congruent(gamma, bases), weights):
+        m.add_lmi(lmi * mult if mult > 1 else lmi, multiplicity=mult)
+    m.add_equality(gamma.trace(), 1.0)
+    m.maximize(gamma.frobenius_with(w))
+    return m, w
+
+
+class TestMergedCopies:
+    """Each irrep's d congruent copies as one block of multiplicity d, against
+    the copies kept apart: the IPM follows the same central path, so the
+    iteration counts are equal and the values agree to rounding."""
+
+    @staticmethod
+    def both(monkeypatch, solve):
+        merged = solve()
+        monkeypatch.setattr(npa, "merge_copies", keep_copies_apart)
+        apart = solve()
+        monkeypatch.setattr(npa, "merge_copies", merge_copies)
+        return merged, apart
+
+    @staticmethod
+    def assert_same_solve(merged, apart, weights):
+        assert merged.success and apart.success
+        got, want = (r.model_result.compiled.problem.structure for r in (merged, apart))
+        assert sorted(w for w in got.multiplicities if w > 1) == weights
+        assert set(want.multiplicities) == {1}
+        assert got.cone_dim == want.cone_dim
+        its = [r.model_result.solution.stats["iterations"] for r in (merged, apart)]
+        assert its[0] == its[1]
+        assert merged.value == pytest.approx(apart.value, abs=1e-12)
+
+    @pytest.mark.parametrize("direction", ["hkm", "nt"])
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_i3322_d4(self, level, direction, monkeypatch):
+        cfg = SolverConfig(direction=direction)
+        merged, apart = self.both(monkeypatch, lambda: solve_bell(I3322, level, i3322_functional(1), cfg=cfg))
+        self.assert_same_solve(merged, apart, [2])
+        assert len(sdp_blocks(merged)) == len(sdp_blocks(apart)) - 1 == 5
+
+    @pytest.mark.parametrize("direction", ["hkm", "nt"])
+    def test_chsh_level4_below_the_gate(self, direction, monkeypatch):
+        monkeypatch.setattr(npa, "_SPLIT_MIN", 1)
+        cfg = SolverConfig(direction=direction)
+        merged, apart = self.both(monkeypatch, lambda: solve_bell(Scenario.chsh(), 4, chsh_functional(), cfg=cfg))
+        self.assert_same_solve(merged, apart, [2, 2, 2])
+        assert merged.value == pytest.approx(TSIRELSON, abs=1e-7)
+
+    def test_s4_on_four_copies(self):
+        # S_4 on the last four of five qubits: its 3-dimensional irrep gives
+        # three 6-blocks, merged with weight 3, its 2-dimensional one two 2-blocks
+        perm, sign = copy_permutations(4)
+        model, w = invariant_model(perm, sign, merge_copies)
+        merged = model.solve()
+        apart = invariant_model(perm, sign, keep_copies_apart)[0].solve()
+        st = merged.compiled.problem.structure
+        assert sorted(zip(st.sdp_blocks, st.multiplicities)) == [(2, 2), (6, 3), (10, 1)]
+        assert st.cone_dim == apart.compiled.problem.structure.cone_dim == 32
+        assert merged.success and apart.success
+        assert merged.solution.stats["iterations"] == apart.solution.stats["iterations"]
+        assert merged.value == pytest.approx(apart.value, abs=1e-12)
+        assert merged.value == pytest.approx(np.linalg.eigvalsh(w)[-1], abs=1e-7)
+
+    def test_complex_type_irrep_is_not_split_into_copies(self):
+        # C_4's rotation irrep is one 2-block; nothing to merge
+        perm, sign = cyclic_shifts(4)
+        bases = symmetry_blocks(perm, sign)
+        gamma = MatExpr((4, 4), np.eye(4), {0: np.roll(np.eye(4), 1, axis=0) + np.roll(np.eye(4), -1, axis=0)})
+        kept, weights = merge_copies(perm, sign, bases, gamma)
+        assert [b.shape[1] for b in kept] == [b.shape[1] for b in bases] and weights == [1, 1, 1]
+
+    def test_blocks_of_differing_spectra_stay_apart(self):
+        # the D4 copies of a Gamma that breaks the symmetry are not congruent
+        obs, action = i3322_action(3)
+        bases = symmetry_blocks(*action)
+        gamma = MatExpr((obs.size,) * 2, np.diag(np.arange(obs.size, dtype=float)))
+        assert merge_copies(*action, bases, gamma)[1] == [1] * len(bases)
+        tied = MatExpr.from_coef((obs.size,) * 2, sp.csc_array(random_tied_gamma(obs, action, np.random.default_rng(2)).reshape(1, -1)))
+        assert sorted(merge_copies(*action, bases, tied)[1]) == [1, 1, 1, 1, 2]

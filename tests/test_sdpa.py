@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,27 @@ class TestRoundTrip:
         sol_p, _ = solve(p)
         sol_q, _ = solve(q)
         assert sol_p.dual_value == pytest.approx(sol_q.dual_value, abs=1e-9)
+
+    def test_merged_block_is_written_once_as_a_plain_block(self):
+        # SDPA has no block weights: the file holds the merged block's data,
+        # whose feasible set and objective are the problem's, so its solve
+        # reaches the same value and y along a plain barrier's path
+        from qsdp.npa import Scenario, solve_bell
+
+        doc = json.loads((Path(__file__).resolve().parents[1] / "demos" / "data" / "i3322.json").read_text())
+        bell = {(e["a"], e["b"], e["x"], e["y"]): e["coeff"] for e in doc["bell"]}
+        res = solve_bell(Scenario(doc["settings"], doc["outcomes"]), 3, bell)
+        p, sol_p = res.model_result.compiled.problem, res.model_result.solution
+        assert 2 in p.structure.multiplicities
+        q = parse_sdpa(write_sdpa(p))
+        assert q.structure == BlockStructure(p.structure.sdp_blocks, p.structure.nonneg_dim)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(q.a, part), getattr(p.a, part))
+        sol_q, _ = solve(q)
+        assert sol_p.success and sol_q.success
+        assert sol_q.dual_value == pytest.approx(sol_p.dual_value, abs=1e-7)
+        # y, the tied moments, to about the square root of the 1e-7 gap
+        assert np.abs(sol_q.y_dual - sol_p.y_dual).max() <= 1e-3
 
 
 def reference_entries(text: str):

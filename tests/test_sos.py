@@ -9,12 +9,16 @@ from qsdp.sos import (
     chsh_operator_coefficients,
     gram_polynomial,
     monomials,
-    motzkin_polynomial,
     sos_certificate,
     tsirelson_sos_chsh,
 )
 
 ROOT2 = np.sqrt(2.0)
+
+
+def motzkin_polynomial() -> tuple[dict, int]:
+    """x^4 y^2 + x^2 y^4 - 3 x^2 y^2 z^2 + z^6: nonnegative but not SoS."""
+    return {(4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0, (0, 0, 6): 1.0}, 3
 
 
 def poly_mul_squares(squares):
