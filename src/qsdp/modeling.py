@@ -327,6 +327,41 @@ def _symmetric_expr(n: int, cells: np.ndarray, rows: np.ndarray, values: np.ndar
     return MatExpr.from_coef((n, n), coef)
 
 
+def _signed_orbits(images: np.ndarray, signs=1.0):
+    """Orbits of n points under a finite group of signed permutations: row g
+    of the (|G|, n) ``images``, the identity among the rows, sends point i to
+    signs[g, i] times point images[g, i].  A vector the group fixes has
+    y[i] = s y[r], with r the smallest point of i's orbit and s the sign of
+    an element taking i to r, and is 0 at a point that an element fixes with
+    sign -1 (pinned).  Returns r, s and the pinned flag of each point."""
+    signs = np.broadcast_to(signs, images.shape)
+    best, points = images.argmin(axis=0), np.arange(images.shape[1])
+    pinned = np.any((images == points) & (signs < 0), axis=0)
+    return images[best, points], signs[best, points], pinned
+
+
+def _hermitian_on_orbits(model: Model, orbit: np.ndarray, name: str) -> MatExpr:
+    """Declare an n x n Hermitian matrix that is constant on the cell orbits
+    labelled by the n x n array ``orbit``, as the image of one real parameter
+    vector named ``name``.
+
+    Each pair {O, O^T} of transposed orbits takes one real parameter, and,
+    when O != O^T, one imaginary parameter with +1j on the lower-labelled
+    orbit and -1j on the other.  Orbits closed under transposition give a
+    real symmetric matrix.
+    """
+    n = orbit.shape[0]
+    orbit, orbit_t = orbit.ravel(), orbit.T.ravel()
+    off = orbit != orbit_t
+    re_keys, re_par = np.unique(np.minimum(orbit, orbit_t), return_inverse=True)
+    im_keys, im_par = np.unique(np.minimum(orbit, orbit_t)[off], return_inverse=True)
+    var = model.declare(re_keys.size + im_keys.size, 1, structure="full", name=name)
+    rows = 1 + var.decl.offset + np.concatenate([re_par, re_keys.size + im_par])
+    cells = np.concatenate([np.arange(n * n), np.flatnonzero(off)])
+    vals = np.concatenate([np.ones(n * n), np.where(orbit < orbit_t, 1j, -1j)[off]])
+    return MatExpr.from_coef((n, n), sp.coo_array((vals, (rows, cells)), shape=(rows.max() + 1, n * n)))
+
+
 def scalar_nonneg(expr: ScalarExpr) -> MatExpr:
     """Wrap a scalar affine expression as a 1x1 LMI (expr >= 0)."""
     return MatExpr((1, 1), np.array([[expr.const]]), {k: np.array([[v]]) for k, v in expr.coeffs.items()})

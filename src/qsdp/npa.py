@@ -31,7 +31,7 @@ from itertools import permutations, product
 import numpy as np
 import scipy.sparse as sp
 
-from .modeling import MatExpr, Model, ScalarExpr, _symmetric_expr
+from .modeling import MatExpr, Model, ScalarExpr, _signed_orbits, _symmetric_expr
 
 ZERO = "ZERO"  # annihilated word sentinel
 
@@ -492,21 +492,16 @@ def orbit_ties(mm: MomentModel, perm: np.ndarray, sign: np.ndarray):
 
     Element g maps the word of class c, at its first cell (i, j), to
     s_g(i) s_g(j) times the word of the class g(c) at cell (pi(i), pi(j)).  A
-    moment vector fixed by the group satisfies y[c] = s_g(c) y[g(c)] for
-    every g, so each class is its orbit representative (the smallest class
-    g(c)) times a sign, and a class with g(c) = c and s_g(c) = -1 is 0.
+    moment vector fixed by the group is its value at each orbit's smallest
+    class times a sign, and 0 on pinned classes (``_signed_orbits``).
     Returns the orbit number of each class (-1 for the identity and for
     pinned classes), its sign and the number of orbits.
     """
     _, first = np.unique(mm.cell_classes, return_index=True)
     ci, cj = mm.cells[:, first]
-    maps, signs = mm.classes[perm[:, ci], perm[:, cj]], sign[:, ci] * sign[:, cj]
-    classes = np.arange(first.size)
-    best = maps.argmin(axis=0)
-    rep, sign = maps[best, classes], signs[best, classes]
-    pinned = np.any((maps == classes) & (signs < 0), axis=0)
-    free = ~pinned & (classes != mm.norm_class)
-    orbit = np.full(classes.size, -1, dtype=np.int64)
+    rep, sign, pinned = _signed_orbits(mm.classes[perm[:, ci], perm[:, cj]], sign[:, ci] * sign[:, cj])
+    free = ~pinned & (np.arange(first.size) != mm.norm_class)
+    orbit = np.full(first.size, -1, dtype=np.int64)
     reps, orbit[free] = np.unique(rep[free], return_inverse=True)
     return orbit, sign, reps.size
 
@@ -548,8 +543,7 @@ def symmetry_blocks(perm: np.ndarray, sign: np.ndarray) -> list[sp.csc_array]:
     perm, sign = codes // 2, 1.0 - 2.0 * (codes % 2)
     size, n = perm.shape
     weights = np.random.default_rng(0).uniform(1.0, 2.0, size=size)
-    # the identity is an element, so column i of perm lists the orbit of i
-    orbit = np.unique(perm.min(axis=0), return_inverse=True)[1]
+    orbit = np.unique(_signed_orbits(perm)[0], return_inverse=True)[1]
     members = np.argsort(orbit, kind="stable")
     starts, lengths = np.unique(orbit[members], return_index=True, return_counts=True)[1:]
     rows, cols, vals, values = [], [], [], []

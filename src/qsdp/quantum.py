@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .modeling import MatExpr, Model, _cell_grid, _cplx_from_json, partial_trace, partial_transpose
+from .modeling import MatExpr, Model, _cell_grid, _cplx_from_json, _hermitian_on_orbits, _signed_orbits, partial_trace, partial_transpose
 
 
 @dataclass(frozen=True)
@@ -151,29 +152,29 @@ def channel_feasibility(
     dimensions (a_out, b_out, a_in, b_in) of a bipartite channel.
 
     The constraints are fixed by J -> conj(J) = J^T and, with the PPT LMI, by
-    J -> J^{T_B}; so by convexity an optimum is too when the data are.  Real
-    symmetric data give a real symmetric J.  Data that are also their own
-    partial transpose tie J's cells over {id, T, T_B, T T_B}: J^{T_B} is
-    then J, so the PPT LMI is J's own.  Other data keep a Hermitian J.
+    J -> J^{T_B}; so by convexity an optimum is too when the data are.  J's
+    cells are tied over T when the data are real symmetric, and over T_B when
+    they are their own partial transpose: J^{T_B} is then J, so the PPT LMI
+    is J's own.
     """
     dim_out = dim_out or dim_in
     d = dim_in * dim_out
+    for name, sub in (("ppt_preserving_dims", ppt_preserving_dims), ("nonsignaling_b_to_a_dims", nonsignaling_b_to_a_dims)):
+        if sub is not None and (len(sub) != 4 or sub[0] * sub[1] != dim_out or sub[2] * sub[3] != dim_in):
+            raise ValueError(f"{name} do not match the channel dimensions")
+    for name, x in (("objective", objective), ("fixed_choi", fixed_choi)):
+        if x is not None and np.shape(x) != (d, d):
+            raise ValueError(f"{name} must be {d} x {d}, the Choi dimension")
     dims = None if ppt_preserving_dims is None else tuple(ppt_preserving_dims)
-    if dims is not None and int(np.prod(dims)) != d:
-        raise ValueError("ppt_preserving_dims do not match the Choi dimension")
     model = Model()
     data = [np.asarray(x) for x in (objective, fixed_choi) if x is not None]
-    tied = False
-    if any(np.any(np.imag(x)) or not np.array_equal(x, x.T) for x in data):
-        j_expr = model.declare(d, structure="hermitian", field="complex", name="J").expr()
-    else:
-        cells = _cell_grid((d, d))
-        orbit = np.minimum(cells, cells.T)
-        # transpose Bob's output and input subsystems (order: a_out, b_out, a_in, b_in)
-        tied = dims is not None and all(np.array_equal(partial_transpose(x, dims, [1, 3]), x) for x in data)
-        if tied:
-            orbit = np.minimum(orbit, orbit.ravel()[partial_transpose(cells, dims, [1, 3])])
-        j_expr = _hermitian_on_orbits(model, orbit, "J")
+    cells = _cell_grid((d, d))
+    images = [cells, cells.T] if all(np.array_equal(x, x.T) and not np.any(np.imag(x)) for x in data) else [cells]
+    # transpose Bob's output and input subsystems (order: a_out, b_out, a_in, b_in)
+    tied = dims is not None and all(np.array_equal(partial_transpose(x, dims, [1, 3]), x) for x in data)
+    if tied:
+        images += [partial_transpose(g, dims, [1, 3]) for g in images]
+    j_expr = _hermitian_on_orbits(model, _signed_orbits(np.reshape(images, (len(images), -1)))[0].reshape(d, d), "J")
 
     feasibility = objective is None
     if feasibility:
@@ -196,11 +197,8 @@ def channel_feasibility(
 
     if nonsignaling_b_to_a_dims is not None:
         ao, bo, ai, bi = nonsignaling_b_to_a_dims
-        if ao * bo != dim_out or ai * bi != dim_in:
-            raise ValueError("nonsignaling dims do not match the channel dimensions")
-        dims4 = (ao, bo, ai, bi)
-        lhs = j_expr.partial_trace(dims4, keep=[0, 2, 3])  # trace out b_out
-        marg = j_expr.partial_trace(dims4, keep=[0, 2])  # trace out b_out and b_in
+        lhs = j_expr.partial_trace(nonsignaling_b_to_a_dims, keep=[0, 2, 3])  # trace out b_out
+        marg = j_expr.partial_trace(nonsignaling_b_to_a_dims, keep=[0, 2])  # trace out b_out and b_in
         # kron(M, I) / b_in = sum_s V_s M V_s^T / b_in, V_s = I (x) e_s, and vec(V M V^T) = (V (x) V) vec(M)
         v = [sp.kron(sp.identity(ao * ai), np.eye(bi)[:, [s]]) for s in range(bi)]
         rhs = marg.map_linear(sum(sp.kron(v_s, v_s) for v_s in v) / bi, (ao * ai * bi,) * 2)
@@ -235,41 +233,14 @@ class DpsResult:
     model_result: object
 
 
-def _hermitian_on_orbits(model: Model, orbit: np.ndarray, name: str) -> MatExpr:
-    """Declare an n x n Hermitian matrix that is constant on the cell orbits
-    labelled by the n x n array ``orbit``, as the image of one real parameter
-    vector named ``name``.
-
-    Each pair {O, O^T} of transposed orbits takes one real parameter, and,
-    when O != O^T, one imaginary parameter with +1j on the lower-labelled
-    orbit and -1j on the other.  Orbits closed under transposition give a
-    real symmetric matrix.
-    """
-    n = orbit.shape[0]
-    orbit, orbit_t = orbit.ravel(), orbit.T.ravel()
-    off = orbit != orbit_t
-    re_keys, re_par = np.unique(np.minimum(orbit, orbit_t), return_inverse=True)
-    im_keys, im_par = np.unique(np.minimum(orbit, orbit_t)[off], return_inverse=True)
-    var = model.declare(re_keys.size + im_keys.size, 1, structure="full", name=name)
-    rows = 1 + var.decl.offset + np.concatenate([re_par, re_keys.size + im_par])
-    cells = np.concatenate([np.arange(n * n), np.flatnonzero(off)])
-    vals = np.concatenate([np.ones(n * n), np.where(orbit < orbit_t, 1j, -1j)[off]])
-    return MatExpr.from_coef((n, n), sp.coo_array((vals, (rows, cells)), shape=(rows.max() + 1, n * n)))
-
-
 def _symmetric_extension(model: Model, dims_ext) -> MatExpr:
-    """Declare a Hermitian matrix on A (x) B^k that is invariant under every
-    permutation of the B copies (``_hermitian_on_orbits``): cell (i, j) lies
-    in the orbit keyed by a_i, a_j and the sorted pairs (b_t(i), b_t(j)) of
-    the k copies.
-    """
-    d, d_b = int(np.prod(dims_ext)), dims_ext[1]
-    i, j = np.divmod(np.arange(d * d), d)
-    a_i, *b_i = np.unravel_index(i, dims_ext)
-    a_j, *b_j = np.unravel_index(j, dims_ext)
-    pairs = np.sort(np.multiply(b_i, d_b) + b_j, axis=0)
-    _, orbit = np.unique(np.vstack([a_i, a_j, pairs]), axis=1, return_inverse=True)
-    return _hermitian_on_orbits(model, orbit.reshape(d, d), "ext")
+    """Declare a Hermitian matrix on A (x) B^k tied on the orbits of its cells
+    under the k! permutations of the B copies (``_hermitian_on_orbits``)."""
+    d, k = int(np.prod(dims_ext)), len(dims_ext) - 1
+    index = np.arange(d).reshape(dims_ext)
+    moved = np.array([index.transpose(0, *p).ravel() for p in permutations(range(1, k + 1))])
+    images = (moved[:, :, None] * d + moved[:, None, :]).reshape(len(moved), d * d)
+    return _hermitian_on_orbits(model, _signed_orbits(images)[0].reshape(d, d), "ext")
 
 
 def dps_test(rho: DensityMatrix, dims: tuple[int, int], k: int = 2, ppt: bool = True, cfg=None) -> DpsResult:

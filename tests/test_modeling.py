@@ -15,6 +15,7 @@ from qsdp.modeling import (
     _hermitian_coeffs,
     _is_bare_var_lmi,
     _objective_vector,
+    _signed_orbits,
     clean,
     model_from_json,
     model_to_json,
@@ -391,6 +392,70 @@ class TestTensorHelpers:
         got = partial_trace(full, (2, 2, 3), keep=[0, 2])
         want = np.kron(ms[0], ms[2]) * np.trace(ms[1])
         assert np.allclose(got, want)
+
+
+def signed_group(generators, n):
+    """The (|G|, n) images and signs of the group of signed permutations of
+    n points generated by (images, signs) pairs, the identity first."""
+    mats = []
+    for images, signs in generators:
+        mats.append(np.zeros((n, n)))
+        mats[-1][images, np.arange(n)] = signs  # e_i -> signs[i] e_images[i]
+    group = [np.eye(n)]
+    for p in group:  # the list grows until no product is new
+        group += [q for q in (g @ p for g in mats) if not any(np.array_equal(q, h) for h in group)]
+    stack = np.array(group)
+    images = np.abs(stack).argmax(axis=1)
+    return images, np.take_along_axis(stack, images[:, None, :], axis=1)[:, 0]
+
+
+class TestSignedOrbits:
+    """``_signed_orbits`` against the fixed space of the group: the mean of
+    its signed permutation matrices projects onto the vectors the group
+    fixes, so its row i is s times its row r, or 0 when i is pinned."""
+
+    @staticmethod
+    def assert_fixed_space(images, signs):
+        rep, sign, pinned = _signed_orbits(images, signs)
+        n = images.shape[1]
+        proj = np.zeros((n, n))
+        for im, s in zip(images, signs):
+            proj[im, np.arange(n)] += s / len(images)
+        assert np.allclose(proj[pinned], 0.0)
+        assert np.allclose(proj[~pinned], sign[~pinned, None] * proj[rep[~pinned]])
+        assert np.all(np.abs(proj[~pinned]).max(axis=1) > 0.1)
+        assert np.all(rep <= np.arange(n))
+        return rep, sign, pinned
+
+    def test_plus_minus_identity_pins_every_point(self):
+        images, signs = signed_group([(np.arange(3), -np.ones(3))], 3)
+        assert len(images) == 2
+        rep, _, pinned = self.assert_fixed_space(images, signs)
+        assert rep.tolist() == [0, 1, 2] and pinned.all()
+
+    @pytest.mark.parametrize("last", [1.0, -1.0])
+    def test_signed_four_cycle(self, last):
+        # i -> i + 1 with signs (1, -1, -1, last): its fourth power is last * I
+        images, signs = signed_group([((np.arange(4) + 1) % 4, np.array([1.0, -1.0, -1.0, last]))], 4)
+        assert len(images) == (4 if last > 0 else 8)
+        rep, sign, pinned = self.assert_fixed_space(images, signs)
+        assert rep.tolist() == [0, 0, 0, 0]
+        assert pinned.tolist() == [last < 0] * 4
+        if last > 0:  # the fixed vectors are multiples of (1, 1, -1, 1)
+            assert sign.tolist() == [1.0, 1.0, -1.0, 1.0]
+
+    def test_free_and_pinned_orbits_side_by_side(self):
+        cycle = (np.array([1, 2, 3, 0, 4]), np.array([1.0, -1.0, -1.0, 1.0, 1.0]))
+        flip = (np.arange(5), np.array([1.0, 1.0, 1.0, 1.0, -1.0]))
+        images, signs = signed_group([cycle, flip], 5)
+        rep, _, pinned = self.assert_fixed_space(images, signs)
+        assert rep.tolist() == [0, 0, 0, 0, 4]
+        assert pinned.tolist() == [False] * 4 + [True]
+
+    def test_unsigned_images_take_the_smallest_member(self):
+        images = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+        rep, sign, pinned = _signed_orbits(images)
+        assert rep.tolist() == [0, 0, 2, 2] and np.all(sign == 1.0) and not pinned.any()
 
 
 # ---------------------------------------------------------------------------

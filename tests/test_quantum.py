@@ -8,6 +8,7 @@ from qsdp.modeling import MatExpr, Model, partial_trace, partial_transpose
 from qsdp.quantum import (
     ChoiMatrix,
     DensityMatrix,
+    _symmetric_extension,
     apply_choi,
     channel_feasibility,
     choi_of_channel,
@@ -125,6 +126,23 @@ class TestChannelFeasibility:
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
+class TestChannelInputs:
+    def test_bipartite_dims_must_split_each_side(self):
+        # (4, 4, 1, 1) multiplies to the Choi dimension 16 but splits the
+        # output into 16 dimensions
+        for name in ("ppt_preserving_dims", "nonsignaling_b_to_a_dims"):
+            with pytest.raises(ValueError, match=name):
+                channel_feasibility(4, objective=singlet_objective(), **{name: (4, 4, 1, 1)})
+            with pytest.raises(ValueError, match=name):
+                channel_feasibility(4, **{name: (2, 2, 2)})
+
+    @pytest.mark.parametrize(
+        "name, shape", [("fixed_choi", (3, 3)), ("objective", (3, 3)), ("objective", (4, 4, 1)), ("objective", (4, 1))]
+    )
+    def test_data_must_be_choi_sized(self, name, shape):
+        with pytest.raises(ValueError, match=f"{name} must be 4 x 4"):
+            channel_feasibility(2, **{name: np.ones(shape)})
+
 def channel_reference(
     dim_in, dim_out=None, objective=None, ppt_preserving_dims=None, nonsignaling_b_to_a_dims=None, fixed_choi=None
 ):
@@ -226,16 +244,51 @@ class TestChannelSymmetry:
 
     @pytest.mark.parametrize("name", ["benchmark", "tb-invariant"])
     def test_choi_is_a_ppt_nonsignalling_channel(self, name):
-        j = channel_feasibility(**CHANNELS[name])["choi"]
-        m = j.matrix
-        assert np.max(np.abs(m - m.conj().T)) <= 1e-12
-        assert np.linalg.eigvalsh(m)[0] >= -1e-6
-        assert np.max(np.abs(partial_trace(m, (4, 4), keep=[1]) - np.eye(4))) <= 1e-6
-        assert np.linalg.eigvalsh(partial_transpose(m, PPT_NS, [1, 3]))[0] >= -1e-6
+        assert_ppt_channel(channel_feasibility(**CHANNELS[name])["choi"].matrix, nonsignalling=True)
+
+
+def complex_tb_invariant_objective(seed: int) -> np.ndarray:
+    """K + K^{T_B} for a seeded complex Hermitian K on (a_out, b_out, a_in, b_in)."""
+    k = seeded_hermitian(16, seed)
+    return k + partial_transpose(k, PPT_NS, [1, 3])
+
+
+def assert_ppt_channel(m, nonsignalling: bool):
+    """m is the Choi matrix of a CP, trace-preserving, PPT-preserving 4 -> 4
+    channel, and no-signalling from B to A when asked."""
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(m)[0] >= -1e-6
+    assert np.max(np.abs(partial_trace(m, (4, 4), keep=[1]) - np.eye(4))) <= 1e-6
+    assert np.linalg.eigvalsh(partial_transpose(m, PPT_NS, [1, 3]))[0] >= -1e-6
+    if nonsignalling:
         lhs = partial_trace(m, PPT_NS, keep=[0, 2, 3])
         rhs = np.kron(partial_trace(m, PPT_NS, keep=[0, 2]), np.eye(2)) / 2.0
         assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
+
+class TestComplexTbInvariantChannel:
+    """Complex data that are their own T_B tie J's cells over {id, T_B}: one
+    Hermitian 16-block, embedded as one real 32-block, against the
+    reference's two."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nonsignalling, schur_m", [(False, 148), (True, 124)])
+    def test_one_block_with_the_hermitian_models_value(self, seed, nonsignalling, schur_m):
+        kw = dict(dim_in=4, objective=complex_tb_invariant_objective(seed), ppt_preserving_dims=PPT_NS)
+        if nonsignalling:
+            kw["nonsignaling_b_to_a_dims"] = PPT_NS
+        out = channel_feasibility(**kw)
+        res, ref = out["result"], channel_reference(**kw)
+        assert res.compiled.problem.structure.sdp_blocks == (32,)
+        assert ref.compiled.problem.structure.sdp_blocks == (32, 32)
+        assert res.solution.stats["schur"]["m"] == schur_m
+        assert res.success and ref.success
+        assert out["value"] == pytest.approx(ref.value, abs=1e-6)
+        # the merged LMI carries weight 1 where the reference's pair carries
+        # 2, so the central paths differ: seed 5 with no-signalling takes 13
+        # iterations against 12
+        assert res.solution.stats["iterations"] <= ref.solution.stats["iterations"] + 1
+        assert_ppt_channel(out["choi"].matrix, nonsignalling)
 
 class TestDps:
     def test_k1_slack_matches_partial_transpose_oracle(self):
@@ -292,6 +345,17 @@ def locally_rotated_werner(p, seed):
     return DensityMatrix(u @ werner_state(p).matrix @ u.conj().T)
 
 
+def sort_keyed_orbits(dims_ext) -> np.ndarray:
+    """The orbit number of each cell (row-major) of a matrix on A (x) B^k
+    under the permutations of the B copies: cell (i, j) is keyed by a_i,
+    a_j and the sorted pairs (b_t(i), b_t(j)) of the k copies."""
+    d, d_b = int(np.prod(dims_ext)), dims_ext[1]
+    i, j = np.divmod(np.arange(d * d), d)
+    a_i, *b_i = np.unravel_index(i, dims_ext)
+    a_j, *b_j = np.unravel_index(j, dims_ext)
+    pairs = np.sort(np.multiply(b_i, d_b) + b_j, axis=0)
+    return np.unique(np.vstack([a_i, a_j, pairs]), axis=1, return_inverse=True)[1]
+
 class TestDpsOrbitBasis:
     """``dps_test`` declares the extension in the orbit basis of the B-copy
     permutations; the reference imposes the symmetry by equalities."""
@@ -318,6 +382,20 @@ class TestDpsOrbitBasis:
             assert np.max(np.abs(ext.transpose(axes) - ext)) <= 1e-9
         assert np.max(np.abs(res.extension - res.extension.conj().T)) <= 1e-9
         assert np.max(np.abs(partial_trace(res.extension, (2, 2, 2, 2), keep=[0, 1]) - rho.matrix)) <= 1e-6
+
+    @pytest.mark.parametrize("dims, k", [(dims, k) for dims, top in (((2, 2), 5), ((2, 3), 3), ((3, 2), 4)) for k in range(1, top + 1)])
+    def test_orbits_match_the_sort_keyed_partition(self, dims, k):
+        dims_ext = (dims[0],) + (dims[1],) * k
+        d = int(np.prod(dims_ext))
+        model = Model()
+        expr = _symmetric_extension(model, dims_ext)
+        # at a generic point two cells hold equal values exactly when they
+        # share an orbit: each orbit has its own real or imaginary parameter
+        values = expr.value(np.random.default_rng(0).normal(size=model.nparams)).ravel()
+        got = np.unique(values, return_inverse=True)[1]
+        want = sort_keyed_orbits(dims_ext)
+        assert got.size == want.size == d * d
+        assert np.unique(np.stack([got, want]), axis=1).shape[1] == got.max() + 1 == want.max() + 1
 
     def test_k3_has_only_the_partial_trace_equalities(self):
         model = dps_test(werner_state(0.25), (2, 2), k=3).model_result.compiled.model
