@@ -44,8 +44,7 @@ from .problem import (
 
 GAMMA_STEP = 0.98  # step-length safety factor, keeps iterates interior
 EXPON = 3.0  # cap for the corrector exponent
-# Floats in one chunk's g x n^2 work array of the Schur assembly, and in one
-# band of rows of its symmetrization (2 MB)
+# Floats in one chunk's g x n^2 work array of the Schur assembly (2 MB)
 _SCHUR_CHUNK_FLOATS = 1 << 18
 # _cone_step screens a block by Cholesky at this factor above the running
 # step, so a block whose step ties the minimum to rounding is not skipped
@@ -294,10 +293,11 @@ class _SchurPlan:
     """The sparsity of A that the Schur assembly reads, derived once per solve.
 
     ``blocks[k]`` is (A_k, chunks) for SDP block k: A_k is A's CSR column
-    slice over the block, and each chunk (js, sup, a_sub) holds constraints
-    js whose number of touched rows of the block rounds up to the same
-    bucket s, a power of two capped at n; their support rows sup (g x s) and
-    their dense A_j[sup, sup] (g x s x s).  A support with fewer than s rows
+    slice over the block, and each chunk (js, sup, a_sub, a_tail) holds
+    constraints js, ascending, whose number of touched rows of the block
+    rounds up to the same bucket s, a power of two capped at n; their support
+    rows sup (g x s), their dense A_j[sup, sup] (g x s x s) and A_k's rows
+    js[0]: over its own data and indices.  A support with fewer than s rows
     is padded by repeating its last row, and the padded rows and columns of
     a_sub are exact zeros, so they add nothing to K(A_j).  Bucketing keeps
     the chunks, and so the batched products per Schur build, few when the
@@ -314,9 +314,14 @@ class _SchurPlan:
         self.blocks = []
         for k, n in enumerate(st.sdp_blocks):
             a_k = p.a[:, offsets[k] : offsets[k + 1]]
-            self.blocks.append((a_k, _support_chunks(a_k, n)))
+            self.blocks.append((a_k, chunks := []))
+            for js, sup, a_sub in _support_chunks(a_k, n):
+                # set on an empty csr_array, as its constructor copies a view of under half its base
+                a_tail, at = sp.csr_array((a_k.shape[0] - js[0], n * n)), a_k.indptr[js[0]]
+                a_tail.indptr, a_tail.indices, a_tail.data = a_k.indptr[js[0] :] - at, a_k.indices[at:], a_k.data[at:]
+                chunks.append((js, sup, a_sub, a_tail))
         self.a_nn = p.a[:, offsets[-3] : offsets[-2]]
-        size = max((js.size * n * n for (_, chunks), n in zip(self.blocks, st.sdp_blocks) for js, _, _ in chunks), default=0)
+        size = max((js.size * n * n for (_, chunks), n in zip(self.blocks, st.sdp_blocks) for js, *_ in chunks), default=0)
         self.work = (np.empty(size), np.empty(size))
 
 
@@ -324,8 +329,8 @@ class _DirectionContext:
     """Scalings and the Schur matrix B at one iterate, shared by the predictor
     and the corrector solve of an iteration.  ``direction`` ("hkm" or "nt")
     picks the scaling, and ``plan`` is the solve's _SchurPlan of p.  B is
-    held once, as its Cholesky factor; only when that fails is B built
-    again, for an indefinite solve."""
+    built on one triangle and held once, as its Cholesky factor; only when
+    that fails is it built again, for an indefinite solve of that triangle."""
 
     def __init__(self, p: ConeProblem, it: Iterate, direction: str, plan: _SchurPlan):
         self.p = p
@@ -337,9 +342,9 @@ class _DirectionContext:
             if direction == "nt":
                 self.w_nt.append(_nt_scaling(xb, zb))
         self.direction = direction
-        # b is symmetric, so b.T is B in Fortran order, factored in place by
-        # potrf (and overwritten when that fails); the upper triangle is left
-        # as it was, since potrs reads only the lower one
+        # b.T is B in Fortran order, built on and below its diagonal, where
+        # potrf (lower) reads it and factors it in place (overwritten when
+        # that fails); potrs reads only the factor
         b = np.asarray_chkfinite(self.schur(it))
         self.cho, info = _POTRF(b.T, lower=1, overwrite_a=1, clean=0)
         if info < 0:
@@ -358,29 +363,28 @@ class _DirectionContext:
         return SymBlockMat(x.structure, blocks, (x.nonneg / z.nonneg) * dz.nonneg)
 
     def schur(self, it: Iterate) -> np.ndarray:
-        """B_ij = <A_i, K(A_j)>, assembled one chunk of the plan at a time.
+        """B_ij = <A_i, K(A_j)> for i <= j, assembled one chunk of the plan at a time.
 
         For a chunk's constraints js in SDP block k, one batched product
         builds every K(A_j) = L[:, sup] A_j[sup, sup] R[sup, :], with
         (L, R) = (X_k, Z_k^-1) for HKM or (W_k, W_k) for NT, into the plan's
         first work array; its transpose, copied into the second, is the
-        C-ordered n^2 x g operand that A_k's product reads, and that product
-        adds rows js of B.  The nonnegative entries add
-        A_nn diag(x / z) A_nn^T (both scalings coincide there).
+        C-ordered n^2 x g operand of a_tail's product, which adds B[js, js[0]:]
+        (below the diagonal b holds partial sums, which nothing reads).  The
+        nonnegative entries add A_nn diag(x / z) A_nn^T (both scalings coincide).
         """
-        m = self.p.num_constraints
-        b = np.zeros((m, m))
+        b = np.zeros((self.p.num_constraints,) * 2)
         work, work_t = self.plan.work
-        for k, (a_k, chunks) in enumerate(self.plan.blocks):
+        for k, (_, chunks) in enumerate(self.plan.blocks):
             lft, rgt = (it.x.blocks[k], self.zinv[k]) if self.direction == "hkm" else (self.w_nt[k],) * 2
             n = lft.shape[0]
-            for js, sup, a_sub in chunks:
+            for js, sup, a_sub, a_tail in chunks:
                 size = js.size * n * n
                 u = work[:size].reshape(js.size, n, n)
                 np.matmul(lft[:, sup].transpose(1, 0, 2) @ a_sub, rgt[sup], out=u)
                 u_t = work_t[:size].reshape(n * n, js.size)
                 np.copyto(u_t, u.reshape(js.size, -1).T)
-                b[js] += (a_k @ u_t).T
+                b[js, js[0] :] += (a_tail @ u_t).T
         a_nn = self.plan.a_nn
         if a_nn.shape[1]:
             scaled = a_nn.copy()
@@ -389,14 +393,6 @@ class _DirectionContext:
             # its entries are unique, so each is added once, as a dense sum would
             nn = (scaled @ a_nn.T).tocoo()
             b[nn.row, nn.col] += nn.data
-        # (B + B^T) / 2 by bands of rows, so no m x m transpose is copied
-        band = max(1, _SCHUR_CHUNK_FLOATS // max(m, 1))
-        for lo in range(0, m, band):
-            hi = min(lo + band, m)
-            s = b[lo:hi, lo:] + b[lo:, lo:hi].T
-            s *= 0.5
-            b[lo:hi, lo:] = s
-            b[hi:, lo:hi] = s[:, hi - lo :].T
         return b
 
     def solve(self, h: np.ndarray) -> np.ndarray:
@@ -412,7 +408,7 @@ class _DirectionContext:
                 raise ValueError(f"illegal value in argument {-info} of potrs")
             return x
         try:
-            return scipy.linalg.solve(self.b_indefinite, h, assume_a="sym")
+            return scipy.linalg.solve(self.b_indefinite, h, assume_a="sym", lower=False)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NewtonSystemError(str(exc)) from exc
 
@@ -651,6 +647,7 @@ def _solve(p: ConeProblem, cfg: SolverConfig, iterate_hook):
         except (NewtonSystemError, scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             status, failure = STATUS_NUMERICAL_FAILURE, str(exc)
             break
+        del ctx  # so the next B is built without this one beside it
         it = Iterate(x=it.x + alpha * dx, y=it.y + beta * dy, z=it.z + beta * dz, iteration=it.iteration + 1)
 
     if status == STATUS_SUCCESS and pobj - dobj < -10.0 * cfg.tol_gap * (1.0 + abs(pobj) + abs(dobj)):

@@ -165,6 +165,8 @@ def channel_feasibility(
     for name, x in (("objective", objective), ("fixed_choi", fixed_choi)):
         if x is not None and np.shape(x) != (d, d):
             raise ValueError(f"{name} must be {d} x {d}, the Choi dimension")
+        if x is not None and not np.allclose(x, np.conj(x).T):
+            raise ValueError(f"{name} must be Hermitian")
     dims = None if ppt_preserving_dims is None else tuple(ppt_preserving_dims)
     model = Model()
     data = [np.asarray(x) for x in (objective, fixed_choi) if x is not None]

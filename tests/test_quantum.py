@@ -143,6 +143,19 @@ class TestChannelInputs:
         with pytest.raises(ValueError, match=f"{name} must be 4 x 4"):
             channel_feasibility(2, **{name: np.ones(shape)})
 
+    def test_objective_must_be_hermitian(self):
+        # Tr(J K) is not real for every Hermitian J when K is not Hermitian
+        with pytest.raises(ValueError, match="objective must be Hermitian"):
+            channel_feasibility(2, objective=np.arange(16.0).reshape(4, 4))
+
+    def test_fixed_choi_must_be_hermitian(self):
+        # J's equalities pin one triangle, so the entry below the diagonal
+        # was ignored and this matrix, no Choi matrix, was reported feasible
+        j = np.array(choi_of_channel([np.eye(2)], 2).matrix)
+        j[3, 0] = 5.0
+        with pytest.raises(ValueError, match="fixed_choi must be Hermitian"):
+            channel_feasibility(2, fixed_choi=j)
+
 def channel_reference(
     dim_in, dim_out=None, objective=None, ppt_preserving_dims=None, nonsignaling_b_to_a_dims=None, fixed_choi=None
 ):

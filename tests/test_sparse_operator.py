@@ -6,6 +6,7 @@ the Schur matrix are checked against the textbook formulas they replace.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_schur_matches_dense_reference(request, source, direction, density):
         rng = np.random.default_rng(11)
         q = split_free(random_problem(rng, source, density=density)).problem
     want, got = dense_schur(q, interior_iterate(rng, q), direction)
-    assert rel_err(got, want) <= 1e-12
+    assert rel_err(np.triu(got), np.triu(want)) <= 1e-12
 
 
 def several_chunk_problem(rng):
@@ -140,10 +141,10 @@ def test_schur_matches_dense_reference_over_several_chunks(direction):
     p = several_chunk_problem(rng)
     chunks = ipm._SchurPlan(p).blocks[0][1]
     # support sizes 1, 2, 3 and 5 round up to the buckets 1, 2, 4 and 8
-    assert sorted({sup.shape[1] for _, sup, _ in chunks}) == [1, 2, 4, 8]
+    assert sorted({sup.shape[1] for _, sup, *_ in chunks}) == [1, 2, 4, 8]
     assert len(chunks) > 4
     want, got = dense_schur(p, interior_iterate(rng, p), direction)
-    assert rel_err(got, want) <= 1e-12
+    assert rel_err(np.triu(got), np.triu(want)) <= 1e-12
 
 
 def test_support_plan_rebuilds_the_full_dps_rows(dps_k3):
@@ -156,10 +157,10 @@ def test_support_plan_rebuilds_the_full_dps_rows(dps_k3):
         for k, (_, chunks) in enumerate(ipm._SchurPlan(p).blocks):
             n = p.structure.sdp_blocks[k]
             want = np.array([r.blocks[k] for r in p.constraints])
-            touched = np.concatenate([js for js, _, _ in chunks])
+            touched = np.concatenate([js for js, *_ in chunks])
             assert np.array_equal(np.sort(touched), np.flatnonzero(np.any(want != 0, axis=(1, 2))))
             got = np.zeros((p.num_constraints, n, n))
-            for js, sup, a_sub in chunks:
+            for js, sup, a_sub, _ in chunks:
                 np.add.at(got, (js[:, None, None], sup[:, :, None], sup[:, None, :]), a_sub)
             assert np.array_equal(got, want)
 
@@ -213,6 +214,22 @@ def test_one_schur_per_iteration_and_one_residual_per_iterate(monkeypatch, free_
     # the cold start and every step's iterate, with free variables too: the
     # reduced problem's residual norms are the original problem's
     assert len(res) == its + 1
+
+
+def test_each_context_is_dropped_before_the_next_is_built(monkeypatch):
+    # else the last iteration's B, as its Cholesky factor, would sit beside
+    # the one being built: a second m x m array at the solve's peak
+    earlier = []
+    init = _DirectionContext.__init__
+
+    def tracked(self, *args):
+        assert all(ref() is None for ref in earlier)
+        earlier.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(_DirectionContext, "__init__", tracked)
+    res = solve_bell(Scenario.chsh(), 2, chsh_functional()).model_result
+    assert res.success and len(earlier) == res.solution.stats["iterations"]
 
 
 def reference_support_chunks(a_k, n):
@@ -347,7 +364,7 @@ def test_bucketed_chunks_hold_each_constraint_once_padded_with_zeros(monkeypatch
         touched = [np.unique(a_k.indices[rows == j] // n) for j in range(a_k.shape[0])]
         js = np.concatenate([c[0] for c in chunks])
         assert np.array_equal(np.sort(js), [j for j, sup in enumerate(touched) if sup.size])
-        for js, sup, a_sub in chunks:
+        for js, sup, a_sub, _ in chunks:
             s = sup.shape[1]
             for j, row, sub in zip(js, sup, a_sub):
                 t = touched[j].size
@@ -358,7 +375,7 @@ def test_bucketed_chunks_hold_each_constraint_once_padded_with_zeros(monkeypatch
     it = interior_iterate(rng, q)
     for direction in ("hkm", "nt"):
         want, got = dense_schur(q, it, direction)
-        assert rel_err(got, want) <= 1e-12
+        assert rel_err(np.triu(got), np.triu(want)) <= 1e-12
 
 
 def test_adjoint_reads_the_stored_transpose():
@@ -385,8 +402,8 @@ def test_adjoint_blocks_need_no_average():
 
 
 def test_direction_context_keeps_one_schur_matrix(monkeypatch):
-    # B is symmetrized and Cholesky-factored in place; only the scalings and
-    # small per-block arrays are kept beside it
+    # B is built on one triangle and Cholesky-factored in place; only the
+    # scalings and small per-block arrays are kept beside it
     q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["i3322-l3"])).problem
     plan = ipm._SchurPlan(q)
     it = interior_iterate(np.random.default_rng(29), q)
@@ -402,9 +419,10 @@ def test_direction_context_keeps_one_schur_matrix(monkeypatch):
     assert kept <= 1.2 * m * m * 8
 
 
-def test_schur_symmetrization_copies_no_transpose():
-    # B = (B + B^T) / 2 in place by bands of rows: a whole-matrix b += b.T
-    # would copy the overlapping m x m transpose and peak at 2 m^2 floats
+def test_schur_one_triangle_build_makes_no_second_square_array():
+    # B is built on and above its diagonal, and nothing mirrors it: a
+    # whole-matrix b += b.T, or m^2 index arrays for a mirror, would peak at
+    # 2 m^2 floats or more
     rng = np.random.default_rng(47)
     m, n, nnz = 2000, 64, 40000
     a = sp.csr_array((rng.normal(size=nnz), (rng.integers(0, m, nnz), rng.integers(0, n * n, nnz))), shape=(m, n * n))
@@ -418,23 +436,24 @@ def test_schur_symmetrization_copies_no_transpose():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * m * m * 8
-    assert np.array_equal(b, b.T)
+    assert np.array_equal(np.triu(b), np.triu(dense_add_schur(ctx, it)))
 
 
 def dense_add_schur(ctx, it):
-    """The HKM ctx.schur(it) with its nonnegative part added as a dense m x m
-    array: the chunks of the plan, then A_nn diag(x / z) A_nn^T made dense,
-    then (B + B^T) / 2."""
+    """The HKM ctx.schur(it) with every row of A_k in each chunk's product
+    and its nonnegative part added as a dense m x m array: the chunks of the
+    plan, then A_nn diag(x / z) A_nn^T made dense.  On and above the
+    diagonal it is ctx.schur(it) bit for bit."""
     m = ctx.p.num_constraints
     b = np.zeros((m, m))
     for k, (a_k, chunks) in enumerate(ctx.plan.blocks):
-        for js, sup, a_sub in chunks:
+        for js, sup, a_sub, _ in chunks:
             u = (it.x.blocks[k][:, sup].transpose(1, 0, 2) @ a_sub @ ctx.zinv[k][sup]).reshape(js.size, -1)
             b[js] += (a_k @ u.T).T
     scaled = ctx.plan.a_nn.copy()
     scaled.data *= (it.x.nonneg / it.z.nonneg)[scaled.indices]
     b += (scaled @ ctx.plan.a_nn.T).toarray()
-    return (b + b.T) / 2.0
+    return b
 
 
 def test_schur_adds_the_nonnegative_part_in_place():
@@ -458,7 +477,7 @@ def test_schur_adds_the_nonnegative_part_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * m * m * 8
-    assert np.array_equal(b, dense_add_schur(ctx, it))
+    assert np.array_equal(np.triu(b), np.triu(dense_add_schur(ctx, it)))
 
 
 @pytest.mark.parametrize("direction", ["hkm", "nt"])
@@ -470,7 +489,7 @@ def test_schur_reuses_the_plans_work_arrays(monkeypatch, direction):
     # too small (m = 78) for the bound to tell the two apart
     q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS["channel-complex"])).problem
     plan = ipm._SchurPlan(q)
-    largest = max(js.size * n * n for (_, chunks), n in zip(plan.blocks, q.structure.sdp_blocks) for js, _, _ in chunks)
+    largest = max(js.size * n * n for (_, chunks), n in zip(plan.blocks, q.structure.sdp_blocks) for js, *_ in chunks)
     it = interior_iterate(np.random.default_rng(37), q)
     ctx = _DirectionContext(q, it, direction, plan)
     first = ctx.schur(it)
@@ -485,7 +504,7 @@ def test_schur_reuses_the_plans_work_arrays(monkeypatch, direction):
     assert peak <= (m * m + largest) * 8
     assert all(w.size == largest for w in plan.work)
     if direction == "hkm":  # the products' arithmetic is the fresh arrays'
-        assert np.array_equal(second, dense_add_schur(ctx, it))
+        assert np.array_equal(np.triu(second), np.triu(dense_add_schur(ctx, it)))
 
 
 @pytest.mark.parametrize("direction", ["hkm", "nt"])
@@ -496,7 +515,15 @@ def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
     p = split_free(ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows)))).problem
     it = interior_iterate(rng, p)
     want_b, _ = dense_schur(p, it, direction)
+    fail_schur_cholesky(monkeypatch)
+    ctx = _DirectionContext(p, it, direction, ipm._SchurPlan(p))
+    assert ctx.cho is None
+    h = rng.normal(size=p.num_constraints)
+    assert rel_err(ctx.solve(h), np.linalg.solve(want_b, h)) <= 1e-10
 
+
+def fail_schur_cholesky(monkeypatch):
+    """Make potrf report B not positive definite, so the indefinite solve runs."""
     potrf = ipm._POTRF
 
     def fail(a, lower=0, overwrite_a=0, clean=1):
@@ -506,7 +533,44 @@ def test_failed_cholesky_takes_the_indefinite_solve(monkeypatch, direction):
         return a, 1  # info > 0: B is not positive definite
 
     monkeypatch.setattr(ipm, "_POTRF", fail)
+
+
+@pytest.mark.parametrize("direction", ["hkm", "nt"])
+@pytest.mark.parametrize("cholesky", [True, False], ids=["cholesky", "indefinite"])
+def test_no_solve_reads_the_schur_matrix_below_its_diagonal(monkeypatch, direction, cholesky):
+    # schur builds B on and above its diagonal only: with finite junk in the
+    # strict lower triangle, the Cholesky and the indefinite solve must both
+    # still give B^-1 h
+    rng = np.random.default_rng(41)
+    st = BlockStructure((5, 3), nonneg_dim=2, free_dim=1)
+    rows = [sparse_elem(rng, st, 0.5) for _ in range(8)]
+    p = split_free(ConeProblem(sparse_elem(rng, st, 1.0), rows, rng.normal(size=len(rows)))).problem
+    it = interior_iterate(rng, p)
+    want_b, _ = dense_schur(p, it, direction)
+    schur = _DirectionContext.schur
+
+    def junk_below(self, it):
+        b = schur(self, it)
+        low = np.tril_indices_from(b, -1)
+        b[low] = 1e3 * rng.normal(size=low[0].size)
+        return b
+
+    monkeypatch.setattr(_DirectionContext, "schur", junk_below)
+    if not cholesky:
+        fail_schur_cholesky(monkeypatch)
     ctx = _DirectionContext(p, it, direction, ipm._SchurPlan(p))
-    assert ctx.cho is None
+    assert (ctx.cho is not None) == cholesky
     h = rng.normal(size=p.num_constraints)
     assert rel_err(ctx.solve(h), np.linalg.solve(want_b, h)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", CHUNK_PROBLEMS)
+def test_each_chunks_row_tail_is_a_view_of_a_k(monkeypatch, name):
+    # a_tail, the rows js[0]: of A_k that the chunk's product reads, holds
+    # A_k's own data and indices: a copy would cost O(nnz) per chunk
+    q = split_free(compiled_problem(monkeypatch, CHUNK_PROBLEMS[name])).problem
+    for a_k, chunks in ipm._SchurPlan(q).blocks:
+        for js, _, _, a_tail in chunks:
+            assert np.shares_memory(a_tail.data, a_k.data) and np.shares_memory(a_tail.indices, a_k.indices)
+            assert a_tail.shape == (a_k.shape[0] - js[0], a_k.shape[1])
+            assert (a_tail != a_k[js[0] :]).nnz == 0
